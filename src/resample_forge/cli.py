@@ -15,10 +15,8 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .derand import (
@@ -277,14 +275,6 @@ def _write_attempts(path: str | None, attempts: list) -> None:
 # stats
 
 
-def _thread_budget() -> int:
-    raw = os.environ.get("RESAMPLE_FORGE_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _one_trial(side: int, seed: int, cfg: CliConfig) -> ExperimentRecord:
     p = gen_torus_nae(side, side, cfg.b)
     pi = _partition_for(p, cfg)
@@ -340,13 +330,7 @@ def decay_ratio(tail: dict[int, float]) -> float | None:
 
 def cmd_stats(cfg: CliConfig) -> int:
     sizes = cfg.sizes or (8, 12)
-    jobs = [(side, cfg.seed + i) for side in sizes for i in range(cfg.repeat)]
-    threads = _thread_budget()
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            records = list(pool.map(lambda job: _one_trial(job[0], job[1], cfg), jobs))
-    else:
-        records = [_one_trial(side, seed, cfg) for side, seed in jobs]
+    records = [_one_trial(side, cfg.seed + i, cfg) for side in sizes for i in range(cfg.repeat)]
     records.sort(key=lambda r: (r.n, r.instance, r.seed))
     if cfg.csv_path:
         append_results(cfg.csv_path, records)

@@ -1,11 +1,11 @@
 """Deterministic sequential solver: exhaustive finite-tape search.
 
 The outer loop enumerates every finite tape of m symbols per part.  The inner
-loop replays the parallel resampling process against one such tape, organised
-as list passes so each round touches only clauses adjacent to the previous
-round's damage.  A tape is abandoned the moment the process asks for a symbol
-beyond index m-1; if some tape reaches an empty violation list, its colouring
-is a verified solution.
+loop drives the parallel resampling rounds of `mta_runner` against one such
+tape, one pass per round, each scanning the violated clauses in the order the
+previous re-check found them.  A tape is abandoned the moment the process asks
+for a symbol beyond index m-1; if some tape reaches an empty violation list,
+its colouring is a verified solution.
 
 The bound machinery (explicit_k, threshold_m) computes how large m must be
 for success to be guaranteed.  Those values are astronomical outside toy
@@ -19,7 +19,10 @@ import math
 from dataclasses import dataclass, field
 
 from resample_forge.graph_core import VertexOrder
-from resample_forge.rule_engine import ColouringProblem, bad_set, is_violated, satisfies
+from resample_forge.mta_runner import start_state, step
+from resample_forge.rule_engine import ColouringProblem, satisfies
+# unused here, but perfbench/tracing.py wraps the name derand.is_violated
+from resample_forge.rule_engine import is_violated  # noqa: F401
 from resample_forge.tape import FiniteTape, TapeDepleted
 
 DEFAULT_TAPE_CAP = 2**24
@@ -147,76 +150,6 @@ def theoretical_budget(
 
 
 @dataclass
-class PassState:
-    """Colouring plus the two clause work-lists carried between passes.
-
-    `currently` is exactly the violated set at the start of each pass (kept as
-    a list because scan order is the resampling priority); `potentially` is
-    the superset that the next rebuild must re-evaluate.
-    """
-
-    colouring: list
-    h: list
-    currently: list
-    potentially: list
-    reevals: int = 0
-    passes: int = 0
-
-
-def start_state(p: ColouringProblem, pi, tape) -> PassState:
-    """Fill every cell from symbol 0 of its part and compute the initial lists."""
-    colouring = [tape.symbol(pi.part_of[x], 0) for x in range(p.n)]
-    currently = bad_set(p, colouring)
-    rel_adj = p.rel().out_adj
-    potentially = list(currently)
-    seen = set(currently)
-    for c in currently:
-        for nb in rel_adj[c]:
-            if nb not in seen:
-                seen.add(nb)
-                potentially.append(nb)
-    return PassState(colouring, [1] * p.n, currently, potentially)
-
-
-def internal_pass(p: ColouringProblem, pi, state: PassState, tape) -> list:
-    """One list pass: resample a maximal independent slice of the violated set.
-
-    Scanning `currently` in order, a clause is resampled unless a clause
-    resampled earlier this pass shares a cell with it.  No violation check is
-    needed during the scan: an entry with untouched cells is still violated.
-    The rebuild then re-evaluates `potentially` (that work is what reevals
-    counts) and prepares both lists for the next pass.
-    """
-    if not state.currently:
-        return []
-    rel_adj = p.rel().out_adj
-    rel_sets = [set(a) for a in rel_adj]
-    resampled: list = []
-    shadow: set = set()
-    for c in state.currently:
-        if c in shadow:
-            continue
-        for v in p.graph.out_adj[c]:
-            state.colouring[v] = tape.symbol(pi.part_of[v], state.h[v])
-            state.h[v] += 1
-        resampled.append(c)
-        shadow |= rel_sets[c]
-    new_currently = [c for c in state.potentially if is_violated(p, state.colouring, c)]
-    state.reevals += len(state.potentially)
-    new_potentially = list(new_currently)
-    seen = set(new_currently)
-    for c in new_currently:
-        for nb in rel_adj[c]:
-            if nb not in seen:
-                seen.add(nb)
-                new_potentially.append(nb)
-    state.currently = new_currently
-    state.potentially = new_potentially
-    state.passes += 1
-    return resampled
-
-
-@dataclass
 class TapeAttempt:
     """Everything observable about running the inner loop against one tape."""
 
@@ -237,51 +170,24 @@ def run_finite_tape(
     p: ColouringProblem, pi, tape: FiniteTape, tape_index: int = -1, keep_history: bool = False
 ) -> TapeAttempt:
     """Drive passes until success or the tape runs out of symbols."""
-    d_bound = max(1, p.graph.maxdeg())
+    attempt = TapeAttempt(tape_index, TAPE_EXHAUSTED, 0, 0, tape.rounds, p.n, max(1, p.graph.maxdeg()))
     try:
         state = start_state(p, pi, tape)
+        while state.currently:
+            if keep_history:
+                attempt.colourings.append(list(state.colouring))
+                attempt.currently_lists.append(list(state.currently))
+            resampled = step(p, pi, tape, state, scan_order(p, state.currently))
+            attempt.passes, attempt.reevals = state.rounds, state.reevals
+            if keep_history:
+                attempt.resampled_sets.append(resampled)
     except TapeDepleted:
-        return TapeAttempt(tape_index, TAPE_EXHAUSTED, 0, 0, tape.rounds, p.n, d_bound)
-    history_cl = []
-    history_cur = []
-    history_rs = []
-    while state.currently:
-        if keep_history:
-            history_cl.append(list(state.colouring))
-            history_cur.append(list(state.currently))
-        try:
-            resampled = internal_pass(p, pi, state, tape)
-        except TapeDepleted:
-            return TapeAttempt(
-                tape_index,
-                TAPE_EXHAUSTED,
-                state.passes,
-                state.reevals,
-                tape.rounds,
-                p.n,
-                d_bound,
-                None,
-                history_cur,
-                history_rs,
-                history_cl,
-            )
-        if keep_history:
-            history_rs.append(resampled)
+        return attempt
+    attempt.outcome = SUCCESS
+    attempt.colouring = list(state.colouring)
     if keep_history:
-        history_cl.append(list(state.colouring))
-    return TapeAttempt(
-        tape_index,
-        SUCCESS,
-        state.passes,
-        state.reevals,
-        tape.rounds,
-        p.n,
-        d_bound,
-        list(state.colouring),
-        history_cur,
-        history_rs,
-        history_cl,
-    )
+        attempt.colourings.append(list(state.colouring))
+    return attempt
 
 
 def work_counter(attempt: TapeAttempt) -> int:
@@ -349,4 +255,4 @@ def derand_solve(
 
 def scan_order(p: ColouringProblem, currently: list) -> VertexOrder:
     """Priority order matching a pass's scan: list position first, the rest after."""
-    return VertexOrder.from_priority(list(currently), p.n)
+    return VertexOrder.from_priority(currently, p.n)

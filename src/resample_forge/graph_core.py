@@ -8,6 +8,7 @@ underlying undirected graph.
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import deque
 from dataclasses import dataclass, field
@@ -21,6 +22,7 @@ class Digraph:
     out_adj: list[list[int]]
     in_adj: list[list[int]]
     _und_adj: list[list[int]] | None = field(default=None, repr=False, compare=False)
+    _maxdeg: int | None = field(default=None, repr=False, compare=False)
 
     @staticmethod
     def from_edges(n: int, edges) -> "Digraph":
@@ -55,9 +57,10 @@ class Digraph:
         return len(self.neighbourhood(x))
 
     def maxdeg(self) -> int:
-        if self.n == 0:
-            return 0
-        return max(self.deg(x) for x in range(self.n))
+        """Largest deg(x), cached: the exhaustive solver asks once per tape."""
+        if self._maxdeg is None:
+            self._maxdeg = max((self.deg(x) for x in range(self.n)), default=0)
+        return self._maxdeg
 
     def edges(self):
         for x in range(self.n):
@@ -108,19 +111,10 @@ class VertexOrder:
     @staticmethod
     def from_priority(priority: list[int], n: int) -> "VertexOrder":
         """Vertices listed in `priority` rank first (in list order), the rest follow by index."""
-        rank = [0] * n
-        seen = set()
-        next_rank = 0
-        for x in priority:
-            if x not in seen:
-                rank[x] = next_rank
-                seen.add(x)
-                next_rank += 1
-        for x in range(n):
-            if x not in seen:
-                rank[x] = next_rank
-                next_rank += 1
-        return VertexOrder(tuple(rank))
+        first = dict.fromkeys(priority)
+        scan = [*first, *itertools.filterfalse(first.__contains__, range(n))]
+        # the rank of x is its position in `scan`: the inverse permutation
+        return VertexOrder(tuple(sorted(range(n), key=scan.__getitem__)))
 
     def key(self, x: int) -> int:
         return self.rank[x]
@@ -180,10 +174,11 @@ def greedy_mis(g_sym: Digraph, candidates, order: VertexOrder) -> list[int]:
     Returns the chosen vertices sorted by vertex index.
     """
     chosen: set[int] = set()
-    for x in sorted(candidates, key=order.key):
-        if any(y != x and y in chosen for y in g_sym.out_adj[x]):
-            continue
-        chosen.add(x)
+    blocked: set[int] = set()  # neighbours of chosen vertices
+    for x in sorted(candidates, key=order.rank.__getitem__):
+        if x not in blocked:
+            chosen.add(x)
+            blocked.update(g_sym.out_adj[x])
     return sorted(chosen)
 
 

@@ -45,7 +45,8 @@ def _annotate(p: ColouringProblem) -> ColouringProblem:
             for eps in (0.5, 1.0, 2.0):
                 if worst <= big_r * math.log1p(eps) + 1e-9:
                     cert = {"R": big_r, "eps": eps, "d": d}
-                    assert check_subexp(p.graph, big_r, eps, d)
+                    if not check_subexp(p.graph, big_r, eps, d):
+                        raise RuntimeError(f"growth certificate {cert} fails check_subexp")
                     break
             if cert:
                 break
@@ -194,6 +195,15 @@ def save_problem(p: ColouringProblem, path: str) -> None:
         fh.write("\n")
 
 
+# exact type tests: JSON true/false load as bool, a subclass of int
+def _is_int(v) -> bool:
+    return type(v) is int
+
+
+def _is_int_list(v) -> bool:
+    return type(v) is list and {int}.issuperset(map(type, v))
+
+
 def load_problem(path: str) -> ColouringProblem:
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh)
@@ -207,20 +217,28 @@ def load_problem(path: str) -> ColouringProblem:
             raise ValueError(f"missing field {field_name!r}")
     b = payload["b"]
     n = payload["num_vertices"]
-    if not isinstance(b, int) or not isinstance(n, int):
+    if not (_is_int(b) and _is_int(n)):
         raise ValueError("fields 'b' and 'num_vertices' must be integers")
-    edges = [tuple(e) for e in payload["edges"]]
-    if any(len(e) != 2 for e in edges):
-        raise ValueError("field 'edges' must hold [from, to] pairs")
+    edges = payload["edges"]
+    if not (isinstance(edges, list) and all(_is_int_list(e) and len(e) == 2 for e in edges)):
+        raise ValueError("field 'edges' must hold [from, to] pairs of integers")
+    forbidden = payload["forbidden"]
+    if not isinstance(forbidden, dict):
+        raise ValueError("field 'forbidden' must map vertex ids to lists of colour tuples")
+    metadata = payload.get("metadata", {})
+    if not isinstance(metadata, dict):
+        raise ValueError("field 'metadata' must be a JSON object")
     g = Digraph.from_edges(n, edges)
     rows: list = [[] for _ in range(n)]
-    for key, tuples in payload["forbidden"].items():
+    for key, tuples in forbidden.items():
         try:
             x = int(key)
         except ValueError as exc:
             raise ValueError(f"forbidden map key {key!r} is not a vertex id") from exc
         if not (0 <= x < n):
             raise ValueError(f"forbidden map names unknown vertex {x}")
+        if not (isinstance(tuples, list) and all(_is_int_list(t) for t in tuples)):
+            raise ValueError(f"vertex {x}: forbidden tuples must be lists of integer colours")
         scope_len = len(g.out_adj[x])
         seen = set()
         cleaned = []
@@ -237,7 +255,7 @@ def load_problem(path: str) -> ColouringProblem:
             seen.add(tup)
             cleaned.append(tup)
         rows[x] = cleaned
-    p = ColouringProblem(g, b, LocalRule.from_lists(rows), metadata=dict(payload.get("metadata", {})))
+    p = ColouringProblem(g, b, LocalRule.from_lists(rows), metadata=dict(metadata))
     p.validate()
     return p
 

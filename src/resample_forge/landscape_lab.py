@@ -194,17 +194,6 @@ def varcount(p: ColouringProblem, forest: GForest) -> int:
 # grounding
 
 
-def _tree_of(forest: GForest, root) -> set:
-    kids = forest.children_map()
-    members = set()
-    stack = [root]
-    while stack:
-        nd = stack.pop()
-        members.add(nd)
-        stack.extend(kids[nd])
-    return members
-
-
 def ground(
     p: ColouringProblem,
     fl: FinalisedLandscape,

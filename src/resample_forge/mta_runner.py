@@ -1,10 +1,16 @@
-"""The parallel resampling loop over a shared random tape.
+"""The parallel resampling round engine over a shared random tape.
 
-Each round evaluates all rules, picks a greedy maximal independent subset of
-the violated vertices in the dependency graph, and redraws every cell those
-vertices read.  Cell x redraws from its part's tape stream at the per-cell
-counter h(x), which counts samples taken at x so far (the initial fill
-included), so a run is a pure function of (problem, partition, seed, order).
+Each round picks a greedy maximal independent subset of the violated rules in
+the dependency graph and redraws every cell those rules read.  Cell x redraws
+from its part's tape stream at the per-cell counter h(x), which counts samples
+taken at x so far (the initial fill included), so a run is a pure function of
+(problem, partition, tape, order).
+
+Only the initial fill evaluates every rule.  A rule can be violated after a
+round only if it was violated before or shares a cell with a resampled rule,
+so each round re-checks just the violated rules and their dependency-graph
+neighbours.  `run` drives these rounds over an infinite tape; the exhaustive
+solver in `derand` drives the same rounds over finite tapes.
 """
 
 from __future__ import annotations
@@ -12,10 +18,10 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from resample_forge.graph_core import VertexOrder, greedy_mis
-from resample_forge.rule_engine import ColouringProblem, res
+from resample_forge.rule_engine import ColouringProblem, bad_set, res
 
 STATUS_SUCCEEDED = "succeeded"
 STATUS_BUDGET_EXHAUSTED = "budget_exhausted"
@@ -28,21 +34,34 @@ DEFAULT_MAX_STEPS = 100_000
 
 
 @dataclass
-class RunState:
+class RoundState:
+    """Colouring, per-cell counters and the two rule worklists carried between rounds.
+
+    `currently` is exactly the violated set, in the order the last re-check
+    found it; `potentially` is `currently` plus its dependency-graph
+    neighbours, the superset the next round re-checks.  `reevals` counts the
+    rule evaluations of those re-checks (the initial scan excluded).
+    """
+
     colouring: list[int]
     h: list[int]
-    round: int
+    currently: list[int]
+    potentially: list[int]
+    rounds: int = 0
+    reevals: int = 0
 
 
 @dataclass
 class RunTrace:
     """Everything a run leaves behind.
 
-    colourings[i] is the colouring after round colouring_offset + i; in full
-    history mode the offset is 0 and the list starts at the initial fill.
-    resampled_sets[j] and viol_snapshots[j] describe round j: the cells redrawn
-    going into the next colouring, and the violating local assignment of each
-    resampled rule vertex at that moment.
+    colourings[i] is the colouring after round colouring_offset + i; up to
+    FULL_HISTORY_LIMIT vertices the offset is 0 and the list starts at the
+    initial fill.  resampled_sets[j] and viol_snapshots[j] describe round j:
+    the cells redrawn going into the next colouring, and the violating local
+    assignment of each resampled rule vertex at that moment.  clause_evals
+    counts rule evaluations: the initial scan of every active rule plus the
+    worklist re-checks of each round.
     """
 
     status: str
@@ -78,40 +97,52 @@ class RunTrace:
         return self.colourings[-1]
 
 
-def initial_colouring(p: ColouringProblem, pi, tape) -> RunState:
-    """Fill every cell from its part's stream at counter 0."""
-    f = [tape.symbol(pi.part_of[x], 0) for x in range(p.n)]
-    return RunState(f, [1] * p.n, 0)
+def _with_neighbours(rel_adj: list[list[int]], rules: list[int]) -> list[int]:
+    """`rules`, then their dependency-graph neighbours, each once in first-seen order."""
+    out = list(rules)
+    seen = set(rules)
+    for c in rules:
+        for nb in rel_adj[c]:
+            if nb not in seen:
+                seen.add(nb)
+                out.append(nb)
+    return out
 
 
-def _bad_list(p: ColouringProblem, f: list[int]) -> list[int]:
+def start_state(p: ColouringProblem, pi, tape) -> RoundState:
+    """Fill every cell from its part's stream at counter 0 and scan every rule."""
+    colouring = [tape.symbol(pi.part_of[x], 0) for x in range(p.n)]
+    currently = bad_set(p, colouring)
+    return RoundState(colouring, [1] * p.n, currently, _with_neighbours(p.rel().out_adj, currently))
+
+
+def step(p: ColouringProblem, pi, tape, state: RoundState, order: VertexOrder | None = None) -> list[int]:
+    """Advance one round; returns the resampled rules, sorted by vertex index.
+
+    The resampled rules are a greedy maximal independent subset of
+    `currently`, scanned by `order` (vertex index by default).  Their scopes
+    are disjoint, so each cell redraws at most once, in scan order.  The round
+    then re-checks `potentially` and rebuilds both worklists.  A fixed point
+    (nothing violated) is left untouched.  A finite tape that runs out raises
+    TapeDepleted part-way through the redraws, before `rounds` and `reevals`
+    advance.
+    """
+    if not state.currently:
+        return []
+    order = order or VertexOrder.identity(p.n)
+    rel = p.rel()
+    ib = greedy_mis(rel, state.currently, order)
+    f, h, part_of, scopes = state.colouring, state.h, pi.part_of, p.graph.out_adj
+    for c in sorted(ib, key=order.rank.__getitem__):
+        for v in scopes[c]:
+            f[v] = tape.symbol(part_of[v], h[v])
+            h[v] += 1
     sets = p.forbidden_sets()
-    out = p.graph.out_adj
-    return [x for x in p.active_clauses() if tuple(f[v] for v in out[x]) in sets[x]]
-
-
-def _apply_round(p: ColouringProblem, pi, tape, state: RunState, bad, order: VertexOrder):
-    """Resample the scopes of a greedy MIS of `bad`; returns (ib, viol, resampled)."""
-    f = state.colouring
-    ib = greedy_mis(p.rel(), bad, order)
-    viol = {x: res(p, f, x) for x in ib}
-    touched: set[int] = set()
-    for x in ib:
-        touched.update(p.graph.out_adj[x])
-    resampled = sorted(touched)
-    for v in resampled:
-        f[v] = tape.symbol(pi.part_of[v], state.h[v])
-        state.h[v] += 1
-    state.round += 1
-    return ib, viol, resampled
-
-
-def step(p: ColouringProblem, pi, tape, state: RunState, order: VertexOrder | None = None) -> RunState:
-    """Advance one round; a fixed point (nothing violated) is left untouched."""
-    bad = _bad_list(p, state.colouring)
-    if bad:
-        _apply_round(p, pi, tape, state, bad, order or VertexOrder.identity(p.n))
-    return state
+    state.currently = [c for c in state.potentially if tuple(f[v] for v in scopes[c]) in sets[c]]
+    state.reevals += len(state.potentially)
+    state.potentially = _with_neighbours(rel.out_adj, state.currently)
+    state.rounds += 1
+    return ib
 
 
 def run(
@@ -121,7 +152,6 @@ def run(
     max_steps: int = DEFAULT_MAX_STEPS,
     order: VertexOrder | None = None,
     round_order=None,
-    history: str = "auto",
 ) -> RunTrace:
     """Drive rounds until nothing is violated or the budget runs out.
 
@@ -130,48 +160,36 @@ def run(
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    if history not in ("auto", "full", "window"):
-        raise ValueError("history must be auto, full, or window")
-    keep_full = history == "full" or (history == "auto" and p.n <= FULL_HISTORY_LIMIT)
+    keep_full = p.n <= FULL_HISTORY_LIMIT
     base_order = order or VertexOrder.identity(p.n)
+    scopes = p.graph.out_adj
 
-    state = initial_colouring(p, pi, tape)
+    state = start_state(p, pi, tape)
     colourings = [list(state.colouring)]
     offset = 0
     ib_sets: list[list[int]] = []
     resampled_sets: list[set[int]] = []
     viol_snapshots: list[dict[int, tuple[int, ...]]] = []
     bad_sizes: list[int] = []
-    evals = 0
-    num_active = len(p.active_clauses())
 
-    status = None
-    steps = None
-    while True:
-        j = state.round
-        bad = _bad_list(p, state.colouring)
-        evals += num_active
-        bad_sizes.append(len(bad))
-        if not bad:
-            status = STATUS_SUCCEEDED
-            steps = j + 1
-            break
-        if j >= max_steps:
-            status = STATUS_BUDGET_EXHAUSTED
-            break
-        this_order = round_order(j) if round_order is not None else base_order
-        ib, viol, resampled = _apply_round(p, pi, tape, state, bad, this_order)
+    while state.currently and state.rounds < max_steps:
+        bad_sizes.append(len(state.currently))
+        before = colourings[-1]
+        this_order = round_order(state.rounds) if round_order is not None else base_order
+        ib = step(p, pi, tape, state, this_order)
         ib_sets.append(ib)
-        resampled_sets.append(set(resampled))
-        viol_snapshots.append(viol)
+        viol_snapshots.append({x: res(p, before, x) for x in ib})
+        resampled_sets.append({v for x in ib for v in scopes[x]})
         colourings.append(list(state.colouring))
         if not keep_full and len(colourings) > 2:
             del colourings[0]
             offset += 1
+    bad_sizes.append(len(state.currently))
+    succeeded = not state.currently
 
     return RunTrace(
-        status=status,
-        steps=steps,
+        status=STATUS_SUCCEEDED if succeeded else STATUS_BUDGET_EXHAUSTED,
+        steps=state.rounds + 1 if succeeded else None,
         b=p.b,
         num_parts=pi.num_parts,
         colourings=colourings,
@@ -181,7 +199,7 @@ def run(
         viol_snapshots=viol_snapshots,
         bad_sizes=bad_sizes,
         h=list(state.h),
-        clause_evals=evals,
+        clause_evals=len(p.active_clauses()) + state.reevals,
     )
 
 

@@ -86,8 +86,8 @@ class ColouringProblem:
                         f"vertex {x}: forbidden tuple of length {len(t)}, scope has {len(scope)}"
                     )
                 for c in t:
-                    if not (0 <= c < self.b):
-                        raise MalformedProblemError(f"vertex {x}: colour {c} out of range")
+                    if type(c) is not int or not (0 <= c < self.b):  # bool is not int here
+                        raise MalformedProblemError(f"vertex {x}: colour {c!r} out of range 0..{self.b - 1}")
 
 
 def res(p: ColouringProblem, f: Colouring, x: int) -> tuple[int, ...]:

@@ -80,10 +80,26 @@ def test_solve_budget_exhausted_exit_two(tmp_path, capsys):
     assert json.loads(out)["status"] == "budget_exhausted"
 
 
-def test_solve_missing_file_exit_one(capsys):
-    code, _, err = run_cli(capsys, "solve", "/nonexistent/problem.json", "--quiet")
-    assert code == 1
-    assert "error:" in err
+def test_solve_missing_file_exit_one(tmp_path, capsys):
+    paths = ["/nonexistent/problem.json"]
+    good = {"schema_version": 1, "b": 2, "num_vertices": 2, "edges": [[1, 0]], "forbidden": {"1": [[0]]}}
+    # malformed files exit 1 with one error line, not a traceback or an answer
+    for name, change in [
+        ("edge_str", {"edges": [[0, "1"]]}),
+        ("edges_int", {"edges": 5}),
+        ("forbidden_list", {"forbidden": []}),
+        ("colour_float", {"forbidden": {"1": [[0.5]]}}),
+        ("colour_bool", {"forbidden": {"1": [[True]]}}),
+        ("b_bool", {"b": True}),
+    ]:
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps({**good, **change}))
+        paths.append(str(path))
+    for path in paths:
+        code, out, err = run_cli(capsys, "solve", path, "--quiet")
+        assert code == 1, path
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 def test_solve_classic_uses_singleton_parts(tmp_path, capsys):
@@ -184,26 +200,6 @@ def test_stats_tail_monotone_and_csv_rows(tmp_path, capsys):
     assert len(rows) == 1 + 8
     seeds = [int(r[2]) for r in rows[1:]]
     assert seeds == sorted(seeds[:4]) + sorted(seeds[4:])
-
-
-def test_stats_thread_count_does_not_change_results(tmp_path, capsys, monkeypatch):
-    def snapshot(tag):
-        csv_path = tmp_path / f"{tag}.csv"
-        code, out, _ = run_cli(
-            capsys,
-            "stats", "--sizes", "5", "--repeat", "5",
-            "--csv", str(csv_path), "--quiet",
-        )
-        assert code == 0
-        with open(csv_path, newline="") as fh:
-            rows = [row[:-1] for row in csv.reader(fh)]
-        return out, rows
-
-    monkeypatch.setenv("RESAMPLE_FORGE_THREADS", "1")
-    serial = snapshot("serial")
-    monkeypatch.setenv("RESAMPLE_FORGE_THREADS", "4")
-    threaded = snapshot("threaded")
-    assert serial == threaded
 
 
 def test_tail_table_and_decay_ratio_units():

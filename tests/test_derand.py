@@ -16,16 +16,14 @@ from resample_forge.derand import (
     derand_solve,
     explicit_k,
     explicit_k_log,
-    internal_pass,
     run_finite_tape,
     scan_order,
-    start_state,
     theoretical_budget,
     threshold_m,
     work_counter,
 )
 from resample_forge.graph_core import Digraph
-from resample_forge.mta_runner import run
+from resample_forge.mta_runner import run, start_state, step
 from resample_forge.partitioner import SparsePartition, singleton_partition
 from resample_forge.rule_engine import ColouringProblem, LocalRule, bad_set, satisfies
 from resample_forge.tape import FiniteTape
@@ -172,7 +170,7 @@ def test_internal_pass_skips_shadowed_neighbour():
     assert state.currently == [1, 2]
     assert state.potentially == [1, 2, 0]
 
-    resampled = internal_pass(p, pi, state, tape)
+    resampled = step(p, pi, tape, state, scan_order(p, state.currently))
     assert resampled == [1]  # clause 2 shadowed through shared cell 1
     assert state.colouring == [1, 0, 0]
     assert state.h == [2, 2, 1]
@@ -180,7 +178,7 @@ def test_internal_pass_skips_shadowed_neighbour():
     assert state.reevals == 3
     assert state.currently == [2]
     assert state.potentially == [2, 1]
-    assert state.passes == 1
+    assert state.rounds == 1
 
 
 def test_internal_pass_empty_is_fixed_point():
@@ -189,8 +187,8 @@ def test_internal_pass_empty_is_fixed_point():
     tape = FiniteTape(4, 1, 2, [0, 1, 0, 1])
     state = start_state(p, pi, tape)
     assert state.currently == []
-    assert internal_pass(p, pi, state, tape) == []
-    assert state.passes == 0 and state.reevals == 0
+    assert step(p, pi, tape, state, scan_order(p, state.currently)) == []
+    assert state.rounds == 0 and state.reevals == 0
 
 
 def test_run_finite_tape_immediate_success_zero_work():

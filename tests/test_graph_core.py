@@ -15,6 +15,7 @@ from resample_forge.graph_core import (
     greedy_mis,
     power_graph,
 )
+from tests.reference_runner import reference_greedy_mis
 
 INF = 10**9
 
@@ -227,16 +228,22 @@ class TestGreedyMis:
         rel = build_rel(g)
         rng = random.Random(cand_seed)
         candidates = {x for x in range(g.n) if rng.random() < 0.7}
-        chosen = greedy_mis(rel, candidates, VertexOrder.identity(g.n))
-        chosen_set = set(chosen)
-        assert chosen_set <= candidates
-        for x in chosen:
-            for y in chosen:
-                if x != y:
-                    assert y not in rel.out_adj[x]
-        # maximality: every unchosen candidate is blocked by a chosen one
-        for x in candidates - chosen_set:
-            assert any(y in chosen_set and y != x for y in rel.out_adj[x])
+        priority = rng.sample(range(g.n), rng.randrange(g.n + 1))
+        by_priority = VertexOrder.from_priority(priority + priority[:2], g.n)
+        rest = [x for x in range(g.n) if x not in priority]
+        assert [by_priority.key(x) for x in priority + rest] == list(range(g.n))
+        for order in (VertexOrder.identity(g.n), by_priority):
+            chosen = greedy_mis(rel, candidates, order)
+            assert chosen == reference_greedy_mis(rel, candidates, order)
+            chosen_set = set(chosen)
+            assert chosen_set <= candidates
+            for x in chosen:
+                for y in chosen:
+                    if x != y:
+                        assert y not in rel.out_adj[x]
+            # maximality: every unchosen candidate is blocked by a chosen one
+            for x in candidates - chosen_set:
+                assert any(y in chosen_set and y != x for y in rel.out_adj[x])
 
 
 class TestCheckSubexp:

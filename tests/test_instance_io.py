@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from resample_forge import instance_io
 from resample_forge.instance_io import (
     RESULTS_HEADER,
     ExperimentRecord,
@@ -52,6 +53,13 @@ def test_torus_subexp_certificate():
     from resample_forge.graph_core import check_subexp
 
     assert check_subexp(p.graph, cert["R"], cert["eps"], cert["d"])
+
+
+def test_growth_certificate_is_checked(monkeypatch):
+    # a real check, not an assert that vanishes under python -O
+    monkeypatch.setattr(instance_io, "check_subexp", lambda *args: False)
+    with pytest.raises(RuntimeError, match="check_subexp"):
+        gen_torus_nae(5, 5, 2)
 
 
 def test_torus_rejects_small_sides():

@@ -1,28 +1,37 @@
 """Runner tests: frozen micro-runs, invariants, determinism, trace bookkeeping."""
 
+import dataclasses
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from resample_forge import mta_runner
 from resample_forge.graph_core import VertexOrder
+from resample_forge.instance_io import gen_grid_ksat, gen_torus_nae
 from resample_forge.mta_runner import (
     STATUS_BUDGET_EXHAUSTED,
     STATUS_SUCCEEDED,
+    RunTrace,
     h_infinity,
-    initial_colouring,
     run,
+    start_state,
     step,
     trace_round_csv,
     trace_to_json,
 )
-from resample_forge.partitioner import singleton_partition
-from resample_forge.rule_engine import bad_set, satisfies
+from resample_forge.partitioner import singleton_partition, sparse_partition
+from resample_forge.rule_engine import ColouringProblem, LocalRule, bad_set, satisfies
 from resample_forge.tape import RandomTape, symbols_consumed, used_unused
 from tests.helpers import (
     all_allowed_problem,
     run_random_case,
     single_clause_problem,
+    torus_graph,
     unsatisfiable_problem,
 )
+from tests.reference_runner import reference_run
 
 # frozen seeds found by direct search over the tape contract:
 # part-0 stream prefixes at b=2 are (1,...), (0,1,...), (0,0,1,...) respectively
@@ -92,7 +101,7 @@ class TestSharedParts:
 
         p = all_allowed_problem(4)
         pi = SparsePartition(2, (0, 1, 0, 1), 0)
-        state = initial_colouring(p, pi, RandomTape(77, 2))
+        state = start_state(p, pi, RandomTape(77, 2))
         assert state.colouring[0] == state.colouring[2]
         assert state.colouring[1] == state.colouring[3]
 
@@ -102,17 +111,17 @@ class TestStep:
         p = single_clause_problem()
         pi = singleton_partition(2)
         tape = RandomTape(SEED_IMMEDIATE, 2)
-        state = initial_colouring(p, pi, tape)
+        state = start_state(p, pi, tape)
         before = list(state.colouring)
-        step(p, pi, tape, state)
+        assert step(p, pi, tape, state) == []
         assert state.colouring == before
-        assert state.round == 0
+        assert state.rounds == 0
 
     def test_step_matches_run_prefix(self):
         p, pi, tape_seed = single_clause_problem(), singleton_partition(2), SEED_TWO_RESAMPLES
         trace = run(p, pi, RandomTape(tape_seed, 2))
         tape = RandomTape(tape_seed, 2)
-        state = initial_colouring(p, pi, tape)
+        state = start_state(p, pi, tape)
         assert state.colouring == trace.colourings[0]
         for i in range(1, len(trace.colourings)):
             step(p, pi, tape, state)
@@ -271,10 +280,12 @@ class TestTraceExport:
 
 
 class TestWindowedHistory:
-    def test_window_keeps_last_two(self):
+    def test_window_keeps_last_two(self, monkeypatch):
+        # windowing starts above FULL_HISTORY_LIMIT vertices
+        monkeypatch.setattr(mta_runner, "FULL_HISTORY_LIMIT", 1)
         p = single_clause_problem()
         pi = singleton_partition(2)
-        trace = run(p, pi, RandomTape(SEED_TWO_RESAMPLES, 2), history="window")
+        trace = run(p, pi, RandomTape(SEED_TWO_RESAMPLES, 2))
         assert len(trace.colourings) <= 2
         assert trace.colouring_offset == trace.rounds - len(trace.colourings) + 1
         # counters and per-round snapshots survive windowing
@@ -282,3 +293,56 @@ class TestWindowedHistory:
         assert len(trace.viol_snapshots) == trace.rounds
         with pytest.raises(ValueError):
             trace.colouring_at(0)
+
+
+def witness_rules_problem(side, seed):
+    """Torus scopes of 5 cells, each forbidding 6 random tuples of 32, as in the witness benchmark."""
+    rng = random.Random(seed)
+    g = torus_graph(side, side)
+    tuples = list(itertools.product(range(2), repeat=5))
+    rows = [tuple(sorted(rng.sample(tuples, 6))) for _ in range(g.n)]
+    p = ColouringProblem(g, 2, LocalRule(rows))
+    p.validate()
+    return p
+
+
+DIFFERENTIAL_CASES = {
+    "torus": lambda seed: gen_torus_nae(12, 12, 2),
+    "ksat": lambda seed: gen_grid_ksat(8, 8, 5, 2, 2, seed, b=2),
+    "witness_rules": lambda seed: witness_rules_problem(8, seed),
+}
+
+
+class TestMatchesFullRescan:
+    """The worklist engine gives the full-rescan reference's trace, field for field."""
+
+    @staticmethod
+    def assert_same_trace(got: RunTrace, want: RunTrace):
+        for f in dataclasses.fields(RunTrace):
+            if f.name != "clause_evals":  # counts re-checks here, full scans there
+                assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+    @pytest.mark.parametrize("kind", list(DIFFERENTIAL_CASES))
+    @pytest.mark.parametrize("partition", ["singleton", "sparse"])
+    def test_same_trace(self, kind, partition):
+        for seed in range(4):
+            p = DIFFERENTIAL_CASES[kind](seed)
+            pi = singleton_partition(p.n) if partition == "singleton" else sparse_partition(p.graph, 3)
+            self.assert_same_trace(
+                run(p, pi, RandomTape(seed, p.b), max_steps=30),
+                reference_run(p, pi, RandomTape(seed, p.b), max_steps=30),
+            )
+
+    def test_same_trace_under_round_order(self):
+        p = DIFFERENTIAL_CASES["witness_rules"](7)
+        pi = sparse_partition(p.graph, 3)
+        rng = random.Random(7)
+        orders = []
+        for _ in range(30):
+            rank = list(range(p.n))
+            rng.shuffle(rank)
+            orders.append(VertexOrder(tuple(rank)))
+        got = run(p, pi, RandomTape(7, p.b), max_steps=30, round_order=orders.__getitem__)
+        want = reference_run(p, pi, RandomTape(7, p.b), max_steps=30, round_order=orders.__getitem__)
+        assert got.rounds > 0
+        self.assert_same_trace(got, want)

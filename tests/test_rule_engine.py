@@ -69,10 +69,11 @@ class TestValidation:
             ColouringProblem(g, 2, LocalRule([((0,),), ()])).validate()
 
     def test_colour_out_of_range_rejected(self):
-        with pytest.raises(MalformedProblemError):
-            ColouringProblem(
-                Digraph.from_edges(1, [(0, 0)]), 2, LocalRule([((2,),)])
-            ).validate()
+        for colour in (2, -1, 0.5, True):
+            with pytest.raises(MalformedProblemError):
+                ColouringProblem(
+                    Digraph.from_edges(1, [(0, 0)]), 2, LocalRule([((colour,),)])
+                ).validate()
 
     def test_duplicate_tuples_rejected(self):
         g = Digraph.from_edges(1, [(0, 0)])
