@@ -17,7 +17,6 @@ import json
 import math
 import sys
 import time
-from dataclasses import dataclass
 
 from .derand import (
     DEFAULT_TAPE_CAP,
@@ -53,65 +52,21 @@ EXIT_INFEASIBLE = 3
 EXIT_EXHAUSTED = 4
 
 
-@dataclass(frozen=True)
-class CliConfig:
-    """Validated bag of options shared by the solver-style subcommands."""
-
-    subcommand: str
-    problem: str | None = None
-    seed: int = 0
-    big_r: int = 1
-    delta: float = 1.0
-    d: int | None = None
-    max_steps: int = DEFAULT_MAX_STEPS
-    m: int | None = None
-    tape_cap: int = DEFAULT_TAPE_CAP
-    out: str | None = None
-    csv_path: str | None = None
-    repeat: int = 0
-    sizes: tuple[int, ...] = ()
-    b: int = 2
-    classic: bool = False
-    check: bool = False
-    quiet: bool = False
-
-    def validate(self) -> None:
-        if self.big_r < 1:
-            raise ValueError("R must be >= 1")
-        if self.max_steps < 1:
-            raise ValueError("max-steps must be >= 1")
-        if self.repeat < 0:
-            raise ValueError("repeat must be >= 0")
-        if self.m is not None and self.m < 1:
-            raise ValueError("m must be >= 1")
-        if self.b < 2:
+def _check_args(args: argparse.Namespace) -> None:
+    """Reject out-of-range option values before any work starts."""
+    if getattr(args, "R", 1) < 1:
+        raise ValueError("R must be >= 1")
+    if getattr(args, "max_steps", 1) < 1:
+        raise ValueError("max-steps must be >= 1")
+    if getattr(args, "repeat", 0) < 0:
+        raise ValueError("repeat must be >= 0")
+    if getattr(args, "m", None) is not None and args.m < 1:
+        raise ValueError("m must be >= 1")
+    if args.subcommand == "stats":  # gen leaves --b and the sides to its generators
+        if args.b < 2:
             raise ValueError("b must be >= 2")
-        if any(s < 3 for s in self.sizes):
+        if any(s < 3 for s in args.sizes):
             raise ValueError("ladder sizes must be >= 3")
-
-
-def _config(args: argparse.Namespace) -> CliConfig:
-    cfg = CliConfig(
-        subcommand=args.subcommand,
-        problem=getattr(args, "problem", None),
-        seed=getattr(args, "seed", 0),
-        big_r=getattr(args, "R", 1),
-        delta=getattr(args, "delta", 1.0),
-        d=getattr(args, "d", None),
-        max_steps=getattr(args, "max_steps", DEFAULT_MAX_STEPS),
-        m=getattr(args, "m", None),
-        tape_cap=getattr(args, "tape_cap", DEFAULT_TAPE_CAP),
-        out=getattr(args, "out", None),
-        csv_path=getattr(args, "csv", None),
-        repeat=getattr(args, "repeat", 0),
-        sizes=tuple(getattr(args, "sizes", ()) or ()),
-        b=getattr(args, "b", 2),
-        classic=getattr(args, "classic", False),
-        check=getattr(args, "verify", False),
-        quiet=getattr(args, "quiet", False),
-    )
-    cfg.validate()
-    return cfg
 
 
 def _emit(payload: dict) -> None:
@@ -126,10 +81,10 @@ def _table(rows: list[tuple[str, object]], quiet: bool) -> None:
         print(f"  {key:<{width}}  {value}", file=sys.stderr)
 
 
-def _partition_for(p, cfg: CliConfig):
-    if cfg.classic:
+def _partition_for(p, args: argparse.Namespace):
+    if args.classic:
         return singleton_partition(p.n)
-    return sparse_partition(p.graph, 3 * cfg.big_r)
+    return sparse_partition(p.graph, 3 * args.R)
 
 
 def _write_colouring(path: str, colouring: list[int]) -> None:
@@ -143,7 +98,8 @@ def _read_colouring(path: str) -> list[int]:
         payload = json.load(fh)
     if isinstance(payload, dict):
         payload = payload.get("colouring")
-    if not isinstance(payload, list) or not all(isinstance(v, int) for v in payload):
+    # bool is an int subclass, so JSON true/false are rejected by exact type
+    if not isinstance(payload, list) or not all(type(v) is int for v in payload):
         raise ValueError(f"{path}: expected a JSON list of ints or {{'colouring': [...]}}")
     return payload
 
@@ -152,11 +108,11 @@ def _read_colouring(path: str) -> list[int]:
 # solve
 
 
-def cmd_solve(cfg: CliConfig) -> int:
-    p = load_problem(cfg.problem)
-    pi = _partition_for(p, cfg)
-    tape = RandomTape(cfg.seed, p.b)
-    trace = run(p, pi, tape, max_steps=cfg.max_steps)
+def cmd_solve(args: argparse.Namespace) -> int:
+    p = load_problem(args.problem)
+    pi = _partition_for(p, args)
+    tape = RandomTape(args.seed, p.b)
+    trace = run(p, pi, tape, max_steps=args.max_steps)
     report = symbols_consumed(trace, pi)
     summary = {
         "status": trace.status,
@@ -175,16 +131,16 @@ def cmd_solve(cfg: CliConfig) -> int:
             ("symbols", report.count),
             ("bits", summary["bits"]),
         ],
-        cfg.quiet,
+        args.quiet,
     )
     if not trace.succeeded:
         return EXIT_BUDGET
     final = trace.final_colouring
-    if cfg.check and not satisfies(p, final):
+    if args.verify and not satisfies(p, final):
         print("error: run reported success but the colouring is violated", file=sys.stderr)
         return EXIT_ERROR
-    if cfg.out:
-        _write_colouring(cfg.out, final)
+    if args.out:
+        _write_colouring(args.out, final)
     return EXIT_OK
 
 
@@ -192,10 +148,10 @@ def cmd_solve(cfg: CliConfig) -> int:
 # solve-det
 
 
-def cmd_solve_det(cfg: CliConfig) -> int:
-    p = load_problem(cfg.problem)
-    pi = _partition_for(p, cfg)
-    budget = theoretical_budget(p, pi, cfg.delta, cfg.d, cfg.tape_cap)
+def cmd_solve_det(args: argparse.Namespace) -> int:
+    p = load_problem(args.problem)
+    pi = _partition_for(p, args)
+    budget = theoretical_budget(p, pi, args.delta, args.d, args.tape_cap)
     payload = {
         "k_log": round(budget.k_log, 6),
         "m_theoretical": budget.m,
@@ -209,16 +165,16 @@ def cmd_solve_det(cfg: CliConfig) -> int:
             ("theoretical tapes", "unenumerable" if budget.num_tapes is None else budget.num_tapes),
             ("feasible under cap", not budget.infeasible),
         ],
-        cfg.quiet,
+        args.quiet,
     )
-    if cfg.m is None:
+    if args.m is None:
         payload["status"] = "report_only"
         _emit(payload)
         return EXIT_OK
 
     attempts: list = []
     try:
-        colouring = derand_solve(p, pi, cfg.m, cfg.tape_cap, attempts)
+        colouring = derand_solve(p, pi, args.m, args.tape_cap, attempts)
     except InfeasibleError as exc:
         payload["status"] = "infeasible"
         payload["error"] = str(exc)
@@ -230,7 +186,7 @@ def cmd_solve_det(cfg: CliConfig) -> int:
         payload["error"] = str(exc)
         payload["tapes_tried"] = len(attempts)
         _emit(payload)
-        _write_attempts(cfg.csv_path, attempts)
+        _write_attempts(args.csv, attempts)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EXHAUSTED
 
@@ -238,7 +194,7 @@ def cmd_solve_det(cfg: CliConfig) -> int:
     payload.update(
         {
             "status": "solved",
-            "m_used": cfg.m,
+            "m_used": args.m,
             "tape_index": winner.tape_index,
             "tapes_tried": len(attempts),
             "passes": winner.passes,
@@ -253,11 +209,11 @@ def cmd_solve_det(cfg: CliConfig) -> int:
             ("passes", winner.passes),
             ("rule evaluations", winner.reevals),
         ],
-        cfg.quiet,
+        args.quiet,
     )
-    if cfg.out:
-        _write_colouring(cfg.out, colouring)
-    _write_attempts(cfg.csv_path, attempts)
+    if args.out:
+        _write_colouring(args.out, colouring)
+    _write_attempts(args.csv, attempts)
     return EXIT_OK
 
 
@@ -275,25 +231,30 @@ def _write_attempts(path: str | None, attempts: list) -> None:
 # stats
 
 
-def _one_trial(side: int, seed: int, cfg: CliConfig) -> ExperimentRecord:
-    p = gen_torus_nae(side, side, cfg.b)
-    pi = _partition_for(p, cfg)
-    tape = RandomTape(seed, p.b)
-    t0 = time.perf_counter()
-    trace = run(p, pi, tape, max_steps=cfg.max_steps)
-    wall_ms = (time.perf_counter() - t0) * 1000.0
-    report = symbols_consumed(trace, pi)
-    return ExperimentRecord(
-        instance=f"torus-{side}x{side}",
-        n=p.n,
-        seed=seed,
-        parts=pi.num_parts,
-        rounds=trace.rounds,
-        max_h=max(trace.h) if trace.h else 0,
-        symbols=report.count,
-        bits=report.bits,
-        wall_ms=wall_ms,
-    )
+def _trials(side: int, args: argparse.Namespace) -> list[ExperimentRecord]:
+    """`args.repeat` seeded runs on one torus, built and partitioned once."""
+    p = gen_torus_nae(side, side, args.b)
+    pi = _partition_for(p, args)
+    records = []
+    for seed in range(args.seed, args.seed + args.repeat):
+        t0 = time.perf_counter()
+        trace = run(p, pi, RandomTape(seed, p.b), max_steps=args.max_steps)
+        wall_ms = (time.perf_counter() - t0) * 1000.0
+        report = symbols_consumed(trace, pi)
+        records.append(
+            ExperimentRecord(
+                instance=f"torus-{side}x{side}",
+                n=p.n,
+                seed=seed,
+                parts=pi.num_parts,
+                rounds=trace.rounds,
+                max_h=max(trace.h) if trace.h else 0,
+                symbols=report.count,
+                bits=report.bits,
+                wall_ms=wall_ms,
+            )
+        )
+    return records
 
 
 def tail_table(max_h_values: list[int]) -> dict[int, float]:
@@ -328,12 +289,12 @@ def decay_ratio(tail: dict[int, float]) -> float | None:
     return math.exp(slope)
 
 
-def cmd_stats(cfg: CliConfig) -> int:
-    sizes = cfg.sizes or (8, 12)
-    records = [_one_trial(side, cfg.seed + i, cfg) for side in sizes for i in range(cfg.repeat)]
+def cmd_stats(args: argparse.Namespace) -> int:
+    sizes = args.sizes or (8, 12)
+    records = [r for side in sizes for r in _trials(side, args)] if args.repeat else []
     records.sort(key=lambda r: (r.n, r.instance, r.seed))
-    if cfg.csv_path:
-        append_results(cfg.csv_path, records)
+    if args.csv:
+        append_results(args.csv, records)
 
     per_size: dict[str, dict] = {}
     for side in sorted(sizes):
@@ -363,7 +324,7 @@ def cmd_stats(cfg: CliConfig) -> int:
         for name, info in per_size.items()
     ]
     rows.append(("tail decay ratio", payload["decay_ratio"]))
-    _table(rows, cfg.quiet)
+    _table(rows, args.quiet)
     return EXIT_OK
 
 
@@ -462,13 +423,13 @@ def _oracle_line(row: dict) -> str:
     return f"{lhs} <= {rhs} : {verdict}"
 
 
-def cmd_oracle(cfg: CliConfig) -> int:
+def cmd_oracle(args: argparse.Namespace) -> int:
     rows = oracle_checks()
     for row in rows:
         print(_oracle_line(row))
     all_pass = all(row["pass"] for row in rows)
     print(f"{sum(1 for r in rows if r['pass'])}/{len(rows)} bounds hold")
-    if not cfg.quiet:
+    if not args.quiet:
         print("all pass" if all_pass else "FAILURES PRESENT", file=sys.stderr)
     return EXIT_OK if all_pass else EXIT_ERROR
 
@@ -500,6 +461,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
     colouring = _read_colouring(args.colouring)
     if len(colouring) != p.n:
         raise ValueError(f"colouring has {len(colouring)} entries, problem has {p.n}")
+    for x, c in enumerate(colouring):
+        if not 0 <= c < p.b:
+            raise ValueError(f"vertex {x}: colour {c} out of range 0..{p.b - 1}")
     bad = bad_set(p, colouring)
     _emit({"satisfies": not bad, "violated": bad[:10], "violated_count": len(bad)})
     return EXIT_OK if not bad else EXIT_ERROR
@@ -585,19 +549,17 @@ def _int_list(raw: str) -> tuple[int, ...]:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    handler = {
+        "solve": cmd_solve,
+        "solve-det": cmd_solve_det,
+        "stats": cmd_stats,
+        "oracle": cmd_oracle,
+        "gen": cmd_gen,
+        "verify": cmd_verify,
+    }[args.subcommand]
     try:
-        if args.subcommand == "gen":
-            return cmd_gen(args)
-        if args.subcommand == "verify":
-            return cmd_verify(args)
-        cfg = _config(args)
-        handler = {
-            "solve": cmd_solve,
-            "solve-det": cmd_solve_det,
-            "stats": cmd_stats,
-            "oracle": cmd_oracle,
-        }[cfg.subcommand]
-        return handler(cfg)
+        _check_args(args)
+        return handler(args)
     except (OSError, ValueError, KeyError, MalformedProblemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

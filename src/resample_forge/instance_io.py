@@ -210,7 +210,7 @@ def load_problem(path: str) -> ColouringProblem:
     if not isinstance(payload, dict):
         raise ValueError("problem file must hold a JSON object")
     version = payload.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if not _is_int(version) or version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {version!r}")
     for field_name in ("b", "num_vertices", "edges", "forbidden"):
         if field_name not in payload:

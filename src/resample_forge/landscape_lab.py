@@ -18,7 +18,7 @@ import json
 from dataclasses import dataclass
 from fractions import Fraction
 
-from resample_forge.graph_core import Digraph, VertexOrder, ball, build_rel
+from resample_forge.graph_core import Digraph, ball, build_rel
 from resample_forge.partitioner import SparsePartition, is_pi_unique, singleton_partition
 from resample_forge.rule_engine import ColouringProblem, LocalRule
 
@@ -125,12 +125,12 @@ def validate_landscape(p: ColouringProblem, fl: FinalisedLandscape, strict_viol:
         raise ValueError("final colouring has wrong length")
 
 
-def build_landscape(p: ColouringProblem, pi, trace, k: int, order: VertexOrder | None = None) -> FinalisedLandscape:
+def build_landscape(p: ColouringProblem, pi, trace, k: int) -> FinalisedLandscape:
     """Witness landscape of the k-round prefix of a run.
 
     Collects one node per resampling event that occurred while producing the
     first k colourings and finalises with the k-th colouring itself (k=0 keeps
-    just the initial fill).  Parents follow the order-minimal dependency
+    just the initial fill).  Parents follow the lowest-index dependency
     neighbour among the previous round's resampled set; one always exists,
     because that set is maximal independent.
     """
@@ -139,7 +139,6 @@ def build_landscape(p: ColouringProblem, pi, trace, k: int, order: VertexOrder |
     rounds = trace.rounds
     if not trace.succeeded and k > rounds + 1:
         raise ValueError(f"k={k} exceeds trace length {rounds + 1}")
-    order = order or VertexOrder.identity(p.n)
     rel = p.rel()
 
     depth = min(k - 1, rounds) if k >= 1 else 0
@@ -158,10 +157,10 @@ def build_landscape(p: ColouringProblem, pi, trace, k: int, order: VertexOrder |
                     raise RuntimeError(
                         f"no parent for node ({x},{i}): previous resampled set not maximal"
                     )
-                parent[nd] = (min(candidates, key=order.key), i - 1)
+                parent[nd] = (min(candidates), i - 1)
 
     fin_round = min(k - 1, rounds) if k >= 1 else 0
-    fin = list(trace.colouring_at(fin_round))
+    fin = trace.colouring_at(fin_round)
     return FinalisedLandscape(Landscape(GForest(nodes, parent), viol), fin)
 
 
@@ -198,17 +197,15 @@ def ground(
     p: ColouringProblem,
     fl: FinalisedLandscape,
     step_cap: int = 10**6,
-    order: VertexOrder | None = None,
 ) -> FinalisedLandscape:
     """Push and re-hang airborne trees until every root reaches level 0.
 
     Preserves the node count and every cell's recovered symbol sequence.  The
     move set: slide a whole tree down one level when nothing blocks it;
-    otherwise re-hang at the order-minimal blocking pair (re-rooting the tree
+    otherwise re-hang at the lowest (level, index) blocking pair (re-rooting the tree
     there when the blocked node is its root).  Raises GroundingError past
     step_cap, or when an isolated node with an empty scope has nowhere to go.
     """
-    order = order or VertexOrder.identity(p.n)
     rel_sets = [set(a) for a in p.rel().out_adj]
     nodes = set(fl.forest.nodes)
     parent = dict(fl.forest.parent)
@@ -227,7 +224,7 @@ def ground(
         if not airborne:
             break
         root, members = min(
-            airborne, key=lambda rm: (len(rm[1]), order.key(rm[0][0]), rm[0][1])
+            airborne, key=lambda rm: (len(rm[1]), rm[0][0], rm[0][1])
         )
         # slide the tree down while nothing one level below blocks it
         while root[1] > 0:
@@ -238,7 +235,7 @@ def ground(
                     if ylvl != lvl - 1 or (y, ylvl) in members:
                         continue
                     if y in rel_sets[x]:
-                        blockers.append((lvl, order.key(x), order.key(y), x, y))
+                        blockers.append((lvl, x, y))
                     elif y == x:
                         collision = True
             if blockers:
@@ -259,7 +256,7 @@ def ground(
             root = (root[0], root[1] - 1)
         if root[1] == 0:
             continue
-        lvl, _, _, x, y = min(blockers)
+        lvl, x, y = min(blockers)
         child = (x, lvl)
         anchor = (y, lvl - 1)
         bump()

@@ -4,13 +4,17 @@ Each round picks a greedy maximal independent subset of the violated rules in
 the dependency graph and redraws every cell those rules read.  Cell x redraws
 from its part's tape stream at the per-cell counter h(x), which counts samples
 taken at x so far (the initial fill included), so a run is a pure function of
-(problem, partition, tape, order).
+(problem, partition, tape).
 
 Only the initial fill evaluates every rule.  A rule can be violated after a
 round only if it was violated before or shares a cell with a resampled rule,
 so each round re-checks just the violated rules and their dependency-graph
 neighbours.  `run` drives these rounds over an infinite tape; the exhaustive
 solver in `derand` drives the same rounds over finite tapes.
+
+A run's trace stores no intermediate colouring: every redraw follows a
+snapshot of the scope it replaces, so the snapshots and the final colouring
+rebuild every earlier colouring.
 """
 
 from __future__ import annotations
@@ -18,17 +22,13 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from resample_forge.graph_core import VertexOrder, greedy_mis
 from resample_forge.rule_engine import ColouringProblem, bad_set, res
 
 STATUS_SUCCEEDED = "succeeded"
 STATUS_BUDGET_EXHAUSTED = "budget_exhausted"
-
-# traces keep every intermediate colouring up to this vertex count, and only
-# a 2-deep ring buffer beyond it (counters and per-round snapshots are always kept)
-FULL_HISTORY_LIMIT = 10_000
 
 DEFAULT_MAX_STEPS = 100_000
 
@@ -53,29 +53,27 @@ class RoundState:
 
 @dataclass
 class RunTrace:
-    """Everything a run leaves behind.
+    """What a run leaves behind: only what cannot be derived from the rest.
 
-    colourings[i] is the colouring after round colouring_offset + i; up to
-    FULL_HISTORY_LIMIT vertices the offset is 0 and the list starts at the
-    initial fill.  resampled_sets[j] and viol_snapshots[j] describe round j:
-    the cells redrawn going into the next colouring, and the violating local
-    assignment of each resampled rule vertex at that moment.  clause_evals
-    counts rule evaluations: the initial scan of every active rule plus the
-    worklist re-checks of each round.
+    ib_sets[j] and viol_snapshots[j] describe round j: the resampled rule
+    vertices, and the violating local assignment of each at that moment.
+    bad_sizes[j] is the number of violated rules before round j (one entry
+    more than there are rounds).  clause_evals counts rule evaluations: the
+    initial scan of every active rule plus the worklist re-checks of each
+    round.  `scopes` is the problem's scope table, used to derive the
+    redrawn cells and the intermediate colourings.
     """
 
     status: str
-    steps: int | None
     b: int
     num_parts: int
-    colourings: list[list[int]]
-    colouring_offset: int
     ib_sets: list[list[int]]
-    resampled_sets: list[set[int]]
     viol_snapshots: list[dict[int, tuple[int, ...]]]
     bad_sizes: list[int]
     h: list[int]
+    final_colouring: list[int]
     clause_evals: int
+    scopes: list[list[int]] = field(compare=False, repr=False)
 
     @property
     def succeeded(self) -> bool:
@@ -85,16 +83,36 @@ class RunTrace:
     def rounds(self) -> int:
         return len(self.ib_sets)
 
-    def colouring_at(self, i: int) -> list[int]:
-        """The colouring after round i (i=0 is the initial fill)."""
-        idx = i - self.colouring_offset
-        if not (0 <= idx < len(self.colourings)):
-            raise ValueError(f"colouring {i} not retained (offset {self.colouring_offset})")
-        return self.colourings[idx]
+    @property
+    def steps(self) -> int | None:
+        """Colourings checked up to success (rounds + 1), or None when the budget ran out."""
+        return self.rounds + 1 if self.succeeded else None
 
     @property
-    def final_colouring(self) -> list[int]:
-        return self.colourings[-1]
+    def resampled_sets(self) -> list[set[int]]:
+        """Per round, the cells redrawn: the union of the resampled rules' scopes."""
+        scopes = self.scopes
+        return [{v for x in ib for v in scopes[x]} for ib in self.ib_sets]
+
+    def colouring_at(self, i: int) -> list[int]:
+        """The colouring after round i (i=0 is the initial fill), for 0 <= i <= rounds.
+
+        Walks back from the final colouring: round j redraws exactly the
+        scopes of ib_sets[j], and its snapshots hold their values before.
+        """
+        if not (0 <= i <= self.rounds):
+            raise ValueError(f"colouring {i} outside rounds 0..{self.rounds}")
+        f = list(self.final_colouring)
+        for j in range(self.rounds - 1, i - 1, -1):
+            for x, t in self.viol_snapshots[j].items():
+                for v, c in zip(self.scopes[x], t):
+                    f[v] = c
+        return f
+
+    @property
+    def colourings(self) -> list[list[int]]:
+        # derived, not stored: kept only because perfbench/tracing.py reads it
+        return [self.colouring_at(i) for i in range(self.rounds + 1)]
 
 
 def _with_neighbours(rel_adj: list[list[int]], rules: list[int]) -> list[int]:
@@ -150,56 +168,42 @@ def run(
     pi,
     tape,
     max_steps: int = DEFAULT_MAX_STEPS,
-    order: VertexOrder | None = None,
     round_order=None,
 ) -> RunTrace:
     """Drive rounds until nothing is violated or the budget runs out.
 
-    `round_order(j)` may supply a per-round scan order for the independent-set
-    greedy (used by differential tests); otherwise `order` applies throughout.
+    The independent-set greedy scans by vertex index, unless `round_order(j)`
+    supplies round j's scan order (used to replay derand's scans).
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    keep_full = p.n <= FULL_HISTORY_LIMIT
-    base_order = order or VertexOrder.identity(p.n)
-    scopes = p.graph.out_adj
+    identity = VertexOrder.identity(p.n)
 
     state = start_state(p, pi, tape)
-    colourings = [list(state.colouring)]
-    offset = 0
     ib_sets: list[list[int]] = []
-    resampled_sets: list[set[int]] = []
     viol_snapshots: list[dict[int, tuple[int, ...]]] = []
     bad_sizes: list[int] = []
 
     while state.currently and state.rounds < max_steps:
         bad_sizes.append(len(state.currently))
-        before = colourings[-1]
-        this_order = round_order(state.rounds) if round_order is not None else base_order
+        before = list(state.colouring)
+        this_order = round_order(state.rounds) if round_order is not None else identity
         ib = step(p, pi, tape, state, this_order)
         ib_sets.append(ib)
         viol_snapshots.append({x: res(p, before, x) for x in ib})
-        resampled_sets.append({v for x in ib for v in scopes[x]})
-        colourings.append(list(state.colouring))
-        if not keep_full and len(colourings) > 2:
-            del colourings[0]
-            offset += 1
     bad_sizes.append(len(state.currently))
-    succeeded = not state.currently
 
     return RunTrace(
-        status=STATUS_SUCCEEDED if succeeded else STATUS_BUDGET_EXHAUSTED,
-        steps=state.rounds + 1 if succeeded else None,
+        status=STATUS_BUDGET_EXHAUSTED if state.currently else STATUS_SUCCEEDED,
         b=p.b,
         num_parts=pi.num_parts,
-        colourings=colourings,
-        colouring_offset=offset,
         ib_sets=ib_sets,
-        resampled_sets=resampled_sets,
         viol_snapshots=viol_snapshots,
         bad_sizes=bad_sizes,
         h=list(state.h),
+        final_colouring=list(state.colouring),
         clause_evals=len(p.active_clauses()) + state.reevals,
+        scopes=p.graph.out_adj,
     )
 
 
@@ -217,15 +221,13 @@ def trace_to_json(trace: RunTrace) -> str:
         "rounds": trace.rounds,
         "b": trace.b,
         "num_parts": trace.num_parts,
-        "colouring_offset": trace.colouring_offset,
-        "colourings": trace.colourings,
         "ib_sets": trace.ib_sets,
-        "resampled_sets": [sorted(s) for s in trace.resampled_sets],
         "viol_snapshots": [
             {str(x): list(t) for x, t in snap.items()} for snap in trace.viol_snapshots
         ],
         "bad_sizes": trace.bad_sizes,
         "h": trace.h,
+        "final_colouring": trace.final_colouring,
         "clause_evals": trace.clause_evals,
     }
     return json.dumps(payload, sort_keys=True, indent=1)
@@ -236,8 +238,6 @@ def trace_round_csv(trace: RunTrace) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["round", "bad", "ib", "cells_redrawn"])
-    for j in range(trace.rounds):
-        writer.writerow(
-            [j, trace.bad_sizes[j], len(trace.ib_sets[j]), len(trace.resampled_sets[j])]
-        )
+    for j, redrawn in enumerate(trace.resampled_sets):
+        writer.writerow([j, trace.bad_sizes[j], len(trace.ib_sets[j]), len(redrawn)])
     return buf.getvalue()

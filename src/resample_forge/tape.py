@@ -122,13 +122,13 @@ def used_unused(trace, pi, tape, k: int):
     """
     if k < 0:
         raise ValueError("k must be nonnegative")
-    rounds = len(trace.resampled_sets)
+    rounds = trace.rounds
     if not trace.succeeded and k > rounds + 1:
         raise ValueError(f"k={k} exceeds trace length {rounds + 1}")
     n = len(trace.h)
     h_k = [0] * n if k == 0 else [1] * n
-    for j in range(min(k - 1, rounds)):
-        for x in trace.resampled_sets[j]:
+    for redrawn in trace.resampled_sets[: max(0, k - 1)]:
+        for x in redrawn:
             h_k[x] += 1
     used = []
     unused = []

@@ -3,7 +3,8 @@
 Every round evaluates every active rule from scratch, takes the violated ones
 in vertex order, resamples a greedy maximal independent subset and records
 the same trace fields as the worklist engine.  Its clause_evals is the number
-of active rules times the number of scans.
+of active rules times the number of scans.  It also records every colouring
+and every round's redrawn cells, which the engine's trace only derives.
 """
 
 from resample_forge import mta_runner
@@ -21,13 +22,12 @@ def reference_greedy_mis(rel, candidates, order):
     return sorted(chosen)
 
 
-def reference_run(p, pi, tape, max_steps=mta_runner.DEFAULT_MAX_STEPS, order=None, round_order=None):
-    keep_full = p.n <= mta_runner.FULL_HISTORY_LIMIT
-    base_order = order or VertexOrder.identity(p.n)
+def reference_run(p, pi, tape, max_steps=mta_runner.DEFAULT_MAX_STEPS, round_order=None):
+    """(trace, colourings, redrawn cell sets) of a full-rescan run."""
+    identity = VertexOrder.identity(p.n)
     f = [tape.symbol(pi.part_of[x], 0) for x in range(p.n)]
     h = [1] * p.n
     colourings = [list(f)]
-    offset = 0
     ib_sets, resampled_sets, viol_snapshots, bad_sizes = [], [], [], []
     evals = 0
     j = 0
@@ -36,12 +36,12 @@ def reference_run(p, pi, tape, max_steps=mta_runner.DEFAULT_MAX_STEPS, order=Non
         evals += len(p.active_clauses())
         bad_sizes.append(len(bad))
         if not bad:
-            status, steps = STATUS_SUCCEEDED, j + 1
+            status = STATUS_SUCCEEDED
             break
         if j >= max_steps:
-            status, steps = STATUS_BUDGET_EXHAUSTED, None
+            status = STATUS_BUDGET_EXHAUSTED
             break
-        ib = reference_greedy_mis(p.rel(), bad, round_order(j) if round_order is not None else base_order)
+        ib = reference_greedy_mis(p.rel(), bad, round_order(j) if round_order is not None else identity)
         viol_snapshots.append({x: res(p, f, x) for x in ib})
         resampled = sorted({v for x in ib for v in p.graph.out_adj[x]})
         for v in resampled:
@@ -50,21 +50,17 @@ def reference_run(p, pi, tape, max_steps=mta_runner.DEFAULT_MAX_STEPS, order=Non
         ib_sets.append(ib)
         resampled_sets.append(set(resampled))
         colourings.append(list(f))
-        if not keep_full and len(colourings) > 2:
-            del colourings[0]
-            offset += 1
         j += 1
-    return RunTrace(
+    trace = RunTrace(
         status=status,
-        steps=steps,
         b=p.b,
         num_parts=pi.num_parts,
-        colourings=colourings,
-        colouring_offset=offset,
         ib_sets=ib_sets,
-        resampled_sets=resampled_sets,
         viol_snapshots=viol_snapshots,
         bad_sizes=bad_sizes,
         h=h,
+        final_colouring=list(f),
         clause_evals=evals,
+        scopes=p.graph.out_adj,
     )
+    return trace, colourings, resampled_sets

@@ -254,8 +254,8 @@ def test_criterion_05_varcount_identities():
             total = sum(len(u) for u in used)
             assert varcount(p, fl.forest) == total
             h_k = [1] * p.n
-            for j in range(min(k - 1, trace.rounds)):
-                for x in trace.resampled_sets[j]:
+            for redrawn in trace.resampled_sets[: max(0, k - 1)]:
+                for x in redrawn:
                     h_k[x] += 1
             assert sum(h_k) == total
 

@@ -91,6 +91,7 @@ def test_solve_missing_file_exit_one(tmp_path, capsys):
         ("colour_float", {"forbidden": {"1": [[0.5]]}}),
         ("colour_bool", {"forbidden": {"1": [[True]]}}),
         ("b_bool", {"b": True}),
+        ("schema_bool", {"schema_version": True}),
     ]:
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps({**good, **change}))
@@ -181,6 +182,20 @@ def test_stats_repeat_zero_writes_header_only(tmp_path, capsys):
     with open(csv_path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows == [RESULTS_HEADER]
+
+
+def test_stats_builds_each_size_once(monkeypatch, capsys):
+    built = []
+
+    def counting_gen(w, h, b):
+        built.append(w)
+        return gen_torus_nae(w, h, b)
+
+    monkeypatch.setattr(cli, "gen_torus_nae", counting_gen)
+    code, out, _ = run_cli(capsys, "stats", "--sizes", "5,6", "--repeat", "3", "--quiet")
+    assert code == 0
+    assert json.loads(out)["trials"] == 6
+    assert built == [5, 6]
 
 
 def test_stats_tail_monotone_and_csv_rows(tmp_path, capsys):
@@ -280,6 +295,18 @@ def test_verify_length_mismatch_is_an_error(tmp_path, capsys):
     code, _, err = run_cli(capsys, "verify", path, str(col_path), "--quiet")
     assert code == 1
     assert "entries" in err
+
+
+def test_verify_rejects_malformed_colourings(tmp_path, capsys):
+    # b = 2: colours outside 0..1 and JSON booleans are errors, not answers
+    path = write_problem(tmp_path, single_clause_problem())
+    for name, text in [("big", "[5, 0]"), ("negative", "[-1, 0]"), ("bools", "[true, false]")]:
+        col_path = tmp_path / f"{name}.json"
+        col_path.write_text(text)
+        code, out, err = run_cli(capsys, "verify", path, str(col_path), "--quiet")
+        assert code == 1, name
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 def test_bad_flag_values_exit_one(tmp_path, capsys):

@@ -7,7 +7,6 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from resample_forge import mta_runner
 from resample_forge.graph_core import VertexOrder
 from resample_forge.instance_io import gen_grid_ksat, gen_torus_nae
 from resample_forge.mta_runner import (
@@ -69,7 +68,7 @@ class TestMicroRuns:
         # the clause vertex itself is never a cell anyone reads
         assert trace.h == [2, 1]
         assert h_infinity(trace) == [2, 1]
-        assert trace.colourings[0][0] == 0
+        assert trace.colouring_at(0)[0] == 0
         assert trace.final_colouring[0] == 1
 
     def test_single_clause_two_resamples(self):
@@ -122,10 +121,10 @@ class TestStep:
         trace = run(p, pi, RandomTape(tape_seed, 2))
         tape = RandomTape(tape_seed, 2)
         state = start_state(p, pi, tape)
-        assert state.colouring == trace.colourings[0]
-        for i in range(1, len(trace.colourings)):
+        assert state.colouring == trace.colouring_at(0)
+        for i in range(1, trace.rounds + 1):
             step(p, pi, tape, state)
-            assert state.colouring == trace.colourings[i]
+            assert state.colouring == trace.colouring_at(i)
 
 
 class TestInvariants:
@@ -279,20 +278,21 @@ class TestTraceExport:
         assert len(lines) == 1 + trace.rounds
 
 
-class TestWindowedHistory:
-    def test_window_keeps_last_two(self, monkeypatch):
-        # windowing starts above FULL_HISTORY_LIMIT vertices
-        monkeypatch.setattr(mta_runner, "FULL_HISTORY_LIMIT", 1)
-        p = single_clause_problem()
-        pi = singleton_partition(2)
-        trace = run(p, pi, RandomTape(SEED_TWO_RESAMPLES, 2))
-        assert len(trace.colourings) <= 2
-        assert trace.colouring_offset == trace.rounds - len(trace.colourings) + 1
-        # counters and per-round snapshots survive windowing
-        assert trace.h == [3, 1]
-        assert len(trace.viol_snapshots) == trace.rounds
-        with pytest.raises(ValueError):
-            trace.colouring_at(0)
+class TestDerivedColourings:
+    def test_initial_fill_above_ten_thousand_vertices(self):
+        p = gen_torus_nae(101, 101, 2)
+        pi = singleton_partition(p.n)
+        trace = run(p, pi, RandomTape(3, p.b))
+        assert p.n > 10_000 and trace.rounds > 0
+        fill = RandomTape(3, p.b)
+        assert trace.colouring_at(0) == [fill.symbol(x, 0) for x in range(p.n)]
+
+    def test_rounds_outside_the_run_rejected(self):
+        p = unsatisfiable_problem()
+        trace = run(p, singleton_partition(2), RandomTape(5, 2), max_steps=3)
+        for i in (-1, trace.rounds + 1):
+            with pytest.raises(ValueError):
+                trace.colouring_at(i)
 
 
 def witness_rules_problem(side, seed):
@@ -314,13 +314,21 @@ DIFFERENTIAL_CASES = {
 
 
 class TestMatchesFullRescan:
-    """The worklist engine gives the full-rescan reference's trace, field for field."""
+    """The worklist engine gives the full-rescan reference's trace, field for field.
+
+    The colourings and redrawn cells the trace derives match the ones the
+    reference recorded, round for round.
+    """
 
     @staticmethod
-    def assert_same_trace(got: RunTrace, want: RunTrace):
+    def assert_same_trace(got: RunTrace, want):
+        want, colourings, resampled_sets = want
         for f in dataclasses.fields(RunTrace):
             if f.name != "clause_evals":  # counts re-checks here, full scans there
                 assert getattr(got, f.name) == getattr(want, f.name), f.name
+        assert [got.colouring_at(i) for i in range(got.rounds + 1)] == colourings
+        assert got.resampled_sets == resampled_sets
+        assert got.steps == (len(colourings) if want.succeeded else None)
 
     @pytest.mark.parametrize("kind", list(DIFFERENTIAL_CASES))
     @pytest.mark.parametrize("partition", ["singleton", "sparse"])
