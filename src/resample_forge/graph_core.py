@@ -85,16 +85,21 @@ class Digraph:
         """Check adjacency lists are sorted, in range, duplicate-free, and mutually consistent."""
         if len(self.out_adj) != self.n or len(self.in_adj) != self.n:
             raise ValueError("adjacency list count does not match vertex count")
+        n = self.n
         for name, adj in (("out", self.out_adj), ("in", self.in_adj)):
             for x, lst in enumerate(adj):
                 if lst != sorted(set(lst)):
                     raise ValueError(f"{name}-adjacency of vertex {x} is not sorted and duplicate-free")
-                for y in lst:
-                    if not (0 <= y < self.n):
-                        raise ValueError(f"{name}-adjacency of vertex {x} mentions out-of-range vertex {y}")
-        out_pairs = {(x, y) for x in range(self.n) for y in self.out_adj[x]}
-        in_pairs = {(y, x) for x in range(self.n) for y in self.in_adj[x]}
-        if out_pairs != in_pairs:
+                if lst and (lst[0] < 0 or lst[-1] >= n):  # sorted: only the ends can be out of range
+                    y = next(y for y in lst if not (0 <= y < n))
+                    raise ValueError(f"{name}-adjacency of vertex {x} mentions out-of-range vertex {y}")
+        # every list is now sorted and duplicate-free, so the in-lists rebuilt
+        # from out_adj in vertex order equal in_adj iff the edge sets agree
+        expected_in: list[list[int]] = [[] for _ in range(n)]
+        for x, lst in enumerate(self.out_adj):
+            for y in lst:
+                expected_in[y].append(x)
+        if expected_in != self.in_adj:
             raise ValueError("out- and in-adjacency disagree")
 
 
@@ -155,15 +160,41 @@ def ball(g: Digraph, x: int, r: int) -> set[int]:
     return seen
 
 
+def balls(g: Digraph, r: int):
+    """Yield, for x = 0..n-1 in turn, the list of vertices within undirected distance r of x.
+
+    Each list starts with x; the rest follow in BFS order, level by level.
+    One `mark` list serves the whole scan (mark[w] == x means w is already
+    in x's ball), so no per-vertex set, deque or sort is built.  Callers may
+    keep the yielded lists.  A negative r raises ValueError once the scan
+    starts.
+    """
+    if r < 0:
+        raise ValueError("radius must be nonnegative")
+    und = g.und_adj()
+    mark = [-1] * g.n
+    for x in range(g.n):
+        mark[x] = x
+        near = [x]
+        start = 0
+        for _ in range(r):
+            end = len(near)
+            for v in near[start:end]:
+                for w in und[v]:
+                    if mark[w] != x:
+                        mark[w] = x
+                        near.append(w)
+            if len(near) == end:
+                break
+            start = end
+        yield near
+
+
 def power_graph(g: Digraph, r: int) -> Digraph:
     """Symmetric loopless digraph joining pairs at undirected distance 1..r."""
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    adj: list[list[int]] = []
-    for x in range(g.n):
-        near = ball(g, x, r)
-        near.discard(x)
-        adj.append(sorted(near))
+    adj = [sorted(near[1:]) for near in balls(g, r)]
     return Digraph(g.n, adj, [list(a) for a in adj])
 
 
@@ -197,7 +228,4 @@ def check_subexp(g: Digraph, big_r: int, eps: float, d: int) -> bool:
     if g.maxdeg() > d:
         return False
     limit_log = big_r * math.log1p(eps) + 1e-9
-    for x in range(g.n):
-        if math.log(len(ball(g, x, 3 * big_r))) > limit_log:
-            return False
-    return True
+    return all(math.log(len(near)) <= limit_log for near in balls(g, 3 * big_r))

@@ -14,7 +14,9 @@ import os
 import warnings
 from dataclasses import dataclass
 
-from resample_forge.graph_core import Digraph, ball, check_subexp
+from resample_forge.graph_core import Digraph, balls, check_subexp
+# unused here, but perfbench/tracing.py wraps the name instance_io.ball
+from resample_forge.graph_core import ball  # noqa: F401
 from resample_forge.rule_engine import ColouringProblem, LocalRule, lll_margin
 from resample_forge.tape import GAMMA, MASK64, mix64
 
@@ -39,9 +41,7 @@ def _annotate(p: ColouringProblem) -> ColouringProblem:
     cert = None
     if 0 < p.n <= CERT_SIZE_CAP:
         for big_r in range(1, 6):
-            worst = max(
-                math.log(len(ball(p.graph, x, 3 * big_r))) for x in range(p.n)
-            )
+            worst = math.log(max(map(len, balls(p.graph, 3 * big_r))))
             for eps in (0.5, 1.0, 2.0):
                 if worst <= big_r * math.log1p(eps) + 1e-9:
                     cert = {"R": big_r, "eps": eps, "d": d}
@@ -220,7 +220,10 @@ def load_problem(path: str) -> ColouringProblem:
     if not (_is_int(b) and _is_int(n)):
         raise ValueError("fields 'b' and 'num_vertices' must be integers")
     edges = payload["edges"]
-    if not (isinstance(edges, list) and all(_is_int_list(e) and len(e) == 2 for e in edges)):
+    if not (
+        isinstance(edges, list)
+        and all(type(e) is list and len(e) == 2 and type(e[0]) is int and type(e[1]) is int for e in edges)
+    ):
         raise ValueError("field 'edges' must hold [from, to] pairs of integers")
     forbidden = payload["forbidden"]
     if not isinstance(forbidden, dict):
@@ -230,6 +233,7 @@ def load_problem(path: str) -> ColouringProblem:
         raise ValueError("field 'metadata' must be a JSON object")
     g = Digraph.from_edges(n, edges)
     rows: list = [[] for _ in range(n)]
+    dropped = []  # duplicate-tuple warnings, given only once the file has loaded
     for key, tuples in forbidden.items():
         try:
             x = int(key)
@@ -250,14 +254,27 @@ def load_problem(path: str) -> ColouringProblem:
                     f"scope needs {scope_len}"
                 )
             if tup in seen:
-                warnings.warn(f"vertex {x}: duplicate forbidden tuple {tup} dropped")
+                dropped.append(f"vertex {x}: duplicate forbidden tuple {tup} dropped")
                 continue
             seen.add(tup)
             cleaned.append(tup)
         rows[x] = cleaned
     p = ColouringProblem(g, b, LocalRule.from_lists(rows), metadata=dict(metadata))
     p.validate()
+    for message in dropped:
+        warnings.warn(message)
     return p
+
+
+def _dimacs_ints(tokens: list[str], lineno: int, what: str) -> list[int]:
+    """Tokens of one DIMACS line as integers; a non-integer names its line."""
+    out = []
+    for tok in tokens:
+        try:
+            out.append(int(tok))
+        except ValueError:
+            raise ValueError(f"line {lineno}: {what} {tok!r} is not an integer") from None
+    return out
 
 
 def load_dimacs(path: str) -> ColouringProblem:
@@ -265,9 +282,12 @@ def load_dimacs(path: str) -> ColouringProblem:
 
     A clause's forbidden tuple is the unique assignment of its scope that
     falsifies every literal.  Tautological clauses keep their edges but
-    forbid nothing.
+    forbid nothing.  Each clause sits on one line.  A non-integer token, a
+    negative count, an empty clause or a second problem line raises
+    ValueError naming its line; a clause count that differs from the
+    problem line's raises ValueError naming both counts.
     """
-    num_vars = None
+    num_vars = num_clauses = None
     clauses = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
@@ -275,23 +295,29 @@ def load_dimacs(path: str) -> ColouringProblem:
             if not line or line.startswith("c"):
                 continue
             if line.startswith("p"):
+                if num_vars is not None:
+                    raise ValueError(f"line {lineno}: second problem line")
                 parts = line.split()
                 if len(parts) != 4 or parts[1] != "cnf":
                     raise ValueError(f"line {lineno}: malformed problem line")
-                num_vars = int(parts[2])
+                num_vars, num_clauses = _dimacs_ints(parts[2:], lineno, "count")
+                if num_vars < 0 or num_clauses < 0:
+                    raise ValueError(f"line {lineno}: negative count in problem line")
                 continue
             if num_vars is None:
                 raise ValueError(f"line {lineno}: clause before problem line")
-            lits = [int(tok) for tok in line.split()]
+            lits = _dimacs_ints(line.split(), lineno, "literal")
             if lits and lits[-1] == 0:
                 lits = lits[:-1]
             if not lits:
-                continue
+                raise ValueError(f"line {lineno}: empty clause")
             if any(lit == 0 or abs(lit) > num_vars for lit in lits):
                 raise ValueError(f"line {lineno}: literal out of range")
             clauses.append(lits)
     if num_vars is None:
         raise ValueError("no problem line found")
+    if len(clauses) != num_clauses:
+        raise ValueError(f"problem line declares {num_clauses} clauses, file has {len(clauses)}")
     edges = []
     rows: list = [[] for _ in range(num_vars)]
     for idx, lits in enumerate(clauses):

@@ -3,7 +3,9 @@
 A partition is r-sparse when distinct same-part vertices sit at undirected
 distance greater than 2r; equivalently, every radius-r ball sees pairwise
 distinct parts.  Such partitions are exactly the proper colourings of the
-distance-2r power graph, and are built here by greedy colouring.
+distance-2r power graph, and are built here by greedy colouring.  The power
+graph's adjacency comes from one reused-array BFS scan (`graph_core.balls`),
+not from one `ball()` call per vertex.
 """
 
 from __future__ import annotations
@@ -11,7 +13,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import combinations
 
-from resample_forge.graph_core import Digraph, ball, power_graph
+from resample_forge.graph_core import Digraph, balls, power_graph
+# unused here, but perfbench/tracing.py wraps the name partitioner.ball
+from resample_forge.graph_core import ball  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -52,7 +56,7 @@ def sparse_partition(g: Digraph, r: int) -> SparsePartition:
     padj = power_graph(g, 2 * r).out_adj
     colour = [-1] * g.n
     for x in range(g.n):
-        taken = {colour[y] for y in padj[x] if colour[y] >= 0}
+        taken = {colour[y] for y in padj[x]}  # -1 (uncoloured) is never chosen
         c = 0
         while c in taken:
             c += 1
@@ -65,14 +69,8 @@ def is_r_sparse(g: Digraph, pi: SparsePartition, r: int) -> bool:
     """True iff every radius-r ball meets each part at most once."""
     if r < 0:
         raise ValueError("radius must be nonnegative")
-    for x in range(g.n):
-        seen: set[int] = set()
-        for y in ball(g, x, r):
-            alpha = pi.part_of[y]
-            if alpha in seen:
-                return False
-            seen.add(alpha)
-    return True
+    part_of = pi.part_of
+    return all(len({part_of[y] for y in near}) == len(near) for near in balls(g, r))
 
 
 def is_pi_unique(pi: SparsePartition, subset) -> bool:

@@ -5,10 +5,17 @@ command emits JSON.  Wall-clock columns are the only tolerated difference
 between repeated runs.
 """
 
+import contextlib
 import csv
+import functools
+import io
 import json
+import os
+import tempfile
+import warnings
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from resample_forge import cli
 from resample_forge.instance_io import RESULTS_HEADER, gen_torus_nae, save_problem
@@ -92,15 +99,87 @@ def test_solve_missing_file_exit_one(tmp_path, capsys):
         ("colour_bool", {"forbidden": {"1": [[True]]}}),
         ("b_bool", {"b": True}),
         ("schema_bool", {"schema_version": True}),
+        ("duplicate_then_unknown", {"forbidden": {"1": [[0], [0]], "7": [[0]]}}),
     ]:
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps({**good, **change}))
         paths.append(str(path))
     for path in paths:
-        code, out, err = run_cli(capsys, "solve", path, "--quiet")
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run_cli(capsys, "solve", path, "--quiet")
         assert code == 1, path
         assert out == ""
         assert err.startswith("error:") and err.count("\n") == 1, err
+        assert caught == [], path  # a warning would print more lines on stderr
+
+
+@functools.cache
+def saved_torus3_text():
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "torus3.json")
+        save_problem(gen_torus_nae(3, 3, 2), path)
+        with open(path, encoding="utf-8") as fh:
+            return fh.read()
+
+
+def json_slots(node, out):
+    """Every (container, key) of a parsed JSON document, outermost first."""
+    for key, value in node.items() if isinstance(node, dict) else enumerate(node):
+        out.append((node, key))
+        if isinstance(value, (dict, list)):
+            json_slots(value, out)
+    return out
+
+
+NOT_AN_INT = st.one_of(st.booleans(), st.floats(), st.text(max_size=3), st.none())
+ANY_VALUE = st.one_of(
+    NOT_AN_INT,
+    st.integers(-3, 12),
+    st.lists(st.integers(-1, 9), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=2),
+)
+
+
+def mutate(payload, data):
+    """Apply one random mutation: drop a key, retype a value, truncate a list, or un-int an int."""
+    kind = data.draw(st.sampled_from(["drop", "retype", "truncate", "not_int"]))
+    slots = json_slots(payload, [])
+    if kind == "drop":
+        slots = [(c, k) for c, k in slots if isinstance(c, dict)]
+    elif kind == "truncate":
+        slots = [(c, k) for c, k in slots if isinstance(c[k], list)]
+    elif kind == "not_int":
+        slots = [(c, k) for c, k in slots if type(c[k]) is int]
+    container, key = data.draw(st.sampled_from(slots))
+    if kind == "drop":
+        del container[key]
+    elif kind == "truncate":
+        container[key] = container[key][: data.draw(st.integers(0, len(container[key])))]
+    else:
+        container[key] = data.draw(NOT_AN_INT if kind == "not_int" else ANY_VALUE)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_mutated_problem_file_never_raises(data):
+    payload = json.loads(saved_torus3_text())
+    for _ in range(data.draw(st.integers(1, 3))):
+        mutate(payload, data)
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "mutated.json")
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(payload, fh)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = cli.main(["solve", path, "--seed", "1"])
+    assert code in (0, 1, 2)
+    if code == 1:
+        assert out.getvalue() == ""
+        assert err.getvalue().startswith("error:") and err.getvalue().count("\n") == 1, err.getvalue()
+        assert caught == []  # a warning would print more lines on stderr
 
 
 def test_solve_classic_uses_singleton_parts(tmp_path, capsys):

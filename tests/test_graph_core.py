@@ -10,11 +10,13 @@ from resample_forge.graph_core import (
     Digraph,
     VertexOrder,
     ball,
+    balls,
     build_rel,
     check_subexp,
     greedy_mis,
     power_graph,
 )
+from tests.reference_partition import reference_check_subexp, reference_power_graph, reference_validate
 from tests.reference_runner import reference_greedy_mis
 
 INF = 10**9
@@ -175,6 +177,25 @@ class TestBall:
                 prev = cur
 
 
+class TestBalls:
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6), st.integers(0, 4))
+    def test_centre_first_then_bfs_order(self, seed, r):
+        g = random_digraph(12, 10, seed)
+        dist = floyd_warshall_distances(g)
+        for x, near in enumerate(balls(g, r)):
+            assert near[0] == x
+            assert len(near) == len(set(near))
+            assert set(near) == ball(g, x, r)
+            levels = [dist[x][y] for y in near]
+            assert levels == sorted(levels)
+
+    def test_empty_graph_and_negative_radius(self):
+        assert list(balls(Digraph.from_edges(0, []), 3)) == []
+        with pytest.raises(ValueError):
+            list(balls(path_graph(3), -1))
+
+
 class TestPowerGraph:
     def test_path_power_two(self):
         g = path_graph(4)
@@ -277,3 +298,65 @@ class TestCheckSubexp:
             check_subexp(g, 0, 1.0, 2)
         with pytest.raises(ValueError):
             check_subexp(g, 1, 0.0, 2)
+
+
+def validate_error(check, g):
+    try:
+        check(g)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+class TestMatchesBallPerVertex:
+    """The BFS scans against the ball-per-vertex references in tests/reference_partition.py."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_power_graph_on_random_digraphs(self, seed):
+        # at 30 vertices and 24 edges, every seed here leaves isolated vertices; seeds 1, 2, 4 have self-loops
+        g = random_digraph(30, 24, seed)
+        for r in range(5):
+            assert power_graph(g, r) == reference_power_graph(g, r)
+
+    def test_power_graph_on_empty_graph(self):
+        g = Digraph.from_edges(0, [])
+        for r in range(5):
+            assert power_graph(g, r) == reference_power_graph(g, r)
+
+    def test_check_subexp_on_empty_graph(self):
+        g = Digraph.from_edges(0, [])
+        assert check_subexp(g, 1, 1.0, 0) is reference_check_subexp(g, 1, 1.0, 0) is True
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_check_subexp_on_random_digraphs(self, seed):
+        g = random_digraph(30, 40, seed)
+        for big_r in (1, 2):
+            for eps in (0.5, 1.0, 2.0, 8.0):
+                assert check_subexp(g, big_r, eps, 9) is reference_check_subexp(g, big_r, eps, 9)
+
+    @pytest.mark.parametrize(
+        "n, out_adj, in_adj",
+        [
+            (2, [[1], []], [[], []]),  # one-sided edge, out only
+            (2, [[], []], [[], [0]]),  # one-sided edge, in only
+            (2, [[1], [0]], [[1], [1]]),  # both sides, different edges
+            (3, [[2, 1], [], []], [[], [0], [0]]),  # unsorted
+            (2, [[1, 1], []], [[], [0]]),  # duplicate
+            (2, [[1], []], [[], [0, 0]]),  # duplicate on the in side
+            (3, [[0, 5, 7], [], []], [[0], [], []]),  # out of range: the first offender is named
+            (3, [[-1, 0], [], []], [[0], [], []]),  # negative vertex
+            (3, [[], [], []], [[], [], [3]]),  # out of range on the in side
+            (2, [[1]], [[]]),  # list count
+        ],
+    )
+    def test_validate_rejects_with_the_same_message(self, n, out_adj, in_adj):
+        g = Digraph(n, out_adj, in_adj)
+        message = validate_error(Digraph.validate, g)
+        assert message is not None
+        assert message == validate_error(reference_validate, g)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_validate_accepts_valid_graphs(self, seed):
+        for g in (random_digraph(30, 24, seed), build_rel(random_digraph(20, 30, seed))):
+            assert validate_error(Digraph.validate, g) is None
+            assert validate_error(reference_validate, g) is None

@@ -231,6 +231,47 @@ def test_dimacs_rejects_garbage(tmp_path):
         load_dimacs(str(path))
 
 
+def write_cnf(tmp_path, text):
+    path = tmp_path / "bad.cnf"
+    path.write_text(text)
+    return str(path)
+
+
+def test_dimacs_rejects_non_integer_count(tmp_path):
+    with pytest.raises(ValueError, match="line 2: count 'x' is not an integer"):
+        load_dimacs(write_cnf(tmp_path, "c header\np cnf x 2\n1 0\n2 0\n"))
+
+
+def test_dimacs_rejects_non_integer_literal(tmp_path):
+    with pytest.raises(ValueError, match="line 3: literal 'a' is not an integer"):
+        load_dimacs(write_cnf(tmp_path, "p cnf 2 2\n1 0\n2 a 0\n"))
+
+
+def test_dimacs_rejects_negative_count(tmp_path):
+    with pytest.raises(ValueError, match="line 1: negative count"):
+        load_dimacs(write_cnf(tmp_path, "p cnf 2 -1\n"))
+    with pytest.raises(ValueError, match="line 1: negative count"):
+        load_dimacs(write_cnf(tmp_path, "p cnf -2 0\n"))
+
+
+def test_dimacs_rejects_second_problem_line(tmp_path):
+    with pytest.raises(ValueError, match="line 3: second problem line"):
+        load_dimacs(write_cnf(tmp_path, "p cnf 2 1\n1 0\np cnf 2 1\n"))
+
+
+def test_dimacs_rejects_empty_clause(tmp_path):
+    # a lone 0 is an empty clause, which no assignment satisfies; dropping it would change the formula
+    with pytest.raises(ValueError, match="line 3: empty clause"):
+        load_dimacs(write_cnf(tmp_path, "p cnf 2 2\n1 0\n0\n"))
+
+
+def test_dimacs_rejects_clause_count_mismatch(tmp_path):
+    with pytest.raises(ValueError, match="declares 5 clauses, file has 1"):
+        load_dimacs(write_cnf(tmp_path, "p cnf 2 5\n1 -2 0\n"))
+    with pytest.raises(ValueError, match="declares 1 clauses, file has 2"):
+        load_dimacs(write_cnf(tmp_path, "p cnf 2 1\n1 0\n2 0\n"))
+
+
 # ---------------------------------------------------------------------------
 # results persistence
 

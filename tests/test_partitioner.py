@@ -5,7 +5,9 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from resample_forge import graph_core, instance_io, partitioner
 from resample_forge.graph_core import Digraph
+from resample_forge.instance_io import gen_grid_ksat, gen_torus_nae
 from resample_forge.partitioner import (
     SparsePartition,
     is_pi_unique,
@@ -13,6 +15,7 @@ from resample_forge.partitioner import (
     singleton_partition,
     sparse_partition,
 )
+from tests.reference_partition import reference_is_r_sparse, reference_sparse_partition
 from tests.test_graph_core import floyd_warshall_distances, path_graph, random_digraph
 
 
@@ -24,6 +27,14 @@ def pairwise_distance_sparse(g, pi, r):
             if pi.part_of[x] == pi.part_of[y] and dist[x][y] <= 2 * r:
                 return False
     return True
+
+
+def random_partition(n, parts, seed):
+    """Random (not necessarily sparse) partition into at most `parts` dense parts."""
+    rng = random.Random(seed)
+    labels = [rng.randrange(parts) for _ in range(n)]
+    remap = {p: i for i, p in enumerate(sorted(set(labels)))}
+    return SparsePartition(len(remap), tuple(remap[p] for p in labels), 0)
 
 
 class TestSparsePartition:
@@ -59,11 +70,7 @@ class TestSparsePartition:
     def test_ball_and_distance_definitions_agree(self, seed, r):
         # random (not necessarily sparse) partitions: the two definitions coincide
         g = random_digraph(9, 12, seed)
-        rng = random.Random(seed + 1)
-        parts = [rng.randrange(3) for _ in range(g.n)]
-        dense = sorted(set(parts))
-        remap = {p: i for i, p in enumerate(dense)}
-        pi = SparsePartition(len(dense), tuple(remap[p] for p in parts), 0)
+        pi = random_partition(g.n, 3, seed + 1)
         assert is_r_sparse(g, pi, r) == pairwise_distance_sparse(g, pi, r)
 
 
@@ -91,3 +98,51 @@ class TestPiUnique:
         pi = sparse_partition(g, 2)
         for x in range(g.n):
             assert is_pi_unique(pi, ball(g, x, 2))
+
+
+class TestMatchesBallPerVertex:
+    """sparse_partition and is_r_sparse against the ball-per-vertex references."""
+
+    def test_torus_120(self):
+        g = gen_torus_nae(120, 120, 2).graph
+        pi = sparse_partition(g, 3)
+        assert pi == reference_sparse_partition(g, 3)
+        assert is_r_sparse(g, pi, 3) is reference_is_r_sparse(g, pi, 3) is True
+
+    def test_grid_ksat(self):
+        g = gen_grid_ksat(32, 32, 5, 2, 2, 7).graph
+        for r in (1, 2, 3):
+            assert sparse_partition(g, r) == reference_sparse_partition(g, r)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_random_digraphs(self, seed):
+        # at 30 vertices and 24 edges, every seed here leaves isolated vertices; seeds 1, 2, 4 have self-loops
+        g = random_digraph(30, 24, seed)
+        for r in range(1, 5):
+            pi = sparse_partition(g, r)
+            assert pi == reference_sparse_partition(g, r)
+        for r in range(5):
+            for parts in (2, 6, 30):
+                pi = random_partition(g.n, parts, seed + r)
+                assert is_r_sparse(g, pi, r) is reference_is_r_sparse(g, pi, r)
+
+    def test_empty_graph(self):
+        g = Digraph.from_edges(0, [])
+        for r in range(1, 5):
+            assert sparse_partition(g, r) == reference_sparse_partition(g, r)
+            assert is_r_sparse(g, singleton_partition(0), r)
+
+
+def test_ball_scans_do_not_call_ball(monkeypatch):
+    # the per-vertex ball() scan must not come back: every whole-graph scan goes through balls()
+    def refuse(*args):
+        raise AssertionError("whole-graph scan called a per-vertex function")
+
+    for module in (graph_core, partitioner, instance_io):
+        monkeypatch.setattr(module, "ball", refuse)
+    g = random_digraph(30, 40, seed=5)
+    pi = sparse_partition(g, 2)
+    assert is_r_sparse(g, pi, 2)
+    assert graph_core.power_graph(g, 3).n == 30
+    assert graph_core.check_subexp(path_graph(10), 4, 1.0, 2)
+    assert gen_torus_nae(10, 10, 2).metadata["subexp"] is not None
