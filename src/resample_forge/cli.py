@@ -7,12 +7,22 @@ unless --quiet.  Exit codes are stable: 0 solved or all checks passed,
 
 Outputs are byte-identical across runs with the same flags; wall-clock
 timings only ever land in the wall_ms CSV column, never on stdout.
+
+The cyclic garbage collector is paused for each command.  Building and
+solving an instance allocates hundreds of thousands of containers but almost
+no reference cycles, and none that grow with the instance: the argparse
+parser's few hundred objects, which `main` frees with one young-generation
+collection before the command runs, and a few dozen from json's indenting
+encoder in `gen`.  The collector's automatic passes found nothing else to
+free while taking about a sixth of a large solve.  Reference counting still frees everything at once, and `main`
+restores the collector as it found it.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import gc
 import json
 import math
 import sys
@@ -89,8 +99,7 @@ def _partition_for(p, args: argparse.Namespace):
 
 def _write_colouring(path: str, colouring: list[int]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump({"colouring": list(colouring)}, fh)
-        fh.write("\n")
+        fh.write(json.dumps({"colouring": list(colouring)}) + "\n")  # dumps takes the C encoder
 
 
 def _read_colouring(path: str) -> list[int]:
@@ -548,21 +557,29 @@ def _int_list(raw: str) -> tuple[int, ...]:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
-    handler = {
-        "solve": cmd_solve,
-        "solve-det": cmd_solve_det,
-        "stats": cmd_stats,
-        "oracle": cmd_oracle,
-        "gen": cmd_gen,
-        "verify": cmd_verify,
-    }[args.subcommand]
+    gc_was_enabled = gc.isenabled()
+    gc.disable()
     try:
+        args = build_parser().parse_args(argv)
+        # the parser is now cyclic garbage, all of it in the youngest generation:
+        # free it before the command runs rather than hold it until the end
+        gc.collect(0)
+        handler = {
+            "solve": cmd_solve,
+            "solve-det": cmd_solve_det,
+            "stats": cmd_stats,
+            "oracle": cmd_oracle,
+            "gen": cmd_gen,
+            "verify": cmd_verify,
+        }[args.subcommand]
         _check_args(args)
         return handler(args)
     except (OSError, ValueError, KeyError, MalformedProblemError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    finally:
+        if gc_was_enabled:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -10,13 +10,18 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 
 
 @dataclass
 class Digraph:
-    """Simple digraph with dense integer vertices and sorted adjacency lists."""
+    """Simple digraph with dense integer vertices and sorted adjacency lists.
+
+    The adjacency lists are read-only once built.  A symmetric graph may share
+    one list of lists as both `out_adj` and `in_adj`.
+    """
 
     n: int
     out_adj: list[list[int]]
@@ -32,14 +37,18 @@ class Digraph:
         """
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        out_sets: list[set[int]] = [set() for _ in range(n)]
-        in_sets: list[set[int]] = [set() for _ in range(n)]
+        keys: set[int] = set()  # one key src * n + dst per edge: sorts by src, then dst
         for src, dst in edges:
             if not (0 <= src < n and 0 <= dst < n):
                 raise ValueError(f"edge ({src}, {dst}) out of range for n={n}")
-            out_sets[src].add(dst)
-            in_sets[dst].add(src)
-        return Digraph(n, [sorted(s) for s in out_sets], [sorted(s) for s in in_sets])
+            keys.add(src * n + dst)
+        out_adj: list[list[int]] = [[] for _ in range(n)]
+        in_adj: list[list[int]] = [[] for _ in range(n)]
+        # src never decreases along the sorted keys, so the in-lists fill sorted too
+        for src, dst in map(divmod, sorted(keys), itertools.repeat(n)):
+            out_adj[src].append(dst)
+            in_adj[dst].append(src)
+        return Digraph(n, out_adj, in_adj)
 
     def var(self, x: int) -> list[int]:
         """Out-neighbours of x: the cells x's rule reads."""
@@ -88,7 +97,7 @@ class Digraph:
         n = self.n
         for name, adj in (("out", self.out_adj), ("in", self.in_adj)):
             for x, lst in enumerate(adj):
-                if lst != sorted(set(lst)):
+                if not all(map(operator.lt, lst, lst[1:])):  # strictly increasing
                     raise ValueError(f"{name}-adjacency of vertex {x} is not sorted and duplicate-free")
                 if lst and (lst[0] < 0 or lst[-1] >= n):  # sorted: only the ends can be out of range
                     y = next(y for y in lst if not (0 <= y < n))
@@ -130,14 +139,9 @@ def build_rel(g: Digraph) -> Digraph:
 
     Symmetric, with a self-loop at every vertex whose scope is nonempty.
     """
-    adj: list[set[int]] = [set() for _ in range(g.n)]
-    for v in range(g.n):
-        readers = g.in_adj[v]  # every x with v in its scope
-        for x in readers:
-            for y in readers:
-                adj[x].add(y)
-    sorted_adj = [sorted(s) for s in adj]
-    return Digraph(g.n, sorted_adj, [list(a) for a in sorted_adj])
+    in_adj = g.in_adj  # in_adj[v]: every y with v in its scope
+    adj = [sorted(set().union(*[in_adj[v] for v in scope])) for scope in g.out_adj]
+    return Digraph(g.n, adj, adj)
 
 
 def ball(g: Digraph, x: int, r: int) -> set[int]:
@@ -195,7 +199,7 @@ def power_graph(g: Digraph, r: int) -> Digraph:
     if r < 0:
         raise ValueError("radius must be nonnegative")
     adj = [sorted(near[1:]) for near in balls(g, r)]
-    return Digraph(g.n, adj, [list(a) for a in adj])
+    return Digraph(g.n, adj, adj)
 
 
 def greedy_mis(g_sym: Digraph, candidates, order: VertexOrder) -> list[int]:

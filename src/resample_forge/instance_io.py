@@ -12,6 +12,7 @@ import json
 import math
 import os
 import warnings
+from collections import Counter
 from dataclasses import dataclass
 
 from resample_forge.graph_core import Digraph, balls, check_subexp
@@ -204,9 +205,18 @@ def _is_int_list(v) -> bool:
     return type(v) is list and {int}.issuperset(map(type, v))
 
 
+def _unique_keys(pairs: list) -> dict:
+    """JSON object hook: a key given twice is an error, not a silent overwrite."""
+    obj = dict(pairs)
+    if len(obj) != len(pairs):
+        key = next(k for k, count in Counter(k for k, _ in pairs).items() if count > 1)
+        raise ValueError(f"key {key!r} appears twice in one JSON object")
+    return obj
+
+
 def load_problem(path: str) -> ColouringProblem:
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
+        payload = json.load(fh, object_pairs_hook=_unique_keys)
     if not isinstance(payload, dict):
         raise ValueError("problem file must hold a JSON object")
     version = payload.get("schema_version")
@@ -237,8 +247,12 @@ def load_problem(path: str) -> ColouringProblem:
     for key, tuples in forbidden.items():
         try:
             x = int(key)
-        except ValueError as exc:
-            raise ValueError(f"forbidden map key {key!r} is not a vertex id") from exc
+        except ValueError:
+            x = None
+        # canonical ids only: int() also reads " 0", "00" and "1_0", which would
+        # let two keys name one vertex and the later silently replace the earlier
+        if x is None or key != str(x):
+            raise ValueError(f"forbidden map key {key!r} is not a vertex id")
         if not (0 <= x < n):
             raise ValueError(f"forbidden map names unknown vertex {x}")
         if not (isinstance(tuples, list) and all(_is_int_list(t) for t in tuples)):

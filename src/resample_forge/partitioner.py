@@ -56,7 +56,7 @@ def sparse_partition(g: Digraph, r: int) -> SparsePartition:
     padj = power_graph(g, 2 * r).out_adj
     colour = [-1] * g.n
     for x in range(g.n):
-        taken = {colour[y] for y in padj[x]}  # -1 (uncoloured) is never chosen
+        taken = set(map(colour.__getitem__, padj[x]))  # -1 (uncoloured) is never chosen
         c = 0
         while c in taken:
             c += 1

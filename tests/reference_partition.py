@@ -1,14 +1,39 @@
-"""Ball-per-vertex references for the BFS ball scans, kept as differential oracles.
+"""Simple references for the graph builders and ball scans, kept as differential oracles.
 
-Each function scans every vertex with its own `ball()` call (a fresh set and
-deque per vertex), as the package did before `graph_core.balls`; the
-adjacency check compares two sets of edge pairs.
+The scans call `ball()` once per vertex (a fresh set and deque per vertex),
+as the package did before `graph_core.balls`; the adjacency check compares
+two sets of edge pairs; `from_edges` and `build_rel` fill one set per vertex
+and sort each, as the package did before its key-sorted and union builders.
 """
 
 import math
 
 from resample_forge.graph_core import Digraph, ball
 from resample_forge.partitioner import SparsePartition
+
+
+def reference_from_edges(n, edges):
+    if n < 0:
+        raise ValueError("vertex count must be nonnegative")
+    out_sets = [set() for _ in range(n)]
+    in_sets = [set() for _ in range(n)]
+    for src, dst in edges:
+        if not (0 <= src < n and 0 <= dst < n):
+            raise ValueError(f"edge ({src}, {dst}) out of range for n={n}")
+        out_sets[src].add(dst)
+        in_sets[dst].add(src)
+    return Digraph(n, [sorted(s) for s in out_sets], [sorted(s) for s in in_sets])
+
+
+def reference_build_rel(g):
+    adj = [set() for _ in range(g.n)]
+    for v in range(g.n):
+        readers = g.in_adj[v]
+        for x in readers:
+            for y in readers:
+                adj[x].add(y)
+    sorted_adj = [sorted(s) for s in adj]
+    return Digraph(g.n, sorted_adj, [list(a) for a in sorted_adj])
 
 
 def reference_power_graph(g, r):

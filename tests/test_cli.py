@@ -8,6 +8,7 @@ between repeated runs.
 import contextlib
 import csv
 import functools
+import gc
 import io
 import json
 import os
@@ -100,10 +101,18 @@ def test_solve_missing_file_exit_one(tmp_path, capsys):
         ("b_bool", {"b": True}),
         ("schema_bool", {"schema_version": True}),
         ("duplicate_then_unknown", {"forbidden": {"1": [[0], [0]], "7": [[0]]}}),
+        # two spellings of vertex 0: the later used to replace the earlier, and
+        # the run wrote [0, 1], which the file's "0": [[0]] forbids
+        ("key_space", {"edges": [[0, 0], [1, 1]], "forbidden": {"0": [[0]], " 0": [[1]]}}),
+        ("key_leading_zero", {"edges": [[0, 0], [1, 1]], "forbidden": {"0": [[0]], "00": [[1]]}}),
     ]:
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps({**good, **change}))
         paths.append(str(path))
+    # the same key twice in one object, which json.dumps cannot write
+    path = tmp_path / "key_twice.json"
+    path.write_text(json.dumps(good).replace('"forbidden": {', '"forbidden": {"1": [[1]], '))
+    paths.append(str(path))
     for path in paths:
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -242,6 +251,57 @@ def test_solve_det_exhausted_exit_four(tmp_path, capsys):
     payload = json.loads(out)
     assert payload["status"] == "exhausted"
     assert payload["tapes_tried"] == 4
+
+
+# ---------------------------------------------------------------------------
+# garbage collector
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_main_restores_the_collector(tmp_path, capsys, enabled):
+    solvable = write_problem(tmp_path, gen_torus_nae(4, 4, 2), "torus.json")
+    unsat = write_problem(tmp_path, unsatisfiable_problem(), "unsat.json")
+    was_enabled = gc.isenabled()
+    try:
+        for argv, expected in [
+            (["solve", solvable, "--seed", "1", "--quiet"], 0),
+            (["solve", "/nonexistent/problem.json", "--quiet"], 1),
+            (["solve-det", unsat, "--classic", "--m", "1", "--quiet"], 4),
+        ]:
+            if enabled:
+                gc.enable()
+            else:
+                gc.disable()
+            code, _, _ = run_cli(capsys, *argv)
+            assert code == expected
+            assert gc.isenabled() is enabled, argv
+        with pytest.raises(SystemExit):  # argparse rejects a missing argument
+            cli.main(["solve"])
+        assert gc.isenabled() is enabled
+    finally:
+        if was_enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+
+def test_solve_cyclic_garbage_does_not_grow_with_n(tmp_path, capsys):
+    # the collector is paused during a command, so whatever cyclic garbage one
+    # command leaves must not depend on the instance size
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        counts = []
+        for side in (10, 40):
+            path = write_problem(tmp_path, gen_torus_nae(side, side, 2), f"torus{side}.json")
+            gc.collect()
+            code, _, _ = run_cli(capsys, "solve", path, "--seed", "1", "--quiet")
+            assert code == 0
+            counts.append(gc.collect())
+    finally:
+        if was_enabled:
+            gc.enable()
+    assert counts[0] == counts[1], counts
 
 
 # ---------------------------------------------------------------------------

@@ -16,7 +16,14 @@ from resample_forge.graph_core import (
     greedy_mis,
     power_graph,
 )
-from tests.reference_partition import reference_check_subexp, reference_power_graph, reference_validate
+from resample_forge.instance_io import gen_grid_ksat, gen_torus_nae
+from tests.reference_partition import (
+    reference_build_rel,
+    reference_check_subexp,
+    reference_from_edges,
+    reference_power_graph,
+    reference_validate,
+)
 from tests.reference_runner import reference_greedy_mis
 
 INF = 10**9
@@ -360,3 +367,41 @@ class TestMatchesBallPerVertex:
         for g in (random_digraph(30, 24, seed), build_rel(random_digraph(20, 30, seed))):
             assert validate_error(Digraph.validate, g) is None
             assert validate_error(reference_validate, g) is None
+
+
+class TestMatchesSetPerVertex:
+    """from_edges and build_rel against the set-per-vertex references in tests/reference_partition.py."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_from_edges(self, data):
+        n = data.draw(st.integers(0, 40))
+        vertex = st.integers(0, max(n - 1, 0))
+        # up to 40 edges over up to 40 vertices: duplicates, self-loops and isolated vertices all occur
+        edges = data.draw(st.lists(st.tuples(vertex, vertex), max_size=40 if n else 0))
+        g = Digraph.from_edges(n, edges)
+        assert g == reference_from_edges(n, edges)
+        g.validate()
+        bad = data.draw(
+            st.tuples(st.integers(-2, n + 2), st.integers(-2, n + 2)).filter(
+                lambda e: not (0 <= e[0] < n and 0 <= e[1] < n)
+            )
+        )
+        for at in {0, len(edges) // 2, len(edges)}:
+            broken = [*edges[:at], bad, *edges[at:], bad[::-1]]
+            message = validate_error(lambda e: Digraph.from_edges(n, e), broken)
+            assert message is not None
+            assert message == validate_error(lambda e: reference_from_edges(n, e), broken)
+
+    def test_torus_120(self):
+        g = gen_torus_nae(120, 120, 2).graph
+        assert build_rel(g) == reference_build_rel(g)
+
+    def test_grid_ksat(self):
+        g = gen_grid_ksat(32, 32, 5, 2, 2, 7).graph
+        assert build_rel(g) == reference_build_rel(g)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_build_rel_on_random_digraphs(self, seed):
+        for g in (random_digraph(30, 24, seed), random_digraph(40, 160, seed), Digraph.from_edges(0, [])):
+            assert build_rel(g) == reference_build_rel(g)
