@@ -1,13 +1,12 @@
 """Deterministic sequential solver: exhaustive finite-tape search.
 
-The outer loop enumerates every finite tape of m symbols per part.  The inner
-loop drives the parallel resampling rounds of `mta_runner` against one such
-tape, one pass per round, each scanning the violated clauses in the order the
-previous re-check found them.  A tape is abandoned the moment the process asks
-for a symbol beyond index m-1; if some tape reaches an empty violation list,
-its colouring is a verified solution.
+The search enumerates every finite tape of m symbols per part and runs
+`mta_runner.run` on each, one pass per round, every pass scanning the
+violated clauses in the order the previous re-check found them.  A tape is
+abandoned the moment a pass would read a symbol beyond index m-1; if some
+tape reaches an empty violation list, its colouring is a verified solution.
 
-The bound machinery (explicit_k, threshold_m) computes how large m must be
+The bound machinery (explicit_k_log, threshold_m) computes how large m must be
 for success to be guaranteed.  Those values are astronomical outside toy
 parameters, so the solver takes m directly and the planner merely reports the
 guarantee alongside a feasibility verdict.
@@ -16,14 +15,15 @@ guarantee alongside a feasibility verdict.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from resample_forge.graph_core import VertexOrder
-from resample_forge.mta_runner import start_state, step
+# bound at import: perfbench/tracing.py wraps mta_runner.run in a per-call
+# span, which the search must not open once per tape
+from resample_forge.mta_runner import run
 from resample_forge.rule_engine import ColouringProblem, satisfies
 # unused here, but perfbench/tracing.py wraps the name derand.is_violated
 from resample_forge.rule_engine import is_violated  # noqa: F401
-from resample_forge.tape import FiniteTape, TapeDepleted
+from resample_forge.tape import FiniteTape
 
 DEFAULT_TAPE_CAP = 2**24
 
@@ -71,17 +71,6 @@ def explicit_k_log(b: int, delta: float, d: int, num_parts: int, big_delta: int)
         + math.lgamma(num_parts + 1)
         - num_parts * math.log1p(-decay)
     )
-
-
-def explicit_k(b: int, delta: float, d: int, num_parts: int, big_delta: int) -> float:
-    """Direct-evaluation form of the constant; raises when it leaves float range."""
-    _check_bound_args(b, delta, d, num_parts, big_delta)
-    decay = math.exp(-delta * (1.0 + math.log(big_delta)))
-    numerator = d * (num_parts**d * 2 ** (b**d + 1) * b) ** num_parts * math.factorial(num_parts)
-    try:
-        return float(numerator) / (1.0 - decay) ** num_parts
-    except OverflowError as exc:
-        raise OverflowError("constant exceeds float range; use explicit_k_log") from exc
 
 
 def threshold_m(k_log: float, num_parts: int, big_delta: int, delta: float) -> int:
@@ -161,33 +150,23 @@ class TapeAttempt:
     n: int
     d_bound: int
     colouring: list | None = None
-    currently_lists: list = field(default_factory=list)
-    resampled_sets: list = field(default_factory=list)
-    colourings: list = field(default_factory=list)
 
 
-def run_finite_tape(
-    p: ColouringProblem, pi, tape: FiniteTape, tape_index: int = -1, keep_history: bool = False
-) -> TapeAttempt:
-    """Drive passes until success or the tape runs out of symbols."""
-    attempt = TapeAttempt(tape_index, TAPE_EXHAUSTED, 0, 0, tape.rounds, p.n, max(1, p.graph.maxdeg()))
-    try:
-        state = start_state(p, pi, tape)
-        while state.currently:
-            if keep_history:
-                attempt.colourings.append(list(state.colouring))
-                attempt.currently_lists.append(list(state.currently))
-            resampled = step(p, pi, tape, state, scan_order(p, state.currently))
-            attempt.passes, attempt.reevals = state.rounds, state.reevals
-            if keep_history:
-                attempt.resampled_sets.append(resampled)
-    except TapeDepleted:
-        return attempt
-    attempt.outcome = SUCCESS
-    attempt.colouring = list(state.colouring)
-    if keep_history:
-        attempt.colourings.append(list(state.colouring))
-    return attempt
+def run_finite_tape(p: ColouringProblem, pi, tape: FiniteTape, tape_index: int = -1) -> TapeAttempt:
+    """Run passes in found order until success or the tape runs out of symbols."""
+    # every pass redraws a cell and a cell redraws at most m-1 times, so the
+    # tape runs out or the run succeeds before n*m passes: no budget binds
+    trace = run(p, pi, tape, max(1, p.n * tape.rounds), found_order=True)
+    return TapeAttempt(
+        tape_index,
+        SUCCESS if trace.succeeded else TAPE_EXHAUSTED,
+        trace.rounds,
+        trace.clause_evals - len(p.active_clauses()),
+        tape.rounds,
+        p.n,
+        max(1, p.graph.maxdeg()),
+        trace.final_colouring if trace.succeeded else None,
+    )
 
 
 def work_counter(attempt: TapeAttempt) -> int:
@@ -252,7 +231,3 @@ def derand_solve(
             return attempt.colouring
     raise ExhaustedError(f"all {num_tapes} tapes failed within {m} rounds")
 
-
-def scan_order(p: ColouringProblem, currently: list) -> VertexOrder:
-    """Priority order matching a pass's scan: list position first, the rest after."""
-    return VertexOrder.from_priority(currently, p.n)

@@ -50,14 +50,6 @@ class Digraph:
             in_adj[dst].append(src)
         return Digraph(n, out_adj, in_adj)
 
-    def var(self, x: int) -> list[int]:
-        """Out-neighbours of x: the cells x's rule reads."""
-        return self.out_adj[x]
-
-    def cl(self, x: int) -> list[int]:
-        """In-neighbours of x: the vertices whose scope contains x."""
-        return self.in_adj[x]
-
     def neighbourhood(self, x: int) -> set[int]:
         return set(self.out_adj[x]) | set(self.in_adj[x])
 
@@ -110,28 +102,6 @@ class Digraph:
                 expected_in[y].append(x)
         if expected_in != self.in_adj:
             raise ValueError("out- and in-adjacency disagree")
-
-
-@dataclass(frozen=True)
-class VertexOrder:
-    """Total order on vertices given by rank; smaller rank scans first."""
-
-    rank: tuple[int, ...]
-
-    @staticmethod
-    def identity(n: int) -> "VertexOrder":
-        return VertexOrder(tuple(range(n)))
-
-    @staticmethod
-    def from_priority(priority: list[int], n: int) -> "VertexOrder":
-        """Vertices listed in `priority` rank first (in list order), the rest follow by index."""
-        first = dict.fromkeys(priority)
-        scan = [*first, *itertools.filterfalse(first.__contains__, range(n))]
-        # the rank of x is its position in `scan`: the inverse permutation
-        return VertexOrder(tuple(sorted(range(n), key=scan.__getitem__)))
-
-    def key(self, x: int) -> int:
-        return self.rank[x]
 
 
 def build_rel(g: Digraph) -> Digraph:
@@ -202,19 +172,20 @@ def power_graph(g: Digraph, r: int) -> Digraph:
     return Digraph(g.n, adj, adj)
 
 
-def greedy_mis(g_sym: Digraph, candidates, order: VertexOrder) -> list[int]:
-    """Greedy maximal independent subset of `candidates`, scanned by ascending rank.
+def greedy_mis(g_sym: Digraph, scan: list[int]) -> list[int]:
+    """Greedy maximal independent subset of `scan`, a list of distinct vertices.
 
-    `g_sym` must be symmetric; self-loops are ignored for independence.
-    Returns the chosen vertices sorted by vertex index.
+    Takes each vertex in list order unless an already chosen neighbour blocks
+    it, and returns the chosen vertices in that order.  `g_sym` must be
+    symmetric; self-loops are ignored for independence.
     """
-    chosen: set[int] = set()
+    chosen: list[int] = []
     blocked: set[int] = set()  # neighbours of chosen vertices
-    for x in sorted(candidates, key=order.rank.__getitem__):
+    for x in scan:
         if x not in blocked:
-            chosen.add(x)
+            chosen.append(x)
             blocked.update(g_sym.out_adj[x])
-    return sorted(chosen)
+    return chosen
 
 
 def check_subexp(g: Digraph, big_r: int, eps: float, d: int) -> bool:

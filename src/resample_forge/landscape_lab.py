@@ -64,23 +64,10 @@ class GForest:
 
 
 @dataclass
-class Landscape:
+class FinalisedLandscape:
     forest: GForest
     viol: dict  # node -> violating local assignment over the node's scope
-
-
-@dataclass
-class FinalisedLandscape:
-    landscape: Landscape
-    fin: list
-
-    @property
-    def forest(self) -> GForest:
-        return self.landscape.forest
-
-    @property
-    def viol(self) -> dict:
-        return self.landscape.viol
+    fin: list  # the final colouring
 
 
 def validate_landscape(p: ColouringProblem, fl: FinalisedLandscape, strict_viol: bool = True) -> None:
@@ -161,7 +148,7 @@ def build_landscape(p: ColouringProblem, pi, trace, k: int) -> FinalisedLandscap
 
     fin_round = min(k - 1, rounds) if k >= 1 else 0
     fin = trace.colouring_at(fin_round)
-    return FinalisedLandscape(Landscape(GForest(nodes, parent), viol), fin)
+    return FinalisedLandscape(GForest(nodes, parent), viol, fin)
 
 
 def used_of(p: ColouringProblem, fl: FinalisedLandscape) -> list:
@@ -263,7 +250,7 @@ def ground(
         # re-hang: non-root swaps its incoming edge, the root gains one
         parent[child] = anchor
 
-    return FinalisedLandscape(Landscape(GForest(nodes, parent), viol), list(fl.fin))
+    return FinalisedLandscape(GForest(nodes, parent), viol, list(fl.fin))
 
 
 # ---------------------------------------------------------------------------
@@ -340,7 +327,7 @@ def restrict_landscape(p: ColouringProblem, pi, fl: FinalisedLandscape, subset) 
         if child[0] in u and par[0] in u:
             parent[(pi.part_of[child[0]], child[1])] = (pi.part_of[par[0]], par[1])
     fin = [fl.fin[rep[alpha]] if alpha in rep else 0 for alpha in range(pi.num_parts)]
-    return FinalisedLandscape(Landscape(GForest(nodes, parent), viol), fin)
+    return FinalisedLandscape(GForest(nodes, parent), viol, fin)
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,8 @@ taken at x so far (the initial fill included), so a run is a pure function of
 Only the initial fill evaluates every rule.  A rule can be violated after a
 round only if it was violated before or shares a cell with a resampled rule,
 so each round re-checks just the violated rules and their dependency-graph
-neighbours.  `run` drives these rounds over an infinite tape; the exhaustive
-solver in `derand` drives the same rounds over finite tapes.
+neighbours.  `run` drives these rounds for both solvers: over an infinite
+tape, and over each finite tape of the exhaustive search in `derand`.
 
 A run's trace stores no intermediate colouring: every redraw follows a
 snapshot of the scope it replaces, so the snapshots and the final colouring
@@ -24,11 +24,13 @@ import io
 import json
 from dataclasses import dataclass, field
 
-from resample_forge.graph_core import VertexOrder, greedy_mis
+from resample_forge.graph_core import greedy_mis
 from resample_forge.rule_engine import ColouringProblem, bad_set, res
+from resample_forge.tape import TapeDepleted
 
 STATUS_SUCCEEDED = "succeeded"
 STATUS_BUDGET_EXHAUSTED = "budget_exhausted"
+STATUS_TAPE_DEPLETED = "tape_depleted"
 
 DEFAULT_MAX_STEPS = 100_000
 
@@ -62,6 +64,9 @@ class RunTrace:
     initial scan of every active rule plus the worklist re-checks of each
     round.  `scopes` is the problem's scope table, used to derive the
     redrawn cells and the intermediate colourings.
+
+    `status` is "succeeded", "budget_exhausted" (max_steps rounds ran) or
+    "tape_depleted" (the next round would have read past a finite tape's end).
     """
 
     status: str
@@ -85,7 +90,7 @@ class RunTrace:
 
     @property
     def steps(self) -> int | None:
-        """Colourings checked up to success (rounds + 1), or None when the budget ran out."""
+        """Colourings checked up to success (rounds + 1), or None when the run did not succeed."""
         return self.rounds + 1 if self.succeeded else None
 
     @property
@@ -134,33 +139,33 @@ def start_state(p: ColouringProblem, pi, tape) -> RoundState:
     return RoundState(colouring, [1] * p.n, currently, _with_neighbours(p.rel().out_adj, currently))
 
 
-def step(p: ColouringProblem, pi, tape, state: RoundState, order: VertexOrder | None = None) -> list[int]:
+def step(p: ColouringProblem, pi, tape, state: RoundState, scan: list[int]) -> list[int]:
     """Advance one round; returns the resampled rules, sorted by vertex index.
 
-    The resampled rules are a greedy maximal independent subset of
-    `currently`, scanned by `order` (vertex index by default).  Their scopes
-    are disjoint, so each cell redraws at most once, in scan order.  The round
-    then re-checks `potentially` and rebuilds both worklists.  A fixed point
-    (nothing violated) is left untouched.  A finite tape that runs out raises
-    TapeDepleted part-way through the redraws, before `rounds` and `reevals`
-    advance.
+    `scan` lists the violated rules (`currently`) in the order to take them;
+    the resampled rules are its greedy maximal independent subset.  Their
+    scopes are disjoint, so each cell redraws once.  The round is atomic:
+    every new symbol is read, in scan order, before any cell is written, so a
+    finite tape that runs out raises TapeDepleted and leaves `state` as it
+    was.  The round then re-checks `potentially` and rebuilds both worklists.
+    A fixed point (nothing violated) is left untouched.
     """
     if not state.currently:
         return []
-    order = order or VertexOrder.identity(p.n)
     rel = p.rel()
-    ib = greedy_mis(rel, state.currently, order)
+    ib = greedy_mis(rel, scan)
     f, h, part_of, scopes = state.colouring, state.h, pi.part_of, p.graph.out_adj
-    for c in sorted(ib, key=order.rank.__getitem__):
-        for v in scopes[c]:
-            f[v] = tape.symbol(part_of[v], h[v])
-            h[v] += 1
+    cells = [v for c in ib for v in scopes[c]]
+    drawn = [tape.symbol(part_of[v], h[v]) for v in cells]
+    for v, symbol in zip(cells, drawn):
+        f[v] = symbol
+        h[v] += 1
     sets = p.forbidden_sets()
     state.currently = [c for c in state.potentially if tuple(f[v] for v in scopes[c]) in sets[c]]
     state.reevals += len(state.potentially)
     state.potentially = _with_neighbours(rel.out_adj, state.currently)
     state.rounds += 1
-    return ib
+    return sorted(ib)
 
 
 def run(
@@ -168,33 +173,39 @@ def run(
     pi,
     tape,
     max_steps: int = DEFAULT_MAX_STEPS,
-    round_order=None,
+    found_order: bool = False,
 ) -> RunTrace:
-    """Drive rounds until nothing is violated or the budget runs out.
+    """Drive rounds until nothing is violated, the budget runs out or a finite tape does.
 
-    The independent-set greedy scans by vertex index, unless `round_order(j)`
-    supplies round j's scan order (used to replay derand's scans).
+    Each round's independent-set greedy scans the violated rules by vertex
+    index or, with `found_order`, in the order the last re-check found them
+    (the exhaustive solver's scan).  A round that would read past the end of
+    a finite tape is not taken: the run ends with status "tape_depleted".
+    The initial fill must fit on the tape.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
-    identity = VertexOrder.identity(p.n)
 
     state = start_state(p, pi, tape)
     ib_sets: list[list[int]] = []
     viol_snapshots: list[dict[int, tuple[int, ...]]] = []
-    bad_sizes: list[int] = []
+    bad_sizes = [len(state.currently)]
 
     while state.currently and state.rounds < max_steps:
-        bad_sizes.append(len(state.currently))
         before = list(state.colouring)
-        this_order = round_order(state.rounds) if round_order is not None else identity
-        ib = step(p, pi, tape, state, this_order)
+        try:
+            ib = step(p, pi, tape, state, state.currently if found_order else sorted(state.currently))
+        except TapeDepleted:
+            status = STATUS_TAPE_DEPLETED
+            break
         ib_sets.append(ib)
         viol_snapshots.append({x: res(p, before, x) for x in ib})
-    bad_sizes.append(len(state.currently))
+        bad_sizes.append(len(state.currently))
+    else:
+        status = STATUS_BUDGET_EXHAUSTED if state.currently else STATUS_SUCCEEDED
 
     return RunTrace(
-        status=STATUS_BUDGET_EXHAUSTED if state.currently else STATUS_SUCCEEDED,
+        status=status,
         b=p.b,
         num_parts=pi.num_parts,
         ib_sets=ib_sets,
@@ -205,13 +216,6 @@ def run(
         clause_evals=len(p.active_clauses()) + state.reevals,
         scopes=p.graph.out_adj,
     )
-
-
-def h_infinity(trace: RunTrace) -> list[int]:
-    """Final per-cell sample counters; stable from the success round onward."""
-    if not trace.succeeded:
-        raise ValueError("h_infinity requires a successful run")
-    return list(trace.h)
 
 
 def trace_to_json(trace: RunTrace) -> str:

@@ -26,12 +26,6 @@ class SparsePartition:
     part_of: tuple[int, ...]
     sparsity_r: int
 
-    def members(self) -> list[list[int]]:
-        out: list[list[int]] = [[] for _ in range(self.num_parts)]
-        for x, alpha in enumerate(self.part_of):
-            out[alpha].append(x)
-        return out
-
     def validate(self) -> None:
         if self.num_parts < 0:
             raise ValueError("negative part count")

@@ -16,8 +16,8 @@ import time
 from contextlib import contextmanager
 
 from resample_forge.cli import decay_ratio, tail_table
-from resample_forge.derand import derand_solve, run_finite_tape
-from resample_forge.graph_core import Digraph, VertexOrder, ball, build_rel
+from resample_forge.derand import derand_solve
+from resample_forge.graph_core import Digraph, ball, build_rel
 from resample_forge.instance_io import gen_grid_ksat, gen_torus_nae
 from resample_forge.landscape_lab import (
     build_landscape,
@@ -42,6 +42,7 @@ from resample_forge.rule_engine import (
 from resample_forge.tape import FiniteTape, RandomTape, symbols_consumed, used_unused
 
 from .helpers import random_looped_problem
+from .reference_runner import reference_finite_tape
 
 GOLDEN_TAPE_PATH = pathlib.Path(__file__).resolve().parent.parent / "tape_vectors.json"
 
@@ -384,31 +385,26 @@ def test_criterion_09_derand():
             rel_sets = [set(a) for a in p.rel().out_adj]
             for a in attempts:
                 assert a.reevals <= d_bound**4 * m * p.n
-                tape = FiniteTape(pi.num_parts, m, p.b, _digits_of(a.tape_index, pi.num_parts * m, p.b))
-                replay = run_finite_tape(p, pi, tape, a.tape_index, keep_history=True)
-                for f, members in zip(replay.colourings, replay.resampled_sets):
-                    bad = set(bad_set(p, f))
+                digits = _digits_of(a.tape_index, pi.num_parts * m, p.b)
+                tape = FiniteTape(pi.num_parts, m, p.b, digits)
+                trace = run(p, pi, tape, max_steps=p.n * m, found_order=True)
+                assert (trace.rounds, trace.clause_evals - len(p.active_clauses())) == (a.passes, a.reevals)
+                for j, members in enumerate(trace.ib_sets):
+                    bad = set(bad_set(p, trace.colouring_at(j)))
                     assert set(members) <= bad
                     for x, y in itertools.combinations(sorted(members), 2):
                         assert y not in rel_sets[x]
                     for c in bad:
                         assert any(c in rel_sets[x] or c == x for x in members)
-                orders = [
-                    VertexOrder.from_priority(list(cur), p.n)
-                    for cur in replay.currently_lists
-                ]
-                trace = run(
-                    p,
-                    pi,
-                    FiniteTape(pi.num_parts, m, p.b, _digits_of(a.tape_index, pi.num_parts * m, p.b)),
-                    max_steps=max(1, replay.passes),
-                    round_order=lambda j: orders[j],
-                )
-                for j, f in enumerate(replay.colourings):
-                    assert trace.colouring_at(j) == f
-                if replay.outcome == "success":
-                    assert trace.succeeded
-                    assert trace.final_colouring == replay.colouring
+                # the reference inner loop makes the same moves on the same tape
+                ref_tape = FiniteTape(pi.num_parts, m, p.b, digits)
+                replay = reference_finite_tape(p, pi, ref_tape)
+                assert trace.ib_sets == replay.resampled_sets
+                assert [trace.colouring_at(j) for j in range(trace.rounds + 1)] == replay.colourings
+                assert tape.max_index_touched == ref_tape.max_index_touched
+                assert trace.succeeded == (replay.outcome == "success") == (a.outcome == "success")
+                if trace.succeeded:
+                    assert trace.final_colouring == replay.colouring == a.colouring
 
 
 def _digits_of(index: int, length: int, b: int) -> list:

@@ -14,10 +14,8 @@ from resample_forge.derand import (
     InfeasibleError,
     decode_tape,
     derand_solve,
-    explicit_k,
     explicit_k_log,
     run_finite_tape,
-    scan_order,
     theoretical_budget,
     threshold_m,
     work_counter,
@@ -34,12 +32,23 @@ from tests.helpers import (
     single_clause_problem,
     unsatisfiable_problem,
 )
+from tests.reference_runner import reference_finite_tape
 
 ONE_PART = SparsePartition(1, (0, 0), 0)
 
 
 # ---------------------------------------------------------------------------
 # bound arithmetic
+
+
+def explicit_k(b, delta, d, num_parts, big_delta):
+    """The constant K evaluated directly, the reference for explicit_k_log.
+
+    Raises OverflowError once K leaves float range.
+    """
+    decay = math.exp(-delta * (1.0 + math.log(big_delta)))
+    numerator = d * (num_parts**d * 2 ** (b**d + 1) * b) ** num_parts * math.factorial(num_parts)
+    return float(numerator) / (1.0 - decay) ** num_parts
 
 
 def test_explicit_k_frozen():
@@ -72,8 +81,8 @@ def test_explicit_k_monotone_in_parts():
     assert len(set(logs)) == len(logs)
 
 
-def test_explicit_k_overflow_redirects():
-    with pytest.raises(OverflowError, match="explicit_k_log"):
+def test_explicit_k_log_finite_past_float_range():
+    with pytest.raises(OverflowError):
         explicit_k(3, 1.0, 5, 8, 2)  # 2^(3^5+1) to the 8th power leaves float range
     assert math.isfinite(explicit_k_log(3, 1.0, 5, 8, 2))
 
@@ -170,7 +179,7 @@ def test_internal_pass_skips_shadowed_neighbour():
     assert state.currently == [1, 2]
     assert state.potentially == [1, 2, 0]
 
-    resampled = step(p, pi, tape, state, scan_order(p, state.currently))
+    resampled = step(p, pi, tape, state, state.currently)
     assert resampled == [1]  # clause 2 shadowed through shared cell 1
     assert state.colouring == [1, 0, 0]
     assert state.h == [2, 2, 1]
@@ -187,7 +196,7 @@ def test_internal_pass_empty_is_fixed_point():
     tape = FiniteTape(4, 1, 2, [0, 1, 0, 1])
     state = start_state(p, pi, tape)
     assert state.currently == []
-    assert step(p, pi, tape, state, scan_order(p, state.currently)) == []
+    assert step(p, pi, tape, state, state.currently) == []
     assert state.rounds == 0 and state.reevals == 0
 
 
@@ -269,37 +278,46 @@ def test_derand_solve_deterministic():
 
 
 # ---------------------------------------------------------------------------
-# parity with the parallel runner
+# parity with the reference inner loop
+
+
+def same_moves(p, pi, index, m):
+    """Run tape `index` through `run(..., found_order=True)` and the reference loop; check they agree.
+
+    Rounds, re-evaluations, colourings, resampled rules, outcome and the tape
+    cells read all match.  Returns (trace, reference attempt).
+    """
+    want_tape = decode_tape(index, pi.num_parts, m, p.b)
+    want = reference_finite_tape(p, pi, want_tape)
+    tape = decode_tape(index, pi.num_parts, m, p.b)
+    trace = run(p, pi, tape, max_steps=p.n * m, found_order=True)
+    assert trace.rounds == want.passes
+    assert trace.clause_evals - len(p.active_clauses()) == want.reevals
+    assert [trace.colouring_at(j) for j in range(trace.rounds + 1)] == want.colourings
+    assert trace.ib_sets == want.resampled_sets
+    assert trace.succeeded == (want.outcome == SUCCESS)
+    if trace.succeeded:
+        assert trace.final_colouring == want.colouring
+    assert tape.max_index_touched == want_tape.max_index_touched
+    return trace, want
 
 
 @settings(max_examples=30, deadline=None)
 @given(seed=st.integers(0, 10**6), index=st.integers(0, 200))
 def test_passes_match_parallel_rounds(seed, index):
-    """Same finite tape, same scan order: identical colouring sequences."""
+    """Same finite tape: the found-order run makes the reference loop's passes."""
     p = random_looped_problem(5, 2, 2, 2, seed=seed)
     pi = singleton_partition(p.n)
     m = 3
     index %= p.b ** (pi.num_parts * m)
-    tape = decode_tape(index, pi.num_parts, m, p.b)
-    attempt = run_finite_tape(p, pi, tape, index, keep_history=True)
-    if attempt.passes == 0:
-        return
-    orders = [scan_order(p, cur) for cur in attempt.currently_lists]
-    trace = run(
-        p,
-        pi,
-        decode_tape(index, pi.num_parts, m, p.b),
-        max_steps=attempt.passes,
-        round_order=lambda j: orders[j],
+    _, want = same_moves(p, pi, index, m)
+    attempt = run_finite_tape(p, pi, decode_tape(index, pi.num_parts, m, p.b), index)
+    assert (attempt.outcome, attempt.passes, attempt.reevals, attempt.colouring) == (
+        want.outcome,
+        want.passes,
+        want.reevals,
+        want.colouring,
     )
-    assert trace.rounds == attempt.passes
-    for j in range(attempt.passes + 1):
-        assert trace.colouring_at(j) == attempt.colourings[j]
-    for j in range(attempt.passes):
-        assert sorted(attempt.resampled_sets[j]) == sorted(trace.ib_sets[j])
-    if attempt.outcome == SUCCESS:
-        assert trace.succeeded
-        assert trace.final_colouring == attempt.colouring
 
 
 @settings(max_examples=30, deadline=None)
@@ -309,12 +327,11 @@ def test_pass_resamples_maximal_independent_slice(seed, index):
     pi = singleton_partition(p.n)
     m = 3
     index %= p.b ** (pi.num_parts * m)
-    tape = decode_tape(index, pi.num_parts, m, p.b)
-    attempt = run_finite_tape(p, pi, tape, index, keep_history=True)
+    trace, want = same_moves(p, pi, index, m)
     rel_sets = [set(a) for a in p.rel().out_adj]
-    for j in range(attempt.passes):
-        picked = attempt.resampled_sets[j]
-        bad = bad_set(p, attempt.colourings[j])
+    for j in range(trace.rounds):
+        picked = trace.ib_sets[j]
+        bad = bad_set(p, trace.colouring_at(j))
         assert set(picked) <= set(bad)
         for a in picked:
             for b_ in picked:
@@ -323,7 +340,7 @@ def test_pass_resamples_maximal_independent_slice(seed, index):
             if c not in picked:
                 assert any(c in rel_sets[d] for d in picked)
         # the scan list is the bad set, but in rebuild order, not ascending
-        assert sorted(attempt.currently_lists[j]) == bad
+        assert sorted(want.currently_lists[j]) == bad
 
 
 @settings(max_examples=25, deadline=None)

@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from resample_forge.graph_core import (
     Digraph,
-    VertexOrder,
     ball,
     balls,
     build_rel,
@@ -24,7 +23,7 @@ from tests.reference_partition import (
     reference_power_graph,
     reference_validate,
 )
-from tests.reference_runner import reference_greedy_mis
+from tests.reference_runner import VertexOrder, reference_greedy_mis
 
 INF = 10**9
 
@@ -232,22 +231,26 @@ class TestGreedyMis:
         # scan 0 (take), 1 (blocked by 0), 2 (take)
         g = path_graph(3)
         sym = power_graph(g, 1)
-        assert greedy_mis(sym, {0, 1, 2}, VertexOrder.identity(3)) == [0, 2]
+        assert greedy_mis(sym, [0, 1, 2]) == [0, 2]
 
     def test_order_changes_selection(self):
         g = path_graph(3)
         sym = power_graph(g, 1)
-        order = VertexOrder.from_priority([1], 3)
-        assert greedy_mis(sym, {0, 1, 2}, order) == [1]
+        assert greedy_mis(sym, [1, 0, 2]) == [1]
+
+    def test_returns_scan_order(self):
+        g = path_graph(5)
+        sym = power_graph(g, 1)
+        assert greedy_mis(sym, [4, 1, 2, 0]) == [4, 1]
 
     def test_self_loops_do_not_block(self):
         g = Digraph.from_edges(2, [(0, 0), (1, 1)])
         rel = build_rel(g)
-        assert greedy_mis(rel, {0, 1}, VertexOrder.identity(2)) == [0, 1]
+        assert greedy_mis(rel, [0, 1]) == [0, 1]
 
     def test_empty_candidates(self):
         g = path_graph(3)
-        assert greedy_mis(build_rel(g), set(), VertexOrder.identity(3)) == []
+        assert greedy_mis(build_rel(g), []) == []
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**6), st.integers(0, 10**6))
@@ -261,8 +264,10 @@ class TestGreedyMis:
         rest = [x for x in range(g.n) if x not in priority]
         assert [by_priority.key(x) for x in priority + rest] == list(range(g.n))
         for order in (VertexOrder.identity(g.n), by_priority):
-            chosen = greedy_mis(rel, candidates, order)
-            assert chosen == reference_greedy_mis(rel, candidates, order)
+            scan = sorted(candidates, key=order.key)
+            chosen = greedy_mis(rel, scan)
+            assert chosen == [x for x in scan if x in set(chosen)]  # in scan order
+            assert sorted(chosen) == reference_greedy_mis(rel, candidates, order)
             chosen_set = set(chosen)
             assert chosen_set <= candidates
             for x in chosen:

@@ -10,12 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resample_forge.graph_core import Digraph, VertexOrder, ball, build_rel
+from resample_forge.graph_core import Digraph, ball, build_rel
 from resample_forge.landscape_lab import (
     FinalisedLandscape,
     GForest,
     GroundingError,
-    Landscape,
     build_landscape,
     count_delta_trees,
     enumerate_grounded_forests,
@@ -152,7 +151,7 @@ def test_varcount_matches_recovered_lengths(seed):
 def test_used_of_level_ordering_and_clash():
     p = single_clause_problem()
     chain = GForest({(1, 0), (1, 1)}, {(1, 1): (1, 0)})
-    fl = FinalisedLandscape(Landscape(chain, {(1, 0): (0,), (1, 1): (1,)}), [0, 1])
+    fl = FinalisedLandscape(chain, {(1, 0): (0,), (1, 1): (1,)}, [0, 1])
     # cell 0 replays level 0, then level 1, then the final colour
     assert used_of(p, fl)[0] == (0, 1, 0)
     assert used_of(p, fl)[1] == (1,)
@@ -160,7 +159,7 @@ def test_used_of_level_ordering_and_clash():
     q = path_problem()
     # vertices 1 and 2 both read cell 1; parking them on one level is refused
     clash = FinalisedLandscape(
-        Landscape(GForest({(1, 0), (2, 0)}, {}), {(1, 0): (0, 0), (2, 0): (0, 0)}),
+        GForest({(1, 0), (2, 0)}, {}), {(1, 0): (0, 0), (2, 0): (0, 0)},
         [0, 0, 0],
     )
     with pytest.raises(ValueError, match="one level"):
@@ -170,33 +169,33 @@ def test_used_of_level_ordering_and_clash():
 def test_validate_rejects_malformed():
     p = path_problem()
     ok = FinalisedLandscape(
-        Landscape(GForest({(1, 0), (1, 1)}, {(1, 1): (1, 0)}), {(1, 0): (0, 0), (1, 1): (0, 0)}),
+        GForest({(1, 0), (1, 1)}, {(1, 1): (1, 0)}), {(1, 0): (0, 0), (1, 1): (0, 0)},
         [1, 1, 1],
     )
     validate_landscape(p, ok)
 
     skip_level = FinalisedLandscape(
-        Landscape(GForest({(1, 0), (1, 2)}, {(1, 2): (1, 0)}), {(1, 0): (0, 0), (1, 2): (0, 0)}),
+        GForest({(1, 0), (1, 2)}, {(1, 2): (1, 0)}), {(1, 0): (0, 0), (1, 2): (0, 0)},
         [1, 1, 1],
     )
     with pytest.raises(ValueError, match="advance one level"):
         validate_landscape(p, skip_level)
 
     dependent_level = FinalisedLandscape(
-        Landscape(GForest({(0, 0), (1, 0)}, {}), {(0, 0): (0,), (1, 0): (0, 0)}),
+        GForest({(0, 0), (1, 0)}, {}), {(0, 0): (0,), (1, 0): (0, 0)},
         [1, 1, 1],
     )
     with pytest.raises(ValueError, match="not independent"):
         validate_landscape(p, dependent_level)
 
     wrong_arity = FinalisedLandscape(
-        Landscape(GForest({(1, 0)}, {}), {(1, 0): (0,)}), [1, 1, 1]
+        GForest({(1, 0)}, {}), {(1, 0): (0,)}, [1, 1, 1]
     )
     with pytest.raises(ValueError, match="arity"):
         validate_landscape(p, wrong_arity)
 
     allowed_decoration = FinalisedLandscape(
-        Landscape(GForest({(1, 0)}, {}), {(1, 0): (1, 1)}), [1, 1, 1]
+        GForest({(1, 0)}, {}), {(1, 0): (1, 1)}, [1, 1, 1]
     )
     with pytest.raises(ValueError, match="not forbidden"):
         validate_landscape(p, allowed_decoration)
@@ -219,10 +218,8 @@ def test_ground_identity_on_grounded():
 def test_ground_slides_chain_down():
     p = single_clause_problem()
     fl = FinalisedLandscape(
-        Landscape(
-            GForest({(1, 1), (1, 2)}, {(1, 2): (1, 1)}),
-            {(1, 1): (0,), (1, 2): (0,)},
-        ),
+        GForest({(1, 1), (1, 2)}, {(1, 2): (1, 1)}),
+        {(1, 1): (0,), (1, 2): (0,)},
         [0, 1],
     )
     gl = ground(p, fl)
@@ -235,7 +232,7 @@ def test_ground_slides_chain_down():
 def test_ground_rehangs_root():
     p = single_clause_problem()
     fl = FinalisedLandscape(
-        Landscape(GForest({(1, 0), (1, 1)}, {}), {(1, 0): (0,), (1, 1): (0,)}),
+        GForest({(1, 0), (1, 1)}, {}), {(1, 0): (0,), (1, 1): (0,)},
         [0, 1],
     )
     gl = ground(p, fl)
@@ -246,13 +243,11 @@ def test_ground_rehangs_root():
 def test_ground_reroutes_blocked_nonroot():
     p = path_problem()
     fl = FinalisedLandscape(
-        Landscape(
-            GForest(
-                {(0, 1), (1, 2), (2, 0), (2, 1)},
-                {(1, 2): (0, 1), (2, 1): (2, 0)},
-            ),
-            {(0, 1): (0,), (1, 2): (0, 0), (2, 0): (0, 0), (2, 1): (0, 0)},
+        GForest(
+            {(0, 1), (1, 2), (2, 0), (2, 1)},
+            {(1, 2): (0, 1), (2, 1): (2, 0)},
         ),
+        {(0, 1): (0,), (1, 2): (0, 0), (2, 0): (0, 0), (2, 1): (0, 0)},
         [1, 1, 1],
     )
     validate_landscape(p, fl)
@@ -268,7 +263,7 @@ def test_ground_reroutes_blocked_nonroot():
 def test_ground_step_cap():
     p = single_clause_problem()
     fl = FinalisedLandscape(
-        Landscape(GForest({(1, 5)}, {}), {(1, 5): (0,)}), [0, 1]
+        GForest({(1, 5)}, {}), {(1, 5): (0,)}, [0, 1]
     )
     with pytest.raises(GroundingError):
         ground(p, fl, step_cap=2)
@@ -280,7 +275,7 @@ def test_ground_stuck_empty_scope_stack():
     g = Digraph.from_edges(2, [(1, 0)])
     p = ColouringProblem(g, 2, LocalRule.from_lists([[], [(0,)]]))
     stuck = FinalisedLandscape(
-        Landscape(GForest({(0, 0), (0, 1)}, {}), {(0, 0): (), (0, 1): ()}),
+        GForest({(0, 0), (0, 1)}, {}), {(0, 0): (), (0, 1): ()},
         [0, 0],
     )
     with pytest.raises(GroundingError):
@@ -296,16 +291,14 @@ def test_ground_preserves_playback(seed, lift):
     if not fl.forest.nodes:
         return
     lifted = FinalisedLandscape(
-        Landscape(
-            GForest(
-                {(x, lvl + lift) for x, lvl in fl.forest.nodes},
-                {
-                    (cx, clvl + lift): (px, plvl + lift)
-                    for (cx, clvl), (px, plvl) in fl.forest.parent.items()
-                },
-            ),
-            {(x, lvl + lift): t for (x, lvl), t in fl.viol.items()},
+        GForest(
+            {(x, lvl + lift) for x, lvl in fl.forest.nodes},
+            {
+                (cx, clvl + lift): (px, plvl + lift)
+                for (cx, clvl), (px, plvl) in fl.forest.parent.items()
+            },
         ),
+        {(x, lvl + lift): t for (x, lvl), t in fl.viol.items()},
         list(fl.fin),
     )
     validate_landscape(p, lifted)
@@ -358,10 +351,8 @@ def test_restrict_landscape_boundary_fallback():
     p = path_problem()
     pi = singleton_partition(p.n)
     fl = FinalisedLandscape(
-        Landscape(
-            GForest({(1, 0), (2, 1)}, {(2, 1): (1, 0)}),
-            {(1, 0): (0, 0), (2, 1): (0, 0)},
-        ),
+        GForest({(1, 0), (2, 1)}, {(2, 1): (1, 0)}),
+        {(1, 0): (0, 0), (2, 1): (0, 0)},
         [1, 0, 1],
     )
     validate_landscape(p, fl)

@@ -7,13 +7,13 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from resample_forge.graph_core import VertexOrder
+from resample_forge.graph_core import Digraph
 from resample_forge.instance_io import gen_grid_ksat, gen_torus_nae
 from resample_forge.mta_runner import (
     STATUS_BUDGET_EXHAUSTED,
     STATUS_SUCCEEDED,
+    STATUS_TAPE_DEPLETED,
     RunTrace,
-    h_infinity,
     run,
     start_state,
     step,
@@ -22,7 +22,7 @@ from resample_forge.mta_runner import (
 )
 from resample_forge.partitioner import singleton_partition, sparse_partition
 from resample_forge.rule_engine import ColouringProblem, LocalRule, bad_set, satisfies
-from resample_forge.tape import RandomTape, symbols_consumed, used_unused
+from resample_forge.tape import FiniteTape, RandomTape, TapeDepleted, symbols_consumed, used_unused
 from tests.helpers import (
     all_allowed_problem,
     run_random_case,
@@ -30,7 +30,22 @@ from tests.helpers import (
     torus_graph,
     unsatisfiable_problem,
 )
-from tests.reference_runner import reference_run
+from tests.reference_runner import VertexOrder, reference_run
+
+
+def depleting_case():
+    """A two-round finite tape whose second round runs out after its first read.
+
+    Cells 0 and 1; rule 2 reads cell 1 and forbids 0; rule 3 reads cells 0
+    and 1 and forbids (0, 1).  Round 0 redraws cell 1 to 1, which violates
+    rule 3; round 1 reads cell 0 at t=1, then needs cell 1 at t=2.
+    """
+    g = Digraph.from_edges(4, [(2, 1), (3, 0), (3, 1)])
+    p = ColouringProblem(g, 2, LocalRule.from_lists([[], [], [(0,)], [(0, 1)]]))
+    p.validate()
+    pi = singleton_partition(p.n)
+    return p, pi, FiniteTape(4, 2, 2, [0, 0, 0, 0, 0, 1, 0, 0])
+
 
 # frozen seeds found by direct search over the tape contract:
 # part-0 stream prefixes at b=2 are (1,...), (0,1,...), (0,0,1,...) respectively
@@ -67,7 +82,6 @@ class TestMicroRuns:
         assert trace.resampled_sets == [{0}]
         # the clause vertex itself is never a cell anyone reads
         assert trace.h == [2, 1]
-        assert h_infinity(trace) == [2, 1]
         assert trace.colouring_at(0)[0] == 0
         assert trace.final_colouring[0] == 1
 
@@ -85,8 +99,6 @@ class TestMicroRuns:
         assert trace.status == STATUS_BUDGET_EXHAUSTED
         assert trace.steps is None
         assert trace.rounds == 7
-        with pytest.raises(ValueError):
-            h_infinity(trace)
 
     def test_max_steps_validation(self):
         p = single_clause_problem()
@@ -112,7 +124,7 @@ class TestStep:
         tape = RandomTape(SEED_IMMEDIATE, 2)
         state = start_state(p, pi, tape)
         before = list(state.colouring)
-        assert step(p, pi, tape, state) == []
+        assert step(p, pi, tape, state, sorted(state.currently)) == []
         assert state.colouring == before
         assert state.rounds == 0
 
@@ -123,8 +135,36 @@ class TestStep:
         state = start_state(p, pi, tape)
         assert state.colouring == trace.colouring_at(0)
         for i in range(1, trace.rounds + 1):
-            step(p, pi, tape, state)
+            step(p, pi, tape, state, sorted(state.currently))
             assert state.colouring == trace.colouring_at(i)
+
+    def test_step_is_atomic_on_depletion(self):
+        p, pi, tape = depleting_case()
+        state = start_state(p, pi, tape)
+        assert step(p, pi, tape, state, sorted(state.currently)) == [2]
+        before = (list(state.colouring), list(state.h), state.rounds, state.reevals)
+        with pytest.raises(TapeDepleted):
+            step(p, pi, tape, state, sorted(state.currently))
+        assert (state.colouring, state.h, state.rounds, state.reevals) == before
+        # the round read cell 0 at t=1 before cell 1 ran out at t=2
+        assert tape.max_index_touched == {0: 1, 1: 1, 2: 0, 3: 0}
+
+
+class TestTapeDepleted:
+    def test_run_ends_when_tape_runs_out_mid_round(self):
+        p, pi, tape = depleting_case()
+        trace = run(p, pi, tape, found_order=True)
+        assert trace.status == STATUS_TAPE_DEPLETED
+        assert not trace.succeeded and trace.steps is None
+        assert trace.rounds == 1
+        assert trace.colouring_at(trace.rounds) == trace.final_colouring == [0, 1, 0, 0]
+        redraws = [0] * p.n
+        for ib in trace.ib_sets:
+            for x in ib:
+                for v in p.graph.out_adj[x]:
+                    redraws[v] += 1
+        assert trace.h == [1 + r for r in redraws]
+        assert len(trace.bad_sizes) == trace.rounds + 1
 
 
 class TestInvariants:
@@ -342,6 +382,7 @@ class TestMatchesFullRescan:
             )
 
     def test_same_trace_under_round_order(self):
+        """start_state/step on shuffled scan lists follow the reference under the same orders."""
         p = DIFFERENTIAL_CASES["witness_rules"](7)
         pi = sparse_partition(p.graph, 3)
         rng = random.Random(7)
@@ -350,7 +391,16 @@ class TestMatchesFullRescan:
             rank = list(range(p.n))
             rng.shuffle(rank)
             orders.append(VertexOrder(tuple(rank)))
-        got = run(p, pi, RandomTape(7, p.b), max_steps=30, round_order=orders.__getitem__)
-        want = reference_run(p, pi, RandomTape(7, p.b), max_steps=30, round_order=orders.__getitem__)
-        assert got.rounds > 0
-        self.assert_same_trace(got, want)
+        want, colourings, _ = reference_run(p, pi, RandomTape(7, p.b), max_steps=30, round_order=orders.__getitem__)
+        tape = RandomTape(7, p.b)
+        state = start_state(p, pi, tape)
+        got_colourings, bad_sizes, ib_sets = [list(state.colouring)], [len(state.currently)], []
+        while state.currently and state.rounds < 30:
+            scan = sorted(state.currently, key=orders[state.rounds].key)
+            ib_sets.append(step(p, pi, tape, state, scan))
+            got_colourings.append(list(state.colouring))
+            bad_sizes.append(len(state.currently))
+        assert ib_sets and ib_sets == want.ib_sets
+        assert got_colourings == colourings
+        assert bad_sizes == want.bad_sizes
+        assert state.h == want.h
