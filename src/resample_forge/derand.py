@@ -115,6 +115,13 @@ class DerandBudget:
             return math.inf
 
 
+def _tape_count(b: int, num_parts: int, m: int) -> int | None:
+    """Number of m-round tapes, b^(|pi|*m); None past 10,000 bits, which no search enumerates."""
+    if num_parts * m * math.log2(b) > 10_000:
+        return None
+    return b ** (num_parts * m)
+
+
 def theoretical_budget(
     p: ColouringProblem,
     pi,
@@ -128,10 +135,8 @@ def theoretical_budget(
     big_delta = max(1, p.rel().maxdeg())
     k_log = explicit_k_log(p.b, delta, d, pi.num_parts, big_delta)
     m = threshold_m(k_log, pi.num_parts, big_delta, delta)
-    if pi.num_parts * m * math.log2(p.b) > 10_000:
-        return DerandBudget(m, k_log, None, True)
-    num_tapes = p.b ** (pi.num_parts * m)
-    return DerandBudget(m, k_log, num_tapes, num_tapes > tape_cap)
+    num_tapes = _tape_count(p.b, pi.num_parts, m)
+    return DerandBudget(m, k_log, num_tapes, num_tapes is None or num_tapes > tape_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +215,11 @@ def derand_solve(
     """
     if m < 1:
         raise ValueError("m must be >= 1")
-    if pi.num_parts * m * math.log2(p.b) > 10_000:
+    num_tapes = _tape_count(p.b, pi.num_parts, m)
+    if num_tapes is None:
         raise InfeasibleError(
             f"b^({pi.num_parts}*{m}) tapes cannot be enumerated; lower m"
         )
-    num_tapes = p.b ** (pi.num_parts * m)
     if num_tapes > tape_cap:
         raise InfeasibleError(
             f"{num_tapes} tapes exceed the cap of {tape_cap}; lower m or raise the cap"

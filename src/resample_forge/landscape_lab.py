@@ -19,14 +19,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from resample_forge.graph_core import Digraph, ball, build_rel
-from resample_forge.partitioner import SparsePartition, is_pi_unique, singleton_partition
+from resample_forge.partitioner import is_pi_unique, singleton_partition
 from resample_forge.rule_engine import ColouringProblem, LocalRule
 
 Node = tuple  # (vertex, level)
 
 
 class GroundingError(RuntimeError):
-    """The grounding move set cannot make progress on this landscape."""
+    """The landscape cannot be grounded: two nodes of one empty-scope vertex would share level 0."""
 
 
 @dataclass
@@ -38,29 +38,6 @@ class GForest:
 
     def roots(self) -> list:
         return sorted(nd for nd in self.nodes if nd not in self.parent)
-
-    def children_map(self) -> dict:
-        kids: dict = {nd: [] for nd in self.nodes}
-        for child, par in self.parent.items():
-            kids[par].append(child)
-        return kids
-
-    def trees(self) -> list:
-        """Connected components as (root, member set) pairs."""
-        kids = self.children_map()
-        out = []
-        for root in self.roots():
-            members = set()
-            stack = [root]
-            while stack:
-                nd = stack.pop()
-                members.add(nd)
-                stack.extend(kids[nd])
-            out.append((root, members))
-        return out
-
-    def max_level(self) -> int:
-        return max((lvl for _, lvl in self.nodes), default=-1)
 
 
 @dataclass
@@ -180,77 +157,42 @@ def varcount(p: ColouringProblem, forest: GForest) -> int:
 # grounding
 
 
-def ground(
-    p: ColouringProblem,
-    fl: FinalisedLandscape,
-    step_cap: int = 10**6,
-) -> FinalisedLandscape:
-    """Push and re-hang airborne trees until every root reaches level 0.
+def ground(p: ColouringProblem, fl: FinalisedLandscape) -> FinalisedLandscape:
+    """Drop every node to the lowest level its shared cells allow, in one pass.
 
-    Preserves the node count and every cell's recovered symbol sequence.  The
-    move set: slide a whole tree down one level when nothing blocks it;
-    otherwise re-hang at the lowest (level, index) blocking pair (re-rooting the tree
-    there when the blocked node is its root).  Raises GroundingError past
-    step_cap, or when an isolated node with an empty scope has nowhere to go.
+    Visits the nodes in (level, vertex) order.  A node lands one level above
+    the highest node already placed over a cell of its scope, or on level 0
+    when no cell of its scope has one yet.  Nodes are dependent exactly when
+    their scopes share a cell, so every cell keeps the order of the nodes
+    over it: the node count and every cell's recovered symbol sequence are
+    kept, and each level stays independent.  A node keeps its parent when
+    that parent landed one level below it and shares a cell with it;
+    otherwise it hangs from the lowest-index node one level below that shares
+    a cell with it.  Raises GroundingError when two nodes of a vertex with an
+    empty scope would both land on level 0.
     """
-    rel_sets = [set(a) for a in p.rel().out_adj]
-    nodes = set(fl.forest.nodes)
-    parent = dict(fl.forest.parent)
-    viol = dict(fl.viol)
-    steps = 0
-
-    def bump():
-        nonlocal steps
-        steps += 1
-        if steps > step_cap:
-            raise GroundingError(f"grounding exceeded {step_cap} moves")
-
-    while True:
-        forest = GForest(nodes, parent)
-        airborne = [(root, members) for root, members in forest.trees() if root[1] > 0]
-        if not airborne:
-            break
-        root, members = min(
-            airborne, key=lambda rm: (len(rm[1]), rm[0][0], rm[0][1])
-        )
-        # slide the tree down while nothing one level below blocks it
-        while root[1] > 0:
-            blockers = []
-            collision = False
-            for (x, lvl) in members:
-                for (y, ylvl) in nodes:
-                    if ylvl != lvl - 1 or (y, ylvl) in members:
-                        continue
-                    if y in rel_sets[x]:
-                        blockers.append((lvl, x, y))
-                    elif y == x:
-                        collision = True
-            if blockers:
-                break
-            if collision:
-                raise GroundingError(
-                    "isolated empty-scope node stacked over its own slot cannot be grounded"
-                )
-            bump()
-            moved = {nd: (nd[0], nd[1] - 1) for nd in members}
-            nodes = {moved.get(nd, nd) for nd in nodes}
-            new_parent = {}
-            for child, par in parent.items():
-                new_parent[moved.get(child, child)] = moved.get(par, par)
-            parent = new_parent
-            viol = {moved.get(nd, nd): t for nd, t in viol.items()}
-            members = set(moved.values())
-            root = (root[0], root[1] - 1)
-        if root[1] == 0:
-            continue
-        lvl, x, y = min(blockers)
-        child = (x, lvl)
-        anchor = (y, lvl - 1)
-        bump()
-        # re-hang: non-root swaps its incoming edge, the root gains one
-        parent[child] = anchor
-
-    return FinalisedLandscape(GForest(nodes, parent), viol, list(fl.fin))
+    scopes = p.graph.out_adj
+    old_parent = fl.forest.parent
+    top: list = [None] * p.n  # cell -> last node placed over it
+    moved: dict = {}  # old node -> new node
+    parent: dict = {}
+    viol: dict = {}
+    for nd in sorted(fl.forest.nodes, key=lambda nd: (nd[1], nd[0])):
+        x = nd[0]
+        below = [top[v] for v in scopes[x] if top[v] is not None]
+        lvl = 1 + max((b[1] for b in below), default=-1)
+        new = (x, lvl)
+        if new in viol:  # only an empty scope lets a vertex land on itself
+            raise GroundingError(f"two nodes of empty-scope vertex {x} would both land on level 0")
+        if lvl:
+            candidates = {b for b in below if b[1] == lvl - 1}
+            kept = moved.get(old_parent.get(nd))
+            parent[new] = kept if kept in candidates else min(candidates)
+        for v in scopes[x]:
+            top[v] = new
+        moved[nd] = new
+        viol[new] = fl.viol[nd]
+    return FinalisedLandscape(GForest(set(viol), parent), viol, list(fl.fin))
 
 
 # ---------------------------------------------------------------------------

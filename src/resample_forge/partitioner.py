@@ -11,7 +11,6 @@ not from one `ball()` call per vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 
 from resample_forge.graph_core import Digraph, balls, power_graph
 # unused here, but perfbench/tracing.py wraps the name partitioner.ball

@@ -1,6 +1,5 @@
 """Shared builders for runner, landscape, and derandomization tests."""
 
-import itertools
 import random
 
 from resample_forge.graph_core import Digraph
@@ -36,8 +35,9 @@ def all_allowed_problem(n=4):
 def random_looped_problem(n, extra_edges, b, max_forbidden, seed):
     """Random digraph where every vertex reads itself, plus random extra reads.
 
-    Self-reads keep every scope nonempty, which the grounding move set relies
-    on.  Forbidden sets stay strict subsets of each scope's tuple space.
+    Self-reads keep every scope nonempty, so `ground` never meets the one
+    landscape it refuses: two nodes of an empty-scope vertex.  Forbidden sets
+    stay strict subsets of each scope's tuple space.
     """
     rng = random.Random(seed)
     edges = [(x, x) for x in range(n)]

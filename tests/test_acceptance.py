@@ -287,7 +287,7 @@ def test_criterion_06_grounding():
             u = ball(p.graph, rng.randrange(p.n), 3)
             q, _ = restrict_problem(p, pi, u)
             rfl = restrict_landscape(p, pi, fl, u)
-            grounded = ground(q, rfl, step_cap=10**6)
+            grounded = ground(q, rfl)
             assert all(lvl == 0 for _, lvl in grounded.forest.roots())
             assert len(grounded.forest.nodes) == len(rfl.forest.nodes)
             assert used_of(q, grounded) == used_of(q, rfl)

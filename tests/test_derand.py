@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from resample_forge.derand import (
     SUCCESS,
     TAPE_EXHAUSTED,
-    DerandBudget,
     ExhaustedError,
     InfeasibleError,
     decode_tape,
@@ -264,6 +263,19 @@ def test_tape_space_cap():
         derand_solve(p, singleton_partition(p.n), 4)
     with pytest.raises(ValueError, match="m must be"):
         derand_solve(p, singleton_partition(p.n), 0)
+
+
+def test_enumerability_limit_is_10000_bits():
+    # 8 parts, b = 2: m = 1250 gives a 10,000-bit count, one more round does not fit
+    p = random_looped_problem(8, 4, 2, 2, seed=1)
+    with pytest.raises(InfeasibleError, match="exceed the cap"):
+        derand_solve(p, singleton_partition(p.n), 1250)
+    with pytest.raises(InfeasibleError, match="cannot be enumerated"):
+        derand_solve(p, singleton_partition(p.n), 1251)
+    big = random_looped_problem(30, 30, 2, 2, seed=1)
+    budget = theoretical_budget(big, singleton_partition(big.n), delta=1.0)
+    assert big.n * budget.m > 10_000
+    assert budget.num_tapes is None and budget.infeasible
 
 
 def test_derand_solve_deterministic():

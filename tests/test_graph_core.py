@@ -1,6 +1,5 @@
 """Tests for graph_core against brute-force oracles and hand-traced values."""
 
-import math
 import random
 
 import pytest

@@ -1,0 +1,73 @@
+"""Every name imported by a package module or a test file is used there.
+
+An AST scan, so the next stray import fails the suite.  Imports from
+`__future__` and import lines marked `# noqa: F401` are exempt; the package's
+`__init__.py` is skipped, because re-exporting is all it does.
+"""
+
+import ast
+import pathlib
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "resample_forge"
+
+
+def scanned_files():
+    package = [f for f in sorted(PACKAGE.glob("*.py")) if f.name != "__init__.py"]
+    return package + sorted((ROOT / "tests").glob("*.py"))
+
+
+def unused_imports(path):
+    """(line, name) for each name that `path` imports and never reads."""
+    source = path.read_text()
+    lines = source.splitlines()
+    tree = ast.parse(source)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    out = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
+            continue
+        if any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno]):
+            continue
+        for alias in node.names:
+            if alias.name == "*":
+                continue
+            if isinstance(node, ast.Import):
+                name = alias.asname or alias.name.split(".")[0]
+            else:
+                name = alias.asname or alias.name
+            if name not in used:
+                out.append((node.lineno, name))
+    return out
+
+
+def test_scan_covers_package_and_tests():
+    names = {f.relative_to(ROOT).as_posix() for f in scanned_files()}
+    assert "src/resample_forge/landscape_lab.py" in names
+    assert "tests/test_imports.py" in names
+    assert "src/resample_forge/__init__.py" not in names
+
+
+def test_scan_finds_an_unused_import(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from __future__ import annotations\n"
+        "import math\n"
+        "import os.path\n"
+        "from typing import Any, List\n"
+        "from json import dumps  # noqa: F401\n"
+        "def f(x: List) -> str:\n"
+        "    return os.path.sep\n"
+    )
+    assert unused_imports(sample) == [(2, "math"), (4, "Any")]
+
+
+def test_no_unused_imports():
+    found = [
+        f"{path.relative_to(ROOT).as_posix()}:{line}: {name}"
+        for path in scanned_files()
+        for line, name in unused_imports(path)
+    ]
+    assert found == [], "unused imports:\n" + "\n".join(found)

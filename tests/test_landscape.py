@@ -40,6 +40,7 @@ from tests.helpers import (
     single_clause_problem,
     torus_graph,
 )
+from tests.reference_landscape import reference_ground
 
 SEED_ONE_RESAMPLE = 6
 
@@ -215,6 +216,23 @@ def test_ground_identity_on_grounded():
     assert gl.viol == fl.viol and gl.fin == fl.fin
 
 
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    mode=st.sampled_from(["singleton", "sparse", "random"]),
+    b=st.sampled_from([2, 3]),
+)
+def test_ground_identity_and_idempotent(seed, mode, b):
+    p, pi, tape, trace = run_random_case(seed, n=10, b=b, mode=mode)
+    for k in range(1, trace.rounds + 2):
+        fl = build_landscape(p, pi, trace, k)
+        gl = ground(p, fl)
+        assert gl.forest == fl.forest
+        assert gl.viol == fl.viol and gl.fin == fl.fin
+        again = ground(p, gl)
+        assert again.forest == gl.forest and again.viol == gl.viol
+
+
 def test_ground_slides_chain_down():
     p = single_clause_problem()
     fl = FinalisedLandscape(
@@ -260,15 +278,6 @@ def test_ground_reroutes_blocked_nonroot():
     validate_landscape(p, gl)
 
 
-def test_ground_step_cap():
-    p = single_clause_problem()
-    fl = FinalisedLandscape(
-        GForest({(1, 5)}, {}), {(1, 5): (0,)}, [0, 1]
-    )
-    with pytest.raises(GroundingError):
-        ground(p, fl, step_cap=2)
-
-
 def test_ground_stuck_empty_scope_stack():
     # two nodes for an isolated rule vertex with empty scope: nothing relates
     # them, so neither a slide nor a re-hang applies once they stack up
@@ -307,6 +316,63 @@ def test_ground_preserves_playback(seed, lift):
     assert len(gl.forest.nodes) == len(fl.forest.nodes)
     assert all(lvl == 0 for _, lvl in gl.forest.roots())
     assert used_of(p, gl) == used_of(p, lifted)
+
+
+def _lift(fl, lift, stretch):
+    """Shift every level up by `lift`; with `stretch`, also double the levels and drop the edges."""
+    if stretch:
+        return FinalisedLandscape(
+            GForest({(x, 2 * lvl + lift) for x, lvl in fl.forest.nodes}, {}),
+            {(x, 2 * lvl + lift): t for (x, lvl), t in fl.viol.items()},
+            list(fl.fin),
+        )
+    return FinalisedLandscape(
+        GForest(
+            {(x, lvl + lift) for x, lvl in fl.forest.nodes},
+            {(c[0], c[1] + lift): (q[0], q[1] + lift) for c, q in fl.forest.parent.items()},
+        ),
+        {(x, lvl + lift): t for (x, lvl), t in fl.viol.items()},
+        list(fl.fin),
+    )
+
+
+def _assert_grounds_like_reference(p, fl):
+    want = reference_ground(p, fl)
+    got = ground(p, fl)
+    assert got.forest.nodes == want.forest.nodes
+    assert got.viol == want.viol and got.fin == want.fin
+    assert all(lvl == 0 for _, lvl in got.forest.roots())
+    rel_sets = [set(a) for a in p.rel().out_adj]
+    for (cx, clvl), (px, plvl) in got.forest.parent.items():
+        assert plvl == clvl - 1 and px in rel_sets[cx]
+    assert used_of(p, got) == used_of(p, fl)
+    validate_landscape(p, got, strict_viol=False)
+
+
+@pytest.mark.parametrize("mode", ["singleton", "sparse"])
+def test_ground_matches_move_set(mode):
+    """Single-pass grounding against the move set in tests/reference_landscape.py.
+
+    Restricted landscapes come from criterion-6-style runs; lifted ones shift
+    or stretch a whole run's landscape into the air.
+    """
+    rng = random.Random(7 if mode == "singleton" else 70)
+    for case in range(300):
+        p = random_looped_problem(
+            n=rng.randint(6, 14),
+            extra_edges=rng.randint(2, 10),
+            b=2,
+            max_forbidden=2,
+            seed=rng.randrange(2**30),
+        )
+        pi = singleton_partition(p.n) if mode == "singleton" else sparse_partition(p.graph, 3)
+        trace = run(p, pi, RandomTape(rng.randrange(2**30), p.b), max_steps=30)
+        k = rng.randint(1, max(1, min(8, trace.rounds + 1)))
+        fl = build_landscape(p, pi, trace, k)
+        u = ball(p.graph, rng.randrange(p.n), 3)
+        q, _ = restrict_problem(p, pi, u)
+        _assert_grounds_like_reference(q, restrict_landscape(p, pi, fl, u))
+        _assert_grounds_like_reference(p, _lift(fl, rng.randint(1, 3), stretch=case % 2 == 1))
 
 
 # ---------------------------------------------------------------------------
