@@ -52,7 +52,7 @@ from .landscape_lab import (
 )
 from .mta_runner import DEFAULT_MAX_STEPS, run
 from .partitioner import singleton_partition, sparse_partition
-from .rule_engine import MalformedProblemError, bad_set, satisfies
+from .rule_engine import bad_set, satisfies
 from .tape import RandomTape, symbols_consumed
 
 EXIT_OK = 0
@@ -574,7 +574,7 @@ def main(argv: list[str] | None = None) -> int:
         }[args.subcommand]
         _check_args(args)
         return handler(args)
-    except (OSError, ValueError, KeyError, MalformedProblemError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     finally:

@@ -46,8 +46,8 @@ class ExhaustedError(RuntimeError):
 def _check_bound_args(b: int, delta: float, d: int, num_parts: int, big_delta: int) -> None:
     if b < 2:
         raise ValueError("alphabet size must be >= 2")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValueError("delta must be positive and finite")
     if d < 1:
         raise ValueError("degree bound must be >= 1")
     if num_parts < 1:
@@ -83,8 +83,8 @@ def threshold_m(k_log: float, num_parts: int, big_delta: int, delta: float) -> i
         raise ValueError("need at least one part")
     if big_delta < 1:
         raise ValueError("dependency degree must be >= 1")
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+    if not 0 < delta < math.inf:
+        raise ValueError("delta must be positive and finite")
     rate = delta * (1.0 + math.log(big_delta))
     m = 1
     while k_log + num_parts * math.log(m + 1) - rate * m >= 0:

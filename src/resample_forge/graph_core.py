@@ -68,9 +68,6 @@ class Digraph:
             for y in self.out_adj[x]:
                 yield (x, y)
 
-    def num_edges(self) -> int:
-        return sum(len(a) for a in self.out_adj)
-
     def und_adj(self) -> list[list[int]]:
         """Undirected adjacency (out+in, self-loops dropped), cached."""
         if self._und_adj is None:

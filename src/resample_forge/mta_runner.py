@@ -6,14 +6,15 @@ from its part's tape stream at the per-cell counter h(x), which counts samples
 taken at x so far (the initial fill included), so a run is a pure function of
 (problem, partition, tape).
 
-Only the initial fill evaluates every rule.  A rule can be violated after a
-round only if it was violated before or shares a cell with a resampled rule,
-so each round re-checks just the violated rules and their dependency-graph
-neighbours.  `run` drives these rounds for both solvers: over an infinite
-tape, and over each finite tape of the exhaustive search in `derand`.
+`run` is the engine for both solvers: one loop over the colouring, the
+counters and the list of violated rules, on an infinite tape and on each
+finite tape of the exhaustive search in `derand`.  Only the initial fill
+evaluates every rule.  A rule can be violated after a round only if it was
+violated before or shares a cell with a resampled rule, so each round
+re-checks just the violated rules and their dependency-graph neighbours.
 
-A run's trace stores no intermediate colouring: every redraw follows a
-snapshot of the scope it replaces, so the snapshots and the final colouring
+A run's trace stores no intermediate colouring: each round snapshots the
+scopes it is about to redraw, so the snapshots and the final colouring
 rebuild every earlier colouring.
 """
 
@@ -36,29 +37,12 @@ DEFAULT_MAX_STEPS = 100_000
 
 
 @dataclass
-class RoundState:
-    """Colouring, per-cell counters and the two rule worklists carried between rounds.
-
-    `currently` is exactly the violated set, in the order the last re-check
-    found it; `potentially` is `currently` plus its dependency-graph
-    neighbours, the superset the next round re-checks.  `reevals` counts the
-    rule evaluations of those re-checks (the initial scan excluded).
-    """
-
-    colouring: list[int]
-    h: list[int]
-    currently: list[int]
-    potentially: list[int]
-    rounds: int = 0
-    reevals: int = 0
-
-
-@dataclass
 class RunTrace:
     """What a run leaves behind: only what cannot be derived from the rest.
 
     ib_sets[j] and viol_snapshots[j] describe round j: the resampled rule
-    vertices, and the violating local assignment of each at that moment.
+    vertices in index order, and the violating local assignment of each,
+    taken just before the round redraws its scope.
     bad_sizes[j] is the number of violated rules before round j (one entry
     more than there are rounds).  clause_evals counts rule evaluations: the
     initial scan of every active rule plus the worklist re-checks of each
@@ -132,42 +116,6 @@ def _with_neighbours(rel_adj: list[list[int]], rules: list[int]) -> list[int]:
     return out
 
 
-def start_state(p: ColouringProblem, pi, tape) -> RoundState:
-    """Fill every cell from its part's stream at counter 0 and scan every rule."""
-    colouring = [tape.symbol(pi.part_of[x], 0) for x in range(p.n)]
-    currently = bad_set(p, colouring)
-    return RoundState(colouring, [1] * p.n, currently, _with_neighbours(p.rel().out_adj, currently))
-
-
-def step(p: ColouringProblem, pi, tape, state: RoundState, scan: list[int]) -> list[int]:
-    """Advance one round; returns the resampled rules, sorted by vertex index.
-
-    `scan` lists the violated rules (`currently`) in the order to take them;
-    the resampled rules are its greedy maximal independent subset.  Their
-    scopes are disjoint, so each cell redraws once.  The round is atomic:
-    every new symbol is read, in scan order, before any cell is written, so a
-    finite tape that runs out raises TapeDepleted and leaves `state` as it
-    was.  The round then re-checks `potentially` and rebuilds both worklists.
-    A fixed point (nothing violated) is left untouched.
-    """
-    if not state.currently:
-        return []
-    rel = p.rel()
-    ib = greedy_mis(rel, scan)
-    f, h, part_of, scopes = state.colouring, state.h, pi.part_of, p.graph.out_adj
-    cells = [v for c in ib for v in scopes[c]]
-    drawn = [tape.symbol(part_of[v], h[v]) for v in cells]
-    for v, symbol in zip(cells, drawn):
-        f[v] = symbol
-        h[v] += 1
-    sets = p.forbidden_sets()
-    state.currently = [c for c in state.potentially if tuple(f[v] for v in scopes[c]) in sets[c]]
-    state.reevals += len(state.potentially)
-    state.potentially = _with_neighbours(rel.out_adj, state.currently)
-    state.rounds += 1
-    return sorted(ib)
-
-
 def run(
     p: ColouringProblem,
     pi,
@@ -177,32 +125,50 @@ def run(
 ) -> RunTrace:
     """Drive rounds until nothing is violated, the budget runs out or a finite tape does.
 
-    Each round's independent-set greedy scans the violated rules by vertex
-    index or, with `found_order`, in the order the last re-check found them
-    (the exhaustive solver's scan).  A round that would read past the end of
-    a finite tape is not taken: the run ends with status "tape_depleted".
-    The initial fill must fit on the tape.
+    The initial fill reads every cell at counter 0 and must fit on the tape.
+    Each round scans the violated rules by vertex index or, with
+    `found_order`, in the order the last re-check found them (the exhaustive
+    solver's scan), and resamples their greedy maximal independent subset.
+    Its scopes are disjoint, so each cell redraws once.  Every new symbol is
+    read, in scan order, before any cell is written: a round that would read
+    past the end of a finite tape is not taken, and the run ends with status
+    "tape_depleted".  The chosen scopes are snapshotted, redrawn, and then
+    only the rules violated before the round and their neighbours are
+    re-checked.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
 
-    state = start_state(p, pi, tape)
+    part_of, scopes = pi.part_of, p.graph.out_adj
+    f = [tape.symbol(part_of[x], 0) for x in range(p.n)]
+    h = [1] * p.n
+    currently = bad_set(p, f)
+    rel, sets = p.rel(), p.forbidden_sets()
     ib_sets: list[list[int]] = []
     viol_snapshots: list[dict[int, tuple[int, ...]]] = []
-    bad_sizes = [len(state.currently)]
+    bad_sizes = [len(currently)]
+    reevals = 0
 
-    while state.currently and state.rounds < max_steps:
-        before = list(state.colouring)
+    while currently and len(ib_sets) < max_steps:
+        ib = greedy_mis(rel, currently if found_order else sorted(currently))
+        cells = [v for c in ib for v in scopes[c]]
         try:
-            ib = step(p, pi, tape, state, state.currently if found_order else sorted(state.currently))
+            drawn = [tape.symbol(part_of[v], h[v]) for v in cells]
         except TapeDepleted:
             status = STATUS_TAPE_DEPLETED
             break
+        ib = sorted(ib)
+        viol_snapshots.append({x: res(p, f, x) for x in ib})
         ib_sets.append(ib)
-        viol_snapshots.append({x: res(p, before, x) for x in ib})
-        bad_sizes.append(len(state.currently))
+        for v, symbol in zip(cells, drawn):
+            f[v] = symbol
+            h[v] += 1
+        potentially = _with_neighbours(rel.out_adj, currently)
+        currently = [c for c in potentially if tuple(f[v] for v in scopes[c]) in sets[c]]
+        reevals += len(potentially)
+        bad_sizes.append(len(currently))
     else:
-        status = STATUS_BUDGET_EXHAUSTED if state.currently else STATUS_SUCCEEDED
+        status = STATUS_BUDGET_EXHAUSTED if currently else STATUS_SUCCEEDED
 
     return RunTrace(
         status=status,
@@ -211,10 +177,10 @@ def run(
         ib_sets=ib_sets,
         viol_snapshots=viol_snapshots,
         bad_sizes=bad_sizes,
-        h=list(state.h),
-        final_colouring=list(state.colouring),
-        clause_evals=len(p.active_clauses()) + state.reevals,
-        scopes=p.graph.out_adj,
+        h=h,
+        final_colouring=f,
+        clause_evals=len(p.active_clauses()) + reevals,
+        scopes=scopes,
     )
 
 

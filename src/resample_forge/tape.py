@@ -50,13 +50,12 @@ class RandomTape:
 
     seed: int
     b: int
-    max_index_touched: dict[int, int] = field(default_factory=dict)
 
     def __post_init__(self):
         if not (0 <= self.seed <= MASK64):
             raise ValueError("seed must fit in 64 bits")
-        if self.b < 1:
-            raise ValueError("symbol range must be >= 1")
+        if not (1 <= self.b <= 1 << 64):
+            raise ValueError("symbol range must be in 1..2^64")
         self._accept_limit = ((1 << 64) // self.b) * self.b
 
     def symbol(self, part: int, t: int) -> int:
@@ -64,9 +63,6 @@ class RandomTape:
             raise ValueError(f"part index {part} outside 32-bit range")
         if not (0 <= t < _LIMIT32):
             raise ValueError(f"round index {t} outside 32-bit range")
-        prev = self.max_index_touched.get(part, -1)
-        if t > prev:
-            self.max_index_touched[part] = t
         base = (self.seed + ((part << 32) + t + 1) * GAMMA) & MASK64
         j = 0
         while True:

@@ -1,12 +1,11 @@
 """Reference runners for `mta_runner.run`, kept as differential oracles.
 
 `reference_run` is the full-rescan runner: every round evaluates every active
-rule from scratch, takes the violated ones in vertex order (or in a given
-`VertexOrder` per round), resamples a greedy maximal independent subset and
-records the same trace fields as the worklist engine.  Its clause_evals is
-the number of active rules times the number of scans.  It also records every
-colouring and every round's redrawn cells, which the engine's trace only
-derives.
+rule from scratch, takes the violated ones in vertex order, resamples a greedy
+maximal independent subset and records the same trace fields as the worklist
+engine.  Its clause_evals is the number of active rules times the number of
+scans.  It also records every colouring and every round's redrawn cells,
+which the engine's trace only derives.
 
 `reference_finite_tape` is the exhaustive solver's inner loop as it stood
 before it ran through `run`: worklist passes over one finite tape, each
@@ -56,7 +55,7 @@ def reference_greedy_mis(rel, candidates, order):
     return sorted(chosen)
 
 
-def reference_run(p, pi, tape, max_steps=mta_runner.DEFAULT_MAX_STEPS, round_order=None):
+def reference_run(p, pi, tape, max_steps=mta_runner.DEFAULT_MAX_STEPS):
     """(trace, colourings, redrawn cell sets) of a full-rescan run."""
     identity = VertexOrder.identity(p.n)
     f = [tape.symbol(pi.part_of[x], 0) for x in range(p.n)]
@@ -75,7 +74,7 @@ def reference_run(p, pi, tape, max_steps=mta_runner.DEFAULT_MAX_STEPS, round_ord
         if j >= max_steps:
             status = STATUS_BUDGET_EXHAUSTED
             break
-        ib = reference_greedy_mis(p.rel(), bad, round_order(j) if round_order is not None else identity)
+        ib = reference_greedy_mis(p.rel(), bad, identity)
         viol_snapshots.append({x: res(p, f, x) for x in ib})
         resampled = sorted({v for x in ib for v in p.graph.out_adj[x]})
         for v in resampled:

@@ -105,6 +105,8 @@ def test_solve_missing_file_exit_one(tmp_path, capsys):
         # the run wrote [0, 1], which the file's "0": [[0]] forbids
         ("key_space", {"edges": [[0, 0], [1, 1]], "forbidden": {"0": [[0]], " 0": [[1]]}}),
         ("key_leading_zero", {"edges": [[0, 0], [1, 1]], "forbidden": {"0": [[0]], "00": [[1]]}}),
+        # past 2^64 colours the tape's rejection sampler accepts no candidate
+        ("b_above_2_64", {"b": 2**64 + 1, "num_vertices": 1, "edges": [[0, 0]], "forbidden": {}}),
     ]:
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps({**good, **change}))
@@ -232,6 +234,16 @@ def test_solve_det_solves_and_logs_tapes(tmp_path, capsys):
     with open(out_path) as fh:
         colouring = json.load(fh)["colouring"]
     assert colouring == [1, 0]
+
+
+def test_solve_det_rejects_non_finite_delta(tmp_path, capsys):
+    path = write_problem(tmp_path, single_clause_problem())
+    for delta in ("nan", "inf"):
+        for quiet in ([], ["--quiet"]):
+            code, out, err = run_cli(capsys, "solve-det", path, "--classic", "--delta", delta, *quiet)
+            assert code == 1, delta
+            assert out == ""
+            assert err.startswith("error:") and err.count("\n") == 1, err
 
 
 def test_solve_det_infeasible_exit_three(tmp_path, capsys):

@@ -20,7 +20,7 @@ from resample_forge.derand import (
     work_counter,
 )
 from resample_forge.graph_core import Digraph
-from resample_forge.mta_runner import run, start_state, step
+from resample_forge.mta_runner import STATUS_TAPE_DEPLETED, run
 from resample_forge.partitioner import SparsePartition, singleton_partition
 from resample_forge.rule_engine import ColouringProblem, LocalRule, bad_set, satisfies
 from resample_forge.tape import FiniteTape
@@ -90,6 +90,11 @@ def test_explicit_k_rejects_bad_args():
     for args in [(1, 1.0, 1, 1, 1), (2, 0.0, 1, 1, 1), (2, 1.0, 0, 1, 1), (2, 1.0, 1, 0, 1), (2, 1.0, 1, 1, 0)]:
         with pytest.raises(ValueError):
             explicit_k_log(*args)
+    for delta in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError):
+            explicit_k_log(2, delta, 1, 1, 1)
+        with pytest.raises(ValueError):
+            threshold_m(0.0, 1, 1, delta)
 
 
 def test_threshold_m_frozen():
@@ -174,29 +179,25 @@ def test_internal_pass_skips_shadowed_neighbour():
     pi = singleton_partition(p.n)
     # round 0 all zeros; cell 0 redraws 1, cell 1 redraws 0, cell 2 spare
     tape = FiniteTape(3, 2, 2, [0, 0, 0, 1, 0, 0])
-    state = start_state(p, pi, tape)
-    assert state.currently == [1, 2]
-    assert state.potentially == [1, 2, 0]
-
-    resampled = step(p, pi, tape, state, state.currently)
-    assert resampled == [1]  # clause 2 shadowed through shared cell 1
-    assert state.colouring == [1, 0, 0]
-    assert state.h == [2, 2, 1]
-    # rebuild re-evaluated all of old potentially; only clause 2 still violated
-    assert state.reevals == 3
-    assert state.currently == [2]
-    assert state.potentially == [2, 1]
-    assert state.rounds == 1
+    trace = run(p, pi, tape, found_order=True)
+    assert trace.bad_sizes[0] == 2  # clauses 1 and 2
+    assert trace.ib_sets[0] == [1]  # clause 2 shadowed through shared cell 1
+    assert trace.colouring_at(1) == [1, 0, 0]
+    # round 1 would redraw cell 1 at t=2, past the tape's end
+    assert trace.status == STATUS_TAPE_DEPLETED and trace.rounds == 1
+    assert trace.h == [2, 2, 1]
+    # the re-check evaluated clauses 1, 2 and their neighbour 0; only clause 2 still violated
+    assert trace.bad_sizes == [2, 1]
+    assert trace.clause_evals == len(p.active_clauses()) + 3
 
 
 def test_internal_pass_empty_is_fixed_point():
     p = all_allowed_problem(4)
     pi = singleton_partition(p.n)
-    tape = FiniteTape(4, 1, 2, [0, 1, 0, 1])
-    state = start_state(p, pi, tape)
-    assert state.currently == []
-    assert step(p, pi, tape, state, state.currently) == []
-    assert state.rounds == 0 and state.reevals == 0
+    trace = run(p, pi, FiniteTape(4, 1, 2, [0, 1, 0, 1]), found_order=True)
+    assert trace.succeeded and trace.bad_sizes == [0]
+    assert trace.colouring_at(0) == trace.final_colouring == [0, 1, 0, 1]
+    assert trace.rounds == 0 and trace.clause_evals == len(p.active_clauses())
 
 
 def test_run_finite_tape_immediate_success_zero_work():

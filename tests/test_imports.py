@@ -2,7 +2,8 @@
 
 An AST scan, so the next stray import fails the suite.  Imports from
 `__future__` and import lines marked `# noqa: F401` are exempt; the package's
-`__init__.py` is skipped, because re-exporting is all it does.
+`__init__.py` is skipped, because re-exporting is all it does; instead its
+`__all__` must list exactly the names it imports.
 """
 
 import ast
@@ -71,3 +72,20 @@ def test_no_unused_imports():
         for line, name in unused_imports(path)
     ]
     assert found == [], "unused imports:\n" + "\n".join(found)
+
+
+def test_all_lists_exactly_the_reexports():
+    """`__all__` names each name `__init__.py` imports, plus `__version__`, and each resolves."""
+    import resample_forge
+
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    imported = {
+        alias.asname or alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    assert len(resample_forge.__all__) == len(set(resample_forge.__all__))
+    assert set(resample_forge.__all__) == imported | {"__version__"}
+    for name in resample_forge.__all__:
+        assert hasattr(resample_forge, name), name

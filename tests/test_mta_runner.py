@@ -10,19 +10,18 @@ from hypothesis import given, settings, strategies as st
 from resample_forge.graph_core import Digraph
 from resample_forge.instance_io import gen_grid_ksat, gen_torus_nae
 from resample_forge.mta_runner import (
+    DEFAULT_MAX_STEPS,
     STATUS_BUDGET_EXHAUSTED,
     STATUS_SUCCEEDED,
     STATUS_TAPE_DEPLETED,
     RunTrace,
     run,
-    start_state,
-    step,
     trace_round_csv,
     trace_to_json,
 )
 from resample_forge.partitioner import singleton_partition, sparse_partition
 from resample_forge.rule_engine import ColouringProblem, LocalRule, bad_set, satisfies
-from resample_forge.tape import FiniteTape, RandomTape, TapeDepleted, symbols_consumed, used_unused
+from resample_forge.tape import FiniteTape, RandomTape, symbols_consumed, used_unused
 from tests.helpers import (
     all_allowed_problem,
     run_random_case,
@@ -30,7 +29,7 @@ from tests.helpers import (
     torus_graph,
     unsatisfiable_problem,
 )
-from tests.reference_runner import VertexOrder, reference_run
+from tests.reference_runner import reference_run
 
 
 def depleting_case():
@@ -112,42 +111,21 @@ class TestSharedParts:
 
         p = all_allowed_problem(4)
         pi = SparsePartition(2, (0, 1, 0, 1), 0)
-        state = start_state(p, pi, RandomTape(77, 2))
-        assert state.colouring[0] == state.colouring[2]
-        assert state.colouring[1] == state.colouring[3]
+        fill = run(p, pi, RandomTape(77, 2)).colouring_at(0)
+        assert fill[0] == fill[2]
+        assert fill[1] == fill[3]
 
 
-class TestStep:
+class TestFixedPoint:
     def test_fixed_point_is_stable(self):
         p = single_clause_problem()
         pi = singleton_partition(2)
-        tape = RandomTape(SEED_IMMEDIATE, 2)
-        state = start_state(p, pi, tape)
-        before = list(state.colouring)
-        assert step(p, pi, tape, state, sorted(state.currently)) == []
-        assert state.colouring == before
-        assert state.rounds == 0
-
-    def test_step_matches_run_prefix(self):
-        p, pi, tape_seed = single_clause_problem(), singleton_partition(2), SEED_TWO_RESAMPLES
-        trace = run(p, pi, RandomTape(tape_seed, 2))
-        tape = RandomTape(tape_seed, 2)
-        state = start_state(p, pi, tape)
-        assert state.colouring == trace.colouring_at(0)
-        for i in range(1, trace.rounds + 1):
-            step(p, pi, tape, state, sorted(state.currently))
-            assert state.colouring == trace.colouring_at(i)
-
-    def test_step_is_atomic_on_depletion(self):
-        p, pi, tape = depleting_case()
-        state = start_state(p, pi, tape)
-        assert step(p, pi, tape, state, sorted(state.currently)) == [2]
-        before = (list(state.colouring), list(state.h), state.rounds, state.reevals)
-        with pytest.raises(TapeDepleted):
-            step(p, pi, tape, state, sorted(state.currently))
-        assert (state.colouring, state.h, state.rounds, state.reevals) == before
-        # the round read cell 0 at t=1 before cell 1 ran out at t=2
-        assert tape.max_index_touched == {0: 1, 1: 1, 2: 0, 3: 0}
+        for max_steps in (1, DEFAULT_MAX_STEPS):
+            trace = run(p, pi, RandomTape(SEED_IMMEDIATE, 2), max_steps=max_steps)
+            assert trace.rounds == 0 and trace.ib_sets == []
+            assert trace.colouring_at(0) == trace.final_colouring
+            # the initial scan only: a satisfied colouring is never re-checked
+            assert trace.clause_evals == len(p.active_clauses())
 
 
 class TestTapeDepleted:
@@ -156,8 +134,14 @@ class TestTapeDepleted:
         trace = run(p, pi, tape, found_order=True)
         assert trace.status == STATUS_TAPE_DEPLETED
         assert not trace.succeeded and trace.steps is None
-        assert trace.rounds == 1
+        assert trace.rounds == 1 and trace.ib_sets == [[2]]
+        # the depleted round wrote nothing: colouring, counters and re-checks
+        # are those round 0 left, though it read cell 0 at t=1 before cell 1
+        # ran out at t=2
         assert trace.colouring_at(trace.rounds) == trace.final_colouring == [0, 1, 0, 0]
+        assert trace.h == [1, 2, 1, 1]
+        assert trace.clause_evals == len(p.active_clauses()) + 2
+        assert tape.max_index_touched == {0: 1, 1: 1, 2: 0, 3: 0}
         redraws = [0] * p.n
         for ib in trace.ib_sets:
             for x in ib:
@@ -200,6 +184,17 @@ class TestInvariants:
             assert ib_set <= set(bad)
             for c in set(bad) - ib_set:
                 assert any(y in ib_set and y != c for y in rel.out_adj[c])
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 10**6))
+    def test_snapshots_are_the_violations_redrawn(self, seed):
+        # each round snapshots exactly its resampled rules, in index order,
+        # and every snapshot is a forbidden tuple of its rule
+        p, pi, tape, trace = run_random_case(seed)
+        sets = p.forbidden_sets()
+        for ib, snap in zip(trace.ib_sets, trace.viol_snapshots, strict=True):
+            assert ib == sorted(ib) and list(snap) == ib
+            assert all(snap[x] in sets[x] for x in ib)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**6))
@@ -380,27 +375,3 @@ class TestMatchesFullRescan:
                 run(p, pi, RandomTape(seed, p.b), max_steps=30),
                 reference_run(p, pi, RandomTape(seed, p.b), max_steps=30),
             )
-
-    def test_same_trace_under_round_order(self):
-        """start_state/step on shuffled scan lists follow the reference under the same orders."""
-        p = DIFFERENTIAL_CASES["witness_rules"](7)
-        pi = sparse_partition(p.graph, 3)
-        rng = random.Random(7)
-        orders = []
-        for _ in range(30):
-            rank = list(range(p.n))
-            rng.shuffle(rank)
-            orders.append(VertexOrder(tuple(rank)))
-        want, colourings, _ = reference_run(p, pi, RandomTape(7, p.b), max_steps=30, round_order=orders.__getitem__)
-        tape = RandomTape(7, p.b)
-        state = start_state(p, pi, tape)
-        got_colourings, bad_sizes, ib_sets = [list(state.colouring)], [len(state.currently)], []
-        while state.currently and state.rounds < 30:
-            scan = sorted(state.currently, key=orders[state.rounds].key)
-            ib_sets.append(step(p, pi, tape, state, scan))
-            got_colourings.append(list(state.colouring))
-            bad_sizes.append(len(state.currently))
-        assert ib_sets and ib_sets == want.ib_sets
-        assert got_colourings == colourings
-        assert bad_sizes == want.bad_sizes
-        assert state.h == want.h

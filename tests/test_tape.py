@@ -78,13 +78,6 @@ class TestRandomTape:
         for t in range(200):
             assert 0 <= tape.symbol(0, t) < 6
 
-    def test_highwater_tracking(self):
-        tape = RandomTape(0, 2)
-        tape.symbol(4, 9)
-        tape.symbol(4, 3)
-        tape.symbol(2, 0)
-        assert tape.max_index_touched == {4: 9, 2: 0}
-
     def test_index_overflow_rejected(self):
         tape = RandomTape(0, 2)
         with pytest.raises(ValueError):
@@ -101,6 +94,12 @@ class TestRandomTape:
             RandomTape(-1, 2)
         with pytest.raises(ValueError):
             RandomTape(0, 0)
+
+    def test_symbol_range_above_two_to_64_rejected(self):
+        # past 2^64 no 64-bit candidate is accepted, so symbol() would never return
+        with pytest.raises(ValueError):
+            RandomTape(0, 2**64 + 1)
+        assert 0 <= RandomTape(0, 2**64).symbol(0, 0) < 2**64
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, MASK64), st.integers(0, 100), st.integers(0, 100), st.integers(2, 16))
