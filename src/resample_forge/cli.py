@@ -2,8 +2,9 @@
 
 Machine-readable JSON goes to stdout; a small human table goes to stderr
 unless --quiet.  Exit codes are stable: 0 solved or all checks passed,
-1 error, 2 randomized budget exhausted, 3 exhaustive search infeasible,
-4 exhaustive search exhausted without a solution.
+1 error (a malformed flag included), 2 randomized budget exhausted,
+3 exhaustive search infeasible, 4 exhaustive search exhausted without a
+solution.
 
 Outputs are byte-identical across runs with the same flags; wall-clock
 timings only ever land in the wall_ms CSV column, never on stdout.
@@ -72,9 +73,13 @@ def _check_args(args: argparse.Namespace) -> None:
         raise ValueError("repeat must be >= 0")
     if getattr(args, "m", None) is not None and args.m < 1:
         raise ValueError("m must be >= 1")
+    if getattr(args, "tape_cap", 1) < 1:
+        raise ValueError("tape-cap must be >= 1")
     if args.subcommand == "stats":  # gen leaves --b and the sides to its generators
         if args.b < 2:
             raise ValueError("b must be >= 2")
+        if not args.sizes:
+            raise ValueError("ladder sizes must not be empty")
         if any(s < 3 for s in args.sizes):
             raise ValueError("ladder sizes must be >= 3")
 
@@ -299,14 +304,13 @@ def decay_ratio(tail: dict[int, float]) -> float | None:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    sizes = args.sizes or (8, 12)
-    records = [r for side in sizes for r in _trials(side, args)] if args.repeat else []
+    records = [r for side in args.sizes for r in _trials(side, args)] if args.repeat else []
     records.sort(key=lambda r: (r.n, r.instance, r.seed))
     if args.csv:
         append_results(args.csv, records)
 
     per_size: dict[str, dict] = {}
-    for side in sorted(sizes):
+    for side in sorted(args.sizes):
         name = f"torus-{side}x{side}"
         batch = [r for r in records if r.instance == name]
         if not batch:
@@ -486,8 +490,15 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--quiet", action="store_true", help="suppress the stderr table")
 
 
+class _Parser(argparse.ArgumentParser):
+    """A malformed command line raises ValueError, so `main` reports it as exit 1."""
+
+    def error(self, message: str):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="resample-forge",
         description="shared-tape resampling solver and its verification oracles",
     )

@@ -1,8 +1,7 @@
 """Benchmark generators, problem (de)serialisation, and experiment records.
 
 The on-disk format is versioned JSON: edge list plus a per-vertex map of
-forbidden colour tuples.  CNF import is provided for convenience (two colours,
-one forbidden tuple per clause); richer rules exceed what CNF can express.
+forbidden colour tuples.
 """
 
 from __future__ import annotations
@@ -243,7 +242,6 @@ def load_problem(path: str) -> ColouringProblem:
         raise ValueError("field 'metadata' must be a JSON object")
     g = Digraph.from_edges(n, edges)
     rows: list = [[] for _ in range(n)]
-    dropped = []  # duplicate-tuple warnings, given only once the file has loaded
     for key, tuples in forbidden.items():
         try:
             x = int(key)
@@ -257,106 +255,21 @@ def load_problem(path: str) -> ColouringProblem:
             raise ValueError(f"forbidden map names unknown vertex {x}")
         if not (isinstance(tuples, list) and all(_is_int_list(t) for t in tuples)):
             raise ValueError(f"vertex {x}: forbidden tuples must be lists of integer colours")
-        scope_len = len(g.out_adj[x])
-        seen = set()
-        cleaned = []
-        for t in tuples:
-            tup = tuple(t)
-            if len(tup) != scope_len:
-                raise ValueError(
-                    f"vertex {x}: forbidden tuple {tup} has length {len(tup)}, "
-                    f"scope needs {scope_len}"
-                )
-            if tup in seen:
-                dropped.append(f"vertex {x}: duplicate forbidden tuple {tup} dropped")
-                continue
-            seen.add(tup)
-            cleaned.append(tup)
-        rows[x] = cleaned
+        rows[x] = tuples
+    # from_lists sorts and drops duplicates; validate then checks every row
     p = ColouringProblem(g, b, LocalRule.from_lists(rows), metadata=dict(metadata))
     p.validate()
-    for message in dropped:
-        warnings.warn(message)
+    # warn of the dropped duplicates only once the file has loaded
+    for key, tuples in forbidden.items():
+        x = int(key)
+        if len(tuples) != len(p.rule.forbidden[x]):
+            seen = set()
+            for tup in map(tuple, tuples):
+                if tup in seen:
+                    message = f"vertex {x}: duplicate forbidden tuple {tup} dropped"
+                    warnings.warn(message)
+                seen.add(tup)
     return p
-
-
-def _dimacs_ints(tokens: list[str], lineno: int, what: str) -> list[int]:
-    """Tokens of one DIMACS line as integers; a non-integer names its line."""
-    out = []
-    for tok in tokens:
-        try:
-            out.append(int(tok))
-        except ValueError:
-            raise ValueError(f"line {lineno}: {what} {tok!r} is not an integer") from None
-    return out
-
-
-def load_dimacs(path: str) -> ColouringProblem:
-    """CNF reader: variables then one vertex per clause, b=2, one forbidden tuple.
-
-    A clause's forbidden tuple is the unique assignment of its scope that
-    falsifies every literal.  Tautological clauses keep their edges but
-    forbid nothing.  Each clause sits on one line.  A non-integer token, a
-    negative count, an empty clause or a second problem line raises
-    ValueError naming its line; a clause count that differs from the
-    problem line's raises ValueError naming both counts.
-    """
-    num_vars = num_clauses = None
-    clauses = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, 1):
-            line = raw.strip()
-            if not line or line.startswith("c"):
-                continue
-            if line.startswith("p"):
-                if num_vars is not None:
-                    raise ValueError(f"line {lineno}: second problem line")
-                parts = line.split()
-                if len(parts) != 4 or parts[1] != "cnf":
-                    raise ValueError(f"line {lineno}: malformed problem line")
-                num_vars, num_clauses = _dimacs_ints(parts[2:], lineno, "count")
-                if num_vars < 0 or num_clauses < 0:
-                    raise ValueError(f"line {lineno}: negative count in problem line")
-                continue
-            if num_vars is None:
-                raise ValueError(f"line {lineno}: clause before problem line")
-            lits = _dimacs_ints(line.split(), lineno, "literal")
-            if lits and lits[-1] == 0:
-                lits = lits[:-1]
-            if not lits:
-                raise ValueError(f"line {lineno}: empty clause")
-            if any(lit == 0 or abs(lit) > num_vars for lit in lits):
-                raise ValueError(f"line {lineno}: literal out of range")
-            clauses.append(lits)
-    if num_vars is None:
-        raise ValueError("no problem line found")
-    if len(clauses) != num_clauses:
-        raise ValueError(f"problem line declares {num_clauses} clauses, file has {len(clauses)}")
-    edges = []
-    rows: list = [[] for _ in range(num_vars)]
-    for idx, lits in enumerate(clauses):
-        cid = num_vars + idx
-        wanted: dict = {}
-        tautology = False
-        for lit in lits:
-            v = abs(lit) - 1
-            value = 0 if lit > 0 else 1  # the assignment falsifying this literal
-            if wanted.get(v, value) != value:
-                tautology = True
-            wanted[v] = value
-        scope = sorted(wanted)
-        for v in scope:
-            edges.append((cid, v))
-        rows.append([] if tautology else [tuple(wanted[v] for v in scope)])
-    g = Digraph.from_edges(num_vars + len(clauses), edges)
-    p = ColouringProblem(
-        g,
-        2,
-        LocalRule.from_lists(rows),
-        metadata={"generator": "dimacs", "num_variables": num_vars, "source": os.path.basename(path)},
-    )
-    p.validate()
-    return _annotate(p)
 
 
 # ---------------------------------------------------------------------------

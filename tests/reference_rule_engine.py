@@ -1,0 +1,35 @@
+"""The rule-table check `ColouringProblem.validate` made before its single
+strictly-increasing test, kept as a differential oracle.
+
+It tests duplicates, order and the row count against b^|scope| separately,
+and checks arity and colours after them.
+"""
+
+from resample_forge.rule_engine import MalformedProblemError
+
+
+def reference_validate_problem(p):
+    p.graph.validate()
+    if p.b < 2:
+        raise MalformedProblemError("colour count must be >= 2")
+    if len(p.rule.forbidden) != p.n:
+        raise MalformedProblemError("rule table size does not match vertex count")
+    for x in range(p.n):
+        scope = p.graph.out_adj[x]
+        rows = p.rule.forbidden[x]
+        if not scope and rows:
+            raise MalformedProblemError(f"vertex {x} has empty scope but forbidden tuples")
+        if len(set(rows)) != len(rows):
+            raise MalformedProblemError(f"vertex {x} has duplicate forbidden tuples")
+        if list(rows) != sorted(rows):
+            raise MalformedProblemError(f"vertex {x} has unsorted forbidden tuples")
+        if len(rows) > p.b ** len(scope):
+            raise MalformedProblemError(f"vertex {x} forbids more tuples than exist")
+        for t in rows:
+            if len(t) != len(scope):
+                raise MalformedProblemError(
+                    f"vertex {x}: forbidden tuple of length {len(t)}, scope has {len(scope)}"
+                )
+            for c in t:
+                if type(c) is not int or not (0 <= c < p.b):  # bool is not int here
+                    raise MalformedProblemError(f"vertex {x}: colour {c!r} out of range 0..{p.b - 1}")

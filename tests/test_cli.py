@@ -107,6 +107,11 @@ def test_solve_missing_file_exit_one(tmp_path, capsys):
         ("key_leading_zero", {"edges": [[0, 0], [1, 1]], "forbidden": {"0": [[0]], "00": [[1]]}}),
         # past 2^64 colours the tape's rejection sampler accepts no candidate
         ("b_above_2_64", {"b": 2**64 + 1, "num_vertices": 1, "edges": [[0, 0]], "forbidden": {}}),
+        # rule-table checks that ColouringProblem.validate alone makes
+        ("colour_out_of_range", {"forbidden": {"1": [[2]]}}),
+        ("wrong_arity", {"forbidden": {"1": [[0, 1]]}}),
+        ("empty_scope", {"edges": [], "forbidden": {"1": [[0]]}}),
+        ("duplicate_then_wrong_arity", {"forbidden": {"1": [[0], [0], [0, 1]]}}),
     ]:
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps({**good, **change}))
@@ -278,6 +283,7 @@ def test_main_restores_the_collector(tmp_path, capsys, enabled):
         for argv, expected in [
             (["solve", solvable, "--seed", "1", "--quiet"], 0),
             (["solve", "/nonexistent/problem.json", "--quiet"], 1),
+            (["solve"], 1),  # a missing argument
             (["solve-det", unsat, "--classic", "--m", "1", "--quiet"], 4),
         ]:
             if enabled:
@@ -287,8 +293,8 @@ def test_main_restores_the_collector(tmp_path, capsys, enabled):
             code, _, _ = run_cli(capsys, *argv)
             assert code == expected
             assert gc.isenabled() is enabled, argv
-        with pytest.raises(SystemExit):  # argparse rejects a missing argument
-            cli.main(["solve"])
+        with pytest.raises(SystemExit):  # --help prints and exits 0
+            cli.main(["--help"])
         assert gc.isenabled() is enabled
     finally:
         if was_enabled:
@@ -462,6 +468,25 @@ def test_verify_rejects_malformed_colourings(tmp_path, capsys):
 
 def test_bad_flag_values_exit_one(tmp_path, capsys):
     path = write_problem(tmp_path, single_clause_problem())
-    code, _, err = run_cli(capsys, "solve", path, "--R", "0", "--quiet")
-    assert code == 1
-    assert "R must be" in err
+    for argv, reason in [
+        (["solve", path, "--R", "0"], "R must be >= 1"),
+        # argparse's own rejections exit 1 too, not 2 (budget exhausted), with
+        # one error line instead of a usage block
+        (["solve", path, "--max-steps", "abc"], "invalid int value: 'abc'"),
+        (["solve-det", path, "--classic", "--delta", "-inf"], "expected one argument"),  # -inf reads as an option
+        (["solve"], "required: problem"),
+        ([], "required: subcommand"),
+        (["stats", "--sizes", "a,b"], "not a comma list of ints"),
+        (["nosuchcommand"], "invalid choice"),
+        # a cap of 0 used to report "infeasible" with exit 0, and -1 an exit 3
+        (["solve-det", path, "--classic", "--tape-cap", "0"], "tape-cap must be >= 1"),
+        (["solve-det", path, "--classic", "--tape-cap=-1", "--m", "1"], "tape-cap must be >= 1"),
+        # an empty ladder used to run the default sides 8 and 12
+        (["stats", "--sizes", ",", "--repeat", "1"], "ladder sizes must not be empty"),
+        (["stats", "--sizes", "", "--repeat", "1"], "ladder sizes must not be empty"),
+    ]:
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 1, argv
+        assert out == ""
+        assert err.startswith("error:") and err.count("\n") == 1, err
+        assert reason in err, argv

@@ -1,4 +1,4 @@
-"""Generators, problem files, CNF import, and result persistence."""
+"""Generators, problem files, and result persistence."""
 
 import json
 
@@ -11,14 +11,13 @@ from resample_forge.instance_io import (
     append_results,
     gen_grid_ksat,
     gen_torus_nae,
-    load_dimacs,
     load_problem,
     read_results,
     save_problem,
 )
 from resample_forge.mta_runner import run
 from resample_forge.partitioner import singleton_partition
-from resample_forge.rule_engine import bad_set, is_violated, lll_margin, satisfies
+from resample_forge.rule_engine import bad_set, lll_margin, satisfies
 from resample_forge.tape import RandomTape
 
 
@@ -194,82 +193,6 @@ def test_load_rejects_unknown_vertex(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="unknown vertex 7"):
         load_problem(str(path))
-
-
-# ---------------------------------------------------------------------------
-# CNF import
-
-
-def test_dimacs_two_clauses(tmp_path):
-    path = tmp_path / "tiny.cnf"
-    path.write_text("c example\np cnf 3 2\n1 -2 0\n2 3 0\n")
-    p = load_dimacs(str(path))
-    assert p.n == 5 and p.b == 2
-    assert p.graph.out_adj[3] == [0, 1]
-    assert p.rule.forbidden[3] == ((0, 1),)
-    assert p.graph.out_adj[4] == [1, 2]
-    assert p.rule.forbidden[4] == ((0, 0),)
-    assert satisfies(p, [1, 1, 0, 0, 0])
-    assert is_violated(p, [0, 1, 0, 0, 0], 3)
-
-
-def test_dimacs_tautology_forbids_nothing(tmp_path):
-    path = tmp_path / "taut.cnf"
-    path.write_text("p cnf 1 1\n1 -1 0\n")
-    p = load_dimacs(str(path))
-    assert p.graph.out_adj[1] == [0]
-    assert p.rule.forbidden[1] == ()
-
-
-def test_dimacs_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.cnf"
-    path.write_text("p cnf 2 1\n5 0\n")
-    with pytest.raises(ValueError, match="line 2"):
-        load_dimacs(str(path))
-    path.write_text("1 0\n")
-    with pytest.raises(ValueError, match="before problem line"):
-        load_dimacs(str(path))
-
-
-def write_cnf(tmp_path, text):
-    path = tmp_path / "bad.cnf"
-    path.write_text(text)
-    return str(path)
-
-
-def test_dimacs_rejects_non_integer_count(tmp_path):
-    with pytest.raises(ValueError, match="line 2: count 'x' is not an integer"):
-        load_dimacs(write_cnf(tmp_path, "c header\np cnf x 2\n1 0\n2 0\n"))
-
-
-def test_dimacs_rejects_non_integer_literal(tmp_path):
-    with pytest.raises(ValueError, match="line 3: literal 'a' is not an integer"):
-        load_dimacs(write_cnf(tmp_path, "p cnf 2 2\n1 0\n2 a 0\n"))
-
-
-def test_dimacs_rejects_negative_count(tmp_path):
-    with pytest.raises(ValueError, match="line 1: negative count"):
-        load_dimacs(write_cnf(tmp_path, "p cnf 2 -1\n"))
-    with pytest.raises(ValueError, match="line 1: negative count"):
-        load_dimacs(write_cnf(tmp_path, "p cnf -2 0\n"))
-
-
-def test_dimacs_rejects_second_problem_line(tmp_path):
-    with pytest.raises(ValueError, match="line 3: second problem line"):
-        load_dimacs(write_cnf(tmp_path, "p cnf 2 1\n1 0\np cnf 2 1\n"))
-
-
-def test_dimacs_rejects_empty_clause(tmp_path):
-    # a lone 0 is an empty clause, which no assignment satisfies; dropping it would change the formula
-    with pytest.raises(ValueError, match="line 3: empty clause"):
-        load_dimacs(write_cnf(tmp_path, "p cnf 2 2\n1 0\n0\n"))
-
-
-def test_dimacs_rejects_clause_count_mismatch(tmp_path):
-    with pytest.raises(ValueError, match="declares 5 clauses, file has 1"):
-        load_dimacs(write_cnf(tmp_path, "p cnf 2 5\n1 -2 0\n"))
-    with pytest.raises(ValueError, match="declares 1 clauses, file has 2"):
-        load_dimacs(write_cnf(tmp_path, "p cnf 2 1\n1 0\n2 0\n"))
 
 
 # ---------------------------------------------------------------------------

@@ -20,6 +20,7 @@ from resample_forge.rule_engine import (
     res,
     satisfies,
 )
+from tests.reference_rule_engine import reference_validate_problem
 from tests.test_graph_core import random_digraph
 
 
@@ -80,6 +81,38 @@ class TestValidation:
         rule = LocalRule([((0,), (0,))])
         with pytest.raises(MalformedProblemError):
             ColouringProblem(g, 2, rule).validate()
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_validate_rejects_exactly_what_the_reference_rejects(self, data):
+        n = data.draw(st.integers(1, 4))
+        edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=6))
+        g = Digraph.from_edges(n, edges)
+        b = data.draw(st.integers(2, 3))
+        # mostly valid colours, some of each kind the check must reject
+        colour = st.one_of(st.integers(0, b - 1), st.sampled_from([True, False, 0.5, -1, b]))
+        valid = st.integers(0, b - 1)
+        table = []
+        for scope in g.out_adj:
+            width = len(scope)
+            cell = colour if data.draw(st.booleans()) else valid
+            arity = st.sampled_from([width, width, width, width + 1, max(width - 1, 0)])
+            row = arity.flatmap(lambda k: st.tuples(*[cell] * k))
+            # up to two rows past b^|scope|, which only duplicates or bad rows allow
+            rows = data.draw(st.lists(row, max_size=b**width + 2))
+            if data.draw(st.booleans()):  # the shape from_lists builds
+                rows = sorted(set(rows))
+            table.append(tuple(rows))
+        p = ColouringProblem(g, b, LocalRule(table))
+
+        def outcome(check):
+            try:
+                check(p)
+            except MalformedProblemError:
+                return "rejected"
+            return "accepted"
+
+        assert outcome(ColouringProblem.validate) == outcome(reference_validate_problem)
 
     def test_from_lists_normalises(self):
         rule = LocalRule.from_lists([[[0], [0], [1]]])
