@@ -478,15 +478,36 @@ def test_bad_flag_values_exit_one(tmp_path, capsys):
         ([], "required: subcommand"),
         (["stats", "--sizes", "a,b"], "not a comma list of ints"),
         (["nosuchcommand"], "invalid choice"),
-        # a cap of 0 used to report "infeasible" with exit 0, and -1 an exit 3
-        (["solve-det", path, "--classic", "--tape-cap", "0"], "tape-cap must be >= 1"),
-        (["solve-det", path, "--classic", "--tape-cap=-1", "--m", "1"], "tape-cap must be >= 1"),
-        # an empty ladder used to run the default sides 8 and 12
-        (["stats", "--sizes", ",", "--repeat", "1"], "ladder sizes must not be empty"),
-        (["stats", "--sizes", "", "--repeat", "1"], "ladder sizes must not be empty"),
     ]:
-        code, out, err = run_cli(capsys, *argv)
-        assert code == 1, argv
-        assert out == ""
-        assert err.startswith("error:") and err.count("\n") == 1, err
-        assert reason in err, argv
+        assert_one_error_line(capsys, argv, reason)
+
+
+def assert_one_error_line(capsys, argv, reason):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1, argv
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1, err
+    assert reason in err, argv
+
+
+# a cap of 0 used to report "infeasible" with exit 0, and -1 an exit 3
+@pytest.mark.parametrize("cap_flags", [["--tape-cap", "0"], ["--tape-cap=-1", "--m", "1"]])
+def test_tape_cap_below_one_exit_one(tmp_path, capsys, cap_flags):
+    path = write_problem(tmp_path, single_clause_problem())
+    assert_one_error_line(capsys, ["solve-det", path, "--classic", *cap_flags], "tape-cap must be >= 1")
+
+
+# an empty ladder used to run the default sides 8 and 12
+@pytest.mark.parametrize("sizes", [",", ""])
+def test_stats_empty_ladder_exit_one(capsys, sizes):
+    assert_one_error_line(capsys, ["stats", "--sizes", sizes, "--repeat", "1"], "ladder sizes must not be empty")
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
+def test_help_exits_zero(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 0
+    out, err = capsys.readouterr()
+    assert out.startswith("usage:")
+    assert err == ""

@@ -82,6 +82,23 @@ class TestValidation:
         with pytest.raises(MalformedProblemError):
             ColouringProblem(g, 2, rule).validate()
 
+    def test_unsorted_tuples_rejected(self):
+        g = Digraph.from_edges(1, [(0, 0)])
+        with pytest.raises(MalformedProblemError, match="strictly increasing"):
+            ColouringProblem(g, 2, LocalRule([((1,), (0,))])).validate()
+
+    def test_empty_tuple_on_empty_scope_rejected(self):
+        # the empty tuple has the empty scope's arity, yet forbids every colouring
+        g = Digraph.from_edges(1, [])
+        with pytest.raises(MalformedProblemError, match="empty scope"):
+            ColouringProblem(g, 2, LocalRule([((),)])).validate()
+
+    def test_full_table_accepted(self):
+        # all b^|scope| tuples: the most rows a table can hold without a repeat
+        g = Digraph.from_edges(2, [(0, 0), (0, 1)])
+        rows = tuple(itertools.product(range(3), repeat=2))
+        ColouringProblem(g, 3, LocalRule([rows, ()])).validate()
+
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_validate_rejects_exactly_what_the_reference_rejects(self, data):
