@@ -82,6 +82,8 @@ def _check_args(args: argparse.Namespace) -> None:
             raise ValueError("ladder sizes must not be empty")
         if any(s < 3 for s in args.sizes):
             raise ValueError("ladder sizes must be >= 3")
+        if len(set(args.sizes)) != len(args.sizes):
+            raise ValueError("ladder sizes must not repeat")
 
 
 def _emit(payload: dict) -> None:

@@ -61,9 +61,12 @@ def explicit_k_log(b: int, delta: float, d: int, num_parts: int, big_delta: int)
 
     K = d * (|pi|^d * 2^(b^d + 1) * b)^|pi| * |pi|! / (1 - (e*Delta)^-delta)^|pi|,
     evaluated in log space because the middle factor explodes immediately.
+    Raises ValueError when delta is so small that (e*Delta)^-delta rounds to 1.
     """
     _check_bound_args(b, delta, d, num_parts, big_delta)
     decay = math.exp(-delta * (1.0 + math.log(big_delta)))
+    if decay == 1.0:
+        raise ValueError(f"delta={delta} is too small: (e*Delta)^-delta rounds to 1")
     inner = d * math.log(num_parts) + (b**d + 1) * math.log(2.0) + math.log(b)
     return (
         math.log(d)
@@ -76,8 +79,10 @@ def explicit_k_log(b: int, delta: float, d: int, num_parts: int, big_delta: int)
 def threshold_m(k_log: float, num_parts: int, big_delta: int, delta: float) -> int:
     """Smallest tape length making the union bound kick in, never below 1.
 
-    Scans for the first m with log K + |pi|*log(m+1) < delta*m*log(e*Delta);
-    the left side is logarithmic and the right side linear, so the scan ends.
+    Finds the first m with log K + |pi|*log(m+1) < delta*m*log(e*Delta).  The
+    gap between the two sides is concave in m, so once it is >= 0 at m = 1 it
+    stays >= 0 up to the answer and < 0 after it: doubling brackets the
+    answer and bisection narrows the bracket to it.
     """
     if num_parts < 1:
         raise ValueError("need at least one part")
@@ -86,12 +91,20 @@ def threshold_m(k_log: float, num_parts: int, big_delta: int, delta: float) -> i
     if not 0 < delta < math.inf:
         raise ValueError("delta must be positive and finite")
     rate = delta * (1.0 + math.log(big_delta))
-    m = 1
-    while k_log + num_parts * math.log(m + 1) - rate * m >= 0:
-        m += 1
-        if m > 10**7:
-            raise RuntimeError("threshold scan failed to converge")
-    return m
+
+    def covered(m: int) -> bool:
+        return k_log + num_parts * math.log(m + 1) - rate * m < 0
+
+    lo, hi = 0, 1  # the answer lies in (lo, hi]: hi is covered, lo is 0 or not covered
+    while not covered(hi):
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if covered(mid):
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 @dataclass

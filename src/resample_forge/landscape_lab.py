@@ -9,6 +9,10 @@ arguments (and the tail bound they imply) checkable on concrete runs.
 Level conventions: edges go from level i to level i+1, every tree's root is
 its unique minimal-level node, and a landscape is grounded when all roots sit
 at level 0.  Each level's vertex set is independent in the dependency graph.
+
+Construction, symbol recovery, validation, grounding and restriction each
+take one pass over the nodes; a restriction maps every surviving vertex to
+the positions of its scope that survive, once, and relabels from that map.
 """
 
 from __future__ import annotations
@@ -50,34 +54,30 @@ class FinalisedLandscape:
 def validate_landscape(p: ColouringProblem, fl: FinalisedLandscape, strict_viol: bool = True) -> None:
     """Structural checks; with strict_viol also demand every decoration is forbidden.
 
-    Restricted landscapes relax strictness at the boundary, where decorations
-    fall back to all-zero tuples over possibly-empty scopes.
+    Each edge and each level is checked against the dependency neighbours of
+    its nodes.  Restricted landscapes relax strictness at the boundary, where
+    decorations fall back to all-zero tuples over possibly-empty scopes.
     """
-    rel = p.rel()
-    rel_sets = [set(a) for a in rel.out_adj]
+    rel_adj = p.rel().out_adj
     forest = fl.forest
-    for nd in forest.nodes:
+    nodes = forest.nodes
+    for nd in nodes:
         x, lvl = nd
         if not (0 <= x < p.n) or lvl < 0:
             raise ValueError(f"node {nd} out of range")
     for child, par in forest.parent.items():
-        if child not in forest.nodes or par not in forest.nodes:
+        if child not in nodes or par not in nodes:
             raise ValueError("parent map mentions unknown node")
         (cx, clvl), (px, plvl) = child, par
         if plvl != clvl - 1:
             raise ValueError(f"edge {par}->{child} does not advance one level")
-        if px not in rel_sets[cx]:
+        if px not in rel_adj[cx]:
             raise ValueError(f"edge {par}->{child} joins independent rule vertices")
-    by_level: dict = {}
-    for x, lvl in forest.nodes:
-        by_level.setdefault(lvl, []).append(x)
-    for lvl, xs in by_level.items():
-        if len(set(xs)) != len(xs):
-            raise ValueError(f"level {lvl} repeats a vertex")
-        for a, b_ in itertools.combinations(xs, 2):
-            if b_ in rel_sets[a]:
-                raise ValueError(f"level {lvl} is not independent: {a}, {b_}")
-    if set(fl.viol.keys()) != forest.nodes:
+    for x, lvl in nodes:
+        for y in rel_adj[x]:
+            if y != x and (y, lvl) in nodes:
+                raise ValueError(f"level {lvl} is not independent: {x}, {y}")
+    if set(fl.viol.keys()) != nodes:
         raise ValueError("decoration keys do not match the node set")
     sets = p.forbidden_sets()
     for (x, lvl), t in fl.viol.items():
@@ -103,49 +103,43 @@ def build_landscape(p: ColouringProblem, pi, trace, k: int) -> FinalisedLandscap
     rounds = trace.rounds
     if not trace.succeeded and k > rounds + 1:
         raise ValueError(f"k={k} exceeds trace length {rounds + 1}")
-    rel = p.rel()
-
+    rel_adj = p.rel().out_adj
     depth = min(k - 1, rounds) if k >= 1 else 0
-    nodes: set = set()
     viol: dict = {}
     parent: dict = {}
-    ib_sets = [set(s) for s in trace.ib_sets[:depth]]
+    below: set = set()  # the previous round's resampled set
     for i in range(depth):
         for x in trace.ib_sets[i]:
             nd = (x, i)
-            nodes.add(nd)
             viol[nd] = trace.viol_snapshots[i][x]
             if i > 0:
-                candidates = [y for y in rel.out_adj[x] if y in ib_sets[i - 1]]
-                if not candidates:
+                y = next((y for y in rel_adj[x] if y in below), None)
+                if y is None:
                     raise RuntimeError(
                         f"no parent for node ({x},{i}): previous resampled set not maximal"
                     )
-                parent[nd] = (min(candidates), i - 1)
-
-    fin_round = min(k - 1, rounds) if k >= 1 else 0
-    fin = trace.colouring_at(fin_round)
-    return FinalisedLandscape(GForest(nodes, parent), viol, fin)
+                parent[nd] = (y, i - 1)
+        below = set(trace.ib_sets[i])
+    return FinalisedLandscape(GForest(set(viol), parent), viol, trace.colouring_at(depth))
 
 
 def used_of(p: ColouringProblem, fl: FinalisedLandscape) -> list:
     """Per-cell consumed-symbol sequences read off the landscape.
 
     Cell x collects the decoration values of nodes whose scope contains x,
-    in level order, then the final colouring at x.
+    in level order, then the final colouring at x.  One pass over the nodes
+    sorted by level; a cell read twice on one level raises ValueError.
     """
-    events: list = [[] for _ in range(p.n)]
-    for (y, lvl), t in fl.viol.items():
-        for idx, v in enumerate(p.graph.out_adj[y]):
-            events[v].append((lvl, t[idx]))
-    out = []
-    for x in range(p.n):
-        events[x].sort()
-        levels = [lvl for lvl, _ in events[x]]
-        if len(set(levels)) != len(levels):
-            raise ValueError(f"cell {x} is read by two nodes on one level")
-        out.append(tuple(val for _, val in events[x]) + (fl.fin[x],))
-    return out
+    scopes = p.graph.out_adj
+    seqs: list = [[] for _ in range(p.n)]
+    last: list = [None] * p.n  # cell -> level of the last node that read it
+    for (y, lvl), t in sorted(fl.viol.items(), key=lambda item: item[0][1]):
+        for idx, v in enumerate(scopes[y]):
+            if last[v] == lvl:
+                raise ValueError(f"cell {v} is read by two nodes on one level")
+            last[v] = lvl
+            seqs[v].append(t[idx])
+    return [(*seq, fl.fin[x]) for x, seq in enumerate(seqs)]
 
 
 def varcount(p: ColouringProblem, forest: GForest) -> int:
@@ -199,12 +193,21 @@ def ground(p: ColouringProblem, fl: FinalisedLandscape) -> FinalisedLandscape:
 # restriction
 
 
-def _scope_remap(p: ColouringProblem, pi, x: int, restricted_scope: list) -> list:
-    """For tuple positions: restricted position j reads original position remap[j]."""
-    scope = p.graph.out_adj[x]
-    pos_of_vertex = {v: i for i, v in enumerate(scope)}
-    part_rep = {pi.part_of[v]: v for v in scope}
-    return [pos_of_vertex[part_rep[alpha]] for alpha in restricted_scope]
+def _restriction(p: ColouringProblem, pi, subset) -> dict:
+    """Map each vertex of a part-unique `subset` to its scope positions inside it.
+
+    The positions are sorted by the part of the cell each names, which is the
+    order of the quotient vertex's scope; the whole scope survives exactly
+    when every position does.
+    """
+    u = set(subset)
+    if not is_pi_unique(pi, u):
+        raise ValueError("subset is not part-unique")
+    part_of = pi.part_of
+    return {
+        x: [i for _, i in sorted((part_of[v], i) for i, v in enumerate(p.graph.out_adj[x]) if v in u)]
+        for x in u
+    }
 
 
 def restrict_problem(p: ColouringProblem, pi, subset) -> tuple:
@@ -215,26 +218,15 @@ def restrict_problem(p: ColouringProblem, pi, subset) -> tuple:
     whole scope survives; everything else becomes unconstrained.  The returned
     partition is the singleton one.
     """
-    u = set(subset)
-    if not is_pi_unique(pi, u):
-        raise ValueError("subset is not part-unique")
-    rep = {pi.part_of[x]: x for x in u}
+    kept = _restriction(p, pi, subset)
+    part_of, scopes = pi.part_of, p.graph.out_adj
     n_prime = pi.num_parts
-    edges = set()
-    for x in u:
-        ax = pi.part_of[x]
-        for y in p.graph.out_adj[x]:
-            if y in u:
-                edges.add((ax, pi.part_of[y]))
+    edges = [(part_of[x], part_of[scopes[x][i]]) for x, pos in kept.items() for i in pos]
+    rows: list = [()] * n_prime
+    for x, pos in kept.items():
+        if len(pos) == len(scopes[x]):
+            rows[part_of[x]] = tuple(sorted(tuple(t[i] for i in pos) for t in p.rule.forbidden[x]))
     g_prime = Digraph.from_edges(n_prime, edges)
-    rows: list = []
-    for alpha in range(n_prime):
-        x = rep.get(alpha)
-        if x is None or not set(p.graph.out_adj[x]) <= u:
-            rows.append(())
-            continue
-        remap = _scope_remap(p, pi, x, g_prime.out_adj[alpha])
-        rows.append(tuple(sorted(tuple(t[i] for i in remap) for t in p.rule.forbidden[x])))
     p_prime = ColouringProblem(g_prime, p.b, LocalRule(rows), metadata={"restricted": True})
     return p_prime, singleton_partition(n_prime)
 
@@ -247,29 +239,23 @@ def restrict_landscape(p: ColouringProblem, pi, fl: FinalisedLandscape, subset) 
     tuples (the result can therefore violate strict decoration membership).
     Final colours of parts without a surviving representative default to 0.
     """
-    u = set(subset)
-    p_prime, _ = restrict_problem(p, pi, u)
-    rep = {pi.part_of[x]: x for x in u}
-    nodes = set()
+    kept = _restriction(p, pi, subset)
+    part_of, scopes = pi.part_of, p.graph.out_adj
     viol: dict = {}
-    parent: dict = {}
     for (x, lvl), t in fl.viol.items():
-        if x not in u:
-            continue
-        alpha = pi.part_of[x]
-        nd = (alpha, lvl)
-        nodes.add(nd)
-        restricted_scope = p_prime.graph.out_adj[alpha]
-        if set(p.graph.out_adj[x]) <= u:
-            remap = _scope_remap(p, pi, x, restricted_scope)
-            viol[nd] = tuple(t[i] for i in remap)
-        else:
-            viol[nd] = (0,) * len(restricted_scope)
-    for child, par in fl.forest.parent.items():
-        if child[0] in u and par[0] in u:
-            parent[(pi.part_of[child[0]], child[1])] = (pi.part_of[par[0]], par[1])
-    fin = [fl.fin[rep[alpha]] if alpha in rep else 0 for alpha in range(pi.num_parts)]
-    return FinalisedLandscape(GForest(nodes, parent), viol, fin)
+        pos = kept.get(x)
+        if pos is not None:
+            full = len(pos) == len(scopes[x])
+            viol[(part_of[x], lvl)] = tuple(t[i] for i in pos) if full else (0,) * len(pos)
+    parent = {
+        (part_of[cx], clvl): (part_of[px], plvl)
+        for (cx, clvl), (px, plvl) in fl.forest.parent.items()
+        if cx in kept and px in kept
+    }
+    fin = [0] * pi.num_parts
+    for x in kept:
+        fin[part_of[x]] = fl.fin[x]
+    return FinalisedLandscape(GForest(set(viol), parent), viol, fin)
 
 
 # ---------------------------------------------------------------------------
@@ -327,17 +313,14 @@ def _compositions(total: int, slots: int):
             yield (head,) + rest
 
 
-def count_delta_trees(delta: int, i: int, max_delta: int = MAX_TREE_DELTA, max_size: int = MAX_TREE_SIZE) -> int:
+def count_delta_trees(delta: int, i: int) -> int:
     """Exhaustively enumerate trees with out-edges labelled 0..delta-1, i vertices."""
     if delta < 1:
         raise ValueError("delta must be >= 1")
     if i < 0:
         raise ValueError("size must be nonnegative")
-    if delta > max_delta or i > max_size:
-        raise ValueError(
-            f"enumeration budget exceeded (delta<={max_delta}, size<={max_size}); "
-            "raise the limits explicitly to go further"
-        )
+    if delta > MAX_TREE_DELTA or i > MAX_TREE_SIZE:
+        raise ValueError(f"enumeration budget exceeded (delta<={MAX_TREE_DELTA}, size<={MAX_TREE_SIZE})")
     return len(_tree_shapes(delta, i, {}))
 
 
@@ -350,7 +333,7 @@ def _poly_mul(a: list, b: list) -> list:
     return out
 
 
-def q_poly(delta: int, i: int, max_delta: int = MAX_TREE_DELTA, max_iter: int = MAX_TREE_SIZE) -> list:
+def q_poly(delta: int, i: int) -> list:
     """Coefficients of the i-th depth-truncated tree generating polynomial.
 
     Q_0 = 1 + X and Q_{j+1} = 1 + X * Q_j^delta; coefficient n of Q_j counts
@@ -360,11 +343,8 @@ def q_poly(delta: int, i: int, max_delta: int = MAX_TREE_DELTA, max_iter: int = 
         raise ValueError("delta must be >= 1")
     if i < 0:
         raise ValueError("iteration must be nonnegative")
-    if delta > max_delta or i > max_iter:
-        raise ValueError(
-            f"polynomial budget exceeded (delta<={max_delta}, i<={max_iter}); "
-            "raise the limits explicitly to go further"
-        )
+    if delta > MAX_TREE_DELTA or i > MAX_TREE_SIZE:
+        raise ValueError(f"polynomial budget exceeded (delta<={MAX_TREE_DELTA}, i<={MAX_TREE_SIZE})")
     q = [1, 1]
     for _ in range(i):
         power = [1]
@@ -385,12 +365,7 @@ def q_value_at_rho(delta: int, i: int) -> Fraction:
     return val
 
 
-def enumerate_grounded_forests(
-    g: Digraph,
-    m: int,
-    max_vertices: int = MAX_FOREST_VERTICES,
-    max_nodes: int = MAX_FOREST_NODES,
-) -> int:
+def enumerate_grounded_forests(g: Digraph, m: int) -> int:
     """Exact count of grounded level-independent forests with m nodes.
 
     Exhausts node placements on levels 0..m-1 and, per placement, multiplies
@@ -399,10 +374,9 @@ def enumerate_grounded_forests(
     """
     if m < 0:
         raise ValueError("node count must be nonnegative")
-    if g.n > max_vertices or m > max_nodes:
+    if g.n > MAX_FOREST_VERTICES or m > MAX_FOREST_NODES:
         raise ValueError(
-            f"enumeration budget exceeded (vertices<={max_vertices}, nodes<={max_nodes}); "
-            "raise the limits explicitly to go further"
+            f"enumeration budget exceeded (vertices<={MAX_FOREST_VERTICES}, nodes<={MAX_FOREST_NODES})"
         )
     if m == 0:
         return 1

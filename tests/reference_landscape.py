@@ -1,14 +1,27 @@
-"""The grounding move set, kept as a differential oracle for `landscape_lab.ground`.
+"""Earlier witness-path implementations, kept as differential oracles for `landscape_lab`.
 
+`reference_ground` is the grounding move set behind `landscape_lab.ground`.
 It pushes and re-hangs airborne trees until every root reaches level 0: a
 whole tree slides down one level when nothing one level below blocks it;
 otherwise it re-hangs at the lowest (level, index) blocking pair (re-rooting
 the tree there when the blocked node is its root).  Every slide rebuilds the
 node, parent and decoration maps, and the trees are walked again after every
 move, as the package did before its single-pass `ground`.
+
+`reference_restrict_problem`, `reference_restrict_landscape`,
+`reference_used_of` and `reference_validate_landscape` are the multi-pass
+versions of the restriction, recovery and validation: restriction rebuilds
+the quotient problem and remaps every scope through its part
+representatives, recovery sorts one event list per cell, and validation
+compares every pair of nodes on each level.
 """
 
+import itertools
+
+from resample_forge.graph_core import Digraph
 from resample_forge.landscape_lab import FinalisedLandscape, GForest, GroundingError
+from resample_forge.partitioner import is_pi_unique, singleton_partition
+from resample_forge.rule_engine import ColouringProblem, LocalRule
 
 
 def _trees(nodes, parent):
@@ -79,3 +92,113 @@ def reference_ground(p, fl, step_cap=10**6):
         parent[(x, lvl)] = (y, lvl - 1)
 
     return FinalisedLandscape(GForest(nodes, parent), viol, list(fl.fin))
+
+
+def reference_validate_landscape(p, fl, strict_viol=True):
+    rel_sets = [set(a) for a in p.rel().out_adj]
+    forest = fl.forest
+    for nd in forest.nodes:
+        x, lvl = nd
+        if not (0 <= x < p.n) or lvl < 0:
+            raise ValueError(f"node {nd} out of range")
+    for child, par in forest.parent.items():
+        if child not in forest.nodes or par not in forest.nodes:
+            raise ValueError("parent map mentions unknown node")
+        (cx, clvl), (px, plvl) = child, par
+        if plvl != clvl - 1:
+            raise ValueError(f"edge {par}->{child} does not advance one level")
+        if px not in rel_sets[cx]:
+            raise ValueError(f"edge {par}->{child} joins independent rule vertices")
+    by_level = {}
+    for x, lvl in forest.nodes:
+        by_level.setdefault(lvl, []).append(x)
+    for lvl, xs in by_level.items():
+        if len(set(xs)) != len(xs):
+            raise ValueError(f"level {lvl} repeats a vertex")
+        for a, b_ in itertools.combinations(xs, 2):
+            if b_ in rel_sets[a]:
+                raise ValueError(f"level {lvl} is not independent: {a}, {b_}")
+    if set(fl.viol.keys()) != forest.nodes:
+        raise ValueError("decoration keys do not match the node set")
+    sets = p.forbidden_sets()
+    for (x, lvl), t in fl.viol.items():
+        if len(t) != len(p.graph.out_adj[x]):
+            raise ValueError(f"decoration at ({x},{lvl}) has wrong arity")
+        if strict_viol and t not in sets[x]:
+            raise ValueError(f"decoration at ({x},{lvl}) is not forbidden")
+    if len(fl.fin) != p.n:
+        raise ValueError("final colouring has wrong length")
+
+
+def reference_used_of(p, fl):
+    events = [[] for _ in range(p.n)]
+    for (y, lvl), t in fl.viol.items():
+        for idx, v in enumerate(p.graph.out_adj[y]):
+            events[v].append((lvl, t[idx]))
+    out = []
+    for x in range(p.n):
+        events[x].sort()
+        levels = [lvl for lvl, _ in events[x]]
+        if len(set(levels)) != len(levels):
+            raise ValueError(f"cell {x} is read by two nodes on one level")
+        out.append(tuple(val for _, val in events[x]) + (fl.fin[x],))
+    return out
+
+
+def _scope_remap(p, pi, x, restricted_scope):
+    """For tuple positions: restricted position j reads original position remap[j]."""
+    scope = p.graph.out_adj[x]
+    pos_of_vertex = {v: i for i, v in enumerate(scope)}
+    part_rep = {pi.part_of[v]: v for v in scope}
+    return [pos_of_vertex[part_rep[alpha]] for alpha in restricted_scope]
+
+
+def reference_restrict_problem(p, pi, subset):
+    u = set(subset)
+    if not is_pi_unique(pi, u):
+        raise ValueError("subset is not part-unique")
+    rep = {pi.part_of[x]: x for x in u}
+    n_prime = pi.num_parts
+    edges = set()
+    for x in u:
+        ax = pi.part_of[x]
+        for y in p.graph.out_adj[x]:
+            if y in u:
+                edges.add((ax, pi.part_of[y]))
+    g_prime = Digraph.from_edges(n_prime, edges)
+    rows = []
+    for alpha in range(n_prime):
+        x = rep.get(alpha)
+        if x is None or not set(p.graph.out_adj[x]) <= u:
+            rows.append(())
+            continue
+        remap = _scope_remap(p, pi, x, g_prime.out_adj[alpha])
+        rows.append(tuple(sorted(tuple(t[i] for i in remap) for t in p.rule.forbidden[x])))
+    p_prime = ColouringProblem(g_prime, p.b, LocalRule(rows), metadata={"restricted": True})
+    return p_prime, singleton_partition(n_prime)
+
+
+def reference_restrict_landscape(p, pi, fl, subset):
+    u = set(subset)
+    p_prime, _ = reference_restrict_problem(p, pi, u)
+    rep = {pi.part_of[x]: x for x in u}
+    nodes = set()
+    viol = {}
+    parent = {}
+    for (x, lvl), t in fl.viol.items():
+        if x not in u:
+            continue
+        alpha = pi.part_of[x]
+        nd = (alpha, lvl)
+        nodes.add(nd)
+        restricted_scope = p_prime.graph.out_adj[alpha]
+        if set(p.graph.out_adj[x]) <= u:
+            remap = _scope_remap(p, pi, x, restricted_scope)
+            viol[nd] = tuple(t[i] for i in remap)
+        else:
+            viol[nd] = (0,) * len(restricted_scope)
+    for child, par in fl.forest.parent.items():
+        if child[0] in u and par[0] in u:
+            parent[(pi.part_of[child[0]], child[1])] = (pi.part_of[par[0]], par[1])
+    fin = [fl.fin[rep[alpha]] if alpha in rep else 0 for alpha in range(pi.num_parts)]
+    return FinalisedLandscape(GForest(nodes, parent), viol, fin)

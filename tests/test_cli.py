@@ -251,6 +251,17 @@ def test_solve_det_rejects_non_finite_delta(tmp_path, capsys):
             assert err.startswith("error:") and err.count("\n") == 1, err
 
 
+# a small delta used to scan 10^7 tape lengths and die with a traceback
+def test_solve_det_small_delta_reports(tmp_path, capsys):
+    path = write_problem(tmp_path, gen_torus_nae(4, 4, 2))
+    code, out, err = run_cli(capsys, "solve-det", path, "--classic", "--delta", "1e-6", "--quiet")
+    assert code == 0
+    assert out.count("\n") == 1 and err == ""
+    payload = json.loads(out)
+    assert payload["status"] == "report_only"
+    assert payload["infeasible"] is True
+
+
 def test_solve_det_infeasible_exit_three(tmp_path, capsys):
     path = write_problem(tmp_path, single_clause_problem())
     code, out, _ = run_cli(
@@ -474,6 +485,11 @@ def test_bad_flag_values_exit_one(tmp_path, capsys):
         # one error line instead of a usage block
         (["solve", path, "--max-steps", "abc"], "invalid int value: 'abc'"),
         (["solve-det", path, "--classic", "--delta", "-inf"], "expected one argument"),  # -inf reads as an option
+        # used to print "math domain error": the decay factor rounds to 1
+        (["solve-det", path, "--classic", "--delta", "1e-300"], "delta=1e-300 is too small"),
+        # a repeated side used to run twice and count its trials twice
+        (["stats", "--sizes", "5,5", "--repeat", "2"], "ladder sizes must not repeat"),
+        (["stats", "--sizes", "3,8,3", "--repeat", "2"], "ladder sizes must not repeat"),
         (["solve"], "required: problem"),
         ([], "required: subcommand"),
         (["stats", "--sizes", "a,b"], "not a comma list of ints"),

@@ -1,5 +1,6 @@
 """Deterministic solver: bound arithmetic, tape enumeration, pass semantics."""
 
+import itertools
 import math
 
 import pytest
@@ -95,6 +96,8 @@ def test_explicit_k_rejects_bad_args():
             explicit_k_log(2, delta, 1, 1, 1)
         with pytest.raises(ValueError):
             threshold_m(0.0, 1, 1, delta)
+    with pytest.raises(ValueError, match="delta=1e-300 is too small"):
+        explicit_k_log(2, 1e-300, 1, 1, 1)  # (e*Delta)^-delta rounds to 1
 
 
 def test_threshold_m_frozen():
@@ -113,14 +116,30 @@ def test_threshold_m_nonincreasing_in_delta():
 
 
 def test_threshold_m_satisfies_and_is_minimal():
-    for k_log in (0.0, 2.5, 10.0, 40.0):
-        for parts in (1, 3):
-            for big_delta in (1, 4):
-                m = threshold_m(k_log, parts, big_delta, 0.5)
-                rate = 0.5 * (1 + math.log(big_delta))
-                assert k_log + parts * math.log(m + 1) - rate * m < 0
-                if m > 1:
-                    assert k_log + parts * math.log(m) - rate * (m - 1) >= 0
+    # at delta = 1e-6 the answers pass 10^7, where a linear scan used to give up
+    for k_log, parts, big_delta, delta in itertools.product((0.0, 2.5, 10.0, 40.0), (1, 3), (1, 4), (0.5, 1e-6)):
+        m = threshold_m(k_log, parts, big_delta, delta)
+        rate = delta * (1 + math.log(big_delta))
+        assert k_log + parts * math.log(m + 1) - rate * m < 0
+        if m > 1:
+            assert k_log + parts * math.log(m) - rate * (m - 1) >= 0
+
+
+def linear_threshold_m(k_log, num_parts, big_delta, delta):
+    """The first m with a negative gap, by scanning m = 1, 2, ...: the reference for threshold_m."""
+    rate = delta * (1.0 + math.log(big_delta))
+    m = 1
+    while k_log + num_parts * math.log(m + 1) - rate * m >= 0:
+        m += 1
+    return m
+
+
+def test_threshold_m_matches_linear_scan():
+    grid = itertools.product(
+        (-3.0, 0.0, 0.7, 2.5, 10.0, 40.0, 150.0), (1, 2, 3, 5, 8), (1, 2, 4, 9), (0.05, 0.25, 0.5, 1.0, 2.0, 4.0)
+    )
+    for args in grid:
+        assert threshold_m(*args) == linear_threshold_m(*args), args
 
 
 def test_theoretical_budget_flags_infeasible():

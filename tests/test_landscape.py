@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from resample_forge.graph_core import Digraph, ball, build_rel
+from resample_forge.instance_io import gen_torus_nae
 from resample_forge.landscape_lab import (
     FinalisedLandscape,
     GForest,
@@ -30,7 +31,7 @@ from resample_forge.landscape_lab import (
     varcount,
 )
 from resample_forge.mta_runner import run
-from resample_forge.partitioner import singleton_partition, sparse_partition
+from resample_forge.partitioner import SparsePartition, singleton_partition, sparse_partition
 from resample_forge.rule_engine import ColouringProblem, LocalRule, lll_margin
 from resample_forge.tape import RandomTape, used_unused
 
@@ -40,7 +41,13 @@ from tests.helpers import (
     single_clause_problem,
     torus_graph,
 )
-from tests.reference_landscape import reference_ground
+from tests.reference_landscape import (
+    reference_ground,
+    reference_restrict_landscape,
+    reference_restrict_problem,
+    reference_used_of,
+    reference_validate_landscape,
+)
 
 SEED_ONE_RESAMPLE = 6
 
@@ -201,6 +208,14 @@ def test_validate_rejects_malformed():
     with pytest.raises(ValueError, match="not forbidden"):
         validate_landscape(p, allowed_decoration)
     validate_landscape(p, allowed_decoration, strict_viol=False)
+
+
+def test_validate_rejects_repeated_node():
+    # a node list that repeats a node can never equal the decoration keys
+    p = path_problem()
+    repeated = FinalisedLandscape(GForest([(1, 0), (1, 0)], {}), {(1, 0): (0, 0)}, [1, 1, 1])
+    with pytest.raises(ValueError, match="decoration keys"):
+        validate_landscape(p, repeated)
 
 
 # ---------------------------------------------------------------------------
@@ -463,6 +478,132 @@ def test_restriction_preserves_interior_playback(seed, centre):
 
 
 # ---------------------------------------------------------------------------
+# differential checks against tests/reference_landscape.py
+
+
+def _same_outcome(new, ref, *args):
+    """Both versions raise, or both return equal values."""
+    try:
+        want = ref(*args)
+    except (ValueError, IndexError):
+        with pytest.raises((ValueError, IndexError)):
+            new(*args)
+        return None
+    got = new(*args)
+    assert got == want
+    return got
+
+
+def _problem_key(restricted):
+    q, qpi = restricted
+    return q.graph.out_adj, q.graph.in_adj, q.b, q.rule.forbidden, q.metadata, qpi
+
+
+def _mutate(p, fl, rng):
+    """One random edit: move, add or re-parent a node, or flip or clip a decoration."""
+    nodes, parent, viol = set(fl.forest.nodes), dict(fl.forest.parent), dict(fl.viol)
+    order = sorted(nodes)
+    kind = rng.randrange(6)
+    if kind == 0 and order:  # move a node, carrying its decoration and edges
+        old = rng.choice(order)
+        new = (rng.randrange(p.n), max(0, old[1] + rng.choice((-1, 0, 1))))
+        if new not in nodes:
+            nodes = (nodes - {old}) | {new}
+            viol[new] = viol.pop(old)
+            parent = {(new if c == old else c): (new if q == old else q) for c, q in parent.items()}
+    elif kind == 1:  # add a node with a random decoration of the right arity
+        top = max((lvl for _, lvl in order), default=0)
+        x = rng.randrange(p.n)
+        nd = (x, rng.randint(0, top + 1))
+        nodes.add(nd)
+        viol[nd] = tuple(rng.randrange(p.b) for _ in p.graph.out_adj[x])
+        if nd[1] > 0 and order and rng.random() < 0.5:
+            parent[nd] = (rng.choice(order)[0], nd[1] - 1)
+    elif kind == 2 and order:  # re-parent a node under any node
+        child = rng.choice(order)
+        parent[child] = rng.choice(order)
+    elif kind == 3 and order:  # flip one symbol of a decoration
+        nd = rng.choice(order)
+        t = list(viol[nd])
+        if t:
+            i = rng.randrange(len(t))
+            t[i] = 1 - t[i]
+        viol[nd] = tuple(t)
+    elif kind == 4 and order:  # clip a decoration to the wrong arity
+        nd = rng.choice(order)
+        viol[nd] = viol[nd][:-1]
+    elif kind == 5 and order:  # move a node but leave its decoration behind
+        old = rng.choice(order)
+        nodes = (nodes - {old}) | {(old[0], old[1] + 1)}
+    return FinalisedLandscape(GForest(nodes, parent), viol, list(fl.fin))
+
+
+def _assert_witness_path_matches(p, fl):
+    for strict in (True, False):
+        _same_outcome(validate_landscape, reference_validate_landscape, p, fl, strict)
+    _same_outcome(used_of, reference_used_of, p, fl)
+
+
+@pytest.mark.parametrize("mode", ["singleton", "sparse", "shuffled"])
+def test_witness_path_matches_reference(mode):
+    """Restriction, recovery and validation against their multi-pass versions.
+
+    Cases follow criteria 6 and 7: random looped instances and small NAE
+    tori, run for a random prefix, restricted to a radius-3 ball or to a
+    random subset; every landscape is also checked after random edits.  The
+    shuffled mode numbers singleton parts out of vertex order, so a scope
+    must be reordered by part when it is restricted.
+    """
+    rng = random.Random({"singleton": 10, "sparse": 100, "shuffled": 1000}[mode])
+    for case in range(200):
+        if case % 5 == 4:
+            p = gen_torus_nae(rng.randint(4, 6), rng.randint(4, 6), 2)
+        else:
+            p = random_looped_problem(
+                n=rng.randint(6, 16),
+                extra_edges=rng.randint(2, 12),
+                b=2,
+                max_forbidden=2,
+                seed=rng.randrange(2**30),
+            )
+        if mode == "sparse":
+            pi = sparse_partition(p.graph, 3)
+        elif mode == "singleton":
+            pi = singleton_partition(p.n)
+        else:
+            pi = SparsePartition(p.n, tuple(rng.sample(range(p.n), p.n)), 0)
+        trace = run(p, pi, RandomTape(rng.randrange(2**30), p.b), max_steps=30)
+        fl = build_landscape(p, pi, trace, rng.randint(1, max(1, min(8, trace.rounds + 1))))
+        if case % 3 == 2:
+            u = set(rng.sample(range(p.n), rng.randint(0, p.n)))
+        else:
+            u = ball(p.graph, rng.randrange(p.n), 3)
+        edited = _mutate(p, fl, rng)
+        for landscape in (fl, edited):
+            _assert_witness_path_matches(p, landscape)
+        restricted = _same_outcome(
+            lambda *a: _problem_key(restrict_problem(*a)),
+            lambda *a: _problem_key(reference_restrict_problem(*a)),
+            p, pi, u,
+        )
+        if restricted is None:  # the subset is not part-unique
+            with pytest.raises(ValueError, match="part-unique"):
+                restrict_landscape(p, pi, fl, u)
+            continue
+        q, _ = restrict_problem(p, pi, u)
+        for landscape in (fl, edited):
+            rfl = _same_outcome(restrict_landscape, reference_restrict_landscape, p, pi, landscape, u)
+            if rfl is not None:
+                _assert_witness_path_matches(q, rfl)
+                _assert_witness_path_matches(q, _mutate(q, rfl, rng))
+                try:
+                    grounded = ground(q, rfl)
+                except (ValueError, IndexError, GroundingError):
+                    continue
+                _assert_witness_path_matches(q, grounded)
+
+
+# ---------------------------------------------------------------------------
 # radius selection
 
 
@@ -533,7 +674,6 @@ def test_count_delta_trees_budget():
         count_delta_trees(5, 2)
     with pytest.raises(ValueError, match="budget"):
         count_delta_trees(2, 7)
-    assert count_delta_trees(5, 2, max_delta=5) == 5
 
 
 def test_q_poly_frozen():
