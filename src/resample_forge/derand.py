@@ -56,6 +56,14 @@ def _check_bound_args(b: int, delta: float, d: int, num_parts: int, big_delta: i
         raise ValueError("dependency degree must be >= 1")
 
 
+def _decay_rate(delta: float, big_delta: int) -> float:
+    """delta * log(e*Delta); raises ValueError when (e*Delta)^-delta rounds to 1."""
+    rate = delta * (1.0 + math.log(big_delta))
+    if math.exp(-rate) == 1.0:
+        raise ValueError(f"delta={delta} is too small: (e*Delta)^-delta rounds to 1")
+    return rate
+
+
 def explicit_k_log(b: int, delta: float, d: int, num_parts: int, big_delta: int) -> float:
     """Natural log of the constant governing the tape-length guarantee.
 
@@ -64,9 +72,7 @@ def explicit_k_log(b: int, delta: float, d: int, num_parts: int, big_delta: int)
     Raises ValueError when delta is so small that (e*Delta)^-delta rounds to 1.
     """
     _check_bound_args(b, delta, d, num_parts, big_delta)
-    decay = math.exp(-delta * (1.0 + math.log(big_delta)))
-    if decay == 1.0:
-        raise ValueError(f"delta={delta} is too small: (e*Delta)^-delta rounds to 1")
+    decay = math.exp(-_decay_rate(delta, big_delta))
     inner = d * math.log(num_parts) + (b**d + 1) * math.log(2.0) + math.log(b)
     return (
         math.log(d)
@@ -82,7 +88,8 @@ def threshold_m(k_log: float, num_parts: int, big_delta: int, delta: float) -> i
     Finds the first m with log K + |pi|*log(m+1) < delta*m*log(e*Delta).  The
     gap between the two sides is concave in m, so once it is >= 0 at m = 1 it
     stays >= 0 up to the answer and < 0 after it: doubling brackets the
-    answer and bisection narrows the bracket to it.
+    answer and bisection narrows the bracket to it.  Raises ValueError when
+    delta is so small that (e*Delta)^-delta rounds to 1.
     """
     if num_parts < 1:
         raise ValueError("need at least one part")
@@ -90,7 +97,7 @@ def threshold_m(k_log: float, num_parts: int, big_delta: int, delta: float) -> i
         raise ValueError("dependency degree must be >= 1")
     if not 0 < delta < math.inf:
         raise ValueError("delta must be positive and finite")
-    rate = delta * (1.0 + math.log(big_delta))
+    rate = _decay_rate(delta, big_delta)
 
     def covered(m: int) -> bool:
         return k_log + num_parts * math.log(m + 1) - rate * m < 0

@@ -13,12 +13,15 @@ at level 0.  Each level's vertex set is independent in the dependency graph.
 Construction, symbol recovery, validation, grounding and restriction each
 take one pass over the nodes; a restriction maps every surviving vertex to
 the positions of its scope that survive, once, and relabels from that map.
+
+The counting oracles are exact: delta-ary trees by the Fuss-Catalan formula,
+grounded forests by one level-by-level DP over independent sets.
 """
 
 from __future__ import annotations
 
-import itertools
 import json
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -283,45 +286,21 @@ def stable_radius(g: Digraph, h: list, y: int, big_r: int, eps: float) -> int:
 # ---------------------------------------------------------------------------
 # counting oracles
 
-MAX_TREE_DELTA = 4
-MAX_TREE_SIZE = 6
-MAX_FOREST_VERTICES = 5
-MAX_FOREST_NODES = 4
-
-
-def _tree_shapes(delta: int, size: int, memo: dict) -> list:
-    """All label-indexed tree shapes with `size` vertices; None is the empty shape."""
-    if size == 0:
-        return [None]
-    key = (delta, size)
-    if key not in memo:
-        shapes = []
-        for comp in _compositions(size - 1, delta):
-            slot_choices = [_tree_shapes(delta, c, memo) for c in comp]
-            for kids in itertools.product(*slot_choices):
-                shapes.append(tuple(kids))
-        memo[key] = shapes
-    return memo[key]
-
-
-def _compositions(total: int, slots: int):
-    if slots == 1:
-        yield (total,)
-        return
-    for head in range(total + 1):
-        for rest in _compositions(total - head, slots - 1):
-            yield (head,) + rest
+MAX_Q_DEGREE = 1365  # deg Q_5 at delta = 4
+MAX_FOREST_VERTICES = 12
 
 
 def count_delta_trees(delta: int, i: int) -> int:
-    """Exhaustively enumerate trees with out-edges labelled 0..delta-1, i vertices."""
+    """Trees with out-edges labelled 0..delta-1 and i vertices: the Fuss-Catalan number.
+
+    C(delta*i, i) / ((delta-1)*i + 1); see Graham, Knuth and Patashnik,
+    Concrete Mathematics, section 7.5.
+    """
     if delta < 1:
         raise ValueError("delta must be >= 1")
     if i < 0:
         raise ValueError("size must be nonnegative")
-    if delta > MAX_TREE_DELTA or i > MAX_TREE_SIZE:
-        raise ValueError(f"enumeration budget exceeded (delta<={MAX_TREE_DELTA}, size<={MAX_TREE_SIZE})")
-    return len(_tree_shapes(delta, i, {}))
+    return math.comb(delta * i, i) // ((delta - 1) * i + 1)
 
 
 def _poly_mul(a: list, b: list) -> list:
@@ -337,14 +316,18 @@ def q_poly(delta: int, i: int) -> list:
     """Coefficients of the i-th depth-truncated tree generating polynomial.
 
     Q_0 = 1 + X and Q_{j+1} = 1 + X * Q_j^delta; coefficient n of Q_j counts
-    the delta-labelled trees with n vertices and depth at most j.
+    the delta-labelled trees with n vertices and depth at most j.  The degree,
+    1 + delta * deg Q_j, is checked against MAX_Q_DEGREE before multiplying.
     """
     if delta < 1:
         raise ValueError("delta must be >= 1")
     if i < 0:
         raise ValueError("iteration must be nonnegative")
-    if delta > MAX_TREE_DELTA or i > MAX_TREE_SIZE:
-        raise ValueError(f"polynomial budget exceeded (delta<={MAX_TREE_DELTA}, i<={MAX_TREE_SIZE})")
+    degree = 1
+    for _ in range(i):
+        degree = 1 + delta * degree
+        if degree > MAX_Q_DEGREE:
+            raise ValueError(f"polynomial budget exceeded: deg Q_{i} > MAX_Q_DEGREE = {MAX_Q_DEGREE}")
     q = [1, 1]
     for _ in range(i):
         power = [1]
@@ -358,6 +341,8 @@ def q_value_at_rho(delta: int, i: int) -> Fraction:
     """Exact evaluation at rho = (delta-1)^(delta-1) / delta^delta (0^0 = 1)."""
     if delta < 1:
         raise ValueError("delta must be >= 1")
+    if i < 0:
+        raise ValueError("iteration must be nonnegative")
     rho = Fraction((delta - 1) ** (delta - 1), delta**delta)
     val = Fraction(1) + rho
     for _ in range(i):
@@ -365,48 +350,44 @@ def q_value_at_rho(delta: int, i: int) -> Fraction:
     return val
 
 
-def enumerate_grounded_forests(g: Digraph, m: int) -> int:
-    """Exact count of grounded level-independent forests with m nodes.
+def count_grounded_forests(g: Digraph, max_m: int) -> list:
+    """Exact counts of grounded level-independent forests with m = 0..max_m nodes.
 
-    Exhausts node placements on levels 0..m-1 and, per placement, multiplies
-    the parent choices of each node above level 0 (roots may only sit at
-    level 0, so everything higher needs exactly one parent below it).
+    Such a forest stacks nonempty independent sets of the dependency graph on
+    levels 0, 1, ..., and every node above level 0 has one parent among its
+    dependency neighbours one level below.  Counted level by level: the state
+    is (the top level's set S, the nodes used so far), and stacking T on S
+    weighs prod over x in T of |N(x) & S|, N(x) being x's neighbours in
+    build_rel(g).  Sets are bitmasks; the cost grows with the number of
+    independent sets, so the vertex count is capped, not max_m.
     """
-    if m < 0:
+    if max_m < 0:
         raise ValueError("node count must be nonnegative")
-    if g.n > MAX_FOREST_VERTICES or m > MAX_FOREST_NODES:
+    if g.n > MAX_FOREST_VERTICES:
         raise ValueError(
-            f"enumeration budget exceeded (vertices<={MAX_FOREST_VERTICES}, nodes<={MAX_FOREST_NODES})"
+            f"forest budget exceeded: {g.n} vertices > MAX_FOREST_VERTICES = {MAX_FOREST_VERTICES}"
         )
-    if m == 0:
-        return 1
-    rel_sets = [set(a) for a in build_rel(g).out_adj]
-    slots = [(x, lvl) for lvl in range(m) for x in range(g.n)]
-    total = 0
-    for combo in itertools.combinations(slots, m):
-        by_level: dict = {}
-        for x, lvl in combo:
-            by_level.setdefault(lvl, []).append(x)
-        ok = True
-        for xs in by_level.values():
-            for a, b_ in itertools.combinations(xs, 2):
-                if b_ in rel_sets[a]:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
-            continue
-        ways = 1
-        for x, lvl in combo:
-            if lvl == 0:
-                continue
-            below = by_level.get(lvl - 1, [])
-            ways *= sum(1 for y in below if y in rel_sets[x])
-            if ways == 0:
-                break
-        total += ways
-    return total
+    nbr = [sum(1 << y for y in adj) for adj in build_rel(g).out_adj]
+
+    def stacks(weights: list, room: int) -> list:
+        """(T, |T|, product of T's weights) for each nonempty independent T of at most `room` vertices."""
+        out = [(0, 0, 1)]
+        for x, c in weights:
+            out += [(t | 1 << x, k + 1, w * c) for t, k, w in out if k < room and not nbr[x] & t]
+        return out[1:]
+
+    totals = [1] + [0] * max_m
+    # level 0 stacks on the ground, which every vertex reaches in one way
+    level = {(t, k): w for t, k, w in stacks([(x, 1) for x in range(g.n)], max_m)}
+    while level:
+        above: dict = {}
+        for (s, used), ways in level.items():
+            totals[used] += ways
+            weights = [(x, (nbr[x] & s).bit_count()) for x in range(g.n) if nbr[x] & s]
+            for t, k, w in stacks(weights, max_m - used):
+                above[t, used + k] = above.get((t, used + k), 0) + ways * w
+        level = above
+    return totals
 
 
 def landscape_to_json(fl: FinalisedLandscape) -> str:

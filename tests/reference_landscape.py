@@ -14,11 +14,17 @@ versions of the restriction, recovery and validation: restriction rebuilds
 the quotient problem and remaps every scope through its part
 representatives, recovery sorts one event list per cell, and validation
 compares every pair of nodes on each level.
+
+`reference_grounded_forests` counts grounded forests by trying every
+placement of m nodes on levels 0..m-1, the oracle for the level-by-level
+`count_grounded_forests`.  `brute_labelled_trees` builds every canonical
+delta-ary tree shape explicitly, the oracle for the closed-form
+`count_delta_trees`.
 """
 
 import itertools
 
-from resample_forge.graph_core import Digraph
+from resample_forge.graph_core import Digraph, build_rel
 from resample_forge.landscape_lab import FinalisedLandscape, GForest, GroundingError
 from resample_forge.partitioner import is_pi_unique, singleton_partition
 from resample_forge.rule_engine import ColouringProblem, LocalRule
@@ -202,3 +208,76 @@ def reference_restrict_landscape(p, pi, fl, subset):
             parent[(pi.part_of[child[0]], child[1])] = (pi.part_of[par[0]], par[1])
     fin = [fl.fin[rep[alpha]] if alpha in rep else 0 for alpha in range(pi.num_parts)]
     return FinalisedLandscape(GForest(nodes, parent), viol, fin)
+
+
+def reference_grounded_forests(g: Digraph, m: int) -> int:
+    """Exact count of grounded level-independent forests with m nodes.
+
+    Exhausts node placements on levels 0..m-1 and, per placement, multiplies
+    the parent choices of each node above level 0 (roots may only sit at
+    level 0, so everything higher needs exactly one parent below it).
+    """
+    if m < 0:
+        raise ValueError("node count must be nonnegative")
+    if m == 0:
+        return 1
+    rel_sets = [set(a) for a in build_rel(g).out_adj]
+    slots = [(x, lvl) for lvl in range(m) for x in range(g.n)]
+    total = 0
+    for combo in itertools.combinations(slots, m):
+        by_level: dict = {}
+        for x, lvl in combo:
+            by_level.setdefault(lvl, []).append(x)
+        ok = True
+        for xs in by_level.values():
+            for a, b_ in itertools.combinations(xs, 2):
+                if b_ in rel_sets[a]:
+                    ok = False
+                    break
+            if not ok:
+                break
+        if not ok:
+            continue
+        ways = 1
+        for x, lvl in combo:
+            if lvl == 0:
+                continue
+            below = by_level.get(lvl - 1, [])
+            ways *= sum(1 for y in below if y in rel_sets[x])
+            if ways == 0:
+                break
+        total += ways
+    return total
+
+
+def brute_labelled_trees(delta: int, size: int) -> int:
+    """Independent tree counter: build every canonical shape explicitly.
+
+    A shape is a sorted tuple of (edge label, child shape); children carry
+    distinct labels from {0..delta-1}.  Counts shapes with exactly `size`
+    nodes, no closed form and no shared code with the library implementation.
+    """
+
+    def shapes(n: int) -> list:
+        if n == 1:
+            return [()]
+        out = []
+        for width in range(1, min(delta, n - 1) + 1):
+            for labels in itertools.combinations(range(delta), width):
+                for split in _compositions(n - 1, width):
+                    for kids in itertools.product(*(shapes(s) for s in split)):
+                        out.append(tuple(sorted(zip(labels, kids))))
+        return list(dict.fromkeys(out))
+
+    if size == 0:
+        return 1
+    return len(shapes(size))
+
+
+def _compositions(total: int, parts: int) -> list:
+    if parts == 1:
+        return [(total,)]
+    out = []
+    for first in range(1, total - parts + 2):
+        out.extend((first,) + rest for rest in _compositions(total - first, parts - 1))
+    return out

@@ -22,7 +22,7 @@ from resample_forge.instance_io import gen_grid_ksat, gen_torus_nae
 from resample_forge.landscape_lab import (
     build_landscape,
     count_delta_trees,
-    enumerate_grounded_forests,
+    count_grounded_forests,
     ground,
     q_poly,
     restrict_landscape,
@@ -42,6 +42,7 @@ from resample_forge.rule_engine import (
 from resample_forge.tape import FiniteTape, RandomTape, symbols_consumed, used_unused
 
 from .helpers import random_looped_problem
+from .reference_landscape import brute_labelled_trees, reference_grounded_forests
 from .reference_runner import reference_finite_tape
 
 GOLDEN_TAPE_PATH = pathlib.Path(__file__).resolve().parent.parent / "tape_vectors.json"
@@ -93,39 +94,6 @@ def _recovery_cases(count: int):
         k = rng.randint(1, max(1, top))
         yield p, pi, tape, trace, k
         produced += 1
-
-
-def _brute_labelled_trees(delta: int, size: int) -> int:
-    """Independent tree counter: build every canonical shape explicitly.
-
-    A shape is a sorted tuple of (edge label, child shape); children carry
-    distinct labels from {0..delta-1}.  Counts shapes with exactly `size`
-    nodes, no closed form and no shared code with the library implementation.
-    """
-
-    def shapes(n: int) -> list:
-        if n == 1:
-            return [()]
-        out = []
-        for width in range(1, min(delta, n - 1) + 1):
-            for labels in itertools.combinations(range(delta), width):
-                for split in _compositions(n - 1, width):
-                    for kids in itertools.product(*(shapes(s) for s in split)):
-                        out.append(tuple(sorted(zip(labels, kids))))
-        return list(dict.fromkeys(out))
-
-    if size == 0:
-        return 1
-    return len(shapes(size))
-
-
-def _compositions(total: int, parts: int) -> list:
-    if parts == 1:
-        return [(total,)]
-    out = []
-    for first in range(1, total - parts + 2):
-        out.extend((first,) + rest for rest in _compositions(total - first, parts - 1))
-    return out
 
 
 def _tiny_satisfiable(seed: int) -> ColouringProblem:
@@ -346,7 +314,7 @@ def test_criterion_08_counting_oracles():
                 assert count_delta_trees(delta, i) <= (math.e * delta) ** i
             assert count_delta_trees(delta, 1) == 1
         for i in range(0, 7):
-            assert count_delta_trees(2, i) == _brute_labelled_trees(2, i)
+            assert count_delta_trees(2, i) == brute_labelled_trees(2, i)
         assert count_delta_trees(2, 3) == 5
         coeffs2 = q_poly(2, 5)
         for n in range(0, 7):
@@ -361,9 +329,11 @@ def test_criterion_08_counting_oracles():
                 for edges in itertools.combinations(cells, e):
                     g = Digraph.from_edges(n, list(edges))
                     dep = max(1, build_rel(g).maxdeg())
+                    counts = count_grounded_forests(g, 3)
                     for m in range(0, 4):
                         bound = (m + 1) ** (n - 1) * (math.e * dep) ** m
-                        assert enumerate_grounded_forests(g, m) <= bound
+                        assert counts[m] <= bound
+                        assert counts[m] == reference_grounded_forests(g, m)
                         checked += 1
         assert checked > 50_000
 

@@ -22,6 +22,7 @@ from resample_forge import cli
 from resample_forge.instance_io import RESULTS_HEADER, gen_torus_nae, save_problem
 
 from .helpers import all_allowed_problem, single_clause_problem, unsatisfiable_problem
+from .make_golden import COMMANDS, GOLDEN_DIR
 
 GOLDEN_TORUS10_SEED7 = (
     '{"bits": 77.0, "max_h": 2, "rounds": 1, "status": "succeeded", "symbols": 77}'
@@ -406,6 +407,14 @@ def test_oracle_all_bounds_hold(capsys):
     assert all(line.endswith("PASS") for line in lines[:-1])
     assert any(line.startswith("P_1(delta=2) = 1 <=") for line in lines)
     assert any(line.startswith("P_3(delta=2) = 5 <=") for line in lines)
+
+
+@pytest.mark.parametrize("name", sorted(COMMANDS))
+def test_golden_stdout(capsys, name):
+    # regenerate with `python3 -m tests.make_golden` only when an output changes on purpose
+    code, out, _ = run_cli(capsys, *COMMANDS[name])
+    assert code == 0
+    assert out.encode() == (GOLDEN_DIR / f"{name}.stdout").read_bytes()
 
 
 def test_oracle_rows_structure():

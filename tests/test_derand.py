@@ -96,8 +96,11 @@ def test_explicit_k_rejects_bad_args():
             explicit_k_log(2, delta, 1, 1, 1)
         with pytest.raises(ValueError):
             threshold_m(0.0, 1, 1, delta)
-    with pytest.raises(ValueError, match="delta=1e-300 is too small"):
-        explicit_k_log(2, 1e-300, 1, 1, 1)  # (e*Delta)^-delta rounds to 1
+    for delta in (5e-324, 1e-300):  # (e*Delta)^-delta rounds to 1
+        with pytest.raises(ValueError, match=f"delta={delta} is too small"):
+            explicit_k_log(2, delta, 1, 1, 1)
+        with pytest.raises(ValueError, match=f"delta={delta} is too small"):
+            threshold_m(0.0, 1, 1, delta)
 
 
 def test_threshold_m_frozen():

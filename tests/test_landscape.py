@@ -2,7 +2,6 @@
 
 import itertools
 import json
-import math
 import random
 from fractions import Fraction
 
@@ -13,12 +12,14 @@ from hypothesis import strategies as st
 from resample_forge.graph_core import Digraph, ball, build_rel
 from resample_forge.instance_io import gen_torus_nae
 from resample_forge.landscape_lab import (
+    MAX_FOREST_VERTICES,
+    MAX_Q_DEGREE,
     FinalisedLandscape,
     GForest,
     GroundingError,
     build_landscape,
     count_delta_trees,
-    enumerate_grounded_forests,
+    count_grounded_forests,
     ground,
     landscape_to_json,
     q_poly,
@@ -42,6 +43,7 @@ from tests.helpers import (
     torus_graph,
 )
 from tests.reference_landscape import (
+    brute_labelled_trees,
     reference_ground,
     reference_restrict_landscape,
     reference_restrict_problem,
@@ -662,18 +664,17 @@ def test_count_delta_trees_frozen():
 
 
 def test_count_delta_trees_matches_closed_form():
-    # independent closed form: C(delta*i, i) / ((delta-1)*i + 1)
+    # the closed form against explicitly built shapes
     for delta in range(1, 5):
         for i in range(0, 7):
-            expected = math.comb(delta * i, i) // ((delta - 1) * i + 1)
-            assert count_delta_trees(delta, i) == expected
+            assert count_delta_trees(delta, i) == brute_labelled_trees(delta, i)
 
 
 def test_count_delta_trees_budget():
-    with pytest.raises(ValueError, match="budget"):
-        count_delta_trees(5, 2)
-    with pytest.raises(ValueError, match="budget"):
-        count_delta_trees(2, 7)
+    # delta = 5 is counted: trees of at most 3 vertices have depth <= 2
+    coeffs = q_poly(5, 2)
+    for i in range(0, 4):
+        assert count_delta_trees(5, i) == coeffs[i]
 
 
 def test_q_poly_frozen():
@@ -686,6 +687,13 @@ def test_q_poly_frozen():
             assert coeffs[size] == count_delta_trees(delta, size)
 
 
+def test_q_poly_degree_cap():
+    assert len(q_poly(4, 5)) == MAX_Q_DEGREE + 1  # deg Q_5 at delta = 4 is the cap itself
+    for delta, i in [(4, 6), (2, 10), (1, MAX_Q_DEGREE), (5, 10**9)]:
+        with pytest.raises(ValueError, match="MAX_Q_DEGREE"):
+            q_poly(delta, i)
+
+
 def test_q_value_at_rho_bounded():
     for delta in (2, 3, 4):
         bound = Fraction(delta, delta - 1)
@@ -694,6 +702,8 @@ def test_q_value_at_rho_bounded():
             val = q_value_at_rho(delta, i)
             assert prev < val <= bound
             prev = val
+    with pytest.raises(ValueError, match="nonnegative"):
+        q_value_at_rho(2, -1)
 
 
 def brute_grounded_forests(g, m):
@@ -724,29 +734,33 @@ def brute_grounded_forests(g, m):
 
 def test_enumerate_grounded_forests_frozen():
     g = Digraph.from_edges(2, [(1, 0)])  # one clause reading one cell
-    assert enumerate_grounded_forests(g, 0) == 1
-    assert enumerate_grounded_forests(g, 1) == 2
-    assert enumerate_grounded_forests(g, 2) == 2
+    assert count_grounded_forests(g, 2) == [1, 2, 2]
+    assert count_grounded_forests(g, 0) == [1]
 
 
 def test_enumerate_grounded_forests_matches_brute_force():
+    cycle8 = [(x, x) for x in range(8)] + [(x, (x + 1) % 8) for x in range(8)]
     cases = [
         Digraph.from_edges(2, [(1, 0)]),
         path_digraph(3),
         Digraph.from_edges(3, [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2)]),
         Digraph.from_edges(4, [(0, 1), (1, 2), (2, 3), (3, 0)]),
+        Digraph.from_edges(8, cycle8),
+        gen_torus_nae(3, 3, 2).graph,
     ]
     for g in cases:
+        counts = count_grounded_forests(g, 3)
         for m in range(0, 4):
-            assert enumerate_grounded_forests(g, m) == brute_grounded_forests(g, m)
+            assert counts[m] == brute_grounded_forests(g, m)
 
 
 def test_enumerate_grounded_forests_budget():
-    g = path_digraph(3)
-    with pytest.raises(ValueError, match="budget"):
-        enumerate_grounded_forests(g, 5)
-    with pytest.raises(ValueError, match="budget"):
-        enumerate_grounded_forests(path_digraph(6), 2)
+    with pytest.raises(ValueError, match="MAX_FOREST_VERTICES"):
+        count_grounded_forests(path_digraph(MAX_FOREST_VERTICES + 1), 2)
+    with pytest.raises(ValueError, match="nonnegative"):
+        count_grounded_forests(path_digraph(3), -1)
+    # the node count is not capped
+    assert count_grounded_forests(path_digraph(3), 5)[5] == brute_grounded_forests(path_digraph(3), 5)
 
 
 def test_landscape_json_deterministic():
