@@ -22,7 +22,7 @@ from resample_forge import cli
 from resample_forge.instance_io import RESULTS_HEADER, gen_torus_nae, save_problem
 
 from .helpers import all_allowed_problem, single_clause_problem, unsatisfiable_problem
-from .make_golden import COMMANDS, GOLDEN_DIR
+from .make_golden import COMMANDS, GOLDEN_DIR, capture
 
 GOLDEN_TORUS10_SEED7 = (
     '{"bits": 77.0, "max_h": 2, "rounds": 1, "status": "succeeded", "symbols": 77}'
@@ -410,11 +410,14 @@ def test_oracle_all_bounds_hold(capsys):
 
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
-def test_golden_stdout(capsys, name):
+def test_golden_stdout(name):
     # regenerate with `python3 -m tests.make_golden` only when an output changes on purpose
-    code, out, _ = run_cli(capsys, *COMMANDS[name])
-    assert code == 0
-    assert out.encode() == (GOLDEN_DIR / f"{name}.stdout").read_bytes()
+    argv, expected = COMMANDS[name]
+    code, out, files = capture(argv)
+    assert code == expected
+    files["stdout"] = out.encode()
+    for suffix, data in files.items():
+        assert data == (GOLDEN_DIR / f"{name}.{suffix}").read_bytes(), suffix
 
 
 def test_oracle_rows_structure():
