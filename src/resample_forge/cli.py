@@ -188,9 +188,9 @@ def cmd_solve_det(args: argparse.Namespace) -> int:
         _emit(payload)
         return EXIT_OK
 
-    attempts: list = []
+    attempts: list | None = [] if args.csv else None
     try:
-        colouring = derand_solve(p, pi, args.m, args.tape_cap, attempts)
+        winner = derand_solve(p, pi, args.m, args.tape_cap, attempts)
     except InfeasibleError as exc:
         payload["status"] = "infeasible"
         payload["error"] = str(exc)
@@ -200,19 +200,19 @@ def cmd_solve_det(args: argparse.Namespace) -> int:
     except ExhaustedError as exc:
         payload["status"] = "exhausted"
         payload["error"] = str(exc)
-        payload["tapes_tried"] = len(attempts)
+        payload["tapes_tried"] = exc.tapes_tried
         _emit(payload)
         _write_attempts(args.csv, attempts)
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EXHAUSTED
 
-    winner = attempts[-1]
+    tapes_tried = winner.tape_index + 1  # the search runs in index order from 0
     payload.update(
         {
             "status": "solved",
             "m_used": args.m,
             "tape_index": winner.tape_index,
-            "tapes_tried": len(attempts),
+            "tapes_tried": tapes_tried,
             "passes": winner.passes,
             "reevals": winner.reevals,
         }
@@ -221,19 +221,19 @@ def cmd_solve_det(args: argparse.Namespace) -> int:
     _table(
         [
             ("winning tape", winner.tape_index),
-            ("tapes tried", len(attempts)),
+            ("tapes tried", tapes_tried),
             ("passes", winner.passes),
             ("rule evaluations", winner.reevals),
         ],
         args.quiet,
     )
     if args.out:
-        _write_colouring(args.out, colouring)
+        _write_colouring(args.out, winner.colouring)
     _write_attempts(args.csv, attempts)
     return EXIT_OK
 
 
-def _write_attempts(path: str | None, attempts: list) -> None:
+def _write_attempts(path: str | None, attempts: list | None) -> None:
     if not path:
         return
     with open(path, "w", newline="", encoding="utf-8") as fh:
@@ -356,93 +356,45 @@ def _oracle_graphs() -> list[tuple[str, Digraph]]:
     ]
 
 
-def oracle_checks() -> list[dict]:
-    """Counting-bound grid: every row is an exact count (closed form, polynomial or DP) vs its bound."""
-    rows: list[dict] = []
+def oracle_checks() -> list[tuple[str, bool]]:
+    """Counting-bound grid: each (line, ok) pair is an exact count (closed form, polynomial or DP) vs its bound."""
+    rows: list[tuple[str, bool]] = []
+
+    def check(lhs: str, rhs: str, ok: bool) -> None:
+        rows.append((f"{lhs} <= {rhs} : {'PASS' if ok else 'FAIL'}", ok))
+
     for delta in range(1, 5):
         for i in range(0, 7):
             value = count_delta_trees(delta, i)
             bound = (math.e * delta) ** i
-            rows.append(
-                {
-                    "check": "trees",
-                    "delta": delta,
-                    "i": i,
-                    "value": value,
-                    "bound": round(bound, 3),
-                    "pass": value <= bound,
-                }
-            )
+            check(f"P_{i}(delta={delta}) = {value}", f"(e*{delta})^{i} ~= {round(bound, 3)}", value <= bound)
     for delta in range(2, 5):
         cap = delta / (delta - 1)
         for i in range(0, 9):
             q = q_value_at_rho(delta, i)
-            rows.append(
-                {
-                    "check": "q_at_rho",
-                    "delta": delta,
-                    "i": i,
-                    "value": round(float(q), 6),
-                    "bound": round(cap, 6),
-                    "pass": q <= cap,
-                }
-            )
+            check(f"Q_{i}(rho; delta={delta}) = {round(float(q), 6)}", f"{round(cap, 6)}", q <= cap)
     for delta in (2, 3):
         coeffs = q_poly(delta, 4)
         ok = all(
             coeffs[nn] == count_delta_trees(delta, nn)
             for nn in range(0, min(5, len(coeffs)))
         )
-        rows.append(
-            {
-                "check": "q_prefix",
-                "delta": delta,
-                "i": 4,
-                "value": coeffs[: min(5, len(coeffs))],
-                "bound": "tree counts",
-                "pass": ok,
-            }
-        )
+        check(f"Q_4 coefficients (delta={delta}) = {coeffs[: min(5, len(coeffs))]}", "tree counts", ok)
     for name, g in _oracle_graphs():
         big = max(1, build_rel(g).maxdeg())
         for m, value in enumerate(count_grounded_forests(g, 3)):
             bound = (m + 1) ** (g.n - 1) * (math.e * big) ** m
-            rows.append(
-                {
-                    "check": "forests",
-                    "graph": name,
-                    "m": m,
-                    "value": value,
-                    "bound": round(bound, 3),
-                    "pass": value <= bound,
-                }
-            )
+            check(f"forests({name}, m={m}) = {value}", f"(m+1)^(n-1)*(e*Delta)^m ~= {round(bound, 3)}", value <= bound)
     return rows
-
-
-def _oracle_line(row: dict) -> str:
-    if row["check"] == "trees":
-        lhs = f"P_{row['i']}(delta={row['delta']}) = {row['value']}"
-        rhs = f"(e*{row['delta']})^{row['i']} ~= {row['bound']}"
-    elif row["check"] == "q_at_rho":
-        lhs = f"Q_{row['i']}(rho; delta={row['delta']}) = {row['value']}"
-        rhs = f"{row['bound']}"
-    elif row["check"] == "q_prefix":
-        lhs = f"Q_4 coefficients (delta={row['delta']}) = {row['value']}"
-        rhs = "tree counts"
-    else:
-        lhs = f"forests({row['graph']}, m={row['m']}) = {row['value']}"
-        rhs = f"(m+1)^(n-1)*(e*Delta)^m ~= {row['bound']}"
-    verdict = "PASS" if row["pass"] else "FAIL"
-    return f"{lhs} <= {rhs} : {verdict}"
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
     rows = oracle_checks()
-    for row in rows:
-        print(_oracle_line(row))
-    all_pass = all(row["pass"] for row in rows)
-    print(f"{sum(1 for r in rows if r['pass'])}/{len(rows)} bounds hold")
+    for line, _ in rows:
+        print(line)
+    passed = sum(ok for _, ok in rows)
+    all_pass = passed == len(rows)
+    print(f"{passed}/{len(rows)} bounds hold")
     if not args.quiet:
         print("all pass" if all_pass else "FAILURES PRESENT", file=sys.stderr)
     return EXIT_OK if all_pass else EXIT_ERROR

@@ -15,6 +15,7 @@ guarantee alongside a feasibility verdict.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 # bound at import: perfbench/tracing.py wraps mta_runner.run in a per-call
@@ -37,6 +38,10 @@ class InfeasibleError(RuntimeError):
 
 class ExhaustedError(RuntimeError):
     """Every finite tape was tried and none produced a solution."""
+
+    def __init__(self, message: str, tapes_tried: int):
+        super().__init__(message)
+        self.tapes_tried = tapes_tried
 
 
 # ---------------------------------------------------------------------------
@@ -69,17 +74,26 @@ def explicit_k_log(b: int, delta: float, d: int, num_parts: int, big_delta: int)
 
     K = d * (|pi|^d * 2^(b^d + 1) * b)^|pi| * |pi|! / (1 - (e*Delta)^-delta)^|pi|,
     evaluated in log space because the middle factor explodes immediately.
-    Raises ValueError when delta is so small that (e*Delta)^-delta rounds to 1.
+    Raises ValueError when delta is so small that (e*Delta)^-delta rounds to 1,
+    and when ln K itself overflows a float.
     """
     _check_bound_args(b, delta, d, num_parts, big_delta)
     decay = math.exp(-_decay_rate(delta, big_delta))
+    too_big = f"ln K overflows a float (b={b}, d={d}, |pi|={num_parts})"
+    # b^d + 1 must fit in a float; b^d has at least d*(bits(b)-1) + 1 bits, so
+    # that test rejects a huge d before b**d is built
+    if d * (b.bit_length() - 1) >= 1024 or b**d + 1 > sys.float_info.max:
+        raise ValueError(too_big)
     inner = d * math.log(num_parts) + (b**d + 1) * math.log(2.0) + math.log(b)
-    return (
+    k_log = (
         math.log(d)
         + num_parts * inner
         + math.lgamma(num_parts + 1)
         - num_parts * math.log1p(-decay)
     )
+    if not math.isfinite(k_log):
+        raise ValueError(too_big)
+    return k_log
 
 
 def threshold_m(k_log: float, num_parts: int, big_delta: int, delta: float) -> int:
@@ -89,8 +103,11 @@ def threshold_m(k_log: float, num_parts: int, big_delta: int, delta: float) -> i
     gap between the two sides is concave in m, so once it is >= 0 at m = 1 it
     stays >= 0 up to the answer and < 0 after it: doubling brackets the
     answer and bisection narrows the bracket to it.  Raises ValueError when
-    delta is so small that (e*Delta)^-delta rounds to 1.
+    k_log is not finite, when delta is so small that (e*Delta)^-delta rounds
+    to 1, and when the answer is 2^1024 or more, past what a float can hold.
     """
+    if not math.isfinite(k_log):
+        raise ValueError("k_log must be finite")
     if num_parts < 1:
         raise ValueError("need at least one part")
     if big_delta < 1:
@@ -104,6 +121,8 @@ def threshold_m(k_log: float, num_parts: int, big_delta: int, delta: float) -> i
 
     lo, hi = 0, 1  # the answer lies in (lo, hi]: hi is covered, lo is 0 or not covered
     while not covered(hi):
+        if hi.bit_length() > 1023:  # covered(2 * hi) would convert 2^1024 to a float
+            raise ValueError(f"no tape length below 2^1024 is guaranteed at ln K = {k_log:.6g}, delta={delta}")
         lo, hi = hi, 2 * hi
     while hi - lo > 1:
         mid = (lo + hi) // 2
@@ -127,17 +146,10 @@ class DerandBudget:
     num_tapes: int | None
     infeasible: bool
 
-    @property
-    def k(self) -> float:
-        try:
-            return math.exp(self.k_log)
-        except OverflowError:
-            return math.inf
-
 
 def _tape_count(b: int, num_parts: int, m: int) -> int | None:
     """Number of m-round tapes, b^(|pi|*m); None past 10,000 bits, which no search enumerates."""
-    if num_parts * m * math.log2(b) > 10_000:
+    if num_parts * m > 10_000 / math.log2(b):  # an exact int-float comparison: m may pass the float range
         return None
     return b ** (num_parts * m)
 
@@ -171,9 +183,6 @@ class TapeAttempt:
     outcome: str
     passes: int
     reevals: int
-    m: int
-    n: int
-    d_bound: int
     colouring: list | None = None
 
 
@@ -187,21 +196,8 @@ def run_finite_tape(p: ColouringProblem, pi, tape: FiniteTape, tape_index: int =
         SUCCESS if trace.succeeded else TAPE_EXHAUSTED,
         trace.rounds,
         trace.clause_evals - len(p.active_clauses()),
-        tape.rounds,
-        p.n,
-        max(1, p.graph.maxdeg()),
         trace.final_colouring if trace.succeeded else None,
     )
-
-
-def work_counter(attempt: TapeAttempt) -> int:
-    """Post-initialisation clause re-evaluations, checked against d^4*m*n."""
-    bound = attempt.d_bound**4 * attempt.m * attempt.n
-    if attempt.reevals > bound:
-        raise RuntimeError(
-            f"re-evaluation count {attempt.reevals} exceeds d^4*m*n = {bound}"
-        )
-    return attempt.reevals
 
 
 # ---------------------------------------------------------------------------
@@ -226,12 +222,15 @@ def derand_solve(
     m: int,
     tape_cap: int = DEFAULT_TAPE_CAP,
     attempts: list | None = None,
-):
-    """Try every m-round tape in numeric order; return the first solution found.
+) -> TapeAttempt:
+    """Try every m-round tape in numeric order; return the first that succeeds.
 
-    Deterministic by construction.  Raises InfeasibleError when b^(|pi|*m)
-    exceeds tape_cap, ExhaustedError when the whole space fails.  When a list
-    is passed as `attempts`, a TapeAttempt per tried tape is appended to it.
+    Deterministic by construction.  The winner's colouring is verified.
+    Raises InfeasibleError when b^(|pi|*m) exceeds tape_cap, ExhaustedError
+    (carrying the number of tapes tried) when the whole space fails, and
+    RuntimeError when an attempt's post-initialisation rule re-evaluations
+    exceed d^4*m*n.  When a list is passed as `attempts`, a TapeAttempt per
+    tried tape is appended to it.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -244,15 +243,19 @@ def derand_solve(
         raise InfeasibleError(
             f"{num_tapes} tapes exceed the cap of {tape_cap}; lower m or raise the cap"
         )
+    bound = max(1, p.graph.maxdeg()) ** 4 * m * p.n
     for index in range(num_tapes):
         tape = decode_tape(index, pi.num_parts, m, p.b)
         attempt = run_finite_tape(p, pi, tape, index)
-        work_counter(attempt)
+        if attempt.reevals > bound:
+            raise RuntimeError(
+                f"re-evaluation count {attempt.reevals} exceeds d^4*m*n = {bound}"
+            )
         if attempts is not None:
             attempts.append(attempt)
         if attempt.outcome == SUCCESS:
             if not satisfies(p, attempt.colouring):
                 raise RuntimeError("inner loop reported success on a violated colouring")
-            return attempt.colouring
-    raise ExhaustedError(f"all {num_tapes} tapes failed within {m} rounds")
+            return attempt
+    raise ExhaustedError(f"all {num_tapes} tapes failed within {m} rounds", num_tapes)
 

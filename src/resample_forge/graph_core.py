@@ -50,15 +50,12 @@ class Digraph:
             in_adj[dst].append(src)
         return Digraph(n, out_adj, in_adj)
 
-    def neighbourhood(self, x: int) -> set[int]:
-        return set(self.out_adj[x]) | set(self.in_adj[x])
-
     def deg(self, x: int) -> int:
         # a self-loop contributes 1, via set semantics
-        return len(self.neighbourhood(x))
+        return len(set(self.out_adj[x]).union(self.in_adj[x]))
 
     def maxdeg(self) -> int:
-        """Largest deg(x), cached: the exhaustive solver asks once per tape."""
+        """Largest deg(x), cached: annotation, the budget and the search each ask."""
         if self._maxdeg is None:
             self._maxdeg = max((self.deg(x) for x in range(self.n)), default=0)
         return self._maxdeg

@@ -311,12 +311,3 @@ def append_results(path: str, records: list) -> None:
             writer.writerow(RESULTS_HEADER)
         for rec in records:
             writer.writerow(rec.row())
-
-
-def read_results(path: str) -> list:
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != RESULTS_HEADER:
-            raise ValueError(f"unexpected results header {header}")
-        return [row for row in reader]

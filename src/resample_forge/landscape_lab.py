@@ -25,7 +25,9 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from resample_forge.graph_core import Digraph, ball, build_rel
+from resample_forge.graph_core import Digraph, build_rel
+# unused here, but perfbench/tracing.py wraps the name landscape_lab.ball
+from resample_forge.graph_core import ball  # noqa: F401
 from resample_forge.partitioner import is_pi_unique, singleton_partition
 from resample_forge.rule_engine import ColouringProblem, LocalRule
 
@@ -259,28 +261,6 @@ def restrict_landscape(p: ColouringProblem, pi, fl: FinalisedLandscape, subset) 
     for x in kept:
         fin[part_of[x]] = fl.fin[x]
     return FinalisedLandscape(GForest(set(viol), parent), viol, fin)
-
-
-# ---------------------------------------------------------------------------
-# radius selection
-
-
-def stable_radius(g: Digraph, h: list, y: int, big_r: int, eps: float) -> int:
-    """Smallest r in 3..3R whose weighted ball grew at most (1+eps) over r-3.
-
-    Guaranteed to exist when the graph satisfies the growth check and h peaks
-    at y; raises ValueError otherwise.
-    """
-    if len(h) != g.n:
-        raise ValueError("weight vector length mismatch")
-    if big_r < 1:
-        raise ValueError("R must be >= 1")
-    for r in range(3, 3 * big_r + 1):
-        inner = sum(h[x] for x in ball(g, y, r - 3))
-        outer = sum(h[x] for x in ball(g, y, r))
-        if outer <= (1.0 + eps) * inner * (1.0 + 1e-12):
-            return r
-    raise ValueError(f"no stable radius in 3..{3 * big_r} at vertex {y}")
 
 
 # ---------------------------------------------------------------------------

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from resample_forge.graph_core import Digraph, balls, power_graph
+from resample_forge.graph_core import Digraph, power_graph
 # unused here, but perfbench/tracing.py wraps the name partitioner.ball
 from resample_forge.graph_core import ball  # noqa: F401
 
@@ -56,14 +56,6 @@ def sparse_partition(g: Digraph, r: int) -> SparsePartition:
         colour[x] = c
     num_parts = max(colour) + 1 if g.n else 0
     return SparsePartition(num_parts, tuple(colour), r)
-
-
-def is_r_sparse(g: Digraph, pi: SparsePartition, r: int) -> bool:
-    """True iff every radius-r ball meets each part at most once."""
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    part_of = pi.part_of
-    return all(len({part_of[y] for y in near}) == len(near) for near in balls(g, r))
 
 
 def is_pi_unique(pi: SparsePartition, subset) -> bool:

@@ -106,7 +106,6 @@ class FiniteTape:
 class ConsumptionReport(NamedTuple):
     count: int
     bits: float
-    converged: bool
 
 
 def used_unused(trace, pi, tape, k: int):
@@ -138,8 +137,7 @@ def used_unused(trace, pi, tape, k: int):
 def symbols_consumed(trace, pi) -> ConsumptionReport:
     """Total distinct tape cells consumed: per part, the largest counter wins.
 
-    For a run that exhausted its budget the count is only a lower bound, and
-    the report says so via converged=False.
+    For a run that exhausted its budget the count is only a lower bound.
     """
     per_part: dict[int, int] = {}
     for x, hx in enumerate(trace.h):
@@ -148,4 +146,4 @@ def symbols_consumed(trace, pi) -> ConsumptionReport:
             per_part[alpha] = hx
     count = sum(per_part.values())
     bits = count * math.log2(trace.b) if trace.b > 1 else 0.0
-    return ConsumptionReport(count, bits, trace.succeeded)
+    return ConsumptionReport(count, bits)

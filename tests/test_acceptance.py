@@ -349,8 +349,8 @@ def test_criterion_09_derand():
             pi = singleton_partition(p.n)
             m = 3
             attempts: list = []
-            colouring = derand_solve(p, pi, m, attempts=attempts)
-            assert satisfies(p, colouring)
+            winner = derand_solve(p, pi, m, attempts=attempts)
+            assert satisfies(p, winner.colouring)
             d_bound = max(1, p.graph.maxdeg())
             rel_sets = [set(a) for a in p.rel().out_adj]
             for a in attempts:

@@ -13,13 +13,16 @@ import io
 import json
 import os
 import tempfile
+import tracemalloc
 import warnings
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from resample_forge import cli
+from resample_forge.graph_core import Digraph
 from resample_forge.instance_io import RESULTS_HEADER, gen_torus_nae, save_problem
+from resample_forge.rule_engine import ColouringProblem, LocalRule
 
 from .helpers import all_allowed_problem, single_clause_problem, unsatisfiable_problem
 from .make_golden import COMMANDS, GOLDEN_DIR, capture
@@ -282,6 +285,52 @@ def test_solve_det_exhausted_exit_four(tmp_path, capsys):
     assert payload["tapes_tried"] == 4
 
 
+def unsat_two_variable_cnf():
+    """Variables 0 and 1, and clause vertices 2..5 forbidding one assignment each: all four."""
+    g = Digraph.from_edges(6, [(c, v) for c in range(2, 6) for v in (0, 1)])
+    rows = [(), ()] + [((a, b),) for a in range(2) for b in range(2)]
+    p = ColouringProblem(g, 2, LocalRule(rows))
+    p.validate()
+    return p
+
+
+# the search used to keep a record of every tape tried, even with no --csv to write
+def test_solve_det_keeps_no_record_per_tape(tmp_path, capsys):
+    path = write_problem(tmp_path, unsat_two_variable_cnf())
+    argv = ["solve-det", path, "--classic", "--m", "2"]
+    run_cli(capsys, *argv)  # warm every lazy import and cache before measuring
+    tracemalloc.start()
+    try:
+        code, out, _ = run_cli(capsys, *argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 4
+    assert json.loads(out)["tapes_tried"] == 4096  # 6 parts, m = 2, b = 2
+    assert peak < 0.4e6, peak
+
+
+def test_solve_det_reports_a_tape_length_past_the_float_range(tmp_path, capsys):
+    # ln K ~ 1.2e308 is finite; m ~ 3.7e307 used to overflow the tape count
+    path = write_problem(tmp_path, gen_torus_nae(4, 4, 2))
+    code, out, err = run_cli(capsys, "solve-det", path, "--d", "1020", "--quiet")
+    assert code == 0 and err == ""
+    payload = json.loads(out)
+    assert payload["status"] == "report_only"
+    assert payload["m_theoretical"] > 10**307
+    assert payload["num_tapes_theoretical"] is None and payload["infeasible"] is True
+
+
+# vertex 0 reads all 1,100 cells, so the default degree bound d is 1,100 and
+# 2^d overflows a float; --d 1020 fits, but |pi| = 1,100 times it does not
+@pytest.mark.parametrize("flags", [[], ["--d", "1020"]])
+def test_solve_det_star_exits_one(tmp_path, capsys, flags):
+    n = 1100
+    g = Digraph.from_edges(n, [(0, y) for y in range(n)])
+    path = write_problem(tmp_path, ColouringProblem(g, 2, LocalRule([()] * n)))
+    assert_one_error_line(capsys, ["solve-det", path, "--classic", *flags], "ln K overflows a float")
+
+
 # ---------------------------------------------------------------------------
 # garbage collector
 
@@ -420,14 +469,6 @@ def test_golden_stdout(name):
         assert data == (GOLDEN_DIR / f"{name}.{suffix}").read_bytes(), suffix
 
 
-def test_oracle_rows_structure():
-    rows = cli.oracle_checks()
-    assert all(row["pass"] for row in rows)
-    trees = {(r["delta"], r["i"]): r["value"] for r in rows if r["check"] == "trees"}
-    assert trees[(2, 3)] == 5
-    assert all(trees[(d, 1)] == 1 for d in range(1, 5))
-
-
 # ---------------------------------------------------------------------------
 # gen / verify
 
@@ -499,6 +540,10 @@ def test_bad_flag_values_exit_one(tmp_path, capsys):
         (["solve-det", path, "--classic", "--delta", "-inf"], "expected one argument"),  # -inf reads as an option
         # used to print "math domain error": the decay factor rounds to 1
         (["solve-det", path, "--classic", "--delta", "1e-300"], "delta=1e-300 is too small"),
+        # these used to end in an OverflowError traceback
+        (["solve-det", path, "--classic", "--d", "1030"], "ln K overflows a float"),
+        (["solve-det", path, "--classic", "--d", "1" + "0" * 4000], "ln K overflows a float"),
+        (["solve-det", path, "--classic", "--d", "1020", "--delta", "1e-10"], "no tape length below 2^1024"),
         # a repeated side used to run twice and count its trials twice
         (["stats", "--sizes", "5,5", "--repeat", "2"], "ladder sizes must not repeat"),
         (["stats", "--sizes", "3,8,3", "--repeat", "2"], "ladder sizes must not repeat"),

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resample_forge import derand
 from resample_forge.derand import (
     SUCCESS,
     TAPE_EXHAUSTED,
@@ -18,9 +19,9 @@ from resample_forge.derand import (
     run_finite_tape,
     theoretical_budget,
     threshold_m,
-    work_counter,
 )
 from resample_forge.graph_core import Digraph
+from resample_forge.instance_io import gen_torus_nae
 from resample_forge.mta_runner import STATUS_TAPE_DEPLETED, run
 from resample_forge.partitioner import SparsePartition, singleton_partition
 from resample_forge.rule_engine import ColouringProblem, LocalRule, bad_set, satisfies
@@ -101,6 +102,27 @@ def test_explicit_k_rejects_bad_args():
             explicit_k_log(2, delta, 1, 1, 1)
         with pytest.raises(ValueError, match=f"delta={delta} is too small"):
             threshold_m(0.0, 1, 1, delta)
+    # ln K past the float range: b^d + 1 itself, or |pi| times a finite term
+    for args in [(2, 1.0, 1030, 16, 11), (2, 1.0, 1100, 1100, 1), (2, 1.0, 1024, 1, 1), (2, 1.0, 1020, 1100, 1)]:
+        with pytest.raises(ValueError, match="ln K overflows a float"):
+            explicit_k_log(*args)
+    with pytest.raises(ValueError, match="ln K overflows a float"):
+        explicit_k_log(2**64, 1.0, 10**4000, 1, 1)  # rejected before b**d is built
+    for k_log in (math.inf, -math.inf, math.nan):
+        with pytest.raises(ValueError, match="k_log must be finite"):
+            threshold_m(k_log, 1, 1, 1.0)
+    # m ~ k_log / (delta * (1 + ln Delta)) would pass 2^1024
+    with pytest.raises(ValueError, match="no tape length below 2\\^1024"):
+        threshold_m(1.2e308, 16, 11, 1e-10)
+
+
+def test_budget_past_the_float_range_is_unenumerable():
+    # ln K ~ 1.2e308 is finite, and |pi| * m ~ 5.9e308 is compared with the 10,000-bit limit without a float
+    p = gen_torus_nae(4, 4, 2)
+    budget = theoretical_budget(p, singleton_partition(p.n), delta=1.0, d=1020)
+    assert budget.k_log == pytest.approx(16 * (2**1020 * math.log(2)), rel=1e-3)
+    assert budget.m > 10**307
+    assert budget.num_tapes is None and budget.infeasible
 
 
 def test_threshold_m_frozen():
@@ -151,7 +173,6 @@ def test_theoretical_budget_flags_infeasible():
     assert budget.m >= 1
     assert budget.num_tapes == p.b ** (p.n * budget.m)
     assert budget.infeasible == (budget.num_tapes > 2**24)
-    assert budget.k > 0 or budget.k == math.inf
 
 
 # ---------------------------------------------------------------------------
@@ -228,15 +249,24 @@ def test_run_finite_tape_immediate_success_zero_work():
     attempt = run_finite_tape(p, pi, FiniteTape(4, 1, 2, [0, 0, 0, 0]), 0)
     assert attempt.outcome == SUCCESS
     assert attempt.passes == 0
-    assert work_counter(attempt) == 0
+    assert attempt.reevals == 0
 
 
-def test_work_counter_rejects_over_budget():
-    p = all_allowed_problem(2)
-    attempt = run_finite_tape(p, singleton_partition(2), FiniteTape(2, 1, 2, [0, 0]), 0)
-    attempt.reevals = 10**9
-    with pytest.raises(RuntimeError, match="exceeds"):
-        work_counter(attempt)
+def test_derand_solve_rejects_work_over_the_bound(monkeypatch):
+    # d = 1, m = 1, n = 2: an attempt may re-evaluate at most 2 rules
+    p = unsatisfiable_problem()
+    real = derand.run_finite_tape
+
+    def padded(*args):
+        attempt = real(*args)
+        attempt.reevals = 2 if attempt.tape_index == 0 else 3  # at the bound, then one over
+        return attempt
+
+    monkeypatch.setattr(derand, "run_finite_tape", padded)
+    attempts = []
+    with pytest.raises(RuntimeError, match=r"re-evaluation count 3 exceeds d\^4\*m\*n = 2"):
+        derand_solve(p, singleton_partition(p.n), 1, attempts=attempts)
+    assert [a.tape_index for a in attempts] == [0]
 
 
 # ---------------------------------------------------------------------------
@@ -246,17 +276,18 @@ def test_work_counter_rejects_over_budget():
 def test_single_clause_one_part_hand_trace():
     p = single_clause_problem()
     attempts = []
-    colouring = derand_solve(p, ONE_PART, 1, attempts=attempts)
-    assert colouring == [1, 1]
-    assert satisfies(p, colouring)
+    winner = derand_solve(p, ONE_PART, 1, attempts=attempts)
+    assert winner.colouring == [1, 1]
+    assert satisfies(p, winner.colouring)
     assert [a.outcome for a in attempts] == [TAPE_EXHAUSTED, SUCCESS]
-    assert attempts[1].tape_index == 1
+    assert attempts[1] is winner and winner.tape_index == 1
 
 
 def test_single_clause_singleton_parts():
     p = single_clause_problem()
-    colouring = derand_solve(p, singleton_partition(p.n), 1)
-    assert colouring == [1, 0]  # tape 1 flips the cell, clause part still 0
+    winner = derand_solve(p, singleton_partition(p.n), 1)
+    assert winner.colouring == [1, 0]  # tape 1 flips the cell, clause part still 0
+    assert winner.tape_index == 1
 
 
 def test_single_clause_m2_work_frozen():
@@ -266,7 +297,6 @@ def test_single_clause_m2_work_frozen():
     first = attempts[0]
     assert first.outcome == TAPE_EXHAUSTED
     assert (first.passes, first.reevals) == (1, 1)
-    assert work_counter(first) == 1
     assert attempts[1].outcome == SUCCESS
     assert attempts[1].passes == 0
 
@@ -274,9 +304,9 @@ def test_single_clause_m2_work_frozen():
 def test_unsatisfiable_exhausts_all_tapes():
     p = unsatisfiable_problem()
     attempts = []
-    with pytest.raises(ExhaustedError, match="4 tapes"):
+    with pytest.raises(ExhaustedError, match="4 tapes") as exc:
         derand_solve(p, ONE_PART, 2, attempts=attempts)
-    assert len(attempts) == 4
+    assert exc.value.tapes_tried == len(attempts) == 4
     assert all(a.outcome == TAPE_EXHAUSTED for a in attempts)
 
 
@@ -305,11 +335,11 @@ def test_derand_solve_deterministic():
     p = random_looped_problem(4, 2, 2, 1, seed=9)
     pi = singleton_partition(p.n)
     a1, a2 = [], []
-    c1 = derand_solve(p, pi, 2, tape_cap=2**26, attempts=a1)
-    c2 = derand_solve(p, pi, 2, tape_cap=2**26, attempts=a2)
-    assert c1 == c2
-    assert [a.tape_index for a in a1] == [a.tape_index for a in a2]
-    assert satisfies(p, c1)
+    w1 = derand_solve(p, pi, 2, tape_cap=2**26, attempts=a1)
+    w2 = derand_solve(p, pi, 2, tape_cap=2**26, attempts=a2)
+    assert w1 == w2
+    assert [a.tape_index for a in a1] == [a.tape_index for a in a2] == list(range(w1.tape_index + 1))
+    assert satisfies(p, w1.colouring)
 
 
 # ---------------------------------------------------------------------------
@@ -386,4 +416,4 @@ def test_work_bound_on_random_instances(seed):
     for index in (0, 1, 17 % p.b ** (pi.num_parts * 2)):
         tape = decode_tape(index, pi.num_parts, 2, p.b)
         attempt = run_finite_tape(p, pi, tape, index)
-        assert work_counter(attempt) <= attempt.d_bound**4 * attempt.m * attempt.n
+        assert attempt.reevals <= max(1, p.graph.maxdeg()) ** 4 * 2 * p.n

@@ -26,7 +26,6 @@ from resample_forge.landscape_lab import (
     q_value_at_rho,
     restrict_landscape,
     restrict_problem,
-    stable_radius,
     used_of,
     validate_landscape,
     varcount,
@@ -615,40 +614,6 @@ def path_digraph(n):
         edges.append((i, i + 1))
         edges.append((i + 1, i))
     return Digraph.from_edges(n, edges)
-
-
-def test_stable_radius_frozen_path():
-    g = path_digraph(20)
-    assert stable_radius(g, [1] * 20, 0, 2, 1.0) == 5
-
-
-def test_stable_radius_complete_graph():
-    n = 5
-    edges = [(i, j) for i in range(n) for j in range(n) if i != j]
-    g = Digraph.from_edges(n, edges)
-    with pytest.raises(ValueError, match="no stable radius"):
-        stable_radius(g, [1] * n, 0, 1, 1.0)
-    assert stable_radius(g, [1] * n, 0, 2, 1.0) == 4
-
-
-@settings(max_examples=30, deadline=None)
-@given(seed=st.integers(0, 10**6), y=st.integers(0, 19), eps=st.sampled_from([0.5, 1.0, 2.0]))
-def test_stable_radius_is_minimal_witness(seed, y, eps):
-    g = path_digraph(20)
-    rng = random.Random(seed)
-    weights = [rng.randint(0, 4) for _ in range(20)]
-    weights[y] = max(weights) + 1
-    try:
-        r = stable_radius(g, weights, y, 3, eps)
-    except ValueError:
-        return
-    inner = sum(weights[x] for x in ball(g, y, r - 3))
-    outer = sum(weights[x] for x in ball(g, y, r))
-    assert outer <= (1 + eps) * inner * (1 + 1e-12)
-    for smaller in range(3, r):
-        i2 = sum(weights[x] for x in ball(g, y, smaller - 3))
-        o2 = sum(weights[x] for x in ball(g, y, smaller))
-        assert o2 > (1 + eps) * i2 * (1 + 1e-12)
 
 
 # ---------------------------------------------------------------------------
