@@ -16,7 +16,11 @@ The inputs are fixed files in `tests/golden/`, never regenerated here:
 - `single_clause.json` and `unsat.json`: `tests.helpers.single_clause_problem`
   and `unsatisfiable_problem`, written by `instance_io.save_problem`;
 - `zeros100.json`: the all-zero colouring of the torus, which violates
-  every rule.
+  every rule;
+- `ksat6.json`: `gen ksat --w 6 --h 6 --seed 1 --out ksat6.json`.
+
+`verify_solved` reads `solve_ksat6.out.json`, the colouring recorded by the
+`solve_ksat6` entry before it, so that entry must stay first.
 """
 
 import contextlib
@@ -39,12 +43,18 @@ def _input(name: str) -> str:
 TORUS10 = _input("torus10.json")
 SINGLE_CLAUSE = _input("single_clause.json")
 UNSAT = _input("unsat.json")
+KSAT6 = _input("ksat6.json")
 
 # name -> (argv, expected exit code)
 COMMANDS = {
     "oracle": (["oracle"], 0),
     "solve_torus10": (["solve", TORUS10, "--seed", "7", "--quiet"], 0),
     "solve_torus10_classic": (["solve", TORUS10, "--classic", "--seed", "7", "--quiet"], 0),
+    "solve_torus10_seed1": (["solve", TORUS10, "--seed", "1", "--quiet"], 0),
+    "solve_torus10_seed5": (["solve", TORUS10, "--seed", "5", "--quiet"], 0),
+    "solve_torus10_budget": (["solve", TORUS10, "--seed", "5", "--max-steps", "1", "--quiet"], 2),
+    "solve_ksat6": (["solve", KSAT6, "--seed", "3", "--out", "<out>", "--quiet"], 0),
+    "verify_solved": (["verify", KSAT6, _input("solve_ksat6.out.json"), "--quiet"], 0),
     "solve_det_report": (["solve-det", TORUS10, "--quiet"], 0),
     "solve_det_solved": (
         ["solve-det", SINGLE_CLAUSE, "--classic", "--m", "2", "--csv", "<csv>", "--out", "<out>", "--quiet"],
