@@ -28,6 +28,7 @@ class Digraph:
     in_adj: list[list[int]]
     _und_adj: list[list[int]] | None = field(default=None, repr=False, compare=False)
     _maxdeg: int | None = field(default=None, repr=False, compare=False)
+    _readers: list | None = field(default=None, repr=False, compare=False)
 
     @staticmethod
     def from_edges(n: int, edges) -> "Digraph":
@@ -76,6 +77,18 @@ class Digraph:
             self._und_adj = und
         return self._und_adj
 
+    def readers(self) -> list:
+        """Per vertex, a function taking a colouring to the tuple of its scope's colours, cached.
+
+        `operator.itemgetter` builds the tuple in C, but returns a bare value
+        for one index, so a one-cell scope gets a 1-tuple wrapper; an empty
+        scope reads ().  Cached here rather than per problem, because many
+        problems can share one graph.
+        """
+        if self._readers is None:
+            self._readers = [_scope_reader(scope) for scope in self.out_adj]
+        return self._readers
+
     def validate(self) -> None:
         """Check adjacency lists are sorted, in range, duplicate-free, and mutually consistent."""
         if len(self.out_adj) != self.n or len(self.in_adj) != self.n:
@@ -96,6 +109,19 @@ class Digraph:
                 expected_in[y].append(x)
         if expected_in != self.in_adj:
             raise ValueError("out- and in-adjacency disagree")
+
+
+def _read_nothing(f) -> tuple:
+    return ()
+
+
+def _scope_reader(scope: list[int]):
+    if len(scope) > 1:
+        return operator.itemgetter(*scope)
+    if scope:
+        (v,) = scope
+        return lambda f: (f[v],)
+    return _read_nothing
 
 
 def build_rel(g: Digraph) -> Digraph:

@@ -6,6 +6,13 @@ from its part's tape stream at the per-cell counter h(x), which counts samples
 taken at x so far (the initial fill included), so a run is a pure function of
 (problem, partition, tape).
 
+Cells of one part share their stream, so a run asks the tape for each
+(part, t) symbol once and hands it to every cell that reaches it: the fill
+reads one symbol per part, and the rounds keep what they read in a dict.  The
+tape work therefore follows the symbols consumed, not the cells touched.
+Rules are checked through the graph's cached scope readers
+(`Digraph.readers`), which build each scope's tuple of colours in C.
+
 `run` is the engine for both solvers: one loop over the colouring, the
 counters and the list of violated rules, on an infinite tape and on each
 finite tape of the exhaustive search in `derand`.  Only the initial fill
@@ -125,22 +132,26 @@ def run(
 ) -> RunTrace:
     """Drive rounds until nothing is violated, the budget runs out or a finite tape does.
 
-    The initial fill reads every cell at counter 0 and must fit on the tape.
+    The initial fill reads each part at counter 0 and must fit on the tape.
     Each round scans the violated rules by vertex index or, with
     `found_order`, in the order the last re-check found them (the exhaustive
     solver's scan), and resamples their greedy maximal independent subset.
-    Its scopes are disjoint, so each cell redraws once.  Every new symbol is
-    read, in scan order, before any cell is written: a round that would read
-    past the end of a finite tape is not taken, and the run ends with status
-    "tape_depleted".  The chosen scopes are snapshotted, redrawn, and then
-    only the rules violated before the round and their neighbours are
-    re-checked.
+    Its scopes are disjoint, so each cell redraws once.  Every symbol the run
+    has not read yet is read, in scan order, before any cell is written: a
+    round that would read past the end of a finite tape is not taken, and the
+    run ends with status "tape_depleted".  A symbol read before comes from
+    the run's own record, which never depletes.  The chosen scopes are
+    snapshotted, redrawn, and then only the rules violated before the round
+    and their neighbours are re-checked.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
 
-    part_of, scopes = pi.part_of, p.graph.out_adj
-    f = [tape.symbol(part_of[x], 0) for x in range(p.n)]
+    part_of, scopes, read = pi.part_of, p.graph.out_adj, p.graph.readers()
+    # one read per part for the fill: parts are dense 0..num_parts-1
+    fill = [tape.symbol(a, 0) for a in range(pi.num_parts)]
+    f = [fill[a] for a in part_of]
+    symbols: dict[tuple[int, int], int] = {}  # what the rounds read, keyed (part, t >= 1)
     h = [1] * p.n
     currently = bad_set(p, f)
     rel, sets = p.rel(), p.forbidden_sets()
@@ -152,19 +163,22 @@ def run(
     while currently and len(ib_sets) < max_steps:
         ib = greedy_mis(rel, currently if found_order else sorted(currently))
         cells = [v for c in ib for v in scopes[c]]
+        keys = [(part_of[v], h[v]) for v in cells]
         try:
-            drawn = [tape.symbol(part_of[v], h[v]) for v in cells]
+            for key in keys:
+                if key not in symbols:
+                    symbols[key] = tape.symbol(*key)
         except TapeDepleted:
             status = STATUS_TAPE_DEPLETED
             break
         ib = sorted(ib)
         viol_snapshots.append({x: res(p, f, x) for x in ib})
         ib_sets.append(ib)
-        for v, symbol in zip(cells, drawn):
-            f[v] = symbol
+        for v, key in zip(cells, keys):
+            f[v] = symbols[key]
             h[v] += 1
         potentially = _with_neighbours(rel.out_adj, currently)
-        currently = [c for c in potentially if tuple(f[v] for v in scopes[c]) in sets[c]]
+        currently = [c for c in potentially if read[c](f) in sets[c]]
         reevals += len(potentially)
         bad_sizes.append(len(currently))
     else:

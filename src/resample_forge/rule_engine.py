@@ -105,8 +105,8 @@ def is_violated(p: ColouringProblem, f: Colouring, x: int) -> bool:
 def bad_set(p: ColouringProblem, f: Colouring) -> list[int]:
     """All violated vertices, sorted."""
     sets = p.forbidden_sets()
-    out = p.graph.out_adj
-    return [x for x in p.active_clauses() if tuple(f[v] for v in out[x]) in sets[x]]
+    read = p.graph.readers()
+    return [x for x in p.active_clauses() if read[x](f) in sets[x]]
 
 
 def satisfies(p: ColouringProblem, f: Colouring) -> bool:

@@ -139,11 +139,10 @@ def symbols_consumed(trace, pi) -> ConsumptionReport:
 
     For a run that exhausted its budget the count is only a lower bound.
     """
-    per_part: dict[int, int] = {}
-    for x, hx in enumerate(trace.h):
-        alpha = pi.part_of[x]
-        if hx > per_part.get(alpha, 0):
-            per_part[alpha] = hx
-    count = sum(per_part.values())
+    top = [0] * pi.num_parts
+    for alpha, hx in zip(pi.part_of, trace.h):
+        if hx > top[alpha]:
+            top[alpha] = hx
+    count = sum(top)
     bits = count * math.log2(trace.b) if trace.b > 1 else 0.0
     return ConsumptionReport(count, bits)

@@ -1,8 +1,12 @@
-"""The rule-table check `ColouringProblem.validate` made before its single
-strictly-increasing test, kept as a differential oracle.
+"""Slow paths of `rule_engine`, kept as differential oracles.
 
-It tests duplicates, order and the row count against b^|scope| separately,
-and checks arity and colours after them.
+`reference_validate_problem` is the rule-table check `ColouringProblem.validate`
+made before its single strictly-increasing test.  It tests duplicates, order
+and the row count against b^|scope| separately, and checks arity and colours
+after them.
+
+`reference_bad_set` is `bad_set` before the cached scope readers: it builds
+each scope's tuple of colours and looks it up in a fresh set of the rows.
 """
 
 from resample_forge.rule_engine import MalformedProblemError
@@ -33,3 +37,12 @@ def reference_validate_problem(p):
             for c in t:
                 if type(c) is not int or not (0 <= c < p.b):  # bool is not int here
                     raise MalformedProblemError(f"vertex {x}: colour {c!r} out of range 0..{p.b - 1}")
+
+
+def reference_bad_set(p, f):
+    """All violated vertices, sorted."""
+    return [
+        x
+        for x in range(p.n)
+        if tuple(f[v] for v in p.graph.out_adj[x]) in set(p.rule.forbidden[x])
+    ]

@@ -7,6 +7,10 @@ engine.  Its clause_evals is the number of active rules times the number of
 scans.  It also records every colouring and every round's redrawn cells,
 which the engine's trace only derives.
 
+Both runners find violations with `reference_bad_set`, which builds each
+scope's tuple, not with the package's cached scope readers, and read the tape
+once per cell per draw.
+
 `reference_finite_tape` is the exhaustive solver's inner loop as it stood
 before it ran through `run`: worklist passes over one finite tape, each
 scanning the violated rules by a priority order built from the list the last
@@ -20,8 +24,9 @@ from dataclasses import dataclass, field
 from resample_forge import mta_runner
 from resample_forge.derand import SUCCESS, TAPE_EXHAUSTED
 from resample_forge.mta_runner import STATUS_BUDGET_EXHAUSTED, STATUS_SUCCEEDED, RunTrace
-from resample_forge.rule_engine import bad_set, res
+from resample_forge.rule_engine import res
 from resample_forge.tape import TapeDepleted
+from tests.reference_rule_engine import reference_bad_set
 
 
 @dataclass(frozen=True)
@@ -65,7 +70,7 @@ def reference_run(p, pi, tape, max_steps=mta_runner.DEFAULT_MAX_STEPS):
     evals = 0
     j = 0
     while True:
-        bad = bad_set(p, f)
+        bad = reference_bad_set(p, f)
         evals += len(p.active_clauses())
         bad_sizes.append(len(bad))
         if not bad:
@@ -123,7 +128,7 @@ def reference_finite_tape(p, pi, tape):
     try:
         f = [tape.symbol(pi.part_of[x], 0) for x in range(p.n)]
         h = [1] * p.n
-        currently = bad_set(p, f)
+        currently = reference_bad_set(p, f)
         potentially = _with_neighbours(rel.out_adj, currently)
         while currently:
             attempt.colourings.append(list(f))

@@ -162,22 +162,57 @@ ANY_VALUE = st.one_of(
 
 
 def mutate(payload, data):
-    """Apply one random mutation: drop a key, retype a value, truncate a list, or un-int an int."""
-    kind = data.draw(st.sampled_from(["drop", "retype", "truncate", "not_int"]))
+    """Apply one random mutation: drop a key, retype a value, truncate a list, or un-int an int.
+
+    Only kinds with a slot left are drawn: earlier mutations can remove every
+    list or int.
+    """
     slots = json_slots(payload, [])
-    if kind == "drop":
-        slots = [(c, k) for c, k in slots if isinstance(c, dict)]
-    elif kind == "truncate":
-        slots = [(c, k) for c, k in slots if isinstance(c[k], list)]
-    elif kind == "not_int":
-        slots = [(c, k) for c, k in slots if type(c[k]) is int]
-    container, key = data.draw(st.sampled_from(slots))
+    by_kind = {
+        "drop": [(c, k) for c, k in slots if isinstance(c, dict)],
+        "retype": slots,
+        "truncate": [(c, k) for c, k in slots if isinstance(c[k], list)],
+        "not_int": [(c, k) for c, k in slots if type(c[k]) is int],
+    }
+    kind = data.draw(st.sampled_from([name for name, where in by_kind.items() if where]))
+    container, key = data.draw(st.sampled_from(by_kind[kind]))
     if kind == "drop":
         del container[key]
     elif kind == "truncate":
         container[key] = container[key][: data.draw(st.integers(0, len(container[key])))]
     else:
         container[key] = data.draw(NOT_AN_INT if kind == "not_int" else ANY_VALUE)
+
+
+class ScriptedData:
+    """Stands in for hypothesis's `data`: each draw returns the next scripted value.
+
+    A `sampled_from` draw records the elements offered, and its scripted value
+    must be one of them.
+    """
+
+    def __init__(self, *script):
+        self.script = list(script)
+        self.offered = []
+
+    def draw(self, strategy):
+        value = self.script.pop(0)
+        elements = getattr(strategy, "elements", None)
+        if elements is not None:
+            self.offered.append(list(elements))
+            assert value in elements, (value, elements)
+        return value
+
+
+def test_mutate_draws_only_kinds_with_a_slot():
+    # retyping "edges" and then "forbidden" leaves no list to truncate
+    payload = json.loads(saved_torus3_text())
+    mutate(payload, ScriptedData("retype", (payload, "edges"), 0))
+    mutate(payload, ScriptedData("retype", (payload, "forbidden"), None))
+    data = ScriptedData("not_int", (payload, "b"), "x")
+    mutate(payload, data)
+    assert data.offered[0] == ["drop", "retype", "not_int"]
+    assert payload["b"] == "x"
 
 
 @settings(max_examples=60, deadline=None)

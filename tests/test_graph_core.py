@@ -108,6 +108,14 @@ class TestDigraph:
         with pytest.raises(ValueError):
             g.validate()
 
+    def test_readers_return_scope_tuples_at_every_arity(self):
+        # scopes of arity 2, 1 and 0
+        g = Digraph.from_edges(3, [(0, 2), (0, 1), (1, 0)])
+        read = g.readers()
+        f = [7, 8, 9]
+        assert [r(f) for r in read] == [(8, 9), (7,), ()]
+        assert g.readers() is read  # built once per graph
+
 
 class TestBuildRel:
     def test_disjoint_scopes_give_no_edge(self):

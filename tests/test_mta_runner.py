@@ -1,6 +1,7 @@
 """Runner tests: frozen micro-runs, invariants, determinism, trace bookkeeping."""
 
 import dataclasses
+import functools
 import itertools
 import random
 
@@ -373,3 +374,44 @@ class TestMatchesFullRescan:
                 run(p, pi, RandomTape(seed, p.b), max_steps=30),
                 reference_run(p, pi, RandomTape(seed, p.b), max_steps=30),
             )
+
+
+class RecordingTape:
+    """A RandomTape that records every (part, t) it is asked for."""
+
+    def __init__(self, seed, b):
+        self.tape = RandomTape(seed, b)
+        self.calls = []
+
+    def symbol(self, part, t):
+        self.calls.append((part, t))
+        return self.tape.symbol(part, t)
+
+
+@functools.cache
+def read_once_case(kind, partition):
+    p = gen_torus_nae(40, 40, 2) if kind == "torus" else gen_grid_ksat(16, 16, 5, 2, 2, 1, b=2)
+    pi = singleton_partition(p.n) if partition == "singleton" else sparse_partition(p.graph, 3)
+    return p, pi
+
+
+class TestReadOnce:
+    """A run asks the tape for each (part, t) it consumes exactly once."""
+
+    @pytest.mark.parametrize("kind", ["torus", "ksat"])
+    @pytest.mark.parametrize("partition", ["singleton", "sparse"])
+    @pytest.mark.parametrize(
+        "max_steps, status", [(DEFAULT_MAX_STEPS, STATUS_SUCCEEDED), (3, STATUS_BUDGET_EXHAUSTED)]
+    )
+    def test_each_symbol_read_once(self, kind, partition, max_steps, status):
+        p, pi = read_once_case(kind, partition)
+        for seed in (0, 2):
+            tape = RecordingTape(seed, p.b)
+            trace = run(p, pi, tape, max_steps=max_steps)
+            assert trace.status == status
+            assert trace == run(p, pi, RandomTape(seed, p.b), max_steps=max_steps)
+            assert len(set(tape.calls)) == len(tape.calls)
+            assert len(tape.calls) == symbols_consumed(trace, pi).count
+            if kind == "torus" and partition == "sparse":
+                # 45 parts: a few symbols per part, however large the torus
+                assert len(tape.calls) < p.n // 10

@@ -20,7 +20,7 @@ from resample_forge.rule_engine import (
     res,
     satisfies,
 )
-from tests.reference_rule_engine import reference_validate_problem
+from tests.reference_rule_engine import reference_bad_set, reference_validate_problem
 from tests.test_graph_core import random_digraph
 
 
@@ -165,6 +165,29 @@ class TestViolation:
         f = [rng.randrange(p.b) for _ in range(p.n)]
         expected = [x for x in range(p.n) if res(p, f, x) in set(p.rule.forbidden[x])]
         assert bad_set(p, f) == expected
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_bad_set_matches_tuple_building_reference(self, data):
+        # vertex 0 reads nothing and vertex 1 one cell; the rest read 0..3 cells
+        n = data.draw(st.integers(2, 8))
+        b = data.draw(st.integers(2, 3))
+        sizes = [0, 1] + [data.draw(st.integers(0, 3)) for _ in range(n - 2)]
+        cells = st.integers(0, n - 1)
+        scopes = [data.draw(st.lists(cells, min_size=k, max_size=k, unique=True)) for k in sizes]
+        g = Digraph.from_edges(n, [(x, v) for x, scope in enumerate(scopes) for v in scope])
+        colour = st.integers(0, b - 1)
+        rows = [
+            data.draw(st.lists(st.tuples(*[colour] * len(scope)), max_size=4)) if scope else []
+            for scope in g.out_adj
+        ]
+        p = ColouringProblem(g, b, LocalRule.from_lists(rows))
+        p.validate()
+        f = data.draw(st.lists(st.integers(0, b - 1), min_size=n, max_size=n))
+        read = g.readers()
+        for x in range(n):
+            assert read[x](f) == tuple(f[v] for v in g.out_adj[x])
+        assert bad_set(p, f) == reference_bad_set(p, f)
 
     @settings(max_examples=30, deadline=None)
     @given(st.integers(0, 10**6))
