@@ -4,10 +4,13 @@ Run from the repository root:
 
     PYTHONPATH=src python3 -m tests.make_golden
 
-For each entry of COMMANDS it runs `cli.main(argv)` in-process, checks the
-exit code against the expected one, and writes `tests/golden/<name>.stdout`
-with the exact bytes printed on stdout, plus `tests/golden/<name>.<suffix>`
-for each side file the command writes (see SIDE_FILES).  `tests/test_cli.py`
+For each entry of COMMANDS it runs `cli.main(argv)` in-process, inside a
+fresh temporary directory, checks the exit code against the expected one, and
+writes `tests/golden/<name>.stdout` with the exact bytes printed on stdout,
+plus `tests/golden/<name>.<suffix>` for each side file the command writes (see
+SIDE_FILES).  A side file is named by a path relative to that directory, so a
+command that prints its output path (`gen`) prints the same bytes wherever
+the directory is.  `tests/test_cli.py`
 demands the same exit code and bytes on every run, so a change to these
 outputs shows up as a failing test and a regenerated file.
 
@@ -17,7 +20,11 @@ The inputs are fixed files in `tests/golden/`, never regenerated here:
   and `unsatisfiable_problem`, written by `instance_io.save_problem`;
 - `zeros100.json`: the all-zero colouring of the torus, which violates
   every rule;
-- `ksat6.json`: `gen ksat --w 6 --h 6 --seed 1 --out ksat6.json`.
+- `ksat6.json`: `gen ksat --w 6 --h 6 --seed 1 --out ksat6.json`;
+- `malformed.json`: a problem file whose one rule row has the wrong arity.
+
+The `gen_torus10` and `gen_ksat6` entries record the bytes of the first two
+commands above, so their side files equal `torus10.json` and `ksat6.json`.
 
 `verify_solved` reads `solve_ksat6.out.json`, the colouring recorded by the
 `solve_ksat6` entry before it, so that entry must stay first.
@@ -25,6 +32,7 @@ The inputs are fixed files in `tests/golden/`, never regenerated here:
 
 import contextlib
 import io
+import os
 import pathlib
 import tempfile
 
@@ -44,6 +52,7 @@ TORUS10 = _input("torus10.json")
 SINGLE_CLAUSE = _input("single_clause.json")
 UNSAT = _input("unsat.json")
 KSAT6 = _input("ksat6.json")
+MALFORMED = _input("malformed.json")
 
 # name -> (argv, expected exit code)
 COMMANDS = {
@@ -63,20 +72,36 @@ COMMANDS = {
     "solve_det_exhausted": (["solve-det", UNSAT, "--classic", "--m", "3", "--csv", "<csv>", "--quiet"], 4),
     "solve_det_infeasible": (["solve-det", UNSAT, "--classic", "--m", "20", "--quiet"], 3),
     "verify_violated": (["verify", TORUS10, _input("zeros100.json"), "--quiet"], 1),
+    "gen_torus10": (["gen", "torus", "--w", "10", "--h", "10", "--out", "<out>"], 0),
+    "gen_ksat6": (["gen", "ksat", "--w", "6", "--h", "6", "--seed", "1", "--out", "<out>"], 0),
+    # a 3x4 grid clips the radius-3 clause window at every edge
+    "gen_ksat_clipped": (
+        ["gen", "ksat", "--w", "3", "--h", "4", "--k", "3", "--radius", "3", "--out", "<out>"],
+        0,
+    ),
+    "stats": (["stats", "--sizes", "4,5", "--repeat", "3", "--quiet"], 0),
+    "solve_malformed": (["solve", MALFORMED, "--quiet"], 1),
+    "solve_no_steps": (["solve", TORUS10, "--max-steps", "0", "--quiet"], 1),
 }
 
 
 def capture(argv: list) -> tuple:
     """Exit code, stdout and {suffix: bytes} of the side files of one in-process CLI call.
 
-    stderr is left alone.  Side files go to a fresh temporary directory.
+    stderr is left alone.  The command runs in a fresh temporary directory,
+    and each side-file token becomes a relative name there.
     """
+    paths = {tok: f"side.{SIDE_FILES[tok]}" for tok in argv if tok in SIDE_FILES}
+    cwd = os.getcwd()
     with tempfile.TemporaryDirectory() as workdir:
-        paths = {tok: f"{workdir}/side.{SIDE_FILES[tok]}" for tok in argv if tok in SIDE_FILES}
-        out = io.StringIO()
-        with contextlib.redirect_stdout(out):
-            code = cli.main([paths.get(tok, tok) for tok in argv])
-        files = {SIDE_FILES[tok]: pathlib.Path(path).read_bytes() for tok, path in paths.items()}
+        os.chdir(workdir)
+        try:
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = cli.main([paths.get(tok, tok) for tok in argv])
+            files = {SIDE_FILES[tok]: pathlib.Path(path).read_bytes() for tok, path in paths.items()}
+        finally:
+            os.chdir(cwd)
     return code, out.getvalue(), files
 
 

@@ -504,6 +504,11 @@ def test_golden_stdout(name):
         assert data == (GOLDEN_DIR / f"{name}.{suffix}").read_bytes(), suffix
 
 
+@pytest.mark.parametrize("name, source", [("gen_torus10", "torus10.json"), ("gen_ksat6", "ksat6.json")])
+def test_golden_inputs_are_what_gen_writes(name, source):
+    assert (GOLDEN_DIR / f"{name}.out.json").read_bytes() == (GOLDEN_DIR / source).read_bytes()
+
+
 # ---------------------------------------------------------------------------
 # gen / verify
 
