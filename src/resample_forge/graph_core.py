@@ -19,8 +19,10 @@ from dataclasses import dataclass, field
 class Digraph:
     """Simple digraph with dense integer vertices and sorted adjacency lists.
 
-    The adjacency lists are read-only once built.  A symmetric graph may share
-    one list of lists as both `out_adj` and `in_adj`.
+    `from_edges` is the checked constructor; the plain constructor trusts its
+    lists to be sorted, duplicate-free, in range and mutually consistent.  The
+    lists are read-only once built.  A symmetric graph may share one list of
+    lists as both `out_adj` and `in_adj`.
     """
 
     n: int
@@ -88,27 +90,6 @@ class Digraph:
         if self._readers is None:
             self._readers = [_scope_reader(scope) for scope in self.out_adj]
         return self._readers
-
-    def validate(self) -> None:
-        """Check adjacency lists are sorted, in range, duplicate-free, and mutually consistent."""
-        if len(self.out_adj) != self.n or len(self.in_adj) != self.n:
-            raise ValueError("adjacency list count does not match vertex count")
-        n = self.n
-        for name, adj in (("out", self.out_adj), ("in", self.in_adj)):
-            for x, lst in enumerate(adj):
-                if not all(map(operator.lt, lst, lst[1:])):  # strictly increasing
-                    raise ValueError(f"{name}-adjacency of vertex {x} is not sorted and duplicate-free")
-                if lst and (lst[0] < 0 or lst[-1] >= n):  # sorted: only the ends can be out of range
-                    y = next(y for y in lst if not (0 <= y < n))
-                    raise ValueError(f"{name}-adjacency of vertex {x} mentions out-of-range vertex {y}")
-        # every list is now sorted and duplicate-free, so the in-lists rebuilt
-        # from out_adj in vertex order equal in_adj iff the edge sets agree
-        expected_in: list[list[int]] = [[] for _ in range(n)]
-        for x, lst in enumerate(self.out_adj):
-            for y in lst:
-                expected_in[y].append(x)
-        if expected_in != self.in_adj:
-            raise ValueError("out- and in-adjacency disagree")
 
 
 def _read_nothing(f) -> tuple:

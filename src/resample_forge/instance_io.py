@@ -7,14 +7,14 @@ forbidden colour tuples.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
-import math
 import os
 import warnings
 from collections import Counter
 from dataclasses import dataclass
 
-from resample_forge.graph_core import Digraph, balls, check_subexp
+from resample_forge.graph_core import Digraph, check_subexp
 # unused here, but perfbench/tracing.py wraps the name instance_io.ball
 from resample_forge.graph_core import ball  # noqa: F401
 from resample_forge.rule_engine import ColouringProblem, LocalRule, lll_margin
@@ -31,26 +31,20 @@ CERT_SIZE_CAP = 400
 def _annotate(p: ColouringProblem) -> ColouringProblem:
     """Stamp degree, dependency degree, margin, and a growth certificate.
 
-    The certificate scan walks every ball up to radius 3R, so it is skipped
+    The certificate is the first (R, eps) in scan order that `check_subexp`
+    accepts, or None.  The scan walks balls up to radius 3R, so it is skipped
     beyond CERT_SIZE_CAP vertices (recorded as None, meaning "not computed").
     """
     d = max(1, p.graph.maxdeg())
     p.metadata["d"] = p.graph.maxdeg()
     p.metadata["Delta"] = p.rel().maxdeg()
     p.metadata["margin"] = lll_margin(p)
-    cert = None
+    p.metadata["subexp"] = None
     if 0 < p.n <= CERT_SIZE_CAP:
-        for big_r in range(1, 6):
-            worst = math.log(max(map(len, balls(p.graph, 3 * big_r))))
-            for eps in (0.5, 1.0, 2.0):
-                if worst <= big_r * math.log1p(eps) + 1e-9:
-                    cert = {"R": big_r, "eps": eps, "d": d}
-                    if not check_subexp(p.graph, big_r, eps, d):
-                        raise RuntimeError(f"growth certificate {cert} fails check_subexp")
-                    break
-            if cert:
+        for big_r, eps in itertools.product(range(1, 6), (0.5, 1.0, 2.0)):
+            if check_subexp(p.graph, big_r, eps, d):
+                p.metadata["subexp"] = {"R": big_r, "eps": eps, "d": d}
                 break
-    p.metadata["subexp"] = cert
     return p
 
 
@@ -87,7 +81,6 @@ def gen_torus_nae(w: int, h: int, b: int) -> ColouringProblem:
         LocalRule.from_lists(constant),
         metadata={"generator": "torus_nae", "w": w, "h": h, "b": b},
     )
-    p.validate()
     return _annotate(p)
 
 
@@ -131,10 +124,11 @@ def gen_grid_ksat(
     clause_id = num_vars
     for i in range(h):
         for j in range(w):
+            # the (2r+1)-square around (i, j), clipped at the grid edge; row-major, as draw() picks by index
             nearby = [
                 i2 * w + j2
-                for i2 in range(h)
-                for j2 in range(w)
+                for i2 in range(max(0, i - clause_radius), min(h, i + clause_radius + 1))
+                for j2 in range(max(0, j - clause_radius), min(w, j + clause_radius + 1))
                 if abs(i2 - i) + abs(j2 - j) <= clause_radius
             ]
             if len(nearby) < k:
@@ -169,7 +163,6 @@ def gen_grid_ksat(
             "num_variables": num_vars,
         },
     )
-    p.validate()
     return _annotate(p)
 
 

@@ -31,9 +31,6 @@ from resample_forge.graph_core import ball  # noqa: F401
 from resample_forge.partitioner import is_pi_unique, singleton_partition
 from resample_forge.rule_engine import ColouringProblem, LocalRule
 
-Node = tuple  # (vertex, level)
-
-
 class GroundingError(RuntimeError):
     """The landscape cannot be grounded: two nodes of one empty-scope vertex would share level 0."""
 

@@ -23,19 +23,11 @@ class SparsePartition:
 
     num_parts: int
     part_of: tuple[int, ...]
-    sparsity_r: int
-
-    def validate(self) -> None:
-        if self.num_parts < 0:
-            raise ValueError("negative part count")
-        used = set(self.part_of)
-        if used != set(range(self.num_parts)):
-            raise ValueError("part indices are not dense 0..num_parts-1")
 
 
 def singleton_partition(n: int) -> SparsePartition:
     """Every vertex its own part; r-sparse for every r."""
-    return SparsePartition(n, tuple(range(n)), 0)
+    return SparsePartition(n, tuple(range(n)))
 
 
 def sparse_partition(g: Digraph, r: int) -> SparsePartition:
@@ -55,7 +47,7 @@ def sparse_partition(g: Digraph, r: int) -> SparsePartition:
             c += 1
         colour[x] = c
     num_parts = max(colour) + 1 if g.n else 0
-    return SparsePartition(num_parts, tuple(colour), r)
+    return SparsePartition(num_parts, tuple(colour))
 
 
 def is_pi_unique(pi: SparsePartition, subset) -> bool:

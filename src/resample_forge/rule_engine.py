@@ -70,9 +70,9 @@ class ColouringProblem:
         colours in 0..b-1 (a bool is not a colour), a vertex with an empty scope
         has no rows, and the rows are strictly increasing, which rules out
         duplicates and disorder in one test.  That bounds the row count too:
-        distinct tuples of arity k over b colours number at most b^k.
+        distinct tuples of arity k over b colours number at most b^k.  The
+        graph is not checked here: `Digraph.from_edges` checks outside edges.
         """
-        self.graph.validate()
         b = self.b
         if b < 2:
             raise MalformedProblemError("colour count must be >= 2")

@@ -89,7 +89,7 @@ def partition_for(p, mode, seed=0, r=1):
     remap = {a: i for i, a in enumerate(dense)}
     from resample_forge.partitioner import SparsePartition
 
-    return SparsePartition(len(dense), tuple(remap[a] for a in part_of), 0)
+    return SparsePartition(len(dense), tuple(remap[a] for a in part_of))
 
 
 def run_random_case(seed, n=12, b=2, mode="singleton", max_forbidden=2, max_steps=60):

@@ -1,9 +1,10 @@
 """Simple references for the graph builders and ball scans, kept as differential oracles.
 
 The scans call `ball()` once per vertex (a fresh set and deque per vertex),
-as the package did before `graph_core.balls`; the adjacency check compares
-two sets of edge pairs; `from_edges` and `build_rel` fill one set per vertex
-and sort each, as the package did before its key-sorted and union builders.
+as the package did before `graph_core.balls`; `from_edges` and `build_rel`
+fill one set per vertex and sort each, as the package did before its
+key-sorted and union builders.  `reference_validate` is the graph check the
+package no longer makes on graphs it builds itself.
 """
 
 import math
@@ -59,7 +60,7 @@ def reference_sparse_partition(g, r):
             c += 1
         colour[x] = c
     num_parts = max(colour) + 1 if g.n else 0
-    return SparsePartition(num_parts, tuple(colour), r)
+    return SparsePartition(num_parts, tuple(colour))
 
 
 def reference_is_r_sparse(g, pi, r):
@@ -92,7 +93,12 @@ def reference_check_subexp(g, big_r, eps, d):
 
 
 def reference_validate(g):
-    """`Digraph.validate` with the out/in check done on two sets of edge pairs."""
+    """The graph check: sorted, duplicate-free, in-range and consistent adjacency lists.
+
+    The package builds graphs valid by construction and checks only outside
+    edges (`Digraph.from_edges`), so this is the one copy of the whole check.
+    The out/in check compares two sets of edge pairs.
+    """
     if len(g.out_adj) != g.n or len(g.in_adj) != g.n:
         raise ValueError("adjacency list count does not match vertex count")
     for name, adj in (("out", g.out_adj), ("in", g.in_adj)):

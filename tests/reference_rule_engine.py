@@ -3,17 +3,18 @@
 `reference_validate_problem` is the rule-table check `ColouringProblem.validate`
 made before its single strictly-increasing test.  It tests duplicates, order
 and the row count against b^|scope| separately, and checks arity and colours
-after them.
+after them.  It checks the graph first, through `reference_validate`.
 
 `reference_bad_set` is `bad_set` before the cached scope readers: it builds
 each scope's tuple of colours and looks it up in a fresh set of the rows.
 """
 
 from resample_forge.rule_engine import MalformedProblemError
+from tests.reference_partition import reference_validate
 
 
 def reference_validate_problem(p):
-    p.graph.validate()
+    reference_validate(p.graph)
     if p.b < 2:
         raise MalformedProblemError("colour count must be >= 2")
     if len(p.rule.forbidden) != p.n:

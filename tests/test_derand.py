@@ -35,7 +35,7 @@ from tests.helpers import (
 )
 from tests.reference_runner import reference_finite_tape
 
-ONE_PART = SparsePartition(1, (0, 0), 0)
+ONE_PART = SparsePartition(1, (0, 0))
 
 
 # ---------------------------------------------------------------------------

@@ -22,6 +22,7 @@ from tests.reference_partition import (
     reference_power_graph,
     reference_validate,
 )
+from tests.reference_rule_engine import reference_validate_problem
 from tests.reference_runner import VertexOrder, reference_greedy_mis
 
 INF = 10**9
@@ -87,7 +88,7 @@ class TestDigraph:
         assert g.out_adj[0] == [1, 2]
         assert g.out_adj[2] == [2]
         assert g.in_adj[2] == [0, 2]
-        g.validate()
+        reference_validate(g)
 
     def test_out_of_range_edge_rejected(self):
         with pytest.raises(ValueError):
@@ -102,11 +103,6 @@ class TestDigraph:
         # N(0) = Var(0) | Cl(0) = {1, 2} | {2}
         assert g.deg(0) == 2
         assert g.maxdeg() == 2
-
-    def test_validate_rejects_inconsistent_adjacency(self):
-        g = Digraph(2, [[1], []], [[], []])
-        with pytest.raises(ValueError):
-            g.validate()
 
     def test_readers_return_scope_tuples_at_every_arity(self):
         # scopes of arity 2, 1 and 0
@@ -136,7 +132,7 @@ class TestBuildRel:
     def test_matches_pairwise_oracle(self, seed):
         g = random_digraph(8, 14, seed)
         rel = build_rel(g)
-        rel.validate()
+        reference_validate(rel)
         for x in range(g.n):
             for y in range(g.n):
                 expected = bool(set(g.out_adj[x]) & set(g.out_adj[y]))
@@ -227,7 +223,7 @@ class TestPowerGraph:
         g = random_digraph(8, 11, seed)
         dist = floyd_warshall_distances(g)
         p = power_graph(g, r)
-        p.validate()
+        reference_validate(p)
         for x in range(g.n):
             expected = sorted(y for y in range(g.n) if y != x and dist[x][y] <= r)
             assert p.out_adj[x] == expected
@@ -353,6 +349,14 @@ class TestMatchesBallPerVertex:
             for eps in (0.5, 1.0, 2.0, 8.0):
                 assert check_subexp(g, big_r, eps, 9) is reference_check_subexp(g, big_r, eps, 9)
 
+
+class TestBuiltGraphsPassTheReferenceCheck:
+    """Every graph the package builds passes `reference_validate`, the one copy of the graph check.
+
+    The package checks only outside edges, in `Digraph.from_edges`; its own
+    builders are valid by construction, and these tests hold them to it.
+    """
+
     @pytest.mark.parametrize(
         "n, out_adj, in_adj",
         [
@@ -362,23 +366,38 @@ class TestMatchesBallPerVertex:
             (3, [[2, 1], [], []], [[], [0], [0]]),  # unsorted
             (2, [[1, 1], []], [[], [0]]),  # duplicate
             (2, [[1], []], [[], [0, 0]]),  # duplicate on the in side
-            (3, [[0, 5, 7], [], []], [[0], [], []]),  # out of range: the first offender is named
+            (3, [[0, 5, 7], [], []], [[0], [], []]),  # out of range
             (3, [[-1, 0], [], []], [[0], [], []]),  # negative vertex
             (3, [[], [], []], [[], [], [3]]),  # out of range on the in side
             (2, [[1]], [[]]),  # list count
         ],
     )
-    def test_validate_rejects_with_the_same_message(self, n, out_adj, in_adj):
-        g = Digraph(n, out_adj, in_adj)
-        message = validate_error(Digraph.validate, g)
-        assert message is not None
-        assert message == validate_error(reference_validate, g)
+    def test_reference_rejects_malformed_lists(self, n, out_adj, in_adj):
+        assert validate_error(reference_validate, Digraph(n, out_adj, in_adj)) is not None
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_validate_accepts_valid_graphs(self, seed):
-        for g in (random_digraph(30, 24, seed), build_rel(random_digraph(20, 30, seed))):
-            assert validate_error(Digraph.validate, g) is None
-            assert validate_error(reference_validate, g) is None
+    def test_from_edges_build_rel_and_power_graph(self, seed):
+        for g in (random_digraph(30, 24, seed), random_digraph(20, 60, seed), Digraph.from_edges(0, [])):
+            reference_validate(g)
+            reference_validate(build_rel(g))
+            for r in range(4):
+                reference_validate(power_graph(g, r))
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: gen_torus_nae(3, 3, 2),
+            lambda: gen_torus_nae(7, 4, 3),
+            lambda: gen_grid_ksat(1, 1, 1, 1, 1, 0),
+            lambda: gen_grid_ksat(3, 4, 3, 3, 1, 0),  # the clause window clipped at every edge
+            lambda: gen_grid_ksat(6, 5, 5, 2, 2, 9, b=3),
+        ],
+    )
+    def test_generators(self, make):
+        p = make()
+        reference_validate_problem(p)  # the graph through reference_validate, then the rule table
+        p.validate()
+        reference_validate(p.rel())
 
 
 class TestMatchesSetPerVertex:
@@ -393,7 +412,7 @@ class TestMatchesSetPerVertex:
         edges = data.draw(st.lists(st.tuples(vertex, vertex), max_size=40 if n else 0))
         g = Digraph.from_edges(n, edges)
         assert g == reference_from_edges(n, edges)
-        g.validate()
+        reference_validate(g)
         bad = data.draw(
             st.tuples(st.integers(-2, n + 2), st.integers(-2, n + 2)).filter(
                 lambda e: not (0 <= e[0] < n and 0 <= e[1] < n)

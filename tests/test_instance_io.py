@@ -5,7 +5,6 @@ import json
 
 import pytest
 
-from resample_forge import instance_io
 from resample_forge.instance_io import (
     RESULTS_HEADER,
     ExperimentRecord,
@@ -19,6 +18,7 @@ from resample_forge.mta_runner import run
 from resample_forge.partitioner import singleton_partition
 from resample_forge.rule_engine import bad_set, lll_margin, satisfies
 from resample_forge.tape import RandomTape
+from tests.reference_partition import reference_check_subexp
 
 
 # ---------------------------------------------------------------------------
@@ -54,11 +54,31 @@ def test_torus_subexp_certificate():
     assert check_subexp(p.graph, cert["R"], cert["eps"], cert["d"])
 
 
-def test_growth_certificate_is_checked(monkeypatch):
-    # a real check, not an assert that vanishes under python -O
-    monkeypatch.setattr(instance_io, "check_subexp", lambda *args: False)
-    with pytest.raises(RuntimeError, match="check_subexp"):
-        gen_torus_nae(5, 5, 2)
+def first_reference_certificate(g):
+    """The first (R, eps), R = 1..5 then eps = 0.5, 1, 2, that the ball-per-vertex growth check accepts."""
+    d = max(1, g.maxdeg())
+    for big_r in range(1, 6):
+        for eps in (0.5, 1.0, 2.0):
+            if reference_check_subexp(g, big_r, eps, d):
+                return {"R": big_r, "eps": eps, "d": d}
+    return None
+
+
+@pytest.mark.parametrize("side", range(3, 21))
+def test_torus_certificate_is_the_first_the_reference_accepts(side):
+    for w in {side, max(3, side - 5)}:
+        p = gen_torus_nae(w, side, 2)
+        assert p.metadata["subexp"] == first_reference_certificate(p.graph)
+
+
+@pytest.mark.parametrize("w, h, k, radius, seed", [(1, 1, 1, 1, 0), (3, 4, 3, 3, 0), (6, 6, 5, 2, 1), (8, 5, 3, 1, 2)])
+def test_ksat_certificate_is_the_first_the_reference_accepts(w, h, k, radius, seed):
+    p = gen_grid_ksat(w, h, k, radius, 1, seed)
+    assert p.metadata["subexp"] == first_reference_certificate(p.graph)
+
+
+def test_certificate_absent_on_the_16x16_torus():
+    assert gen_torus_nae(16, 16, 2).metadata["subexp"] is None
 
 
 def test_torus_rejects_small_sides():

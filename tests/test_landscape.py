@@ -49,6 +49,7 @@ from tests.reference_landscape import (
     reference_used_of,
     reference_validate_landscape,
 )
+from tests.reference_partition import reference_validate
 
 SEED_ONE_RESAMPLE = 6
 
@@ -387,6 +388,7 @@ def test_ground_matches_move_set(mode):
         fl = build_landscape(p, pi, trace, k)
         u = ball(p.graph, rng.randrange(p.n), 3)
         q, _ = restrict_problem(p, pi, u)
+        reference_validate(q.graph)
         _assert_grounds_like_reference(q, restrict_landscape(p, pi, fl, u))
         _assert_grounds_like_reference(p, _lift(fl, rng.randint(1, 3), stretch=case % 2 == 1))
 
@@ -403,6 +405,7 @@ def test_restrict_problem_torus_patch():
     pi = sparse_partition(g, 3)
     u = ball(g, 12, 3)
     q, qpi = restrict_problem(p, pi, u)
+    reference_validate(q.graph)
     q.validate()
     assert q.n == pi.num_parts
     assert qpi.num_parts == q.n
@@ -572,7 +575,7 @@ def test_witness_path_matches_reference(mode):
         elif mode == "singleton":
             pi = singleton_partition(p.n)
         else:
-            pi = SparsePartition(p.n, tuple(rng.sample(range(p.n), p.n)), 0)
+            pi = SparsePartition(p.n, tuple(rng.sample(range(p.n), p.n)))
         trace = run(p, pi, RandomTape(rng.randrange(2**30), p.b), max_steps=30)
         fl = build_landscape(p, pi, trace, rng.randint(1, max(1, min(8, trace.rounds + 1))))
         if case % 3 == 2:

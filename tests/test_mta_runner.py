@@ -111,7 +111,7 @@ class TestSharedParts:
         from resample_forge.partitioner import SparsePartition
 
         p = all_allowed_problem(4)
-        pi = SparsePartition(2, (0, 1, 0, 1), 0)
+        pi = SparsePartition(2, (0, 1, 0, 1))
         fill = run(p, pi, RandomTape(77, 2)).colouring_at(0)
         assert fill[0] == fill[2]
         assert fill[1] == fill[3]
@@ -282,7 +282,7 @@ class TestSymbolsConsumed:
         from resample_forge.partitioner import SparsePartition
 
         p = single_clause_problem()
-        pi = SparsePartition(1, (0, 0), 0)  # both vertices share one part
+        pi = SparsePartition(1, (0, 0))  # both vertices share one part
         trace = run(p, pi, RandomTape(SEED_ONE_RESAMPLE, 2))
         report = symbols_consumed(trace, pi)
         assert report.count == max(trace.h)
