@@ -8,7 +8,8 @@ For each entry of COMMANDS it runs `cli.main(argv)` in-process, inside a
 fresh temporary directory, checks the exit code against the expected one, and
 writes `tests/golden/<name>.stdout` with the exact bytes printed on stdout,
 plus `tests/golden/<name>.<suffix>` for each side file the command writes (see
-SIDE_FILES).  A side file is named by a path relative to that directory, so a
+SIDE_FILES).  Every CSV column named `wall_ms` is blanked, both here and when
+the test compares, because it holds a wall-clock timing.  A side file is named by a path relative to that directory, so a
 command that prints its output path (`gen`) prints the same bytes wherever
 the directory is.  `tests/test_cli.py`
 demands the same exit code and bytes on every run, so a change to these
@@ -21,7 +22,12 @@ The inputs are fixed files in `tests/golden/`, never regenerated here:
 - `zeros100.json`: the all-zero colouring of the torus, which violates
   every rule;
 - `ksat6.json`: `gen ksat --w 6 --h 6 --seed 1 --out ksat6.json`;
-- `malformed.json`: a problem file whose one rule row has the wrong arity.
+- `malformed.json`: a problem file whose one rule row has the wrong arity;
+- `unsat_2x4.json` and `unsat_3x9.json`: the two unsatisfiable tape-search
+  instances of the benchmark, `perfbench.workloads.unsat_cnf(2, 4, rng)` then
+  `unsat_cnf(3, 9, rng)` with `rng = random.Random(7)`;
+- `tiny1000.json`: `tests.test_acceptance._tiny_satisfiable(1000)`, the first
+  instance of criterion 9.
 
 The `gen_torus10` and `gen_ksat6` entries record the bytes of the first two
 commands above, so their side files equal `torus10.json` and `ksat6.json`.
@@ -31,6 +37,7 @@ commands above, so their side files equal `torus10.json` and `ksat6.json`.
 """
 
 import contextlib
+import csv
 import io
 import os
 import pathlib
@@ -53,6 +60,9 @@ SINGLE_CLAUSE = _input("single_clause.json")
 UNSAT = _input("unsat.json")
 KSAT6 = _input("ksat6.json")
 MALFORMED = _input("malformed.json")
+UNSAT_2X4 = _input("unsat_2x4.json")
+UNSAT_3X9 = _input("unsat_3x9.json")
+TINY1000 = _input("tiny1000.json")
 
 # name -> (argv, expected exit code)
 COMMANDS = {
@@ -71,6 +81,13 @@ COMMANDS = {
     ),
     "solve_det_exhausted": (["solve-det", UNSAT, "--classic", "--m", "3", "--csv", "<csv>", "--quiet"], 4),
     "solve_det_infeasible": (["solve-det", UNSAT, "--classic", "--m", "20", "--quiet"], 3),
+    # the benchmark's two tape-search shapes: all 4,096 tapes fail
+    "solve_det_unsat_2x4": (["solve-det", UNSAT_2X4, "--classic", "--m", "2", "--quiet"], 4),
+    "solve_det_unsat_3x9": (["solve-det", UNSAT_3X9, "--classic", "--m", "1", "--quiet"], 4),
+    "solve_det_tiny1000": (
+        ["solve-det", TINY1000, "--classic", "--m", "3", "--csv", "<csv>", "--out", "<out>", "--quiet"],
+        0,
+    ),
     "verify_violated": (["verify", TORUS10, _input("zeros100.json"), "--quiet"], 1),
     "gen_torus10": (["gen", "torus", "--w", "10", "--h", "10", "--out", "<out>"], 0),
     "gen_ksat6": (["gen", "ksat", "--w", "6", "--h", "6", "--seed", "1", "--out", "<out>"], 0),
@@ -80,6 +97,7 @@ COMMANDS = {
         0,
     ),
     "stats": (["stats", "--sizes", "4,5", "--repeat", "3", "--quiet"], 0),
+    "stats_csv": (["stats", "--sizes", "4,5", "--repeat", "3", "--csv", "<csv>"], 0),
     "solve_malformed": (["solve", MALFORMED, "--quiet"], 1),
     "solve_no_steps": (["solve", TORUS10, "--max-steps", "0", "--quiet"], 1),
 }
@@ -89,7 +107,8 @@ def capture(argv: list) -> tuple:
     """Exit code, stdout and {suffix: bytes} of the side files of one in-process CLI call.
 
     stderr is left alone.  The command runs in a fresh temporary directory,
-    and each side-file token becomes a relative name there.
+    and each side-file token becomes a relative name there.  A CSV column
+    named `wall_ms` comes back blank.
     """
     paths = {tok: f"side.{SIDE_FILES[tok]}" for tok in argv if tok in SIDE_FILES}
     cwd = os.getcwd()
@@ -102,7 +121,22 @@ def capture(argv: list) -> tuple:
             files = {SIDE_FILES[tok]: pathlib.Path(path).read_bytes() for tok, path in paths.items()}
         finally:
             os.chdir(cwd)
+    if "csv" in files:
+        files["csv"] = _blank_wall_ms(files["csv"])
     return code, out.getvalue(), files
+
+
+def _blank_wall_ms(data: bytes) -> bytes:
+    """The CSV bytes with every `wall_ms` value emptied; the rest is rewritten as read."""
+    rows = list(csv.reader(io.StringIO(data.decode(), newline="")))
+    if not rows or "wall_ms" not in rows[0]:
+        return data
+    blank = [i for i, name in enumerate(rows[0]) if name == "wall_ms"]
+    out = io.StringIO(newline="")
+    writer = csv.writer(out)
+    for k, row in enumerate(rows):
+        writer.writerow(row if k == 0 else [("" if i in blank else v) for i, v in enumerate(row)])
+    return out.getvalue().encode()
 
 
 def main():
