@@ -1,10 +1,14 @@
 """Command line front end: solve, derandomise, run experiments, self-check.
 
-Machine-readable JSON goes to stdout; a small human table goes to stderr
-unless --quiet.  Exit codes are stable: 0 solved or all checks passed,
-1 error (a malformed flag included), 2 randomized budget exhausted,
-3 exhaustive search infeasible, 4 exhaustive search exhausted without a
-solution.
+Machine-readable JSON goes to stdout.  Unless --quiet, stderr gets the same
+report as a table, one `key  value` line per field: `solve` adds the part
+count, `solve-det` prints its budget before the search and its solved
+fields after it, and `stats` prints one line per ladder size.  `stats --csv`
+appends one RESULTS_HEADER row per run.
+
+Exit codes are stable: 0 solved or all checks passed, 1 error (a malformed
+flag included), 2 randomized budget exhausted, 3 exhaustive search
+infeasible, 4 exhaustive search exhausted without a solution.
 
 Outputs are byte-identical across runs with the same flags; wall-clock
 timings only ever land in the wall_ms CSV column, never on stdout.
@@ -26,6 +30,7 @@ import csv
 import gc
 import json
 import math
+import os
 import sys
 import time
 
@@ -37,14 +42,7 @@ from .derand import (
     theoretical_budget,
 )
 from .graph_core import Digraph, build_rel
-from .instance_io import (
-    ExperimentRecord,
-    append_results,
-    gen_grid_ksat,
-    gen_torus_nae,
-    load_problem,
-    save_problem,
-)
+from .instance_io import gen_grid_ksat, gen_torus_nae, load_problem, save_problem
 from .landscape_lab import (
     count_delta_trees,
     count_grounded_forests,
@@ -61,6 +59,8 @@ EXIT_ERROR = 1
 EXIT_BUDGET = 2
 EXIT_INFEASIBLE = 3
 EXIT_EXHAUSTED = 4
+
+RESULTS_HEADER = ["instance", "n", "seed", "parts", "rounds", "max_h", "symbols", "bits", "wall_ms"]
 
 
 def _check_args(args: argparse.Namespace) -> None:
@@ -90,11 +90,11 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload, sort_keys=True))
 
 
-def _table(rows: list[tuple[str, object]], quiet: bool) -> None:
+def _table(report: dict, quiet: bool) -> None:
     if quiet:
         return
-    width = max((len(k) for k, _ in rows), default=0)
-    for key, value in rows:
+    width = max(map(len, report), default=0)
+    for key, value in report.items():
         print(f"  {key:<{width}}  {value}", file=sys.stderr)
 
 
@@ -138,17 +138,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
         "bits": round(report.bits, 3),
     }
     _emit(summary)
-    _table(
-        [
-            ("status", trace.status),
-            ("parts", pi.num_parts),
-            ("rounds", trace.rounds),
-            ("max h", summary["max_h"]),
-            ("symbols", report.count),
-            ("bits", summary["bits"]),
-        ],
-        args.quiet,
-    )
+    _table({**summary, "parts": pi.num_parts}, args.quiet)
     if not trace.succeeded:
         return EXIT_BUDGET
     final = trace.final_colouring
@@ -174,15 +164,7 @@ def cmd_solve_det(args: argparse.Namespace) -> int:
         "num_tapes_theoretical": budget.num_tapes,
         "infeasible": budget.infeasible,
     }
-    _table(
-        [
-            ("ln K", payload["k_log"]),
-            ("theoretical m", budget.m),
-            ("theoretical tapes", "unenumerable" if budget.num_tapes is None else budget.num_tapes),
-            ("feasible under cap", not budget.infeasible),
-        ],
-        args.quiet,
-    )
+    _table(payload, args.quiet)
     if args.m is None:
         payload["status"] = "report_only"
         _emit(payload)
@@ -206,27 +188,16 @@ def cmd_solve_det(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EXHAUSTED
 
-    tapes_tried = winner.tape_index + 1  # the search runs in index order from 0
-    payload.update(
-        {
-            "status": "solved",
-            "m_used": args.m,
-            "tape_index": winner.tape_index,
-            "tapes_tried": tapes_tried,
-            "passes": winner.passes,
-            "reevals": winner.reevals,
-        }
-    )
-    _emit(payload)
-    _table(
-        [
-            ("winning tape", winner.tape_index),
-            ("tapes tried", tapes_tried),
-            ("passes", winner.passes),
-            ("rule evaluations", winner.reevals),
-        ],
-        args.quiet,
-    )
+    solved = {
+        "status": "solved",
+        "m_used": args.m,
+        "tape_index": winner.tape_index,
+        "tapes_tried": winner.tape_index + 1,  # the search runs in index order from 0
+        "passes": winner.passes,
+        "reevals": winner.reevals,
+    }
+    _emit({**payload, **solved})
+    _table(solved, args.quiet)
     if args.out:
         _write_colouring(args.out, winner.colouring)
     _write_attempts(args.csv, attempts)
@@ -247,30 +218,30 @@ def _write_attempts(path: str | None, attempts: list | None) -> None:
 # stats
 
 
-def _trials(side: int, args: argparse.Namespace) -> list[ExperimentRecord]:
-    """`args.repeat` seeded runs on one torus, built and partitioned once."""
+def _trials(side: int, args: argparse.Namespace) -> list[dict]:
+    """One RESULTS_HEADER row per seeded run on one torus, built and partitioned once."""
     p = gen_torus_nae(side, side, args.b)
     pi = _partition_for(p, args)
-    records = []
+    rows = []
     for seed in range(args.seed, args.seed + args.repeat):
         t0 = time.perf_counter()
         trace = run(p, pi, RandomTape(seed, p.b), max_steps=args.max_steps)
         wall_ms = (time.perf_counter() - t0) * 1000.0
         report = symbols_consumed(trace, pi)
-        records.append(
-            ExperimentRecord(
-                instance=f"torus-{side}x{side}",
-                n=p.n,
-                seed=seed,
-                parts=pi.num_parts,
-                rounds=trace.rounds,
-                max_h=max(trace.h) if trace.h else 0,
-                symbols=report.count,
-                bits=report.bits,
-                wall_ms=wall_ms,
-            )
+        rows.append(
+            {
+                "instance": f"torus-{side}x{side}",
+                "n": p.n,
+                "seed": seed,
+                "parts": pi.num_parts,
+                "rounds": trace.rounds,
+                "max_h": max(trace.h),
+                "symbols": report.count,
+                "bits": round(report.bits, 3),
+                "wall_ms": round(wall_ms, 3),
+            }
         )
-    return records
+    return rows
 
 
 def tail_table(max_h_values: list[int]) -> dict[int, float]:
@@ -298,48 +269,48 @@ def decay_ratio(tail: dict[int, float]) -> float | None:
     ys = [y for _, y in points]
     mean_x = sum(xs) / len(xs)
     mean_y = sum(ys) / len(ys)
-    denom = sum((x - mean_x) ** 2 for x in xs)
-    if denom == 0:
-        return None
+    denom = sum((x - mean_x) ** 2 for x in xs)  # > 0: the m are distinct
     slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / denom
     return math.exp(slope)
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    records = [r for side in args.sizes for r in _trials(side, args)] if args.repeat else []
-    records.sort(key=lambda r: (r.n, r.instance, r.seed))
-    if args.csv:
-        append_results(args.csv, records)
-
+    rows: list[dict] = []
     per_size: dict[str, dict] = {}
-    for side in sorted(args.sizes):
-        name = f"torus-{side}x{side}"
-        batch = [r for r in records if r.instance == name]
-        if not batch:
-            continue
-        per_size[name] = {
+    sides = sorted(args.sizes) if args.repeat else []  # no runs, so no torus to build
+    for side in sides:
+        batch = _trials(side, args)
+        rows += batch
+        per_size[batch[0]["instance"]] = {
             "trials": len(batch),
-            "n": batch[0].n,
-            "parts": batch[0].parts,
-            "mean_rounds": round(sum(r.rounds for r in batch) / len(batch), 6),
-            "mean_max_h": round(sum(r.max_h for r in batch) / len(batch), 6),
-            "mean_symbols": round(sum(r.symbols for r in batch) / len(batch), 6),
+            "n": batch[0]["n"],
+            "parts": batch[0]["parts"],
+            "mean_rounds": round(sum(r["rounds"] for r in batch) / len(batch), 6),
+            "mean_max_h": round(sum(r["max_h"] for r in batch) / len(batch), 6),
+            "mean_symbols": round(sum(r["symbols"] for r in batch) / len(batch), 6),
         }
-    tail = tail_table([r.max_h for r in records])
+    if args.csv:
+        fresh = not os.path.exists(args.csv) or os.path.getsize(args.csv) == 0
+        with open(args.csv, "a", newline="", encoding="utf-8") as fh:
+            writer = csv.DictWriter(fh, RESULTS_HEADER)
+            if fresh:
+                writer.writeheader()
+            writer.writerows(rows)
+
+    tail = tail_table([r["max_h"] for r in rows])
     ratio = decay_ratio(tail)
     payload = {
         "per_size": per_size,
         "tail": {str(m): round(p, 6) for m, p in sorted(tail.items())},
         "decay_ratio": None if ratio is None else round(ratio, 6),
-        "trials": len(records),
+        "trials": len(rows),
     }
     _emit(payload)
-    rows: list[tuple[str, object]] = [
-        (name, f"mean symbols {info['mean_symbols']}, mean max h {info['mean_max_h']}")
+    report = {
+        name: f"mean symbols {info['mean_symbols']}, mean max h {info['mean_max_h']}"
         for name, info in per_size.items()
-    ]
-    rows.append(("tail decay ratio", payload["decay_ratio"]))
-    _table(rows, args.quiet)
+    }
+    _table({**report, "tail decay ratio": payload["decay_ratio"]}, args.quiet)
     return EXIT_OK
 
 
@@ -487,7 +458,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--R", type=int, default=1)
     s.add_argument("--classic", action="store_true")
     s.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS, dest="max_steps")
-    s.add_argument("--csv", help="append experiment records here")
+    s.add_argument("--csv", help="append one row per run here")
     _add_common(s)
 
     s = subs.add_parser("oracle", help="run the counting-bound self-checks")

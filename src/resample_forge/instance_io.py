@@ -1,4 +1,4 @@
-"""Benchmark generators, problem (de)serialisation, and experiment records.
+"""Benchmark generators and problem (de)serialisation.
 
 The on-disk format is versioned JSON: edge list plus a per-vertex map of
 forbidden colour tuples.
@@ -6,13 +6,10 @@ forbidden colour tuples.
 
 from __future__ import annotations
 
-import csv
 import itertools
 import json
-import os
 import warnings
 from collections import Counter
-from dataclasses import dataclass
 
 from resample_forge.graph_core import Digraph, check_subexp
 # unused here, but perfbench/tracing.py wraps the name instance_io.ball
@@ -21,9 +18,6 @@ from resample_forge.rule_engine import ColouringProblem, LocalRule, lll_margin
 from resample_forge.tape import GAMMA, MASK64, mix64
 
 SCHEMA_VERSION = 1
-
-RESULTS_HEADER = ["instance", "n", "seed", "parts", "rounds", "max_h", "symbols", "bits", "wall_ms"]
-
 
 CERT_SIZE_CAP = 400
 
@@ -263,44 +257,3 @@ def load_problem(path: str) -> ColouringProblem:
                     warnings.warn(message)
                 seen.add(tup)
     return p
-
-
-# ---------------------------------------------------------------------------
-# experiment records
-
-
-@dataclass
-class ExperimentRecord:
-    instance: str
-    n: int
-    seed: int
-    parts: int
-    rounds: int
-    max_h: int
-    symbols: int
-    bits: float
-    wall_ms: float
-
-    def row(self) -> list:
-        return [
-            self.instance,
-            self.n,
-            self.seed,
-            self.parts,
-            self.rounds,
-            self.max_h,
-            self.symbols,
-            round(self.bits, 3),
-            round(self.wall_ms, 3),
-        ]
-
-
-def append_results(path: str, records: list) -> None:
-    """Append rows to results.csv, writing the fixed header on first contact."""
-    fresh = not os.path.exists(path) or os.path.getsize(path) == 0
-    with open(path, "a", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        if fresh:
-            writer.writerow(RESULTS_HEADER)
-        for rec in records:
-            writer.writerow(rec.row())

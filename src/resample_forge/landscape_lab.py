@@ -53,11 +53,11 @@ class FinalisedLandscape:
     fin: list  # the final colouring
 
 
-def validate_landscape(p: ColouringProblem, fl: FinalisedLandscape, strict_viol: bool = True) -> None:
-    """Structural checks; with strict_viol also demand every decoration is forbidden.
+def validate_landscape(p: ColouringProblem, fl: FinalisedLandscape) -> None:
+    """Structural checks, and every decoration must be a forbidden tuple.
 
     Each edge and each level is checked against the dependency neighbours of
-    its nodes.  Restricted landscapes relax strictness at the boundary, where
+    its nodes.  A restricted landscape can fail the last check: its boundary
     decorations fall back to all-zero tuples over possibly-empty scopes.
     """
     rel_adj = p.rel().out_adj
@@ -85,7 +85,7 @@ def validate_landscape(p: ColouringProblem, fl: FinalisedLandscape, strict_viol:
     for (x, lvl), t in fl.viol.items():
         if len(t) != len(p.graph.out_adj[x]):
             raise ValueError(f"decoration at ({x},{lvl}) has wrong arity")
-        if strict_viol and t not in sets[x]:
+        if t not in sets[x]:
             raise ValueError(f"decoration at ({x},{lvl}) is not forbidden")
     if len(fl.fin) != p.n:
         raise ValueError("final colouring has wrong length")

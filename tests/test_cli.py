@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from resample_forge import cli
 from resample_forge.graph_core import Digraph
-from resample_forge.instance_io import RESULTS_HEADER, gen_torus_nae, save_problem
+from resample_forge.instance_io import gen_torus_nae, save_problem
 from resample_forge.rule_engine import ColouringProblem, LocalRule
 
 from .helpers import all_allowed_problem, single_clause_problem, unsatisfiable_problem
@@ -243,6 +243,43 @@ def test_solve_classic_uses_singleton_parts(tmp_path, capsys):
     assert "parts" in err and "25" in err
 
 
+def _stderr_report(err):
+    """The (key, value) pairs of a stderr table, in printed order."""
+    return [tuple(line.split(None, 1)) for line in err.splitlines()]
+
+
+def test_stderr_table_prints_the_stdout_payload(tmp_path, capsys):
+    torus = str(GOLDEN_DIR / "torus10.json")  # 60 parts under the default sparse partition
+    clause = write_problem(tmp_path, single_clause_problem(), "clause.json")
+    unsat = write_problem(tmp_path, unsatisfiable_problem(), "unsat.json")
+
+    code, out, err = run_cli(capsys, "solve", torus, "--seed", "7")
+    assert code == 0
+    summary = json.loads(out)
+    keys = ["status", "rounds", "max_h", "symbols", "bits"]
+    assert sorted(summary) == sorted(keys)
+    assert _stderr_report(err) == [(k, str(summary[k])) for k in keys] + [("parts", "60")]
+
+    budget = ["k_log", "m_theoretical", "num_tapes_theoretical", "infeasible"]
+    solved = ["status", "m_used", "tape_index", "tapes_tried", "passes", "reevals"]
+    for argv, code_want, report_keys in [
+        ([clause], 0, budget),
+        ([clause, "--m", "2"], 0, budget + solved),
+        ([unsat, "--m", "3"], 4, budget),
+    ]:
+        code, out, err = run_cli(capsys, "solve-det", *argv, "--classic")
+        assert code == code_want
+        payload = json.loads(out)
+        report = _stderr_report(err)
+        if code == 4:
+            assert report.pop() == ("error:", payload["error"])
+        assert report == [(k, str(payload[k])) for k in report_keys]
+
+    for argv in (["solve", torus], ["solve-det", clause, "--classic", "--m", "2"]):
+        code, _, err = run_cli(capsys, *argv, "--quiet")
+        assert code == 0 and err == ""
+
+
 # ---------------------------------------------------------------------------
 # solve-det
 
@@ -434,7 +471,7 @@ def test_stats_repeat_zero_writes_header_only(tmp_path, capsys):
     assert payload["decay_ratio"] is None
     with open(csv_path, newline="") as fh:
         rows = list(csv.reader(fh))
-    assert rows == [RESULTS_HEADER]
+    assert rows == [cli.RESULTS_HEADER]
 
 
 def test_stats_builds_each_size_once(monkeypatch, capsys):
@@ -468,6 +505,19 @@ def test_stats_tail_monotone_and_csv_rows(tmp_path, capsys):
     assert len(rows) == 1 + 8
     seeds = [int(r[2]) for r in rows[1:]]
     assert seeds == sorted(seeds[:4]) + sorted(seeds[4:])
+
+
+def test_stats_csv_appends_runs_under_one_header(tmp_path, capsys):
+    csv_path = str(tmp_path / "results.csv")
+    for seed in ("0", "10"):
+        code, _, _ = run_cli(
+            capsys, "stats", "--sizes", "4", "--repeat", "2", "--seed", seed, "--csv", csv_path, "--quiet"
+        )
+        assert code == 0
+    with open(csv_path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert rows[0] == cli.RESULTS_HEADER
+    assert [(r[0], r[2]) for r in rows[1:]] == [("torus-4x4", s) for s in ("0", "1", "10", "11")]
 
 
 def test_tail_table_and_decay_ratio_units():

@@ -1,14 +1,10 @@
-"""Generators, problem files, and result persistence."""
+"""Generators and problem files."""
 
-import csv
 import json
 
 import pytest
 
 from resample_forge.instance_io import (
-    RESULTS_HEADER,
-    ExperimentRecord,
-    append_results,
     gen_grid_ksat,
     gen_torus_nae,
     load_problem,
@@ -213,20 +209,3 @@ def test_load_rejects_unknown_vertex(tmp_path):
     path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="unknown vertex 7"):
         load_problem(str(path))
-
-
-# ---------------------------------------------------------------------------
-# results persistence
-
-
-def test_results_append_and_read(tmp_path):
-    path = tmp_path / "results.csv"
-    rec = ExperimentRecord("torus-4x4", 16, 7, 16, 3, 2, 20, 20.0, 1.25)
-    append_results(str(path), [rec])
-    append_results(str(path), [rec])
-    with open(path, newline="", encoding="utf-8") as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0] == RESULTS_HEADER
-    assert len(rows) == 3
-    assert rows[1][0] == "torus-4x4"
-    assert rows[1] == rows[2] == [str(v) for v in rec.row()]
