@@ -64,7 +64,7 @@ RESULTS_HEADER = ["instance", "n", "seed", "parts", "rounds", "max_h", "symbols"
 
 
 def _check_args(args: argparse.Namespace) -> None:
-    """Reject out-of-range option values before any work starts."""
+    """Reject out-of-range option values, and side-file paths that cannot be files, before any work starts."""
     if getattr(args, "R", 1) < 1:
         raise ValueError("R must be >= 1")
     if getattr(args, "max_steps", 1) < 1:
@@ -75,6 +75,12 @@ def _check_args(args: argparse.Namespace) -> None:
         raise ValueError("m must be >= 1")
     if getattr(args, "tape_cap", 1) < 1:
         raise ValueError("tape-cap must be >= 1")
+    for flag in ("out", "csv"):  # a side file is written after the work, so check its place before
+        path = getattr(args, flag, None)
+        if path and not os.path.isdir(os.path.dirname(path) or "."):
+            raise ValueError(f"--{flag} {path}: no such directory")
+        if path and os.path.isdir(path):
+            raise ValueError(f"--{flag} {path}: is a directory")
     if args.subcommand == "stats":  # gen leaves --b and the sides to its generators
         if args.b < 2:
             raise ValueError("b must be >= 2")

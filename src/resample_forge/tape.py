@@ -77,14 +77,16 @@ class FiniteTape:
     """Explicit symbol table over parts x rounds; depletes past its horizon.
 
     Cell (part, t) lives at flat index t * num_parts + part, matching the
-    enumeration order used by the derandomized solver.
+    enumeration order used by the derandomized solver.  `reads` lists the
+    flat index of every symbol handed out, in the order asked; a run reads
+    each cell once, so for one run it is the first-read order.
     """
 
     num_parts: int
     rounds: int
     b: int
     digits: list[int]
-    max_index_touched: dict[int, int] = field(default_factory=dict)
+    reads: list[int] = field(default_factory=list)
 
     def __post_init__(self):
         if len(self.digits) != self.num_parts * self.rounds:
@@ -97,10 +99,15 @@ class FiniteTape:
             raise ValueError("round index must be nonnegative")
         if t >= self.rounds:
             raise TapeDepleted(part, t)
-        prev = self.max_index_touched.get(part, -1)
-        if t > prev:
-            self.max_index_touched[part] = t
-        return self.digits[t * self.num_parts + part]
+        i = t * self.num_parts + part
+        self.reads.append(i)
+        return self.digits[i]
+
+    @property
+    def max_index_touched(self) -> dict[int, int]:
+        """Largest round index read so far, per part read."""
+        # ascending flat indices run t-major, so each part's last entry is its largest t
+        return {i % self.num_parts: i // self.num_parts for i in sorted(self.reads)}
 
 
 class ConsumptionReport(NamedTuple):

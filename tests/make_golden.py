@@ -100,6 +100,12 @@ COMMANDS = {
     "stats_csv": (["stats", "--sizes", "4,5", "--repeat", "3", "--csv", "<csv>"], 0),
     "solve_malformed": (["solve", MALFORMED, "--quiet"], 1),
     "solve_no_steps": (["solve", TORUS10, "--max-steps", "0", "--quiet"], 1),
+    # a side file into a missing directory is refused before the solve: empty stdout, exit 1
+    "solve_det_csv_missing_dir": (
+        ["solve-det", SINGLE_CLAUSE, "--classic", "--m", "2", "--csv", "missing/x.csv", "--quiet"],
+        1,
+    ),
+    "solve_out_missing_dir": (["solve", KSAT6, "--seed", "3", "--out", "missing/x.json", "--quiet"], 1),
 }
 
 

@@ -357,6 +357,42 @@ def test_solve_det_exhausted_exit_four(tmp_path, capsys):
     assert payload["tapes_tried"] == 4
 
 
+# one byte of marks per tape: 2^62 bytes cannot be allocated, 2^80 does not fit an index
+@pytest.mark.parametrize("m, cap", [("31", str(2**62)), ("40", str(2**80))])
+def test_solve_det_marks_that_cannot_be_allocated_exit_three(tmp_path, capsys, m, cap):
+    path = write_problem(tmp_path, unsatisfiable_problem())
+    code, out, err = run_cli(capsys, "solve-det", path, "--classic", "--m", m, "--tape-cap", cap, "--quiet")
+    assert code == 3
+    assert json.loads(out)["status"] == "infeasible"
+    assert err.startswith("error:") and err.count("\n") == 1 and "cannot be allocated" in err
+
+
+# solve and solve-det used to run the whole solve, print a complete payload and only then
+# fail to open the side file; gen and stats also failed only after their work
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["solve-det", "<single>", "--classic", "--m", "2", "--csv", "missing/x.csv"], "--csv"),
+        (["solve-det", "<single>", "--classic", "--m", "2", "--out", "missing/x.json"], "--out"),
+        (["solve", "<torus>", "--out", "missing/x.json"], "--out"),
+        (["gen", "torus", "--out", "missing/x.json"], "--out"),
+        (["stats", "--sizes", "4", "--repeat", "1", "--csv", "missing/x.csv"], "--csv"),
+    ],
+)
+def test_side_file_path_that_cannot_be_a_file_exits_one_before_work(tmp_path, capsys, monkeypatch, argv, flag):
+    inputs = {
+        "<single>": write_problem(tmp_path, single_clause_problem(), "single.json"),
+        "<torus>": write_problem(tmp_path, gen_torus_nae(4, 4, 2), "torus.json"),
+    }
+    argv = [inputs.get(tok, tok) for tok in argv]
+    monkeypatch.chdir(tmp_path)
+    assert_one_error_line(capsys, argv, f"{flag} missing/x.")
+    assert not (tmp_path / "missing").exists()
+    (tmp_path / "here").mkdir()  # a path naming a directory cannot be written either
+    argv[argv.index(flag) + 1] = "here"
+    assert_one_error_line(capsys, argv, f"{flag} here: is a directory")
+
+
 def unsat_two_variable_cnf():
     """Variables 0 and 1, and clause vertices 2..5 forbidding one assignment each: all four."""
     g = Digraph.from_edges(6, [(c, v) for c in range(2, 6) for v in (0, 1)])

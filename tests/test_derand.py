@@ -1,10 +1,11 @@
-"""Deterministic solver: bound arithmetic, tape enumeration, pass semantics."""
+"""Deterministic solver: bound arithmetic, tape enumeration, pass semantics, pattern search."""
 
 import itertools
 import math
+import pathlib
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from resample_forge import derand
@@ -21,9 +22,9 @@ from resample_forge.derand import (
     threshold_m,
 )
 from resample_forge.graph_core import Digraph
-from resample_forge.instance_io import gen_torus_nae
+from resample_forge.instance_io import gen_torus_nae, load_problem
 from resample_forge.mta_runner import STATUS_TAPE_DEPLETED, run
-from resample_forge.partitioner import SparsePartition, singleton_partition
+from resample_forge.partitioner import SparsePartition, singleton_partition, sparse_partition
 from resample_forge.rule_engine import ColouringProblem, LocalRule, bad_set, satisfies
 from resample_forge.tape import FiniteTape
 
@@ -33,7 +34,9 @@ from tests.helpers import (
     single_clause_problem,
     unsatisfiable_problem,
 )
+from tests.reference_derand import reference_derand_solve
 from tests.reference_runner import reference_finite_tape
+from tests.test_acceptance import _tiny_satisfiable
 
 ONE_PART = SparsePartition(1, (0, 0))
 
@@ -417,3 +420,134 @@ def test_work_bound_on_random_instances(seed):
         tape = decode_tape(index, pi.num_parts, 2, p.b)
         attempt = run_finite_tape(p, pi, tape, index)
         assert attempt.reevals <= max(1, p.graph.maxdeg()) ** 4 * 2 * p.n
+
+
+# ---------------------------------------------------------------------------
+# one run per read pattern, against the numeric-order reference
+
+GOLDEN_DIR = pathlib.Path(__file__).resolve().parent / "golden"
+
+
+def search_result(solve, p, pi, m, **kwargs):
+    """Everything a search reports: its winner, exhaustion or error, and every attempt row."""
+    attempts = []
+    try:
+        winner = solve(p, pi, m, attempts=attempts, **kwargs)
+        result = ("winner", winner)
+    except ExhaustedError as exc:
+        result = ("exhausted", str(exc), exc.tapes_tried)
+    except (InfeasibleError, RuntimeError) as exc:
+        result = (type(exc).__name__, str(exc))
+    return result, attempts
+
+
+def assert_same_search(p, pi, m, **kwargs):
+    """Both searches report the same, as they are and with each attempt's read pattern in its `passes`.
+
+    Failed runs often agree on passes and re-evaluations, so the second
+    comparison is what shows that each attempt row comes from the run of
+    its own tape's pattern.
+    """
+    got = search_result(derand_solve, p, pi, m, **kwargs)
+    assert got == search_result(reference_derand_solve, p, pi, m, **kwargs)
+    real = derand.run_finite_tape
+
+    def with_pattern(p, pi, tape, index):
+        attempt = real(p, pi, tape, index)
+        attempt.passes = sorted((i, tape.digits[i]) for i in tape.reads)
+        return attempt
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(derand, "run_finite_tape", with_pattern)
+        marked = search_result(derand_solve, p, pi, m, **kwargs)
+        assert marked == search_result(reference_derand_solve, p, pi, m, **kwargs)
+    return got
+
+
+def count_runs(monkeypatch):
+    """Count derand's engine runs from here on; returns the counter list."""
+    real = derand.run_finite_tape
+    calls = []
+
+    def counted(*args):
+        calls.append(args[3])
+        return real(*args)
+
+    monkeypatch.setattr(derand, "run_finite_tape", counted)
+    return calls
+
+
+def test_criterion_nine_instances_match_the_reference(monkeypatch):
+    calls = count_runs(monkeypatch)
+    for idx in range(50):
+        p = _tiny_satisfiable(1000 + idx)
+        pi = singleton_partition(p.n)
+        (kind, winner), attempts = assert_same_search(p, pi, 3)
+        assert kind == "winner"
+        assert [a.tape_index for a in attempts] == list(range(winner.tape_index + 1))
+        calls.clear()
+        derand_solve(p, pi, 3)
+        assert len(calls) <= winner.tape_index + 1
+        assert calls == sorted(set(calls)) and calls[-1] == winner.tape_index
+
+
+@pytest.mark.parametrize("name, m, runs", [("unsat_2x4.json", 2, 256), ("unsat_3x9.json", 1, 4096)])
+def test_tape_search_shapes_run_once_per_read_pattern(monkeypatch, name, m, runs):
+    p = load_problem(str(GOLDEN_DIR / name))
+    pi = singleton_partition(p.n)
+    calls = count_runs(monkeypatch)
+    with pytest.raises(ExhaustedError) as exc:
+        derand_solve(p, pi, m)
+    assert exc.value.tapes_tried == 4096
+    assert len(calls) == runs
+    result, attempts = assert_same_search(p, pi, m)
+    assert result[0] == "exhausted" and len(attempts) == 4096
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    n=st.integers(1, 4),
+    b=st.integers(2, 3),
+    m=st.integers(1, 3),
+    sparse=st.booleans(),
+)
+def test_random_instances_match_the_reference(seed, n, b, m, sparse):
+    p = random_looped_problem(n, n, b, 2 * b, seed=seed)
+    pi = sparse_partition(p.graph, 1) if sparse else singleton_partition(p.n)
+    assume(b ** (pi.num_parts * m) <= 4096)
+    assert_same_search(p, pi, m)
+
+
+@pytest.mark.parametrize("cutoff", [1, 2, 3])
+def test_over_bound_attempt_matches_the_reference(monkeypatch, cutoff):
+    # an attempt goes over the bound when the digits it read sum to `cutoff`
+    # or more: a function of its read pattern, as the real work count is
+    real = derand.run_finite_tape
+
+    def padded(p, pi, tape, index):
+        attempt = real(p, pi, tape, index)
+        if sum(tape.digits[i] for i in tape.reads) >= cutoff:
+            attempt.reevals = 10**6
+        return attempt
+
+    monkeypatch.setattr(derand, "run_finite_tape", padded)
+    p = load_problem(str(GOLDEN_DIR / "unsat_2x4.json"))
+    result, attempts = assert_same_search(p, singleton_partition(p.n), 2)
+    assert result[0] == "RuntimeError" and "re-evaluation count 1000000 exceeds" in result[1]
+    assert attempts
+
+
+@pytest.mark.parametrize("m, cap", [(31, 2**62), (40, 2**80)])
+def test_marks_that_cannot_be_allocated_are_infeasible(m, cap):
+    # one byte of marks per tape: 2^62 bytes fails to allocate, 2^80 does not fit an index
+    p = unsatisfiable_problem()
+    with pytest.raises(InfeasibleError, match="cannot be allocated"):
+        derand_solve(p, singleton_partition(p.n), m, tape_cap=cap)
+
+
+def test_finite_tape_lists_reads_in_order():
+    tape = FiniteTape(2, 2, 2, [1, 0, 0, 1])
+    assert [tape.symbol(1, 1), tape.symbol(0, 0), tape.symbol(1, 0)] == [1, 1, 0]
+    assert tape.reads == [3, 0, 1]
+    assert tape.max_index_touched == {0: 0, 1: 1}
