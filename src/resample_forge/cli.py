@@ -15,12 +15,12 @@ timings only ever land in the wall_ms CSV column, never on stdout.
 
 The cyclic garbage collector is paused for each command.  Building and
 solving an instance allocates hundreds of thousands of containers but almost
-no reference cycles, and none that grow with the instance: the argparse
+no reference cycles, and none that grow with the instance: only the argparse
 parser's few hundred objects, which `main` frees with one young-generation
-collection before the command runs, and a few dozen from json's indenting
-encoder in `gen`.  The collector's automatic passes found nothing else to
-free while taking about a sixth of a large solve.  Reference counting still frees everything at once, and `main`
-restores the collector as it found it.
+collection before the command runs.  The collector's automatic passes found
+nothing else to free while taking about a sixth of a large solve.  Reference
+counting still frees everything at once, and `main` restores the collector as
+it found it.
 """
 
 from __future__ import annotations

@@ -19,10 +19,10 @@ from dataclasses import dataclass, field
 class Digraph:
     """Simple digraph with dense integer vertices and sorted adjacency lists.
 
-    `from_edges` is the checked constructor; the plain constructor trusts its
-    lists to be sorted, duplicate-free, in range and mutually consistent.  The
-    lists are read-only once built.  A symmetric graph may share one list of
-    lists as both `out_adj` and `in_adj`.
+    `from_scopes` and `from_edges` are the checked constructors; the plain
+    constructor trusts its lists to be sorted, duplicate-free, in range and
+    mutually consistent.  The lists are read-only once built.  A symmetric
+    graph may share one list of lists as both `out_adj` and `in_adj`.
     """
 
     n: int
@@ -31,6 +31,24 @@ class Digraph:
     _und_adj: list[list[int]] | None = field(default=None, repr=False, compare=False)
     _maxdeg: int | None = field(default=None, repr=False, compare=False)
     _readers: list | None = field(default=None, repr=False, compare=False)
+
+    @staticmethod
+    def from_scopes(scopes) -> "Digraph":
+        """Build a digraph from one scope per vertex; the scope lists become `out_adj`, uncopied.
+
+        Each scope must be a list of exact-int vertex ids in 0..n-1 (a bool is
+        not an id), strictly increasing, which rules out duplicates and
+        disorder in one test; n is the number of scopes.
+        """
+        if type(scopes) is not list:
+            raise ValueError("scopes must be a list of vertex lists")
+        n = len(scopes)
+        for x, scope in enumerate(scopes):
+            if not (type(scope) is list and {int}.issuperset(map(type, scope))):
+                raise ValueError(f"vertex {x}: scope must be a list of integer vertex ids")
+            if scope and not (0 <= scope[0] and scope[-1] < n and all(map(operator.lt, scope, scope[1:]))):
+                raise ValueError(f"vertex {x}: scope must be strictly increasing vertex ids in 0..{n - 1}")
+        return Digraph(n, scopes, _in_lists(scopes))
 
     @staticmethod
     def from_edges(n: int, edges) -> "Digraph":
@@ -46,12 +64,9 @@ class Digraph:
                 raise ValueError(f"edge ({src}, {dst}) out of range for n={n}")
             keys.add(src * n + dst)
         out_adj: list[list[int]] = [[] for _ in range(n)]
-        in_adj: list[list[int]] = [[] for _ in range(n)]
-        # src never decreases along the sorted keys, so the in-lists fill sorted too
         for src, dst in map(divmod, sorted(keys), itertools.repeat(n)):
             out_adj[src].append(dst)
-            in_adj[dst].append(src)
-        return Digraph(n, out_adj, in_adj)
+        return Digraph(n, out_adj, _in_lists(out_adj))
 
     def deg(self, x: int) -> int:
         # a self-loop contributes 1, via set semantics
@@ -62,11 +77,6 @@ class Digraph:
         if self._maxdeg is None:
             self._maxdeg = max((self.deg(x) for x in range(self.n)), default=0)
         return self._maxdeg
-
-    def edges(self):
-        for x in range(self.n):
-            for y in self.out_adj[x]:
-                yield (x, y)
 
     def und_adj(self) -> list[list[int]]:
         """Undirected adjacency (out+in, self-loops dropped), cached."""
@@ -90,6 +100,15 @@ class Digraph:
         if self._readers is None:
             self._readers = [_scope_reader(scope) for scope in self.out_adj]
         return self._readers
+
+
+def _in_lists(out_adj: list[list[int]]) -> list[list[int]]:
+    """In-lists of valid out-lists: sources are visited in increasing order, so each fills sorted."""
+    in_adj: list[list[int]] = [[] for _ in out_adj]
+    for src, scope in enumerate(out_adj):
+        for dst in scope:
+            in_adj[dst].append(src)
+    return in_adj
 
 
 def _read_nothing(f) -> tuple:

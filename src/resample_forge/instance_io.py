@@ -1,14 +1,16 @@
 """Benchmark generators and problem (de)serialisation.
 
-The on-disk format is versioned JSON: edge list plus a per-vertex map of
-forbidden colour tuples.
+A problem file is one JSON object that mirrors the in-memory model:
+`schema_version`, `b`, `scopes` (`graph.out_adj`, one strictly increasing list
+of vertex ids per vertex), `forbidden` (`rule.forbidden`, one list of sorted
+colour tuples per vertex) and `metadata`.  There is one schema version; a file
+of any other version is refused.
 """
 
 from __future__ import annotations
 
 import itertools
 import json
-import warnings
 from collections import Counter
 
 from resample_forge.graph_core import Digraph, check_subexp
@@ -17,7 +19,7 @@ from resample_forge.graph_core import ball  # noqa: F401
 from resample_forge.rule_engine import ColouringProblem, LocalRule, lll_margin
 from resample_forge.tape import GAMMA, MASK64, mix64
 
-SCHEMA_VERSION = 1
+SCHEMA_VERSION = 2
 
 CERT_SIZE_CAP = 400
 
@@ -61,13 +63,13 @@ def gen_torus_nae(w: int, h: int, b: int) -> ColouringProblem:
     def vid(i: int, j: int) -> int:
         return (i % h) * w + (j % w)
 
-    edges = []
-    for i in range(h):
-        for j in range(w):
-            x = vid(i, j)
-            for (di, dj) in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)):
-                edges.append((x, vid(i + di, j + dj)))
-    g = Digraph.from_edges(n, edges)
+    # both sides >= 3, so the five cells are distinct
+    scopes = [
+        sorted([vid(i + di, j + dj) for (di, dj) in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))])
+        for i in range(h)
+        for j in range(w)
+    ]
+    g = Digraph.from_scopes(scopes)
     constant = [[(c,) * 5 for c in range(b)] for _ in range(n)]
     p = ColouringProblem(
         g,
@@ -113,9 +115,8 @@ def gen_grid_ksat(
         counter += 1
         return mix64((seed + counter * GAMMA) & MASK64) % bound
 
-    edges = []
+    scopes: list = [[] for _ in range(num_vars)]
     rows: list = [[] for _ in range(num_vars)]
-    clause_id = num_vars
     for i in range(h):
         for j in range(w):
             # the (2r+1)-square around (i, j), clipped at the grid edge; row-major, as draw() picks by index
@@ -136,11 +137,9 @@ def gen_grid_ksat(
                 for _ in range(k):
                     scope.append(pool.pop(draw(len(pool))))
                 scope.sort()
-                for v in scope:
-                    edges.append((clause_id, v))
+                scopes.append(scope)
                 rows.append([tuple(draw(b) for _ in scope)])
-                clause_id += 1
-    g = Digraph.from_edges(clause_id, edges)
+    g = Digraph.from_scopes(scopes)
     p = ColouringProblem(
         g,
         b,
@@ -168,27 +167,18 @@ def save_problem(p: ColouringProblem, path: str) -> None:
     payload = {
         "schema_version": SCHEMA_VERSION,
         "b": p.b,
-        "num_vertices": p.n,
-        "edges": [[x, y] for x, y in p.graph.edges()],
-        "forbidden": {
-            str(x): [list(t) for t in p.rule.forbidden[x]]
-            for x in range(p.n)
-            if p.rule.forbidden[x]
-        },
+        "scopes": p.graph.out_adj,
+        "forbidden": p.rule.forbidden,
         "metadata": p.metadata,
     }
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=1, sort_keys=True)
+        # compact, so json's C encoder writes it
+        fh.write(json.dumps(payload, sort_keys=True))
         fh.write("\n")
 
 
-# exact type tests: JSON true/false load as bool, a subclass of int
-def _is_int(v) -> bool:
-    return type(v) is int
-
-
-def _is_int_list(v) -> bool:
-    return type(v) is list and {int}.issuperset(map(type, v))
+def _is_list_of_lists(v) -> bool:
+    return type(v) is list and {list}.issuperset(map(type, v))
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -201,59 +191,33 @@ def _unique_keys(pairs: list) -> dict:
 
 
 def load_problem(path: str) -> ColouringProblem:
+    """Read a problem file; raises ValueError, naming the first fault, on a malformed one.
+
+    `Digraph.from_scopes` checks the scopes and `ColouringProblem.validate`
+    the rows, which are kept as written: neither is sorted or deduplicated.
+    """
     with open(path, encoding="utf-8") as fh:
         payload = json.load(fh, object_pairs_hook=_unique_keys)
     if not isinstance(payload, dict):
         raise ValueError("problem file must hold a JSON object")
     version = payload.get("schema_version")
-    if not _is_int(version) or version != SCHEMA_VERSION:
+    # exact type test: JSON true/false load as bool, a subclass of int
+    if type(version) is not int or version != SCHEMA_VERSION:
         raise ValueError(f"unsupported schema_version {version!r}")
-    for field_name in ("b", "num_vertices", "edges", "forbidden"):
+    for field_name in ("b", "scopes", "forbidden"):
         if field_name not in payload:
             raise ValueError(f"missing field {field_name!r}")
     b = payload["b"]
-    n = payload["num_vertices"]
-    if not (_is_int(b) and _is_int(n)):
-        raise ValueError("fields 'b' and 'num_vertices' must be integers")
-    edges = payload["edges"]
-    if not (
-        isinstance(edges, list)
-        and all(type(e) is list and len(e) == 2 and type(e[0]) is int and type(e[1]) is int for e in edges)
-    ):
-        raise ValueError("field 'edges' must hold [from, to] pairs of integers")
-    forbidden = payload["forbidden"]
-    if not isinstance(forbidden, dict):
-        raise ValueError("field 'forbidden' must map vertex ids to lists of colour tuples")
+    if type(b) is not int:
+        raise ValueError("field 'b' must be an integer")
     metadata = payload.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ValueError("field 'metadata' must be a JSON object")
-    g = Digraph.from_edges(n, edges)
-    rows: list = [[] for _ in range(n)]
-    for key, tuples in forbidden.items():
-        try:
-            x = int(key)
-        except ValueError:
-            x = None
-        # canonical ids only: int() also reads " 0", "00" and "1_0", which would
-        # let two keys name one vertex and the later silently replace the earlier
-        if x is None or key != str(x):
-            raise ValueError(f"forbidden map key {key!r} is not a vertex id")
-        if not (0 <= x < n):
-            raise ValueError(f"forbidden map names unknown vertex {x}")
-        if not (isinstance(tuples, list) and all(_is_int_list(t) for t in tuples)):
-            raise ValueError(f"vertex {x}: forbidden tuples must be lists of integer colours")
-        rows[x] = tuples
-    # from_lists sorts and drops duplicates; validate then checks every row
-    p = ColouringProblem(g, b, LocalRule.from_lists(rows), metadata=dict(metadata))
+    g = Digraph.from_scopes(payload["scopes"])
+    forbidden = payload["forbidden"]
+    if not (type(forbidden) is list and all(map(_is_list_of_lists, forbidden))):
+        raise ValueError("field 'forbidden' must hold, per vertex, a list of colour tuples")
+    rule = LocalRule([tuple(map(tuple, rows)) for rows in forbidden])
+    p = ColouringProblem(g, b, rule, metadata=metadata)
     p.validate()
-    # warn of the dropped duplicates only once the file has loaded
-    for key, tuples in forbidden.items():
-        x = int(key)
-        if len(tuples) != len(p.rule.forbidden[x]):
-            seen = set()
-            for tup in map(tuple, tuples):
-                if tup in seen:
-                    message = f"vertex {x}: duplicate forbidden tuple {tup} dropped"
-                    warnings.warn(message)
-                seen.add(tup)
     return p

@@ -70,8 +70,11 @@ class ColouringProblem:
         colours in 0..b-1 (a bool is not a colour), a vertex with an empty scope
         has no rows, and the rows are strictly increasing, which rules out
         duplicates and disorder in one test.  That bounds the row count too:
-        distinct tuples of arity k over b colours number at most b^k.  The
-        graph is not checked here: `Digraph.from_edges` checks outside edges.
+        distinct tuples of arity k over b colours number at most b^k.  This is
+        the one rule check: `load_problem` hands it a file's rows as written,
+        unsorted and undeduplicated.  The graph is not checked here: the
+        checked constructors `Digraph.from_scopes` and `Digraph.from_edges`
+        check outside graphs.
         """
         b = self.b
         if b < 2:

@@ -32,6 +32,12 @@ The inputs are fixed files in `tests/golden/`, never regenerated here:
 The `gen_torus10` and `gen_ksat6` entries record the bytes of the first two
 commands above, so their side files equal `torus10.json` and `ksat6.json`.
 
+The problem inputs are schema-2 files.  They were converted from their
+schema-1 forms once, by loading each with the schema-1 reader and writing it
+with `instance_io.save_problem`; each loads to the same `b`, scopes, in-lists,
+rows and metadata as before.  `malformed.json` was rewritten by hand in the
+same shape, keeping its one wrong-arity row.
+
 `verify_solved` reads `solve_ksat6.out.json`, the colouring recorded by the
 `solve_ksat6` entry before it, so that entry must stay first.
 """

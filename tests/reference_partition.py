@@ -96,7 +96,8 @@ def reference_validate(g):
     """The graph check: sorted, duplicate-free, in-range and consistent adjacency lists.
 
     The package builds graphs valid by construction and checks only outside
-    edges (`Digraph.from_edges`), so this is the one copy of the whole check.
+    graphs (`Digraph.from_scopes` and `Digraph.from_edges`), so this is the
+    one copy of the whole check.
     The out/in check compares two sets of edge pairs.
     """
     if len(g.out_adj) != g.n or len(g.in_adj) != g.n:

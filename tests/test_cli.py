@@ -21,7 +21,7 @@ from hypothesis import given, settings, strategies as st
 
 from resample_forge import cli
 from resample_forge.graph_core import Digraph
-from resample_forge.instance_io import gen_torus_nae, save_problem
+from resample_forge.instance_io import gen_torus_nae, load_problem, save_problem
 from resample_forge.rule_engine import ColouringProblem, LocalRule
 
 from .helpers import all_allowed_problem, single_clause_problem, unsatisfiable_problem
@@ -94,35 +94,48 @@ def test_solve_budget_exhausted_exit_two(tmp_path, capsys):
 
 def test_solve_missing_file_exit_one(tmp_path, capsys):
     paths = ["/nonexistent/problem.json"]
-    good = {"schema_version": 1, "b": 2, "num_vertices": 2, "edges": [[1, 0]], "forbidden": {"1": [[0]]}}
-    # malformed files exit 1 with one error line, not a traceback or an answer
+    good = {"schema_version": 2, "b": 2, "scopes": [[], [0]], "forbidden": [[], [[0]]]}
+    # malformed files exit 1 with one error line, not a traceback, a warning or an answer
     for name, change in [
-        ("edge_str", {"edges": [[0, "1"]]}),
-        ("edges_int", {"edges": 5}),
-        ("forbidden_list", {"forbidden": []}),
-        ("colour_float", {"forbidden": {"1": [[0.5]]}}),
-        ("colour_bool", {"forbidden": {"1": [[True]]}}),
+        ("scope_str", {"scopes": [[], ["0"]]}),
+        ("scope_bool", {"scopes": [[], [False]]}),
+        ("scope_not_list", {"scopes": [[], 0]}),
+        ("scopes_int", {"scopes": 5}),
+        ("scope_unsorted", {"scopes": [[], [1, 0]], "forbidden": [[], [[0, 0]]]}),
+        ("scope_duplicate", {"scopes": [[], [0, 0]], "forbidden": [[], [[0, 0]]]}),
+        ("scope_out_of_range", {"scopes": [[], [2]]}),
+        ("scope_negative", {"scopes": [[], [-1]]}),
+        ("forbidden_map", {"forbidden": {"1": [[0]]}}),
+        ("rows_not_list", {"forbidden": [[], 0]}),
+        ("row_not_list", {"forbidden": [[], [0]]}),
+        ("colour_float", {"forbidden": [[], [[0.5]]]}),
+        ("colour_bool", {"forbidden": [[], [[True]]]}),
         ("b_bool", {"b": True}),
         ("schema_bool", {"schema_version": True}),
-        ("duplicate_then_unknown", {"forbidden": {"1": [[0], [0]], "7": [[0]]}}),
-        # two spellings of vertex 0: the later used to replace the earlier, and
-        # the run wrote [0, 1], which the file's "0": [[0]] forbids
-        ("key_space", {"edges": [[0, 0], [1, 1]], "forbidden": {"0": [[0]], " 0": [[1]]}}),
-        ("key_leading_zero", {"edges": [[0, 0], [1, 1]], "forbidden": {"0": [[0]], "00": [[1]]}}),
+        # one rule table entry per vertex, no more and no fewer
+        ("forbidden_longer", {"forbidden": [[], [[0]], [[0]]]}),
+        ("forbidden_shorter", {"forbidden": [[]]}),
         # past 2^64 colours the tape's rejection sampler accepts no candidate
-        ("b_above_2_64", {"b": 2**64 + 1, "num_vertices": 1, "edges": [[0, 0]], "forbidden": {}}),
+        ("b_above_2_64", {"b": 2**64 + 1, "scopes": [[0]], "forbidden": [[]]}),
         # rule-table checks that ColouringProblem.validate alone makes
-        ("colour_out_of_range", {"forbidden": {"1": [[2]]}}),
-        ("wrong_arity", {"forbidden": {"1": [[0, 1]]}}),
-        ("empty_scope", {"edges": [], "forbidden": {"1": [[0]]}}),
-        ("duplicate_then_wrong_arity", {"forbidden": {"1": [[0], [0], [0, 1]]}}),
+        ("colour_out_of_range", {"forbidden": [[], [[2]]]}),
+        ("wrong_arity", {"forbidden": [[], [[0, 1]]]}),
+        ("empty_scope", {"scopes": [[], []]}),
+        ("duplicate_row", {"forbidden": [[], [[0], [0]]]}),
+        ("unsorted_rows", {"forbidden": [[], [[1], [0]]]}),
+        ("duplicate_then_wrong_arity", {"forbidden": [[], [[0], [0], [0, 1]]]}),
     ]:
         path = tmp_path / f"{name}.json"
         path.write_text(json.dumps({**good, **change}))
         paths.append(str(path))
     # the same key twice in one object, which json.dumps cannot write
     path = tmp_path / "key_twice.json"
-    path.write_text(json.dumps(good).replace('"forbidden": {', '"forbidden": {"1": [[1]], '))
+    path.write_text(json.dumps(good).replace('"forbidden": [', '"forbidden": [], "forbidden": ['))
+    paths.append(str(path))
+    # a schema-1 file: an edge list and a forbidden map keyed by vertex id
+    path = tmp_path / "schema_1.json"
+    old = {"schema_version": 1, "b": 2, "num_vertices": 2, "edges": [[1, 0]], "forbidden": {"1": [[0]]}}
+    path.write_text(json.dumps(old))
     paths.append(str(path))
     for path in paths:
         with warnings.catch_warnings(record=True) as caught:
@@ -205,9 +218,9 @@ class ScriptedData:
 
 
 def test_mutate_draws_only_kinds_with_a_slot():
-    # retyping "edges" and then "forbidden" leaves no list to truncate
+    # retyping "scopes" and then "forbidden" leaves no list to truncate
     payload = json.loads(saved_torus3_text())
-    mutate(payload, ScriptedData("retype", (payload, "edges"), 0))
+    mutate(payload, ScriptedData("retype", (payload, "scopes"), 0))
     mutate(payload, ScriptedData("retype", (payload, "forbidden"), None))
     data = ScriptedData("not_int", (payload, "b"), "x")
     mutate(payload, data)
@@ -481,14 +494,19 @@ def test_solve_cyclic_garbage_does_not_grow_with_n(tmp_path, capsys):
         counts = []
         for side in (10, 40):
             path = write_problem(tmp_path, gen_torus_nae(side, side, 2), f"torus{side}.json")
-            gc.collect()
-            code, _, _ = run_cli(capsys, "solve", path, "--seed", "1", "--quiet")
-            assert code == 0
-            counts.append(gc.collect())
+            out = str(tmp_path / f"gen{side}.json")
+            for argv in (
+                ["solve", path, "--seed", "1", "--quiet"],
+                ["gen", "torus", "--w", str(side), "--h", str(side), "--out", out, "--quiet"],
+            ):
+                gc.collect()
+                code, _, _ = run_cli(capsys, *argv)
+                assert code == 0
+                counts.append((argv[0], gc.collect()))
     finally:
         if was_enabled:
             gc.enable()
-    assert counts[0] == counts[1], counts
+    assert counts[:2] == counts[2:], counts
 
 
 # ---------------------------------------------------------------------------
@@ -593,6 +611,16 @@ def test_golden_stdout(name):
 @pytest.mark.parametrize("name, source", [("gen_torus10", "torus10.json"), ("gen_ksat6", "ksat6.json")])
 def test_golden_inputs_are_what_gen_writes(name, source):
     assert (GOLDEN_DIR / f"{name}.out.json").read_bytes() == (GOLDEN_DIR / source).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "name", ["torus10", "ksat6", "single_clause", "unsat", "unsat_2x4", "unsat_3x9", "tiny1000"]
+)
+def test_committed_problem_files_are_canonical(tmp_path, name):
+    # every problem input but malformed.json is byte for byte what the writer makes of it
+    path = tmp_path / "resaved.json"
+    save_problem(load_problem(str(GOLDEN_DIR / f"{name}.json")), str(path))
+    assert path.read_bytes() == (GOLDEN_DIR / f"{name}.json").read_bytes()
 
 
 # ---------------------------------------------------------------------------

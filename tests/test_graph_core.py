@@ -94,6 +94,30 @@ class TestDigraph:
         with pytest.raises(ValueError):
             Digraph.from_edges(2, [(0, 2)])
 
+    def test_from_scopes_builds_sorted_in_lists(self):
+        g = Digraph.from_scopes([[1, 2], [], [0, 2]])
+        assert g == Digraph(3, [[1, 2], [], [0, 2]], [[2], [0], [0, 2]])
+        reference_validate(g)
+
+    @pytest.mark.parametrize(
+        "scopes",
+        [
+            [[1, 0], []],  # unsorted
+            [[0, 0], []],  # duplicate cell
+            [[2], []],  # out of range
+            [[-1], []],  # negative
+            [[True], []],  # bool
+            [[0.0], []],  # float
+            [["0"], []],  # str
+            [(0,), []],  # a scope that is not a list
+            [0, []],
+            ([0], []),  # the scopes themselves not a list
+        ],
+    )
+    def test_from_scopes_rejects(self, scopes):
+        with pytest.raises(ValueError):
+            Digraph.from_scopes(scopes)
+
     def test_deg_counts_self_loop_once(self):
         g = Digraph.from_edges(1, [(0, 0)])
         assert g.deg(0) == 1
@@ -353,8 +377,9 @@ class TestMatchesBallPerVertex:
 class TestBuiltGraphsPassTheReferenceCheck:
     """Every graph the package builds passes `reference_validate`, the one copy of the graph check.
 
-    The package checks only outside edges, in `Digraph.from_edges`; its own
-    builders are valid by construction, and these tests hold them to it.
+    The package checks only outside graphs, in `Digraph.from_scopes` and
+    `Digraph.from_edges`; its own builders are valid by construction, and these
+    tests hold them to it.
     """
 
     @pytest.mark.parametrize(
@@ -401,15 +426,28 @@ class TestBuiltGraphsPassTheReferenceCheck:
 
 
 class TestMatchesSetPerVertex:
-    """from_edges and build_rel against the set-per-vertex references in tests/reference_partition.py."""
+    """from_scopes, from_edges and build_rel against the set-per-vertex references in tests/reference_partition.py."""
+
+    @staticmethod
+    def draw_digraph(data):
+        """(n, edges): up to 40 edges over up to 40 vertices; duplicates, self-loops and isolated vertices all occur."""
+        n = data.draw(st.integers(0, 40))
+        vertex = st.integers(0, max(n - 1, 0))
+        return n, data.draw(st.lists(st.tuples(vertex, vertex), max_size=40 if n else 0))
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_from_scopes(self, data):
+        n, edges = self.draw_digraph(data)
+        scopes = [sorted({dst for src, dst in edges if src == x}) for x in range(n)]
+        g = Digraph.from_scopes(scopes)
+        assert g == reference_from_edges(n, edges)
+        assert g == Digraph.from_edges(n, edges)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_from_edges(self, data):
-        n = data.draw(st.integers(0, 40))
-        vertex = st.integers(0, max(n - 1, 0))
-        # up to 40 edges over up to 40 vertices: duplicates, self-loops and isolated vertices all occur
-        edges = data.draw(st.lists(st.tuples(vertex, vertex), max_size=40 if n else 0))
+        n, edges = self.draw_digraph(data)
         g = Digraph.from_edges(n, edges)
         assert g == reference_from_edges(n, edges)
         reference_validate(g)

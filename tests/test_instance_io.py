@@ -147,15 +147,44 @@ def test_ksat_variables_never_bad():
 # problem files
 
 
-def test_round_trip_identity(tmp_path):
-    p = gen_torus_nae(4, 4, 2)
-    path = tmp_path / "torus.json"
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: gen_torus_nae(4, 4, 2),
+        lambda: gen_torus_nae(5, 3, 3),
+        lambda: gen_grid_ksat(4, 4, 3, 2, 2, seed=5),
+    ],
+)
+def test_round_trip_identity(tmp_path, make):
+    p = make()
+    path = tmp_path / "problem.json"
     save_problem(p, str(path))
     q = load_problem(str(path))
     assert q.n == p.n and q.b == p.b
     assert q.graph.out_adj == p.graph.out_adj
+    assert q.graph.in_adj == p.graph.in_adj
     assert q.rule.forbidden == p.rule.forbidden
     assert q.metadata == p.metadata
+
+
+def test_file_mirrors_the_model(tmp_path):
+    p = gen_torus_nae(3, 3, 2)
+    path = tmp_path / "torus.json"
+    save_problem(p, str(path))
+    text = path.read_text()
+    assert "\n" not in text[:-1] and text.endswith("}\n")  # compact, one line
+    payload = json.loads(text)
+    assert sorted(payload) == ["b", "forbidden", "metadata", "schema_version", "scopes"]
+    assert payload["schema_version"] == 2
+    assert payload["scopes"] == p.graph.out_adj
+    assert payload["forbidden"] == [[list(t) for t in rows] for rows in p.rule.forbidden]
+
+
+def write_payload(tmp_path, **change):
+    payload = {"schema_version": 2, "b": 2, "scopes": [[], [0]], "forbidden": [[], [[0]]], **change}
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(payload))
+    return str(path)
 
 
 def test_load_rejects_bad_schema(tmp_path):
@@ -163,49 +192,32 @@ def test_load_rejects_bad_schema(tmp_path):
     path.write_text(json.dumps({"schema_version": 99}))
     with pytest.raises(ValueError, match="schema_version"):
         load_problem(str(path))
-    path.write_text(json.dumps({"schema_version": 1, "b": 2, "num_vertices": 2, "edges": []}))
+    path.write_text(json.dumps({"schema_version": 2, "b": 2, "scopes": []}))
     with pytest.raises(ValueError, match="forbidden"):
         load_problem(str(path))
 
 
+def test_load_refuses_schema_1(tmp_path):
+    path = tmp_path / "old.json"
+    old = {"schema_version": 1, "b": 2, "num_vertices": 2, "edges": [[1, 0]], "forbidden": {"1": [[0]]}}
+    path.write_text(json.dumps(old))
+    with pytest.raises(ValueError, match="unsupported schema_version 1"):
+        load_problem(str(path))
+
+
 def test_load_names_vertex_on_bad_tuple(tmp_path):
-    path = tmp_path / "bad_tuple.json"
-    payload = {
-        "schema_version": 1,
-        "b": 2,
-        "num_vertices": 2,
-        "edges": [[1, 0]],
-        "forbidden": {"1": [[0, 1]]},
-    }
-    path.write_text(json.dumps(payload))
     with pytest.raises(ValueError, match="vertex 1"):
-        load_problem(str(path))
+        load_problem(write_payload(tmp_path, forbidden=[[], [[0, 1]]]))
 
 
-def test_load_dedups_with_warning(tmp_path):
-    path = tmp_path / "dup.json"
-    payload = {
-        "schema_version": 1,
-        "b": 2,
-        "num_vertices": 2,
-        "edges": [[1, 0]],
-        "forbidden": {"1": [[0], [0]]},
-    }
-    path.write_text(json.dumps(payload))
-    with pytest.warns(UserWarning, match="duplicate"):
-        p = load_problem(str(path))
-    assert p.rule.forbidden[1] == ((0,),)
+@pytest.mark.parametrize("rows", [[[0], [0]], [[1], [0]]])
+def test_load_rejects_duplicate_or_unsorted_rows(tmp_path, rows):
+    # rows are kept as written: nothing is sorted or dropped on load
+    with pytest.raises(ValueError, match="vertex 1: forbidden tuples are not strictly increasing"):
+        load_problem(write_payload(tmp_path, forbidden=[[], rows]))
 
 
-def test_load_rejects_unknown_vertex(tmp_path):
-    path = tmp_path / "unknown.json"
-    payload = {
-        "schema_version": 1,
-        "b": 2,
-        "num_vertices": 2,
-        "edges": [],
-        "forbidden": {"7": []},
-    }
-    path.write_text(json.dumps(payload))
-    with pytest.raises(ValueError, match="unknown vertex 7"):
-        load_problem(str(path))
+@pytest.mark.parametrize("forbidden", [[[]], [[], [[0]], []]])
+def test_load_rejects_rule_table_of_another_length(tmp_path, forbidden):
+    with pytest.raises(ValueError, match="rule table size"):
+        load_problem(write_payload(tmp_path, forbidden=forbidden))
