@@ -4,10 +4,16 @@ Machine-readable JSON goes to stdout.  Unless --quiet, stderr gets the same
 report as a table, one `key  value` line per field: `solve` adds the part
 count, `solve-det` prints its budget before the search and its solved
 fields after it, and `stats` prints one line per ladder size.  `stats --csv`
-appends one RESULTS_HEADER row per run.
+appends one RESULTS_HEADER row per run, to a new or empty file or under that
+header only.
+
+`build_parser` is the one place that knows each flag: its range is checked by
+its argparse type while parsing, so a bad value, or a side file that cannot be
+written, is refused before any work.  `verify` reads only the shape solve
+writes, `{"colouring": [...]}`, and refuses a key given twice.
 
 Exit codes are stable: 0 solved or all checks passed, 1 error (a malformed
-flag included), 2 randomized budget exhausted, 3 exhaustive search
+flag or file included), 2 randomized budget exhausted, 3 exhaustive search
 infeasible, 4 exhaustive search exhausted without a solution.
 
 Outputs are byte-identical across runs with the same flags; wall-clock
@@ -34,21 +40,10 @@ import os
 import sys
 import time
 
-from .derand import (
-    DEFAULT_TAPE_CAP,
-    ExhaustedError,
-    InfeasibleError,
-    derand_solve,
-    theoretical_budget,
-)
+from .derand import DEFAULT_TAPE_CAP, ExhaustedError, InfeasibleError, derand_solve, theoretical_budget
 from .graph_core import Digraph, build_rel
-from .instance_io import gen_grid_ksat, gen_torus_nae, load_problem, save_problem
-from .landscape_lab import (
-    count_delta_trees,
-    count_grounded_forests,
-    q_poly,
-    q_value_at_rho,
-)
+from .instance_io import _unique_keys, gen_grid_ksat, gen_torus_nae, load_problem, save_problem
+from .landscape_lab import count_delta_trees, count_grounded_forests, q_poly, q_value_at_rho
 from .mta_runner import DEFAULT_MAX_STEPS, run
 from .partitioner import singleton_partition, sparse_partition
 from .rule_engine import bad_set, satisfies
@@ -61,35 +56,6 @@ EXIT_INFEASIBLE = 3
 EXIT_EXHAUSTED = 4
 
 RESULTS_HEADER = ["instance", "n", "seed", "parts", "rounds", "max_h", "symbols", "bits", "wall_ms"]
-
-
-def _check_args(args: argparse.Namespace) -> None:
-    """Reject out-of-range option values, and side-file paths that cannot be files, before any work starts."""
-    if getattr(args, "R", 1) < 1:
-        raise ValueError("R must be >= 1")
-    if getattr(args, "max_steps", 1) < 1:
-        raise ValueError("max-steps must be >= 1")
-    if getattr(args, "repeat", 0) < 0:
-        raise ValueError("repeat must be >= 0")
-    if getattr(args, "m", None) is not None and args.m < 1:
-        raise ValueError("m must be >= 1")
-    if getattr(args, "tape_cap", 1) < 1:
-        raise ValueError("tape-cap must be >= 1")
-    for flag in ("out", "csv"):  # a side file is written after the work, so check its place before
-        path = getattr(args, flag, None)
-        if path and not os.path.isdir(os.path.dirname(path) or "."):
-            raise ValueError(f"--{flag} {path}: no such directory")
-        if path and os.path.isdir(path):
-            raise ValueError(f"--{flag} {path}: is a directory")
-    if args.subcommand == "stats":  # gen leaves --b and the sides to its generators
-        if args.b < 2:
-            raise ValueError("b must be >= 2")
-        if not args.sizes:
-            raise ValueError("ladder sizes must not be empty")
-        if any(s < 3 for s in args.sizes):
-            raise ValueError("ladder sizes must be >= 3")
-        if len(set(args.sizes)) != len(args.sizes):
-            raise ValueError("ladder sizes must not repeat")
 
 
 def _emit(payload: dict) -> None:
@@ -116,14 +82,25 @@ def _write_colouring(path: str, colouring: list[int]) -> None:
 
 
 def _read_colouring(path: str) -> list[int]:
+    """The colouring of a file shaped as `_write_colouring` writes it; a key given twice is refused."""
     with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if isinstance(payload, dict):
-        payload = payload.get("colouring")
+        payload = json.load(fh, object_pairs_hook=_unique_keys)
+    colouring = payload.get("colouring") if isinstance(payload, dict) else None
     # bool is an int subclass, so JSON true/false are rejected by exact type
-    if not isinstance(payload, list) or not all(type(v) is int for v in payload):
-        raise ValueError(f"{path}: expected a JSON list of ints or {{'colouring': [...]}}")
-    return payload
+    if not isinstance(colouring, list) or not all(type(v) is int for v in colouring):
+        raise ValueError(f"{path}: expected {{\"colouring\": [...]}} holding a list of ints")
+    return colouring
+
+
+def _run_summary(trace, pi) -> dict:
+    """The rounds, max_h, symbols and bits of one run, as `solve` and each `stats` row report them."""
+    report = symbols_consumed(trace, pi)
+    return {
+        "rounds": trace.rounds,
+        "max_h": max(trace.h) if trace.h else 0,
+        "symbols": report.count,
+        "bits": round(report.bits, 3),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -135,14 +112,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
     pi = _partition_for(p, args)
     tape = RandomTape(args.seed, p.b)
     trace = run(p, pi, tape, max_steps=args.max_steps)
-    report = symbols_consumed(trace, pi)
-    summary = {
-        "status": trace.status,
-        "rounds": trace.rounds,
-        "max_h": max(trace.h) if trace.h else 0,
-        "symbols": report.count,
-        "bits": round(report.bits, 3),
-    }
+    summary = {"status": trace.status, **_run_summary(trace, pi)}
     _emit(summary)
     _table({**summary, "parts": pi.num_parts}, args.quiet)
     if not trace.succeeded:
@@ -233,20 +203,8 @@ def _trials(side: int, args: argparse.Namespace) -> list[dict]:
         t0 = time.perf_counter()
         trace = run(p, pi, RandomTape(seed, p.b), max_steps=args.max_steps)
         wall_ms = (time.perf_counter() - t0) * 1000.0
-        report = symbols_consumed(trace, pi)
-        rows.append(
-            {
-                "instance": f"torus-{side}x{side}",
-                "n": p.n,
-                "seed": seed,
-                "parts": pi.num_parts,
-                "rounds": trace.rounds,
-                "max_h": max(trace.h),
-                "symbols": report.count,
-                "bits": round(report.bits, 3),
-                "wall_ms": round(wall_ms, 3),
-            }
-        )
+        row = {"instance": f"torus-{side}x{side}", "n": p.n, "seed": seed, "parts": pi.num_parts}
+        rows.append({**row, **_run_summary(trace, pi), "wall_ms": round(wall_ms, 3)})
     return rows
 
 
@@ -295,11 +253,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
             "mean_max_h": round(sum(r["max_h"] for r in batch) / len(batch), 6),
             "mean_symbols": round(sum(r["symbols"] for r in batch) / len(batch), 6),
         }
-    if args.csv:
-        fresh = not os.path.exists(args.csv) or os.path.getsize(args.csv) == 0
+    if args.csv:  # _results_csv has checked that the file is new, empty or under RESULTS_HEADER
         with open(args.csv, "a", newline="", encoding="utf-8") as fh:
             writer = csv.DictWriter(fh, RESULTS_HEADER)
-            if fresh:
+            if fh.tell() == 0:  # append mode opens at the end: the file is new or empty
                 writer.writeheader()
             writer.writerows(rows)
 
@@ -416,8 +373,57 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # parser / dispatch
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--quiet", action="store_true", help="suppress the stderr table")
+def _at_least(low: int, name: str):
+    """The argparse type of a ranged int flag; argparse prefixes a refusal with `argument --flag: `."""
+
+    def parse(raw: str) -> int:
+        try:
+            value = int(raw)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{name} must be >= {low}")
+        return value
+
+    return parse
+
+
+def _int_list(raw: str) -> tuple[int, ...]:
+    """The `stats --sizes` ladder: a nonempty comma list of distinct torus sides, each >= 3."""
+    try:
+        sizes = tuple(int(tok) for tok in raw.split(",") if tok.strip())
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"not a comma list of ints: {raw!r}") from exc
+    if not sizes:
+        raise argparse.ArgumentTypeError("ladder sizes must not be empty")
+    if min(sizes) < 3:
+        raise argparse.ArgumentTypeError("ladder sizes must be >= 3")
+    if len(set(sizes)) != len(sizes):
+        raise argparse.ArgumentTypeError("ladder sizes must not repeat")
+    return sizes
+
+
+def _side_file(path: str) -> str:
+    """An --out or --csv path; the file is written after the work, so its place is checked before."""
+    if not os.path.isdir(os.path.dirname(path) or "."):
+        raise argparse.ArgumentTypeError(f"{path}: no such directory")
+    if os.path.isdir(path):
+        raise argparse.ArgumentTypeError(f"{path}: is a directory")
+    return path
+
+
+def _results_csv(path: str) -> str:
+    """The `stats --csv` path: rows are appended only to a missing or empty file or under RESULTS_HEADER."""
+    _side_file(path)
+    try:
+        with open(path, "rb") as fh:
+            first = fh.readline()
+    except FileNotFoundError:
+        return path
+    header = ",".join(RESULTS_HEADER)
+    if first and first.rstrip(b"\r\n") != header.encode():
+        raise argparse.ArgumentTypeError(f"{path}: first row is not the stats header {header}")
+    return path
 
 
 class _Parser(argparse.ArgumentParser):
@@ -427,6 +433,22 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
+def _subcommand(subs, name: str, handler, help_text: str) -> argparse.ArgumentParser:
+    s = subs.add_parser(name, help=help_text)
+    s.set_defaults(handler=handler)
+    s.add_argument("--quiet", action="store_true", help="suppress the stderr table")
+    return s
+
+
+def _add_partition(s: argparse.ArgumentParser) -> None:
+    s.add_argument("--R", type=_at_least(1, "R"), default=1, help="sparsity radius parameter (default 1)")
+    s.add_argument("--classic", action="store_true", help="singleton partition (no sharing)")
+
+
+def _add_max_steps(s: argparse.ArgumentParser) -> None:
+    s.add_argument("--max-steps", type=_at_least(1, "max-steps"), default=DEFAULT_MAX_STEPS, dest="max_steps")
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="resample-forge",
@@ -434,43 +456,37 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
 
-    s = subs.add_parser("solve", help="randomized shared-tape solve of a problem file")
+    s = _subcommand(subs, "solve", cmd_solve, "randomized shared-tape solve of a problem file")
     s.add_argument("problem", help="problem JSON path")
     s.add_argument("--seed", type=int, default=0, help="tape seed (default 0)")
-    s.add_argument("--R", type=int, default=1, help="sparsity radius parameter (default 1)")
-    s.add_argument("--classic", action="store_true", help="singleton partition (no sharing)")
-    s.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS, dest="max_steps")
-    s.add_argument("--out", help="write the satisfying colouring here on success")
+    _add_partition(s)
+    _add_max_steps(s)
+    s.add_argument("--out", type=_side_file, help="write the satisfying colouring here on success")
     s.add_argument("--verify", action="store_true", help="re-check the output colouring")
-    _add_common(s)
 
-    s = subs.add_parser("solve-det", help="exhaustive finite-tape search")
+    s = _subcommand(subs, "solve-det", cmd_solve_det, "exhaustive finite-tape search")
     s.add_argument("problem")
-    s.add_argument("--R", type=int, default=1)
-    s.add_argument("--classic", action="store_true")
+    _add_partition(s)
     s.add_argument("--delta", type=float, default=1.0, help="slack exponent (default 1)")
     s.add_argument("--d", type=int, default=None, help="degree bound override")
-    s.add_argument("--m", type=int, default=None, help="tape rounds; omit to only report the budget")
-    s.add_argument("--tape-cap", type=int, default=DEFAULT_TAPE_CAP, dest="tape_cap")
-    s.add_argument("--out", help="write the colouring here on success")
-    s.add_argument("--csv", help="write per-tape pass/reeval stats here")
-    _add_common(s)
+    s.add_argument("--m", type=_at_least(1, "m"), default=None, help="tape rounds; omit to only report the budget")
+    s.add_argument("--tape-cap", type=_at_least(1, "tape-cap"), default=DEFAULT_TAPE_CAP, dest="tape_cap")
+    s.add_argument("--out", type=_side_file, help="write the colouring here on success")
+    s.add_argument("--csv", type=_side_file, help="write per-tape pass/reeval stats here")
 
-    s = subs.add_parser("stats", help="seeded trial ladder over torus instances")
+    s = _subcommand(subs, "stats", cmd_stats, "seeded trial ladder over torus instances")
     s.add_argument("--sizes", type=_int_list, default=(8, 12), help="comma list of torus sides")
-    s.add_argument("--repeat", type=int, default=20, help="trials per size (default 20)")
+    s.add_argument("--repeat", type=_at_least(0, "repeat"), default=20, help="trials per size (default 20)")
     s.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
-    s.add_argument("--b", type=int, default=2, help="colour count (default 2)")
-    s.add_argument("--R", type=int, default=1)
-    s.add_argument("--classic", action="store_true")
-    s.add_argument("--max-steps", type=int, default=DEFAULT_MAX_STEPS, dest="max_steps")
-    s.add_argument("--csv", help="append one row per run here")
-    _add_common(s)
+    s.add_argument("--b", type=_at_least(2, "b"), default=2, help="colour count (default 2)")
+    _add_partition(s)
+    _add_max_steps(s)
+    s.add_argument("--csv", type=_results_csv, help="append one row per run here")
 
-    s = subs.add_parser("oracle", help="run the counting-bound self-checks")
-    _add_common(s)
+    _subcommand(subs, "oracle", cmd_oracle, "run the counting-bound self-checks")
 
-    s = subs.add_parser("gen", help="generate an instance file")
+    # gen leaves --b and the sides to its generators
+    s = _subcommand(subs, "gen", cmd_gen, "generate an instance file")
     s.add_argument("kind", choices=("torus", "ksat"))
     s.add_argument("--w", type=int, default=10)
     s.add_argument("--h", type=int, default=10)
@@ -479,22 +495,13 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--radius", type=int, default=2, help="ksat: clause scope radius")
     s.add_argument("--per-cell", type=int, default=1, dest="per_cell", help="ksat: clauses per cell")
     s.add_argument("--seed", type=int, default=0, help="ksat: generator seed")
-    s.add_argument("--out", required=True, help="output problem JSON path")
-    _add_common(s)
+    s.add_argument("--out", type=_side_file, required=True, help="output problem JSON path")
 
-    s = subs.add_parser("verify", help="check a colouring file against a problem file")
+    s = _subcommand(subs, "verify", cmd_verify, "check a colouring file against a problem file")
     s.add_argument("problem")
     s.add_argument("colouring")
-    _add_common(s)
 
     return parser
-
-
-def _int_list(raw: str) -> tuple[int, ...]:
-    try:
-        return tuple(int(tok) for tok in raw.split(",") if tok.strip())
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a comma list of ints: {raw!r}") from exc
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -505,16 +512,7 @@ def main(argv: list[str] | None = None) -> int:
         # the parser is now cyclic garbage, all of it in the youngest generation:
         # free it before the command runs rather than hold it until the end
         gc.collect(0)
-        handler = {
-            "solve": cmd_solve,
-            "solve-det": cmd_solve_det,
-            "stats": cmd_stats,
-            "oracle": cmd_oracle,
-            "gen": cmd_gen,
-            "verify": cmd_verify,
-        }[args.subcommand]
-        _check_args(args)
-        return handler(args)
+        return args.handler(args)
     except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR

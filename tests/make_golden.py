@@ -27,7 +27,12 @@ The inputs are fixed files in `tests/golden/`, never regenerated here:
   instances of the benchmark, `perfbench.workloads.unsat_cnf(2, 4, rng)` then
   `unsat_cnf(3, 9, rng)` with `rng = random.Random(7)`;
 - `tiny1000.json`: `tests.test_acceptance._tiny_satisfiable(1000)`, the first
-  instance of criterion 9.
+  instance of criterion 9;
+- `colouring_repeated_key.json`: a colouring file for `single_clause.json`
+  that gives its `colouring` key twice, a violating colouring then a
+  satisfying one;
+- `colouring_bare_list.json`: a satisfying colouring of `single_clause.json`
+  as a bare JSON list, not the `{"colouring": [...]}` that the program writes.
 
 The `gen_torus10` and `gen_ksat6` entries record the bytes of the first two
 commands above, so their side files equal `torus10.json` and `ksat6.json`.
@@ -112,6 +117,9 @@ COMMANDS = {
         1,
     ),
     "solve_out_missing_dir": (["solve", KSAT6, "--seed", "3", "--out", "missing/x.json", "--quiet"], 1),
+    # colouring files are read only in the shape solve writes, and a repeated key is refused
+    "verify_repeated_key": (["verify", SINGLE_CLAUSE, _input("colouring_repeated_key.json"), "--quiet"], 1),
+    "verify_bare_list": (["verify", SINGLE_CLAUSE, _input("colouring_bare_list.json"), "--quiet"], 1),
 }
 
 

@@ -399,11 +399,11 @@ def test_side_file_path_that_cannot_be_a_file_exits_one_before_work(tmp_path, ca
     }
     argv = [inputs.get(tok, tok) for tok in argv]
     monkeypatch.chdir(tmp_path)
-    assert_one_error_line(capsys, argv, f"{flag} missing/x.")
+    assert_one_error_line(capsys, argv, f"{flag}: missing/x.")
     assert not (tmp_path / "missing").exists()
     (tmp_path / "here").mkdir()  # a path naming a directory cannot be written either
     argv[argv.index(flag) + 1] = "here"
-    assert_one_error_line(capsys, argv, f"{flag} here: is a directory")
+    assert_one_error_line(capsys, argv, f"{flag}: here: is a directory")
 
 
 def unsat_two_variable_cnf():
@@ -666,7 +666,7 @@ def test_verify_rejects_bad_colouring(tmp_path, capsys):
 def test_verify_length_mismatch_is_an_error(tmp_path, capsys):
     path = write_problem(tmp_path, single_clause_problem())
     col_path = tmp_path / "short.json"
-    col_path.write_text("[0]")
+    col_path.write_text('{"colouring": [0]}')
     code, _, err = run_cli(capsys, "verify", path, str(col_path), "--quiet")
     assert code == 1
     assert "entries" in err
@@ -677,7 +677,7 @@ def test_verify_rejects_malformed_colourings(tmp_path, capsys):
     path = write_problem(tmp_path, single_clause_problem())
     for name, text in [("big", "[5, 0]"), ("negative", "[-1, 0]"), ("bools", "[true, false]")]:
         col_path = tmp_path / f"{name}.json"
-        col_path.write_text(text)
+        col_path.write_text(f'{{"colouring": {text}}}')
         code, out, err = run_cli(capsys, "verify", path, str(col_path), "--quiet")
         assert code == 1, name
         assert out == ""
@@ -728,6 +728,73 @@ def test_tape_cap_below_one_exit_one(tmp_path, capsys, cap_flags):
 @pytest.mark.parametrize("sizes", [",", ""])
 def test_stats_empty_ladder_exit_one(capsys, sizes):
     assert_one_error_line(capsys, ["stats", "--sizes", sizes, "--repeat", "1"], "ladder sizes must not be empty")
+
+
+def forbid_work(monkeypatch):
+    """Make loading a problem file or building a torus fail the test."""
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work started before the flags were checked")
+
+    for name in ("load_problem", "gen_torus_nae"):
+        monkeypatch.setattr(cli, name, no_work)
+
+
+# every ranged flag on every subcommand that takes it, refused by its argparse type
+# before any work; the solve-det --R, stats --R, stats --max-steps, --repeat, --m,
+# stats --b and --sizes cases had no test before
+@pytest.mark.parametrize(
+    "argv, reason",
+    [
+        (["solve", "<p>", "--R", "0"], "--R: R must be >= 1"),
+        (["solve-det", "<p>", "--R", "0"], "--R: R must be >= 1"),
+        (["stats", "--R", "0"], "--R: R must be >= 1"),
+        (["solve", "<p>", "--R", "x"], "--R: invalid int value: 'x'"),
+        (["solve", "<p>", "--max-steps", "0"], "--max-steps: max-steps must be >= 1"),
+        (["stats", "--max-steps", "0"], "--max-steps: max-steps must be >= 1"),
+        (["solve-det", "<p>", "--m", "0"], "--m: m must be >= 1"),
+        (["solve-det", "<p>", "--tape-cap", "0"], "--tape-cap: tape-cap must be >= 1"),
+        (["stats", "--repeat", "-1"], "--repeat: repeat must be >= 0"),
+        (["stats", "--b", "1"], "--b: b must be >= 2"),
+        (["stats", "--sizes", "2"], "--sizes: ladder sizes must be >= 3"),
+        (["stats", "--sizes", "4,4"], "--sizes: ladder sizes must not repeat"),
+        (["stats", "--sizes", ","], "--sizes: ladder sizes must not be empty"),
+    ],
+)
+def test_ranged_flag_out_of_range_exits_one(tmp_path, capsys, monkeypatch, argv, reason):
+    forbid_work(monkeypatch)
+    argv = [str(tmp_path / "problem.json") if tok == "<p>" else tok for tok in argv]
+    assert_one_error_line(capsys, argv, reason)
+
+
+# a second key used to win: a violating colouring then a satisfying one printed "satisfies": true
+def test_verify_refuses_a_repeated_key(tmp_path, capsys):
+    path = write_problem(tmp_path, single_clause_problem())
+    col_path = tmp_path / "twice.json"
+    col_path.write_text('{"colouring": [0, 1], "colouring": [1, 0]}')
+    assert_one_error_line(capsys, ["verify", path, str(col_path)], "key 'colouring' appears twice")
+
+
+def test_verify_refuses_a_bare_list(tmp_path, capsys):
+    # only the shape solve and solve-det write is read, even for a satisfying colouring
+    path = write_problem(tmp_path, single_clause_problem())
+    col_path = tmp_path / "bare.json"
+    col_path.write_text("[1, 0]")
+    assert_one_error_line(capsys, ["verify", path, str(col_path)], '{"colouring": [...]}')
+
+
+# stats used to append its rows under whatever header the file already had
+@pytest.mark.parametrize(
+    "text",
+    [b"tape_index,outcome,passes,reevals\r\n0,failed,1,0\r\n", b"torus-4x4,16,0\r\n", b"\n", b"\xff\x00"],
+)
+def test_stats_csv_refuses_a_foreign_header(tmp_path, capsys, monkeypatch, text):
+    forbid_work(monkeypatch)
+    csv_path = tmp_path / "results.csv"
+    csv_path.write_bytes(text)
+    argv = ["stats", "--sizes", "4", "--repeat", "1", "--csv", str(csv_path)]
+    assert_one_error_line(capsys, argv, "--csv: ")
+    assert csv_path.read_bytes() == text
 
 
 @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
