@@ -468,11 +468,11 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("problem")
     _add_partition(s)
     s.add_argument("--delta", type=float, default=1.0, help="slack exponent (default 1)")
-    s.add_argument("--d", type=int, default=None, help="degree bound override")
+    s.add_argument("--d", type=_at_least(1, "d"), default=None, help="degree bound override")
     s.add_argument("--m", type=_at_least(1, "m"), default=None, help="tape rounds; omit to only report the budget")
     s.add_argument("--tape-cap", type=_at_least(1, "tape-cap"), default=DEFAULT_TAPE_CAP, dest="tape_cap")
     s.add_argument("--out", type=_side_file, help="write the colouring here on success")
-    s.add_argument("--csv", type=_side_file, help="write per-tape pass/reeval stats here")
+    s.add_argument("--csv", type=_side_file, help="write pass/reeval stats here, one row per engine run")
 
     s = _subcommand(subs, "stats", cmd_stats, "seeded trial ladder over torus instances")
     s.add_argument("--sizes", type=_int_list, default=(8, 12), help="comma list of torus sides")

@@ -11,8 +11,10 @@ the first success, but it runs the engine once per read pattern.  A run
 depends only on the (cell, digit) pairs it reads, so every tape that agrees
 with a failed run on those cells fails the same way (the witness argument of
 Moser and Tardos, "A constructive proof of the general Lovász Local Lemma",
-J. ACM 2010).  Patterns are run in increasing order of their least tape, so
-every tape below the current index is covered by a pattern already run.
+J. ACM 2010).  A heap holds the least tape of each pattern not yet run; a
+failed run pushes the least tapes of the patterns its reads split off, so
+patterns are run in increasing order of their least tape, and work and
+memory grow with the number of runs, not with the tape space.
 
 The bound machinery (explicit_k_log, threshold_m) computes how large m must be
 for success to be guaranteed.  Those values are astronomical outside toy
@@ -22,9 +24,10 @@ guarantee alongside a feasibility verdict.
 
 from __future__ import annotations
 
+import heapq
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 # bound at import: perfbench/tracing.py wraps mta_runner.run in a per-call
 # span, which the search must not open once per tape
@@ -234,22 +237,23 @@ def derand_solve(
     """The first m-round tape in numeric order that succeeds, running one tape per read pattern.
 
     Deterministic by construction.  The winner's colouring is verified.
-    Raises InfeasibleError when b^(|pi|*m) exceeds tape_cap or its marks (one
-    byte per tape) cannot be allocated, ExhaustedError (carrying the number
-    of tapes decided, all of them) when the whole space fails, and
-    RuntimeError when an attempt's post-initialisation rule re-evaluations
-    exceed d^4*m*n.  When a list is passed as `attempts`, a TapeAttempt per
-    tape decided is appended to it, in numeric order.
+    Raises InfeasibleError when b^(|pi|*m) exceeds tape_cap, ExhaustedError
+    (carrying the number of tapes, all of them failed) when the whole space
+    fails, and RuntimeError when an attempt's post-initialisation rule
+    re-evaluations exceed d^4*m*n.  When a list is passed as `attempts`, the
+    TapeAttempt of each engine run is appended to it, in increasing
+    tape_index.
 
-    Invariant: every tape below `index` is covered by a pattern already run.
-    `marks[x] = 1 + k` says that x is the least tape of a pattern not yet
-    run whose first k reads are fixed; its other digits are 0.  A failed run
-    of x splits its pattern at each read j >= k: the tapes that agree with
-    x on reads 0..j-1 and put digit v != 0 at read j form a pattern whose
-    least tape is x + v*b^reads[j], with j + 1 reads fixed.  Those tapes
-    all exceed x, so patterns are run in increasing order of their least
-    tape, and the first success or over-bound attempt is the one the
-    numeric-order loop would meet first, after at most tape_index + 1 runs.
+    Invariant: the heap holds one entry (x, k) per pattern not yet run, x
+    its least tape and k the number of its reads that are fixed; x's other
+    digits are 0.  The patterns run and the patterns on the heap partition
+    the tape space.  A failed run of x splits its pattern at each read
+    j >= k: the tapes that agree with x on reads 0..j-1 and put digit
+    v != 0 at read j form a pattern whose least tape is x + v*b^reads[j],
+    with j + 1 reads fixed.  Those tapes all exceed x, so patterns are run
+    in increasing order of their least tape, every tape below the one run
+    lies in a pattern already run, and the first success or over-bound
+    attempt is the one the numeric-order loop would meet first.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -262,24 +266,11 @@ def derand_solve(
         raise InfeasibleError(
             f"{num_tapes} tapes exceed the cap of {tape_cap}; lower m or raise the cap"
         )
-    try:
-        marks = bytearray(num_tapes)
-    except (MemoryError, OverflowError):
-        raise InfeasibleError(
-            f"{num_tapes} tapes need {num_tapes} bytes of marks, which cannot be allocated; lower m or the cap"
-        ) from None
-    marks[0] = 1
     bound = max(1, p.graph.maxdeg()) ** 4 * m * p.n
     powers = [p.b**i for i in range(pi.num_parts * m)]
-    decided: list[tuple[TapeAttempt, frozenset]] = []  # per tape, its run and that run's reads; `attempts` only
-    for index in range(num_tapes):
-        fixed = marks[index] - 1
-        if fixed < 0:
-            if attempts is not None:
-                run_of = _covering_run(index, decided, powers, p.b)
-                decided.append(run_of)
-                attempts.append(replace(run_of[0], tape_index=index))
-            continue
+    heap = [(0, 0)]
+    while heap:
+        index, fixed = heapq.heappop(heap)
         tape = decode_tape(index, pi.num_parts, m, p.b)
         attempt = run_finite_tape(p, pi, tape, index)
         if attempt.reevals > bound:
@@ -287,7 +278,6 @@ def derand_solve(
                 f"re-evaluation count {attempt.reevals} exceeds d^4*m*n = {bound}"
             )
         if attempts is not None:
-            decided.append((attempt, frozenset(tape.reads)))
             attempts.append(attempt)
         if attempt.outcome == SUCCESS:
             if not satisfies(p, attempt.colouring):
@@ -297,23 +287,5 @@ def derand_solve(
         for j in range(fixed, len(reads)):
             step = powers[reads[j]]
             for digit in range(1, p.b):
-                marks[index + digit * step] = j + 2
+                heapq.heappush(heap, (index + digit * step, j + 1))
     raise ExhaustedError(f"all {num_tapes} tapes failed within {m} rounds", num_tapes)
-
-
-def _covering_run(index: int, decided: list, powers: list[int], b: int) -> tuple[TapeAttempt, frozenset]:
-    """The (attempt, reads) of the run whose pattern holds `index`, a tape that was not run.
-
-    `index` is not its pattern's least tape, so it has a nonzero digit at a
-    position its pattern does not read, and clearing that digit gives a
-    smaller tape of the same pattern.  Conversely, if clearing the digit at
-    `position` gives a tape whose run does not read `position`, `index`
-    agrees with that run on every cell it reads.
-    """
-    for position, power in enumerate(powers):
-        digit = index // power % b
-        if digit:
-            run_of = decided[index - digit * power]
-            if position not in run_of[1]:
-                return run_of
-    raise RuntimeError(f"no run covers tape {index}")

@@ -340,8 +340,9 @@ def test_derand_solve_deterministic():
     a1, a2 = [], []
     w1 = derand_solve(p, pi, 2, tape_cap=2**26, attempts=a1)
     w2 = derand_solve(p, pi, 2, tape_cap=2**26, attempts=a2)
-    assert w1 == w2
-    assert [a.tape_index for a in a1] == [a.tape_index for a in a2] == list(range(w1.tape_index + 1))
+    assert w1 == w2 and a1 == a2
+    indices = [a.tape_index for a in a1]
+    assert indices == sorted(set(indices)) and indices[-1] == w1.tape_index
     assert satisfies(p, w1.colouring)
 
 
@@ -441,26 +442,42 @@ def search_result(solve, p, pi, m, **kwargs):
     return result, attempts
 
 
-def assert_same_search(p, pi, m, **kwargs):
-    """Both searches report the same, as they are and with each attempt's read pattern in its `passes`.
+def assert_same_runs(p, pi, m, **kwargs):
+    """The search's result is the reference's, and each of its rows is the reference's row at that tape.
 
-    Failed runs often agree on passes and re-evaluations, so the second
-    comparison is what shows that each attempt row comes from the run of
-    its own tape's pattern.
+    Returns the search's (result, rows) and the reference's rows.
     """
-    got = search_result(derand_solve, p, pi, m, **kwargs)
-    assert got == search_result(reference_derand_solve, p, pi, m, **kwargs)
+    got, rows = search_result(derand_solve, p, pi, m, **kwargs)
+    want, want_rows = search_result(reference_derand_solve, p, pi, m, **kwargs)
+    assert got == want
+    assert [a.tape_index for a in want_rows] == list(range(len(want_rows)))
+    for a in rows:
+        assert a == want_rows[a.tape_index]
+    return (got, rows), want_rows
+
+
+def assert_same_search(p, pi, m, **kwargs):
+    """The search reports what the numeric-order reference does, running each read pattern it meets once.
+
+    Each run's row equals the reference's row at its tape_index.  Then,
+    with each attempt's read pattern put in its `passes`, the patterns of
+    the runs are distinct and, as a set, are the patterns of every tape the
+    reference tried: no pattern is run twice and none is skipped.
+    """
+    got, _ = assert_same_runs(p, pi, m, **kwargs)
     real = derand.run_finite_tape
 
     def with_pattern(p, pi, tape, index):
         attempt = real(p, pi, tape, index)
-        attempt.passes = sorted((i, tape.digits[i]) for i in tape.reads)
+        attempt.passes = tuple(sorted((i, tape.digits[i]) for i in tape.reads))
         return attempt
 
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(derand, "run_finite_tape", with_pattern)
-        marked = search_result(derand_solve, p, pi, m, **kwargs)
-        assert marked == search_result(reference_derand_solve, p, pi, m, **kwargs)
+        (_, rows), want_rows = assert_same_runs(p, pi, m, **kwargs)
+    patterns = [a.passes for a in rows]
+    assert len(set(patterns)) == len(patterns)
+    assert set(patterns) == {a.passes for a in want_rows}
     return got
 
 
@@ -484,10 +501,9 @@ def test_criterion_nine_instances_match_the_reference(monkeypatch):
         pi = singleton_partition(p.n)
         (kind, winner), attempts = assert_same_search(p, pi, 3)
         assert kind == "winner"
-        assert [a.tape_index for a in attempts] == list(range(winner.tape_index + 1))
         calls.clear()
         derand_solve(p, pi, 3)
-        assert len(calls) <= winner.tape_index + 1
+        assert calls == [a.tape_index for a in attempts]
         assert calls == sorted(set(calls)) and calls[-1] == winner.tape_index
 
 
@@ -499,9 +515,20 @@ def test_tape_search_shapes_run_once_per_read_pattern(monkeypatch, name, m, runs
     with pytest.raises(ExhaustedError) as exc:
         derand_solve(p, pi, m)
     assert exc.value.tapes_tried == 4096
-    assert len(calls) == runs
+    assert len(calls) == runs and calls == sorted(set(calls))
     result, attempts = assert_same_search(p, pi, m)
-    assert result[0] == "exhausted" and len(attempts) == 4096
+    assert result[0] == "exhausted" and len(attempts) == runs
+
+
+def test_exhausted_default_cap_runs_once_per_read_pattern(monkeypatch):
+    # the whole 2^24-tape space at the default cap, in 4,096 engine runs
+    p = load_problem(str(GOLDEN_DIR / "unsat_2x4.json"))
+    calls = count_runs(monkeypatch)
+    with pytest.raises(ExhaustedError) as exc:
+        derand_solve(p, singleton_partition(p.n), 4)
+    assert exc.value.tapes_tried == 16_777_216
+    assert len(calls) == 4096
+    assert calls == sorted(set(calls))
 
 
 @settings(max_examples=60, deadline=None)
@@ -536,14 +563,6 @@ def test_over_bound_attempt_matches_the_reference(monkeypatch, cutoff):
     result, attempts = assert_same_search(p, singleton_partition(p.n), 2)
     assert result[0] == "RuntimeError" and "re-evaluation count 1000000 exceeds" in result[1]
     assert attempts
-
-
-@pytest.mark.parametrize("m, cap", [(31, 2**62), (40, 2**80)])
-def test_marks_that_cannot_be_allocated_are_infeasible(m, cap):
-    # one byte of marks per tape: 2^62 bytes fails to allocate, 2^80 does not fit an index
-    p = unsatisfiable_problem()
-    with pytest.raises(InfeasibleError, match="cannot be allocated"):
-        derand_solve(p, singleton_partition(p.n), m, tape_cap=cap)
 
 
 def test_finite_tape_lists_reads_in_order():
