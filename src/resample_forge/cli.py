@@ -9,7 +9,8 @@ header only.
 
 `build_parser` is the one place that knows each flag: its range is checked by
 its argparse type while parsing, so a bad value, or a side file that cannot be
-written, is refused before any work.  `verify` reads only the shape solve
+written, is refused before any work; so is a `stats` seed range past 2^64 - 1,
+the one check that spans two flags.  `verify` reads only the shape solve
 writes, `{"colouring": [...]}`, and refuses a key given twice.
 
 Exit codes are stable: 0 solved or all checks passed, 1 error (a malformed
@@ -42,12 +43,12 @@ import time
 
 from .derand import DEFAULT_TAPE_CAP, ExhaustedError, InfeasibleError, derand_solve, theoretical_budget
 from .graph_core import Digraph, build_rel
-from .instance_io import _unique_keys, gen_grid_ksat, gen_torus_nae, load_problem, save_problem
+from .instance_io import gen_grid_ksat, gen_torus_nae, load_json, load_problem, save_problem
 from .landscape_lab import count_delta_trees, count_grounded_forests, q_poly, q_value_at_rho
 from .mta_runner import DEFAULT_MAX_STEPS, run
 from .partitioner import singleton_partition, sparse_partition
 from .rule_engine import bad_set, satisfies
-from .tape import RandomTape, symbols_consumed
+from .tape import MASK64, RandomTape, symbols_consumed
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -83,8 +84,7 @@ def _write_colouring(path: str, colouring: list[int]) -> None:
 
 def _read_colouring(path: str) -> list[int]:
     """The colouring of a file shaped as `_write_colouring` writes it; a key given twice is refused."""
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh, object_pairs_hook=_unique_keys)
+    payload = load_json(path)
     colouring = payload.get("colouring") if isinstance(payload, dict) else None
     # bool is an int subclass, so JSON true/false are rejected by exact type
     if not isinstance(colouring, list) or not all(type(v) is int for v in colouring):
@@ -239,6 +239,8 @@ def decay_ratio(tail: dict[int, float]) -> float | None:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    if args.seed + args.repeat - 1 > MASK64:
+        raise ValueError(f"seeds {args.seed}..{args.seed + args.repeat - 1} do not all fit in 64 bits")
     rows: list[dict] = []
     per_size: dict[str, dict] = {}
     sides = sorted(args.sizes) if args.repeat else []  # no runs, so no torus to build
@@ -283,10 +285,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def _oracle_graphs() -> list[tuple[str, Digraph]]:
     return [
-        ("loop1", Digraph.from_edges(1, [(0, 0)])),
-        ("pair", Digraph.from_edges(2, [(0, 0), (0, 1), (1, 1)])),
-        ("path3", Digraph.from_edges(3, [(0, 0), (1, 0), (1, 1), (2, 1), (2, 2)])),
-        ("cycle3", Digraph.from_edges(3, [(0, 0), (0, 1), (1, 1), (1, 2), (2, 2), (2, 0)])),
+        ("loop1", Digraph.from_scopes([[0]])),
+        ("pair", Digraph.from_scopes([[0, 1], [1]])),
+        ("path3", Digraph.from_scopes([[0], [0, 1], [1, 2]])),
+        ("cycle3", Digraph.from_scopes([[0, 1], [1, 2], [0, 2]])),
     ]
 
 
@@ -373,7 +375,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # parser / dispatch
 
 
-def _at_least(low: int, name: str):
+def _at_least(low: int, name: str, high: int | None = None):
     """The argparse type of a ranged int flag; argparse prefixes a refusal with `argument --flag: `."""
 
     def parse(raw: str) -> int:
@@ -383,9 +385,22 @@ def _at_least(low: int, name: str):
             raise argparse.ArgumentTypeError(f"invalid int value: {raw!r}") from None
         if value < low:
             raise argparse.ArgumentTypeError(f"{name} must be >= {low}")
+        if high is not None and value > high:
+            raise argparse.ArgumentTypeError(f"{name} must be <= {high}")
         return value
 
     return parse
+
+
+def _positive_float(raw: str) -> float:
+    """The `solve-det --delta` type: a positive, finite float."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {raw!r}") from None
+    if not 0 < value < math.inf:
+        raise argparse.ArgumentTypeError("delta must be positive and finite")
+    return value
 
 
 def _int_list(raw: str) -> tuple[int, ...]:
@@ -458,7 +473,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     s = _subcommand(subs, "solve", cmd_solve, "randomized shared-tape solve of a problem file")
     s.add_argument("problem", help="problem JSON path")
-    s.add_argument("--seed", type=int, default=0, help="tape seed (default 0)")
+    s.add_argument("--seed", type=_at_least(0, "seed", high=MASK64), default=0, help="tape seed (default 0)")
     _add_partition(s)
     _add_max_steps(s)
     s.add_argument("--out", type=_side_file, help="write the satisfying colouring here on success")
@@ -467,7 +482,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = _subcommand(subs, "solve-det", cmd_solve_det, "exhaustive finite-tape search")
     s.add_argument("problem")
     _add_partition(s)
-    s.add_argument("--delta", type=float, default=1.0, help="slack exponent (default 1)")
+    s.add_argument("--delta", type=_positive_float, default=1.0, help="slack exponent (default 1)")
     s.add_argument("--d", type=_at_least(1, "d"), default=None, help="degree bound override")
     s.add_argument("--m", type=_at_least(1, "m"), default=None, help="tape rounds; omit to only report the budget")
     s.add_argument("--tape-cap", type=_at_least(1, "tape-cap"), default=DEFAULT_TAPE_CAP, dest="tape_cap")
@@ -477,7 +492,7 @@ def build_parser() -> argparse.ArgumentParser:
     s = _subcommand(subs, "stats", cmd_stats, "seeded trial ladder over torus instances")
     s.add_argument("--sizes", type=_int_list, default=(8, 12), help="comma list of torus sides")
     s.add_argument("--repeat", type=_at_least(0, "repeat"), default=20, help="trials per size (default 20)")
-    s.add_argument("--seed", type=int, default=0, help="base seed (default 0)")
+    s.add_argument("--seed", type=_at_least(0, "seed", high=MASK64), default=0, help="base seed (default 0)")
     s.add_argument("--b", type=_at_least(2, "b"), default=2, help="colour count (default 2)")
     _add_partition(s)
     _add_max_steps(s)

@@ -8,7 +8,6 @@ underlying undirected graph.
 
 from __future__ import annotations
 
-import itertools
 import math
 import operator
 from collections import deque
@@ -48,25 +47,28 @@ class Digraph:
                 raise ValueError(f"vertex {x}: scope must be a list of integer vertex ids")
             if scope and not (0 <= scope[0] and scope[-1] < n and all(map(operator.lt, scope, scope[1:]))):
                 raise ValueError(f"vertex {x}: scope must be strictly increasing vertex ids in 0..{n - 1}")
-        return Digraph(n, scopes, _in_lists(scopes))
+        in_adj: list[list[int]] = [[] for _ in scopes]
+        for src, scope in enumerate(scopes):  # sources in increasing order, so each in-list fills sorted
+            for dst in scope:
+                in_adj[dst].append(src)
+        return Digraph(n, scopes, in_adj)
 
     @staticmethod
     def from_edges(n: int, edges) -> "Digraph":
-        """Build a digraph from an iterable of (src, dst) pairs.
+        """Build a digraph from an iterable of (src, dst) pairs, through `from_scopes`.
 
-        Parallel edges collapse to one; vertex indices must lie in 0..n-1.
+        Parallel edges collapse to one; vertex indices must be ints in 0..n-1.
         """
         if n < 0:
             raise ValueError("vertex count must be nonnegative")
-        keys: set[int] = set()  # one key src * n + dst per edge: sorts by src, then dst
+        out_sets: list[set[int]] = [set() for _ in range(n)]
         for src, dst in edges:
             if not (0 <= src < n and 0 <= dst < n):
                 raise ValueError(f"edge ({src}, {dst}) out of range for n={n}")
-            keys.add(src * n + dst)
-        out_adj: list[list[int]] = [[] for _ in range(n)]
-        for src, dst in map(divmod, sorted(keys), itertools.repeat(n)):
-            out_adj[src].append(dst)
-        return Digraph(n, out_adj, _in_lists(out_adj))
+            if type(src) is not int or type(dst) is not int:
+                raise ValueError(f"edge ({src!r}, {dst!r}): vertex ids must be ints")
+            out_sets[src].add(dst)
+        return Digraph.from_scopes([sorted(s) for s in out_sets])
 
     def deg(self, x: int) -> int:
         # a self-loop contributes 1, via set semantics
@@ -100,15 +102,6 @@ class Digraph:
         if self._readers is None:
             self._readers = [_scope_reader(scope) for scope in self.out_adj]
         return self._readers
-
-
-def _in_lists(out_adj: list[list[int]]) -> list[list[int]]:
-    """In-lists of valid out-lists: sources are visited in increasing order, so each fills sorted."""
-    in_adj: list[list[int]] = [[] for _ in out_adj]
-    for src, scope in enumerate(out_adj):
-        for dst in scope:
-            in_adj[dst].append(src)
-    return in_adj
 
 
 def _read_nothing(f) -> tuple:

@@ -190,14 +190,22 @@ def _unique_keys(pairs: list) -> dict:
     return obj
 
 
+def load_json(path: str):
+    """The JSON value of a problem or colouring file; a repeated key or too deep a nesting raises ValueError."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            return json.load(fh, object_pairs_hook=_unique_keys)
+        except RecursionError:
+            raise ValueError(f"{path}: JSON nested too deeply") from None
+
+
 def load_problem(path: str) -> ColouringProblem:
     """Read a problem file; raises ValueError, naming the first fault, on a malformed one.
 
     `Digraph.from_scopes` checks the scopes and `ColouringProblem.validate`
     the rows, which are kept as written: neither is sorted or deduplicated.
     """
-    with open(path, encoding="utf-8") as fh:
-        payload = json.load(fh, object_pairs_hook=_unique_keys)
+    payload = load_json(path)
     if not isinstance(payload, dict):
         raise ValueError("problem file must hold a JSON object")
     version = payload.get("schema_version")

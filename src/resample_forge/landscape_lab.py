@@ -100,20 +100,15 @@ def build_landscape(p: ColouringProblem, pi, trace, k: int) -> FinalisedLandscap
     neighbour among the previous round's resampled set; one always exists,
     because that set is maximal independent.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    rounds = trace.rounds
-    if not trace.succeeded and k > rounds + 1:
-        raise ValueError(f"k={k} exceeds trace length {rounds + 1}")
+    depth = trace.prefix_rounds(k)
     rel_adj = p.rel().out_adj
-    depth = min(k - 1, rounds) if k >= 1 else 0
     viol: dict = {}
     parent: dict = {}
-    below: set = set()  # the previous round's resampled set
-    for i in range(depth):
-        for x in trace.ib_sets[i]:
+    below: dict = {}  # the previous round's snapshot, keyed by its resampled set
+    for i, snap in enumerate(trace.viol_snapshots[:depth]):
+        for x, t in snap.items():
             nd = (x, i)
-            viol[nd] = trace.viol_snapshots[i][x]
+            viol[nd] = t
             if i > 0:
                 y = next((y for y in rel_adj[x] if y in below), None)
                 if y is None:
@@ -121,7 +116,7 @@ def build_landscape(p: ColouringProblem, pi, trace, k: int) -> FinalisedLandscap
                         f"no parent for node ({x},{i}): previous resampled set not maximal"
                     )
                 parent[nd] = (y, i - 1)
-        below = set(trace.ib_sets[i])
+        below = snap
     return FinalisedLandscape(GForest(set(viol), parent), viol, trace.colouring_at(depth))
 
 
@@ -215,20 +210,22 @@ def _restriction(p: ColouringProblem, pi, subset) -> dict:
 def restrict_problem(p: ColouringProblem, pi, subset) -> tuple:
     """Quotient the instance onto part indices through a part-unique vertex set.
 
-    The new graph lives on all part indices; edges are the image of the induced
-    subgraph.  A part keeps its representative's rule only when that rule's
+    The new graph lives on all part indices: a part's scope is the image of its
+    representative's surviving cells, strictly increasing because the subset is
+    part-unique.  A part keeps its representative's rule only when that rule's
     whole scope survives; everything else becomes unconstrained.  The returned
     partition is the singleton one.
     """
     kept = _restriction(p, pi, subset)
     part_of, scopes = pi.part_of, p.graph.out_adj
     n_prime = pi.num_parts
-    edges = [(part_of[x], part_of[scopes[x][i]]) for x, pos in kept.items() for i in pos]
+    scopes_prime: list = [[] for _ in range(n_prime)]
     rows: list = [()] * n_prime
     for x, pos in kept.items():
+        scopes_prime[part_of[x]] = [part_of[scopes[x][i]] for i in pos]
         if len(pos) == len(scopes[x]):
             rows[part_of[x]] = tuple(sorted(tuple(t[i] for i in pos) for t in p.rule.forbidden[x]))
-    g_prime = Digraph.from_edges(n_prime, edges)
+    g_prime = Digraph.from_scopes(scopes_prime)
     p_prime = ColouringProblem(g_prime, p.b, LocalRule(rows), metadata={"restricted": True})
     return p_prime, singleton_partition(n_prime)
 

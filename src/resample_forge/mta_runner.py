@@ -45,16 +45,23 @@ DEFAULT_MAX_STEPS = 100_000
 
 @dataclass
 class RunTrace:
-    """What a run leaves behind: only what cannot be derived from the rest.
+    """What a run leaves behind: the round record, the counters and the end state.
 
-    ib_sets[j] and viol_snapshots[j] describe round j: the resampled rule
-    vertices in index order, and the violating local assignment of each,
-    taken just before the round redraws its scope.
+    viol_snapshots[j] records round j: the violating local assignment of each
+    resampled rule vertex, keyed in index order and taken just before the
+    round redraws its scope.  The round's resampled set (`ib_sets`), its
+    redrawn cells (`resampled_sets`) and the round count are views of it.
     bad_sizes[j] is the number of violated rules before round j (one entry
     more than there are rounds).  clause_evals counts rule evaluations: the
     initial scan of every active rule plus the worklist re-checks of each
     round.  `scopes` is the problem's scope table, used to derive the
     redrawn cells and the intermediate colourings.
+
+    `h` and `final_colouring` could be replayed from the tape but are kept:
+    the engine needs h to pick each redraw's tape counter, and a replay of the
+    final colouring costs a third to all of a seed-sweep op (0.9-2.6 ms
+    against ~2.4 ms on a 40x40 torus, 1.9-5.0 ms against ~4.4 ms on a 32x32
+    k-SAT grid; shared 2-core Xeon VM, Python 3.11).
 
     `status` is "succeeded", "budget_exhausted" (max_steps rounds ran) or
     "tape_depleted" (the next round would have read past a finite tape's end).
@@ -63,7 +70,6 @@ class RunTrace:
     status: str
     b: int
     num_parts: int
-    ib_sets: list[list[int]]
     viol_snapshots: list[dict[int, tuple[int, ...]]]
     bad_sizes: list[int]
     h: list[int]
@@ -77,7 +83,11 @@ class RunTrace:
 
     @property
     def rounds(self) -> int:
-        return len(self.ib_sets)
+        return len(self.viol_snapshots)
+
+    @property
+    def ib_sets(self) -> list[list[int]]:
+        return [list(snap) for snap in self.viol_snapshots]
 
     @property
     def steps(self) -> int | None:
@@ -88,13 +98,21 @@ class RunTrace:
     def resampled_sets(self) -> list[set[int]]:
         """Per round, the cells redrawn: the union of the resampled rules' scopes."""
         scopes = self.scopes
-        return [{v for x in ib for v in scopes[x]} for ib in self.ib_sets]
+        return [{v for x in snap for v in scopes[x]} for snap in self.viol_snapshots]
+
+    def prefix_rounds(self, k: int) -> int:
+        """Rounds behind the first k colourings, min(k-1, rounds) or 0; a k < 0 or past a failed run raises."""
+        if k < 0:
+            raise ValueError("k must be nonnegative")
+        if not self.succeeded and k > self.rounds + 1:
+            raise ValueError(f"k={k} exceeds trace length {self.rounds + 1}")
+        return max(0, min(k - 1, self.rounds))
 
     def colouring_at(self, i: int) -> list[int]:
         """The colouring after round i (i=0 is the initial fill), for 0 <= i <= rounds.
 
         Walks back from the final colouring: round j redraws exactly the
-        scopes of ib_sets[j], and its snapshots hold their values before.
+        scopes its snapshots are keyed by, and they hold their values before.
         """
         if not (0 <= i <= self.rounds):
             raise ValueError(f"colouring {i} outside rounds 0..{self.rounds}")
@@ -155,12 +173,11 @@ def run(
     h = [1] * p.n
     currently = bad_set(p, f)
     rel, sets = p.rel(), p.forbidden_sets()
-    ib_sets: list[list[int]] = []
     viol_snapshots: list[dict[int, tuple[int, ...]]] = []
     bad_sizes = [len(currently)]
     reevals = 0
 
-    while currently and len(ib_sets) < max_steps:
+    while currently and len(viol_snapshots) < max_steps:
         ib = greedy_mis(rel, currently if found_order else sorted(currently))
         cells = [v for c in ib for v in scopes[c]]
         keys = [(part_of[v], h[v]) for v in cells]
@@ -171,9 +188,7 @@ def run(
         except TapeDepleted:
             status = STATUS_TAPE_DEPLETED
             break
-        ib = sorted(ib)
-        viol_snapshots.append({x: res(p, f, x) for x in ib})
-        ib_sets.append(ib)
+        viol_snapshots.append({x: res(p, f, x) for x in sorted(ib)})
         for v, key in zip(cells, keys):
             f[v] = symbols[key]
             h[v] += 1
@@ -188,7 +203,6 @@ def run(
         status=status,
         b=p.b,
         num_parts=pi.num_parts,
-        ib_sets=ib_sets,
         viol_snapshots=viol_snapshots,
         bad_sizes=bad_sizes,
         h=h,
@@ -222,6 +236,6 @@ def trace_round_csv(trace: RunTrace) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["round", "bad", "ib", "cells_redrawn"])
-    for j, redrawn in enumerate(trace.resampled_sets):
-        writer.writerow([j, trace.bad_sizes[j], len(trace.ib_sets[j]), len(redrawn)])
+    for j, (snap, redrawn) in enumerate(zip(trace.viol_snapshots, trace.resampled_sets)):
+        writer.writerow([j, trace.bad_sizes[j], len(snap), len(redrawn)])
     return buf.getvalue()

@@ -122,14 +122,10 @@ def used_unused(trace, pi, tape, k: int):
     resampling of x during the first k rounds.  Returns (used, unused) as
     per-vertex lists of tuples; their concatenation always has length k.
     """
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    rounds = trace.rounds
-    if not trace.succeeded and k > rounds + 1:
-        raise ValueError(f"k={k} exceeds trace length {rounds + 1}")
+    depth = trace.prefix_rounds(k)
     n = len(trace.h)
     h_k = [0] * n if k == 0 else [1] * n
-    for redrawn in trace.resampled_sets[: max(0, k - 1)]:
+    for redrawn in trace.resampled_sets[:depth]:
         for x in redrawn:
             h_k[x] += 1
     used = []

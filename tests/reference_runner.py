@@ -4,8 +4,8 @@
 rule from scratch, takes the violated ones in vertex order, resamples a greedy
 maximal independent subset and records the same trace fields as the worklist
 engine.  Its clause_evals is the number of active rules times the number of
-scans.  It also records every colouring and every round's redrawn cells,
-which the engine's trace only derives.
+scans.  It also records every colouring, every round's redrawn cells and every
+round's resampled rules, which the engine's trace only derives.
 
 Both runners find violations with `reference_bad_set`, which builds each
 scope's tuple, not with the package's cached scope readers, and read the tape
@@ -61,7 +61,7 @@ def reference_greedy_mis(rel, candidates, order):
 
 
 def reference_run(p, pi, tape, max_steps=mta_runner.DEFAULT_MAX_STEPS):
-    """(trace, colourings, redrawn cell sets) of a full-rescan run."""
+    """(trace, colourings, redrawn cell sets, resampled rule lists) of a full-rescan run."""
     identity = VertexOrder.identity(p.n)
     f = [tape.symbol(pi.part_of[x], 0) for x in range(p.n)]
     h = [1] * p.n
@@ -93,7 +93,6 @@ def reference_run(p, pi, tape, max_steps=mta_runner.DEFAULT_MAX_STEPS):
         status=status,
         b=p.b,
         num_parts=pi.num_parts,
-        ib_sets=ib_sets,
         viol_snapshots=viol_snapshots,
         bad_sizes=bad_sizes,
         h=h,
@@ -101,7 +100,7 @@ def reference_run(p, pi, tape, max_steps=mta_runner.DEFAULT_MAX_STEPS):
         clause_evals=evals,
         scopes=p.graph.out_adj,
     )
-    return trace, colourings, resampled_sets
+    return trace, colourings, resampled_sets, ib_sets
 
 
 @dataclass

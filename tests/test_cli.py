@@ -766,7 +766,9 @@ def forbid_work(monkeypatch):
 # every ranged flag on every subcommand that takes it, refused by its argparse type
 # before any work; the solve-det --R, stats --R, stats --max-steps, --repeat, --m,
 # stats --b and --sizes cases had no test before, and solve-det --d 0 was refused
-# only after the problem was loaded and partitioned
+# only after the problem was loaded and partitioned, as were solve --seed -1 and
+# every solve-det --delta case; a stats seed range past 64 bits was refused only
+# after the first torus was built and run
 @pytest.mark.parametrize(
     "argv, reason",
     [
@@ -784,12 +786,34 @@ def forbid_work(monkeypatch):
         (["stats", "--sizes", "2"], "--sizes: ladder sizes must be >= 3"),
         (["stats", "--sizes", "4,4"], "--sizes: ladder sizes must not repeat"),
         (["stats", "--sizes", ","], "--sizes: ladder sizes must not be empty"),
+        (["solve", "<p>", "--seed", "-1"], "--seed: seed must be >= 0"),
+        (["solve", "<p>", "--seed", str(1 << 64)], f"--seed: seed must be <= {(1 << 64) - 1}"),
+        (["stats", "--seed", "-1"], "--seed: seed must be >= 0"),
+        (["stats", "--seed", str((1 << 64) - 1), "--repeat", "2"], "do not all fit in 64 bits"),
+        (["solve-det", "<p>", "--delta", "0"], "--delta: delta must be positive and finite"),
+        (["solve-det", "<p>", "--delta=-1"], "--delta: delta must be positive and finite"),
+        (["solve-det", "<p>", "--delta", "nan"], "--delta: delta must be positive and finite"),
+        (["solve-det", "<p>", "--delta", "inf"], "--delta: delta must be positive and finite"),
+        (["solve-det", "<p>", "--delta", "x"], "--delta: invalid float value: 'x'"),
     ],
 )
 def test_ranged_flag_out_of_range_exits_one(tmp_path, capsys, monkeypatch, argv, reason):
     forbid_work(monkeypatch)
     argv = [str(tmp_path / "problem.json") if tok == "<p>" else tok for tok in argv]
     assert_one_error_line(capsys, argv, reason)
+
+
+# a file nested past the recursion limit used to end in a RecursionError traceback
+@pytest.mark.parametrize(
+    "argv",
+    [["solve", "<deep>"], ["solve-det", "<deep>"], ["verify", "<deep>", "<deep>"], ["verify", "<p>", "<deep>"]],
+)
+def test_deeply_nested_json_exits_one(tmp_path, capsys, argv):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100_000 + "]" * 100_000)
+    path = write_problem(tmp_path, single_clause_problem())
+    argv = [str(deep) if tok == "<deep>" else path if tok == "<p>" else tok for tok in argv]
+    assert_one_error_line(capsys, argv, f"{deep}: JSON nested too deeply")
 
 
 # a second key used to win: a violating colouring then a satisfying one printed "satisfies": true

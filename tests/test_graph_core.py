@@ -90,9 +90,19 @@ class TestDigraph:
         assert g.in_adj[2] == [0, 2]
         reference_validate(g)
 
-    def test_out_of_range_edge_rejected(self):
+    @pytest.mark.parametrize(
+        "edge",
+        [
+            (0, 2),  # out of range
+            (-1, 0),  # negative
+            (True, 0),  # bool source
+            (0, True),  # bool target
+            (0.0, 1),  # float
+        ],
+    )
+    def test_from_edges_rejects(self, edge):
         with pytest.raises(ValueError):
-            Digraph.from_edges(2, [(0, 2)])
+            Digraph.from_edges(2, [(0, 1), edge])
 
     def test_from_scopes_builds_sorted_in_lists(self):
         g = Digraph.from_scopes([[1, 2], [], [0, 2]])

@@ -5,10 +5,20 @@ An AST scan, so the next stray import fails the suite.  Imports from
 `__init__.py` is skipped, because re-exporting is all it does; instead its
 `__all__` must list exactly the names it imports, and each of those names must
 have a reader on a program path (see `test_every_export_has_a_program_reader`).
+The last tests load `perfbench/tracing.py` and check that every package name
+it patches or reads still exists.
 """
 
 import ast
+import importlib.util
 import pathlib
+
+from resample_forge import instance_io
+from resample_forge.derand import decode_tape, run_finite_tape
+from resample_forge.instance_io import gen_torus_nae
+from resample_forge.mta_runner import run
+from resample_forge.partitioner import singleton_partition
+from resample_forge.tape import RandomTape
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "resample_forge"
@@ -97,9 +107,9 @@ NO_PROGRAM_READER = {
     "__version__": "package metadata, read by tools rather than by code here",
     "check_condition": "acceptance criterion 1 checks the paper's hypothesis with it",
     "varcount": "acceptance criterion 5 checks the forest's symbol budget with it",
-    "trace_to_json": "ROADMAP item 2 gives it a CLI caller (solve --trace-out)",
-    "trace_round_csv": "ROADMAP item 2 gives it a CLI caller (solve --rounds-csv)",
-    "landscape_to_json": "ROADMAP item 2 gives it a CLI caller (the witness subcommand)",
+    "trace_to_json": "ROADMAP item 5 gives it a CLI caller (solve --trace-out)",
+    "trace_round_csv": "ROADMAP item 5 gives it a CLI caller (solve --rounds-csv)",
+    "landscape_to_json": "ROADMAP item 5 gives it a CLI caller (the witness subcommand)",
 }
 
 
@@ -155,3 +165,42 @@ def test_every_export_has_a_program_reader():
     assert unread == [], "exported names with no reader in cli, src/ or perfbench/: " + ", ".join(unread)
     stale = sorted(name for name in NO_PROGRAM_READER if name in read)
     assert stale == [], "exempt names that now have a reader; drop them from NO_PROGRAM_READER: " + ", ".join(stale)
+
+
+def load_tracing():
+    """perfbench/tracing.py, loaded by path under a name of its own."""
+    spec = importlib.util.spec_from_file_location("perfbench_tracing", ROOT / "perfbench" / "tracing.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_perfbench_boundaries_resolve():
+    """Every name the benchmark's tracer swaps out is still defined where it looks for it.
+
+    The tracer reads each (owner, attribute) from `owner.__dict__` and swaps
+    `instance_io.json`, so a renamed or removed name would otherwise surface
+    only as a KeyError in a traced benchmark run.
+    """
+    tracing = load_tracing()
+    targets = [(owner, attr) for _, _, pairs, _ in tracing._boundaries() for owner, attr in pairs]
+    targets.append((instance_io, "json"))
+    missing = [f"{owner.__name__}.{attr}" for owner, attr in targets if attr not in owner.__dict__]
+    assert missing == [], "names perfbench/tracing.py patches but the package lacks: " + ", ".join(missing)
+
+
+def test_perfbench_reads_a_run_and_a_tape_attempt():
+    """The tracer's counters read a real run trace and a real finite-tape attempt."""
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    p = gen_torus_nae(6, 6, 2)
+    pi = singleton_partition(p.n)
+    trace = run(p, pi, RandomTape(1, p.b))
+    tracing._after_run(tracer, trace, (p, pi))
+    assert tracer.counts["mta_runner.rounds"] == trace.rounds > 0
+    assert tracer.counts["mta_runner.mis_chosen"] == sum(map(len, trace.viol_snapshots))
+    assert tracer.counts["mta_runner.trace_ints"] > 0
+    attempt = run_finite_tape(p, pi, decode_tape(0, pi.num_parts, 2, p.b))
+    tracing._after_tape_attempt(tracer, attempt, ())
+    assert tracer.counts["derand.tapes_tried"] == 1
+    assert tracer.counts["derand.passes"] == attempt.passes > 0

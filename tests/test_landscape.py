@@ -111,6 +111,24 @@ def test_exhausted_trace_k_range():
         build_landscape(p, pi, trace, trace.rounds + 2)
 
 
+def test_k_prefix_rule_shared_by_landscape_and_used_unused():
+    """Both k-prefix readers refuse the same k with the same message, and cut at min(k-1, rounds)."""
+    g = Digraph.from_edges(1, [(0, 0)])
+    p = ColouringProblem(g, 2, LocalRule.from_lists([[(0,), (1,)]]))
+    pi = singleton_partition(1)
+    trace = run(p, pi, RandomTape(3, 2), max_steps=4)
+    assert not trace.succeeded and trace.rounds == 4
+    readers = (lambda k: build_landscape(p, pi, trace, k), lambda k: used_unused(trace, pi, RandomTape(3, 2), k))
+    for read in readers:
+        with pytest.raises(ValueError, match=r"^k must be nonnegative$"):
+            read(-1)
+        with pytest.raises(ValueError, match=r"^k=6 exceeds trace length 5$"):
+            read(6)
+    assert [trace.prefix_rounds(k) for k in range(6)] == [0, 0, 1, 2, 3, 4]
+    done = run(single_clause_problem(), singleton_partition(2), RandomTape(SEED_ONE_RESAMPLE, 2))
+    assert done.succeeded and done.prefix_rounds(done.rounds + 9) == done.rounds
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     seed=st.integers(0, 10**6),

@@ -3,6 +3,7 @@
 import dataclasses
 import functools
 import itertools
+import json
 import random
 
 import pytest
@@ -297,8 +298,6 @@ class TestSymbolsConsumed:
 
 class TestTraceExport:
     def test_json_round_trips_fields(self):
-        import json
-
         p, pi, tape, trace = run_random_case(77, n=6)
         payload = json.loads(trace_to_json(trace))
         assert payload["status"] == trace.status
@@ -350,18 +349,21 @@ DIFFERENTIAL_CASES = {
 class TestMatchesFullRescan:
     """The worklist engine gives the full-rescan reference's trace, field for field.
 
-    The colourings and redrawn cells the trace derives match the ones the
-    reference recorded, round for round.
+    The colourings, redrawn cells and resampled rules the trace derives match
+    the ones the reference recorded, round for round, and so does the
+    "ib_sets" list of its JSON export.
     """
 
     @staticmethod
     def assert_same_trace(got: RunTrace, want):
-        want, colourings, resampled_sets = want
+        want, colourings, resampled_sets, ib_sets = want
         for f in dataclasses.fields(RunTrace):
             if f.name != "clause_evals":  # counts re-checks here, full scans there
                 assert getattr(got, f.name) == getattr(want, f.name), f.name
         assert [got.colouring_at(i) for i in range(got.rounds + 1)] == colourings
         assert got.resampled_sets == resampled_sets
+        assert got.ib_sets == ib_sets
+        assert json.loads(trace_to_json(got))["ib_sets"] == ib_sets
         assert got.steps == (len(colourings) if want.succeeded else None)
 
     @pytest.mark.parametrize("kind", list(DIFFERENTIAL_CASES))
