@@ -11,10 +11,15 @@ the first success, but it runs the engine once per read pattern.  A run
 depends only on the (cell, digit) pairs it reads, so every tape that agrees
 with a failed run on those cells fails the same way (the witness argument of
 Moser and Tardos, "A constructive proof of the general Lovász Local Lemma",
-J. ACM 2010).  A heap holds the least tape of each pattern not yet run; a
-failed run pushes the least tapes of the patterns its reads split off, so
-patterns are run in increasing order of their least tape, and work and
-memory grow with the number of runs, not with the tape space.
+J. ACM 2010).  A pattern counts only the digits an active rule can read: a
+part none of whose cells lies in an active rule's scope is dead.  Its cells
+are filled at t = 0 and never redrawn, and no rule tests their colours, so
+its digit cannot change a run's passes, work or outcome: the search does
+not branch on it, and the least tape of a pattern puts 0 there.  A heap holds the least tape of each
+pattern not yet run; a failed run pushes the least tapes of the patterns its
+live reads split off, so patterns are run in increasing order of their least
+tape, and work and memory grow with the number of runs, not with the tape
+space.
 
 The bound machinery (explicit_k_log, threshold_m) computes how large m must be
 for success to be guaranteed.  Those values are astronomical outside toy
@@ -30,7 +35,7 @@ import sys
 from dataclasses import dataclass
 
 # bound at import: perfbench/tracing.py wraps mta_runner.run in a per-call
-# span, which the search must not open once per tape
+# span, which the search must not open once per engine run
 from resample_forge.mta_runner import run
 from resample_forge.rule_engine import ColouringProblem, satisfies
 # unused here, but perfbench/tracing.py wraps the name derand.is_violated
@@ -234,7 +239,7 @@ def derand_solve(
     tape_cap: int = DEFAULT_TAPE_CAP,
     attempts: list | None = None,
 ) -> TapeAttempt:
-    """The first m-round tape in numeric order that succeeds, running one tape per read pattern.
+    """The first m-round tape in numeric order that succeeds, running one tape per live read pattern.
 
     Deterministic by construction.  The winner's colouring is verified.
     Raises InfeasibleError when b^(|pi|*m) exceeds tape_cap, ExhaustedError
@@ -245,15 +250,19 @@ def derand_solve(
     tape_index.
 
     Invariant: the heap holds one entry (x, k) per pattern not yet run, x
-    its least tape and k the number of its reads that are fixed; x's other
-    digits are 0.  The patterns run and the patterns on the heap partition
-    the tape space.  A failed run of x splits its pattern at each read
-    j >= k: the tapes that agree with x on reads 0..j-1 and put digit
-    v != 0 at read j form a pattern whose least tape is x + v*b^reads[j],
-    with j + 1 reads fixed.  Those tapes all exceed x, so patterns are run
-    in increasing order of their least tape, every tape below the one run
-    lies in a pattern already run, and the first success or over-bound
-    attempt is the one the numeric-order loop would meet first.
+    its least tape and k the number of its live reads that are fixed; x's
+    other digits are 0.  The live reads of a run are its reads less the
+    digits of dead parts, those with no cell in an active rule's scope; a
+    dead part is read only by the fill, so its one digit is the flat index
+    equal to its part number, and no digit of it changes the run.  The
+    patterns run and the patterns on the heap partition the tape space.  A
+    failed run of x splits its pattern at each live read j >= k: the tapes
+    that agree with x on live reads 0..j-1 and put digit v != 0 at live
+    read j form a pattern whose least tape is x + v*b^reads[j], with j + 1
+    reads fixed.  Those tapes all exceed x, so patterns are run in
+    increasing order of their least tape, every tape below the one run lies
+    in a pattern already run, and the first success or over-bound attempt
+    is the one the numeric-order loop would meet first.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -268,6 +277,8 @@ def derand_solve(
         )
     bound = max(1, p.graph.maxdeg()) ** 4 * m * p.n
     powers = [p.b**i for i in range(pi.num_parts * m)]
+    live = {pi.part_of[v] for x in p.active_clauses() for v in p.graph.out_adj[x]}
+    dead = set(range(pi.num_parts)) - live
     heap = [(0, 0)]
     while heap:
         index, fixed = heapq.heappop(heap)
@@ -283,7 +294,7 @@ def derand_solve(
             if not satisfies(p, attempt.colouring):
                 raise RuntimeError("inner loop reported success on a violated colouring")
             return attempt
-        reads = tape.reads
+        reads = [i for i in tape.reads if i not in dead]
         for j in range(fixed, len(reads)):
             step = powers[reads[j]]
             for digit in range(1, p.b):

@@ -1,5 +1,6 @@
 """Shared builders for runner, landscape, and derandomization tests."""
 
+import itertools
 import random
 
 from resample_forge.graph_core import Digraph
@@ -53,6 +54,30 @@ def random_looped_problem(n, extra_edges, b, max_forbidden, seed):
         while len(picked) < want:
             picked.add(tuple(rng.randrange(b) for _ in scope))
         rows.append(tuple(sorted(picked)))
+    p = ColouringProblem(g, b, LocalRule(rows))
+    p.validate()
+    return p
+
+
+def random_cnf_problem(num_vars, num_clauses, b, seed, unsat=False):
+    """CNF-shaped instance: variable cells 0..num_vars-1, then one clause cell per clause.
+
+    Each clause reads one or two variables and forbids from none to two of
+    their tuples.  No rule reads a clause cell, and a variable read only by
+    clauses that forbid nothing is read by no active rule either.  With
+    `unsat`, the first clause forbids every tuple of its scope, so nothing
+    satisfies the instance.
+    """
+    rng = random.Random(seed)
+    edges, rows = [], [() for _ in range(num_vars)]
+    for c in range(num_clauses):
+        scope = sorted(rng.sample(range(num_vars), rng.randint(1, min(2, num_vars))))
+        edges += [(num_vars + c, v) for v in scope]
+        space = [tuple(rng.randrange(b) for _ in scope) for _ in range(rng.randint(0, 2))]
+        if unsat and c == 0:
+            space = list(itertools.product(range(b), repeat=len(scope)))
+        rows.append(tuple(sorted(set(space))))
+    g = Digraph.from_edges(num_vars + num_clauses, edges)
     p = ColouringProblem(g, b, LocalRule(rows))
     p.validate()
     return p

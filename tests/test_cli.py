@@ -397,7 +397,7 @@ def test_solve_det_csv_has_one_row_per_engine_run(tmp_path, capsys):
     with open(csv_path, newline="") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["tape_index", "outcome", "passes", "reevals"]
-    assert len(rows) == 1 + 1024
+    assert len(rows) == 1 + 64
     indices = [int(row[0]) for row in rows[1:]]
     assert indices == sorted(set(indices))
     assert peak < 2e6, peak

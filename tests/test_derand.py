@@ -3,6 +3,7 @@
 import itertools
 import math
 import pathlib
+import random
 
 import pytest
 from hypothesis import assume, given, settings
@@ -30,6 +31,8 @@ from resample_forge.tape import FiniteTape
 
 from tests.helpers import (
     all_allowed_problem,
+    partition_for,
+    random_cnf_problem,
     random_looped_problem,
     single_clause_problem,
     unsatisfiable_problem,
@@ -456,20 +459,29 @@ def assert_same_runs(p, pi, m, **kwargs):
     return (got, rows), want_rows
 
 
+def live_reads(p, pi, tape):
+    """The flat indices a run read, less the fill digits of parts with no cell an active rule reads."""
+    scopes = p.graph.out_adj
+    read_by_rules = {v for x in p.active_clauses() for v in scopes[x]}
+    live_parts = {pi.part_of[v] for v in read_by_rules}
+    return [i for i in tape.reads if i >= pi.num_parts or i in live_parts]
+
+
 def assert_same_search(p, pi, m, **kwargs):
     """The search reports what the numeric-order reference does, running each read pattern it meets once.
 
     Each run's row equals the reference's row at its tape_index.  Then,
-    with each attempt's read pattern put in its `passes`, the patterns of
-    the runs are distinct and, as a set, are the patterns of every tape the
-    reference tried: no pattern is run twice and none is skipped.
+    with each attempt's read pattern (over its live reads) put in its
+    `passes`, the patterns of the runs are distinct and, as a set, are the
+    patterns of every tape the reference tried: no pattern is run twice and
+    none is skipped.
     """
     got, _ = assert_same_runs(p, pi, m, **kwargs)
     real = derand.run_finite_tape
 
     def with_pattern(p, pi, tape, index):
         attempt = real(p, pi, tape, index)
-        attempt.passes = tuple(sorted((i, tape.digits[i]) for i in tape.reads))
+        attempt.passes = tuple(sorted((i, tape.digits[i]) for i in live_reads(p, pi, tape)))
         return attempt
 
     with pytest.MonkeyPatch.context() as patch:
@@ -507,7 +519,7 @@ def test_criterion_nine_instances_match_the_reference(monkeypatch):
         assert calls == sorted(set(calls)) and calls[-1] == winner.tape_index
 
 
-@pytest.mark.parametrize("name, m, runs", [("unsat_2x4.json", 2, 256), ("unsat_3x9.json", 1, 4096)])
+@pytest.mark.parametrize("name, m, runs", [("unsat_2x4.json", 2, 16), ("unsat_3x9.json", 1, 8)])
 def test_tape_search_shapes_run_once_per_read_pattern(monkeypatch, name, m, runs):
     p = load_problem(str(GOLDEN_DIR / name))
     pi = singleton_partition(p.n)
@@ -521,13 +533,13 @@ def test_tape_search_shapes_run_once_per_read_pattern(monkeypatch, name, m, runs
 
 
 def test_exhausted_default_cap_runs_once_per_read_pattern(monkeypatch):
-    # the whole 2^24-tape space at the default cap, in 4,096 engine runs
+    # the whole 2^24-tape space at the default cap, in 256 engine runs
     p = load_problem(str(GOLDEN_DIR / "unsat_2x4.json"))
     calls = count_runs(monkeypatch)
     with pytest.raises(ExhaustedError) as exc:
         derand_solve(p, singleton_partition(p.n), 4)
     assert exc.value.tapes_tried == 16_777_216
-    assert len(calls) == 4096
+    assert len(calls) == 256
     assert calls == sorted(set(calls))
 
 
@@ -548,13 +560,13 @@ def test_random_instances_match_the_reference(seed, n, b, m, sparse):
 
 @pytest.mark.parametrize("cutoff", [1, 2, 3])
 def test_over_bound_attempt_matches_the_reference(monkeypatch, cutoff):
-    # an attempt goes over the bound when the digits it read sum to `cutoff`
+    # an attempt goes over the bound when its live digits sum to `cutoff`
     # or more: a function of its read pattern, as the real work count is
     real = derand.run_finite_tape
 
     def padded(p, pi, tape, index):
         attempt = real(p, pi, tape, index)
-        if sum(tape.digits[i] for i in tape.reads) >= cutoff:
+        if sum(tape.digits[i] for i in live_reads(p, pi, tape)) >= cutoff:
             attempt.reevals = 10**6
         return attempt
 
@@ -563,6 +575,61 @@ def test_over_bound_attempt_matches_the_reference(monkeypatch, cutoff):
     result, attempts = assert_same_search(p, singleton_partition(p.n), 2)
     assert result[0] == "RuntimeError" and "re-evaluation count 1000000 exceeds" in result[1]
     assert attempts
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    num_vars=st.integers(1, 3),
+    num_clauses=st.integers(1, 3),
+    b=st.integers(2, 3),
+    m=st.integers(1, 3),
+    mode=st.sampled_from(["singleton", "sparse", "random"]),
+    unsat=st.booleans(),
+)
+def test_cnf_instances_with_dead_cells_match_the_reference(seed, num_vars, num_clauses, b, m, mode, unsat):
+    # no rule reads a clause cell, so every clause's part that holds no
+    # variable an active rule reads is dead, and its digit is not branched on
+    p = random_cnf_problem(num_vars, num_clauses, b, seed, unsat)
+    pi = partition_for(p, mode, seed=seed)
+    while b ** (pi.num_parts * m) > 4096:
+        m -= 1
+    result, _ = assert_same_search(p, pi, m)
+    if unsat:
+        assert result[0] == "exhausted"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    index=st.integers(0, 10**6),
+    noise=st.integers(0, 10**6),
+    b=st.integers(2, 3),
+    mode=st.sampled_from(["singleton", "sparse", "random"]),
+)
+def test_dead_digits_do_not_change_a_run(seed, index, noise, b, mode):
+    """Two tapes that differ only in dead digits give equal reference rows; only dead cells' colours differ."""
+    p = random_cnf_problem(3, 3, b, seed)
+    pi = partition_for(p, mode, seed=seed)
+    m = 2
+    index %= b ** (pi.num_parts * m)
+    tape = decode_tape(index, pi.num_parts, m, b)
+    want = reference_finite_tape(p, pi, tape)
+    # the fill reads every part's digit at t = 0, flat index = part number
+    dead = set(range(pi.num_parts)) - set(live_reads(p, pi, tape))
+    rng = random.Random(noise)
+    digits = [rng.randrange(b) if i in dead else d for i, d in enumerate(tape.digits)]
+    got = reference_finite_tape(p, pi, FiniteTape(pi.num_parts, m, b, digits))
+    assert (got.outcome, got.passes, got.reevals, got.resampled_sets) == (
+        want.outcome,
+        want.passes,
+        want.reevals,
+        want.resampled_sets,
+    )
+    for before, after in zip(want.colourings, got.colourings):
+        for v in range(p.n):
+            a = pi.part_of[v]
+            assert after[v] == (digits[a] if a in dead else before[v])
 
 
 def test_finite_tape_lists_reads_in_order():
