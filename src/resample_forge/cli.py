@@ -509,7 +509,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--k", type=int, default=5, help="ksat: literals per clause")
     s.add_argument("--radius", type=int, default=2, help="ksat: clause scope radius")
     s.add_argument("--per-cell", type=int, default=1, dest="per_cell", help="ksat: clauses per cell")
-    s.add_argument("--seed", type=int, default=0, help="ksat: generator seed")
+    s.add_argument("--seed", type=_at_least(0, "seed", high=MASK64), default=0, help="ksat: generator seed")
     s.add_argument("--out", type=_side_file, required=True, help="output problem JSON path")
 
     s = _subcommand(subs, "verify", cmd_verify, "check a colouring file against a problem file")

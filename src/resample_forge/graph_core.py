@@ -1,4 +1,4 @@
-"""Digraph plumbing: adjacency, dependency graph, balls, greedy MIS, growth checks.
+"""Digraph plumbing: adjacency, dependency graph, balls, greedy MIS.
 
 Vertices are dense integers 0..n-1.  Out-neighbours of a vertex are the cells
 it reads (its scope), in-neighbours are the vertices whose scope contains it.
@@ -8,7 +8,6 @@ underlying undirected graph.
 
 from __future__ import annotations
 
-import math
 import operator
 from collections import deque
 from dataclasses import dataclass, field
@@ -200,20 +199,3 @@ def greedy_mis(g_sym: Digraph, scan: list[int]) -> list[int]:
             blocked.update(g_sym.out_adj[x])
     return chosen
 
-
-def check_subexp(g: Digraph, big_r: int, eps: float, d: int) -> bool:
-    """Degree and ball-growth check: maxdeg <= d and |ball(x, 3R)| <= (1+eps)^R for all x.
-
-    The growth comparison runs in log space with a small slack toward acceptance,
-    so e.g. |ball| = 16 against (1+1.0)^4 = 16 passes despite rounding.
-    """
-    if big_r < 1:
-        raise ValueError("R must be >= 1")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    if d < 0:
-        raise ValueError("d must be nonnegative")
-    if g.maxdeg() > d:
-        return False
-    limit_log = big_r * math.log1p(eps) + 1e-9
-    return all(math.log(len(near)) <= limit_log for near in balls(g, 3 * big_r))

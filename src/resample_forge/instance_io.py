@@ -9,11 +9,10 @@ of any other version is refused.
 
 from __future__ import annotations
 
-import itertools
 import json
 from collections import Counter
 
-from resample_forge.graph_core import Digraph, check_subexp
+from resample_forge.graph_core import Digraph
 # unused here, but perfbench/tracing.py wraps the name instance_io.ball
 from resample_forge.graph_core import ball  # noqa: F401
 from resample_forge.rule_engine import ColouringProblem, LocalRule, lll_margin
@@ -21,26 +20,12 @@ from resample_forge.tape import GAMMA, MASK64, mix64
 
 SCHEMA_VERSION = 2
 
-CERT_SIZE_CAP = 400
-
 
 def _annotate(p: ColouringProblem) -> ColouringProblem:
-    """Stamp degree, dependency degree, margin, and a growth certificate.
-
-    The certificate is the first (R, eps) in scan order that `check_subexp`
-    accepts, or None.  The scan walks balls up to radius 3R, so it is skipped
-    beyond CERT_SIZE_CAP vertices (recorded as None, meaning "not computed").
-    """
-    d = max(1, p.graph.maxdeg())
+    """Stamp degree, dependency degree and margin."""
     p.metadata["d"] = p.graph.maxdeg()
     p.metadata["Delta"] = p.rel().maxdeg()
     p.metadata["margin"] = lll_margin(p)
-    p.metadata["subexp"] = None
-    if 0 < p.n <= CERT_SIZE_CAP:
-        for big_r, eps in itertools.product(range(1, 6), (0.5, 1.0, 2.0)):
-            if check_subexp(p.graph, big_r, eps, d):
-                p.metadata["subexp"] = {"R": big_r, "eps": eps, "d": d}
-                break
     return p
 
 
@@ -106,6 +91,8 @@ def gen_grid_ksat(
         raise ValueError("need at least one clause per cell")
     if b < 2:
         raise ValueError("alphabet size must be >= 2")
+    if not 0 <= seed <= MASK64:
+        raise ValueError(f"seed must be in 0..{MASK64}")
     num_vars = w * h
 
     counter = 0

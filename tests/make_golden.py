@@ -92,7 +92,7 @@ COMMANDS = {
     ),
     "solve_det_exhausted": (["solve-det", UNSAT, "--classic", "--m", "3", "--csv", "<csv>", "--quiet"], 4),
     "solve_det_infeasible": (["solve-det", UNSAT, "--classic", "--m", "20", "--quiet"], 3),
-    # the benchmark's two tape-search shapes: all 4,096 tapes fail
+    # the benchmark's two tape-search shapes: all 4,096 tapes fail, decided in 16 and 8 engine runs
     "solve_det_unsat_2x4": (["solve-det", UNSAT_2X4, "--classic", "--m", "2", "--quiet"], 4),
     "solve_det_unsat_3x9": (["solve-det", UNSAT_3X9, "--classic", "--m", "1", "--quiet"], 4),
     "solve_det_tiny1000": (

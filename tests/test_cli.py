@@ -675,6 +675,18 @@ def test_gen_ksat_roundtrips_through_solve(tmp_path, capsys):
     assert json.loads(out)["status"] == "succeeded"
 
 
+# gen --seed used to take any int: -1 and 2^64 - 1 then wrote the same instance
+# under different recorded seeds, as the generator masked the seed to 64 bits
+@pytest.mark.parametrize(
+    "seed, reason", [("-1", "seed must be >= 0"), (str(1 << 64), f"seed must be <= {(1 << 64) - 1}")]
+)
+def test_gen_seed_outside_64_bits_exits_one(tmp_path, capsys, seed, reason):
+    out_path = tmp_path / "k.json"
+    argv = ["gen", "ksat", "--w", "3", "--h", "3", "--k", "2", "--seed", seed, "--out", str(out_path)]
+    assert_one_error_line(capsys, argv, f"--seed: {reason}")
+    assert not out_path.exists()
+
+
 def test_verify_rejects_bad_colouring(tmp_path, capsys):
     path = write_problem(tmp_path, single_clause_problem())
     col_path = tmp_path / "bad.json"

@@ -10,14 +10,12 @@ from resample_forge.graph_core import (
     ball,
     balls,
     build_rel,
-    check_subexp,
     greedy_mis,
     power_graph,
 )
 from resample_forge.instance_io import gen_grid_ksat, gen_torus_nae
 from tests.reference_partition import (
     reference_build_rel,
-    reference_check_subexp,
     reference_from_edges,
     reference_power_graph,
     reference_validate,
@@ -63,23 +61,6 @@ def random_digraph(n, num_edges, seed, self_loops=True):
             continue
         edges.add((x, y))
     return Digraph.from_edges(n, edges)
-
-
-def regular_tree(branching, depth):
-    """Tree whose root has `branching` children and inner vertices branching-1."""
-    edges = []
-    next_id = 1
-    frontier = [0]
-    for level in range(depth):
-        new_frontier = []
-        for v in frontier:
-            kids = branching if v == 0 else branching - 1
-            for _ in range(kids):
-                edges.append((v, next_id))
-                new_frontier.append(next_id)
-                next_id += 1
-        frontier = new_frontier
-    return Digraph.from_edges(next_id, edges)
 
 
 class TestDigraph:
@@ -316,39 +297,6 @@ class TestGreedyMis:
                 assert any(y in chosen_set and y != x for y in rel.out_adj[x])
 
 
-class TestCheckSubexp:
-    def test_path_100_fails_growth(self):
-        # a middle vertex has |ball(x, 12)| = 25 > (1+1)^4 = 16
-        g = path_graph(100)
-        assert check_subexp(g, 4, 1.0, 2) is False
-
-    def test_short_path_passes(self):
-        g = path_graph(10)
-        # every ball has at most 10 vertices <= 2^4
-        assert check_subexp(g, 4, 1.0, 2) is True
-
-    def test_regular_tree_fails(self):
-        g = regular_tree(3, 12)
-        assert g.maxdeg() == 3
-        assert check_subexp(g, 4, 1.0, 3) is False
-
-    def test_degree_bound_enforced(self):
-        g = regular_tree(3, 2)
-        assert check_subexp(g, 4, 10.0, 2) is False
-
-    def test_boundary_equality_accepted(self):
-        # 16 vertices within radius 12 against (1+1)^4 = 16: log-space slack accepts
-        g = path_graph(16)
-        assert check_subexp(g, 4, 1.0, 2) is True
-
-    def test_bad_parameters_rejected(self):
-        g = path_graph(3)
-        with pytest.raises(ValueError):
-            check_subexp(g, 0, 1.0, 2)
-        with pytest.raises(ValueError):
-            check_subexp(g, 1, 0.0, 2)
-
-
 def validate_error(check, g):
     try:
         check(g)
@@ -371,17 +319,6 @@ class TestMatchesBallPerVertex:
         g = Digraph.from_edges(0, [])
         for r in range(5):
             assert power_graph(g, r) == reference_power_graph(g, r)
-
-    def test_check_subexp_on_empty_graph(self):
-        g = Digraph.from_edges(0, [])
-        assert check_subexp(g, 1, 1.0, 0) is reference_check_subexp(g, 1, 1.0, 0) is True
-
-    @pytest.mark.parametrize("seed", range(6))
-    def test_check_subexp_on_random_digraphs(self, seed):
-        g = random_digraph(30, 40, seed)
-        for big_r in (1, 2):
-            for eps in (0.5, 1.0, 2.0, 8.0):
-                assert check_subexp(g, big_r, eps, 9) is reference_check_subexp(g, big_r, eps, 9)
 
 
 class TestBuiltGraphsPassTheReferenceCheck:

@@ -137,5 +137,3 @@ def test_ball_scans_do_not_call_ball(monkeypatch):
     g = random_digraph(30, 40, seed=5)
     sparse_partition(g, 2)
     assert graph_core.power_graph(g, 3).n == 30
-    assert graph_core.check_subexp(path_graph(10), 4, 1.0, 2)
-    assert gen_torus_nae(10, 10, 2).metadata["subexp"] is not None
