@@ -687,6 +687,15 @@ def test_gen_seed_outside_64_bits_exits_one(tmp_path, capsys, seed, reason):
     assert not out_path.exists()
 
 
+def test_gen_seed_at_the_top_of_64_bits_is_recorded(tmp_path, capsys):
+    out_path = tmp_path / "k.json"
+    seed = (1 << 64) - 1
+    argv = ["gen", "ksat", "--w", "3", "--h", "3", "--k", "2", "--seed", str(seed), "--out", str(out_path)]
+    code, _, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert json.loads(out_path.read_text())["metadata"]["seed"] == seed
+
+
 def test_verify_rejects_bad_colouring(tmp_path, capsys):
     path = write_problem(tmp_path, single_clause_problem())
     col_path = tmp_path / "bad.json"

@@ -321,6 +321,22 @@ class TestMatchesBallPerVertex:
             assert power_graph(g, r) == reference_power_graph(g, r)
 
 
+    def test_maxdeg_on_empty_graph(self):
+        assert Digraph.from_edges(0, []).maxdeg() == 0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_maxdeg_on_random_digraphs(self, seed):
+        # deg(x) is |Var(x) | Cl(x)|: the vertices x reads and the vertices that read x
+        g = random_digraph(30, 40, seed)
+        for h in (g, build_rel(g)):
+            nbrs = [set() for _ in range(h.n)]
+            for x in range(h.n):
+                for y in h.out_adj[x]:
+                    nbrs[x].add(y)
+                    nbrs[y].add(x)
+            assert h.maxdeg() == max(len(ys) for ys in nbrs)
+
+
 class TestBuiltGraphsPassTheReferenceCheck:
     """Every graph the package builds passes `reference_validate`, the one copy of the graph check.
 

@@ -40,6 +40,31 @@ def test_torus_constant_colouring_violates_everywhere():
     assert satisfies(p, chess)
 
 
+def reference_stamps(p):
+    """d, Delta and margin from the scopes alone, by pairwise set unions and intersections."""
+    scopes = [set(p.graph.out_adj[x]) for x in range(p.n)]
+    readers = [set() for _ in range(p.n)]
+    for x, scope in enumerate(scopes):
+        for v in scope:
+            readers[v].add(x)
+    return {
+        "d": max((len(scopes[x] | readers[x]) for x in range(p.n)), default=0),
+        "Delta": max((sum(1 for y in range(p.n) if scopes[x] & scopes[y]) for x in range(p.n)), default=0),
+        "margin": max(
+            (len(p.rule.forbidden[x]) / p.b ** len(scopes[x]) for x in range(p.n) if p.rule.forbidden[x]),
+            default=0.0,
+        ),
+    }
+
+
+# wrap-around shrinks Delta below 13 on the narrow tori; the stamps must follow it
+@pytest.mark.parametrize("side", range(3, 21))
+def test_torus_stamps_match_the_reference(side):
+    for w in {side, max(3, side - 5)}:
+        p = gen_torus_nae(w, side, 2)
+        assert p.metadata == {"generator": "torus_nae", "w": w, "h": side, "b": 2, **reference_stamps(p)}
+
+
 def test_torus_rejects_small_sides():
     with pytest.raises(ValueError):
         gen_torus_nae(2, 5, 2)
@@ -105,6 +130,18 @@ def test_ksat_radius_too_tight():
 def test_ksat_refuses_a_seed_outside_64_bits(seed):
     with pytest.raises(ValueError, match="seed must be in 0.."):
         gen_grid_ksat(3, 3, 2, 1, 1, seed=seed)
+
+
+@pytest.mark.parametrize("seed", [0, (1 << 64) - 1])
+def test_ksat_accepts_both_ends_of_64_bits(seed):
+    p = gen_grid_ksat(3, 3, 2, 1, 1, seed=seed)
+    assert p.metadata["seed"] == seed
+
+
+@pytest.mark.parametrize("w, h, k, radius, seed", [(1, 1, 1, 1, 0), (3, 4, 3, 3, 0), (6, 6, 5, 2, 1), (8, 5, 3, 1, 2)])
+def test_ksat_stamps_match_the_reference(w, h, k, radius, seed):
+    p = gen_grid_ksat(w, h, k, radius, 1, seed)
+    assert {key: p.metadata[key] for key in ("d", "Delta", "margin")} == reference_stamps(p)
 
 
 def test_ksat_variables_never_bad():
