@@ -14,8 +14,9 @@ the one check that spans two flags.  `verify` reads only the shape solve
 writes, `{"colouring": [...]}`, and refuses a key given twice.
 
 Exit codes are stable: 0 solved or all checks passed, 1 error (a malformed
-flag or file included), 2 randomized budget exhausted, 3 exhaustive search
-infeasible, 4 exhaustive search exhausted without a solution.
+flag or file included), 2 randomized budget exhausted (by `solve`, or by any
+`stats` run), 3 exhaustive search infeasible, 4 exhaustive search exhausted
+without a solution.  Each flag is taken only by its full name.
 
 Outputs are byte-identical across runs with the same flags; wall-clock
 timings only ever land in the wall_ms CSV column, never on stdout.
@@ -133,7 +134,7 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_solve_det(args: argparse.Namespace) -> int:
     p = load_problem(args.problem)
     pi = _partition_for(p, args)
-    budget = theoretical_budget(p, pi, args.delta, args.d, args.tape_cap)
+    budget = theoretical_budget(p, pi, args.delta, args.tape_cap)
     payload = {
         "k_log": round(budget.k_log, 6),
         "m_theoretical": budget.m,
@@ -194,18 +195,20 @@ def _write_attempts(path: str | None, attempts: list | None) -> None:
 # stats
 
 
-def _trials(side: int, args: argparse.Namespace) -> list[dict]:
-    """One RESULTS_HEADER row per seeded run on one torus, built and partitioned once."""
+def _trials(side: int, args: argparse.Namespace) -> tuple[list[dict], int]:
+    """One RESULTS_HEADER row per seeded run on one torus, built and partitioned once, and how many hit max_steps."""
     p = gen_torus_nae(side, side, args.b)
     pi = _partition_for(p, args)
     rows = []
+    stopped = 0
     for seed in range(args.seed, args.seed + args.repeat):
         t0 = time.perf_counter()
         trace = run(p, pi, RandomTape(seed, p.b), max_steps=args.max_steps)
         wall_ms = (time.perf_counter() - t0) * 1000.0
+        stopped += not trace.succeeded
         row = {"instance": f"torus-{side}x{side}", "n": p.n, "seed": seed, "parts": pi.num_parts}
         rows.append({**row, **_run_summary(trace, pi), "wall_ms": round(wall_ms, 3)})
-    return rows
+    return rows, stopped
 
 
 def tail_table(max_h_values: list[int]) -> dict[int, float]:
@@ -243,9 +246,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
         raise ValueError(f"seeds {args.seed}..{args.seed + args.repeat - 1} do not all fit in 64 bits")
     rows: list[dict] = []
     per_size: dict[str, dict] = {}
+    stopped: dict[int, int] = {}  # per side, the runs that ran out of steps
     sides = sorted(args.sizes) if args.repeat else []  # no runs, so no torus to build
     for side in sides:
-        batch = _trials(side, args)
+        batch, stopped[side] = _trials(side, args)
         rows += batch
         per_size[batch[0]["instance"]] = {
             "trials": len(batch),
@@ -276,7 +280,10 @@ def cmd_stats(args: argparse.Namespace) -> int:
         for name, info in per_size.items()
     }
     _table({**report, "tail decay ratio": payload["decay_ratio"]}, args.quiet)
-    return EXIT_OK
+    cut = ", ".join(f"{k} of {args.repeat} runs at size {side}" for side, k in stopped.items() if k)
+    if cut:  # their rows count only the rounds run before the budget ran out
+        print(f"budget exhausted at --max-steps {args.max_steps}: {cut}", file=sys.stderr)
+    return EXIT_BUDGET if cut else EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +456,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _subcommand(subs, name: str, handler, help_text: str) -> argparse.ArgumentParser:
-    s = subs.add_parser(name, help=help_text)
+    s = subs.add_parser(name, help=help_text, allow_abbrev=False)
     s.set_defaults(handler=handler)
     s.add_argument("--quiet", action="store_true", help="suppress the stderr table")
     return s
@@ -467,6 +474,7 @@ def _add_max_steps(s: argparse.ArgumentParser) -> None:
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="resample-forge",
+        allow_abbrev=False,
         description="shared-tape resampling solver and its verification oracles",
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
@@ -483,7 +491,6 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("problem")
     _add_partition(s)
     s.add_argument("--delta", type=_positive_float, default=1.0, help="slack exponent (default 1)")
-    s.add_argument("--d", type=_at_least(1, "d"), default=None, help="degree bound override")
     s.add_argument("--m", type=_at_least(1, "m"), default=None, help="tape rounds; omit to only report the budget")
     s.add_argument("--tape-cap", type=_at_least(1, "tape-cap"), default=DEFAULT_TAPE_CAP, dest="tape_cap")
     s.add_argument("--out", type=_side_file, help="write the colouring here on success")
@@ -528,7 +535,7 @@ def main(argv: list[str] | None = None) -> int:
         # free it before the command runs rather than hold it until the end
         gc.collect(0)
         return args.handler(args)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     finally:

@@ -170,16 +170,9 @@ def _tape_count(b: int, num_parts: int, m: int) -> int | None:
     return b ** (num_parts * m)
 
 
-def theoretical_budget(
-    p: ColouringProblem,
-    pi,
-    delta: float,
-    d: int | None = None,
-    tape_cap: int = DEFAULT_TAPE_CAP,
-) -> DerandBudget:
-    """Budget for a guaranteed solve, flagged infeasible when unenumerable."""
-    if d is None:
-        d = max(1, p.graph.maxdeg())
+def theoretical_budget(p: ColouringProblem, pi, delta: float, tape_cap: int = DEFAULT_TAPE_CAP) -> DerandBudget:
+    """Budget for a guaranteed solve at the instance's own d and Delta, flagged infeasible when unenumerable."""
+    d = max(1, p.graph.maxdeg())
     big_delta = max(1, p.rel().maxdeg())
     k_log = explicit_k_log(p.b, delta, d, pi.num_parts, big_delta)
     m = threshold_m(k_log, pi.num_parts, big_delta, delta)

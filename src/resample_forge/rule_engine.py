@@ -126,13 +126,12 @@ def lll_margin(p: ColouringProblem) -> float:
     return worst
 
 
-def condition_report(p: ColouringProblem, delta: float, eps: float, d: int) -> dict:
+def condition_report(p: ColouringProblem, delta: float, eps: float) -> dict:
     """Numbers behind check_condition: margin, dependency degree, threshold."""
     if delta <= 0 or eps <= 0:
         raise ValueError("delta and eps must be positive")
-    if d < 1:
-        raise ValueError("d must be >= 1")
     margin = lll_margin(p)
+    d = p.graph.maxdeg()
     big_delta = p.rel().maxdeg()
     if big_delta == 0:
         if margin > 0:
@@ -144,10 +143,10 @@ def condition_report(p: ColouringProblem, delta: float, eps: float, d: int) -> d
     return {"margin": margin, "max_dep_degree": big_delta, "threshold": threshold, "ok": ok}
 
 
-def check_condition(p: ColouringProblem, delta: float, eps: float, d: int) -> bool:
+def check_condition(p: ColouringProblem, delta: float, eps: float) -> bool:
     """Advisory feasibility check: margin <= 1 / ((e*Delta)^(1+delta) * b^(eps*d)).
 
-    Delta is the maximum degree of the dependency graph (a self-loop counts
-    once).  Solvers run regardless of the outcome.
+    d is the maximum degree of the graph and Delta that of its dependency
+    graph, a self-loop counted once.  Solvers run regardless of the outcome.
     """
-    return condition_report(p, delta, eps, d)["ok"]
+    return condition_report(p, delta, eps)["ok"]

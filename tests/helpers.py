@@ -33,6 +33,14 @@ def all_allowed_problem(n=4):
     return p
 
 
+def star_problem(d):
+    """Vertex 0 reads cells 1..d and nothing else reads or forbids: degree d, Delta 1."""
+    g = Digraph.from_edges(d + 1, [(0, y) for y in range(1, d + 1)])
+    p = ColouringProblem(g, 2, LocalRule([()] * (d + 1)))
+    p.validate()
+    return p
+
+
 def random_looped_problem(n, extra_edges, b, max_forbidden, seed):
     """Random digraph where every vertex reads itself, plus random extra reads.
 

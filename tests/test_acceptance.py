@@ -134,9 +134,9 @@ def test_criterion_01_correctness():
             (gen_grid_ksat(6, 6, 6, 3, 1, 1, b=3), 0.1, 0.05),
             (gen_grid_ksat(6, 6, 7, 3, 1, 2, b=3), 0.3, 0.1),
         ]
-        assert check_condition(families[-1], 1.0, 0.25, families[-1].metadata["d"])
+        assert check_condition(families[-1], 1.0, 0.25)
         for p, delta, eps in ksat:
-            assert check_condition(p, delta, eps, p.metadata["d"])
+            assert check_condition(p, delta, eps)
             families.append(p)
         runs = succeeded = 0
         for p in families:

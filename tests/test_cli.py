@@ -24,7 +24,7 @@ from resample_forge.graph_core import Digraph
 from resample_forge.instance_io import gen_torus_nae, load_problem, save_problem
 from resample_forge.rule_engine import ColouringProblem, LocalRule
 
-from .helpers import all_allowed_problem, single_clause_problem, unsatisfiable_problem
+from .helpers import all_allowed_problem, single_clause_problem, star_problem, unsatisfiable_problem
 from .make_golden import COMMANDS, GOLDEN_DIR, capture
 
 GOLDEN_TORUS10_SEED7 = (
@@ -455,9 +455,9 @@ def test_solve_det_keeps_no_record_per_tape(tmp_path, capsys):
 
 
 def test_solve_det_reports_a_tape_length_past_the_float_range(tmp_path, capsys):
-    # ln K ~ 1.2e308 is finite; m ~ 3.7e307 used to overflow the tape count
-    path = write_problem(tmp_path, gen_torus_nae(4, 4, 2))
-    code, out, err = run_cli(capsys, "solve-det", path, "--d", "1020", "--quiet")
+    # the star's own d = 1,012 gives ln K ~ 3.1e307, which is finite; m ~ 3.1e307 used to overflow the tape count
+    path = write_problem(tmp_path, star_problem(1012))
+    code, out, err = run_cli(capsys, "solve-det", path, "--classic", "--quiet")
     assert code == 0 and err == ""
     payload = json.loads(out)
     assert payload["status"] == "report_only"
@@ -465,14 +465,12 @@ def test_solve_det_reports_a_tape_length_past_the_float_range(tmp_path, capsys):
     assert payload["num_tapes_theoretical"] is None and payload["infeasible"] is True
 
 
-# vertex 0 reads all 1,100 cells, so the default degree bound d is 1,100 and
-# 2^d overflows a float; --d 1020 fits, but |pi| = 1,100 times it does not
-@pytest.mark.parametrize("flags", [[], ["--d", "1020"]])
-def test_solve_det_star_exits_one(tmp_path, capsys, flags):
+# vertex 0 reads all 1,100 cells, so the instance's degree d is 1,100 and 2^d overflows a float
+def test_solve_det_star_exits_one(tmp_path, capsys):
     n = 1100
     g = Digraph.from_edges(n, [(0, y) for y in range(n)])
     path = write_problem(tmp_path, ColouringProblem(g, 2, LocalRule([()] * n)))
-    assert_one_error_line(capsys, ["solve-det", path, "--classic", *flags], "ln K overflows a float")
+    assert_one_error_line(capsys, ["solve-det", path, "--classic"], "ln K overflows a float")
 
 
 # ---------------------------------------------------------------------------
@@ -595,6 +593,14 @@ def test_stats_csv_appends_runs_under_one_header(tmp_path, capsys):
         rows = list(csv.reader(fh))
     assert rows[0] == cli.RESULTS_HEADER
     assert [(r[0], r[2]) for r in rows[1:]] == [("torus-4x4", s) for s in ("0", "1", "10", "11")]
+
+
+# runs cut off by --max-steps used to be averaged as if complete, with exit 0
+def test_stats_exits_two_when_the_budget_stops_a_run(capsys):
+    code, out, err = run_cli(capsys, "stats", "--sizes", "10,20", "--repeat", "5", "--max-steps", "1", "--quiet")
+    assert code == 2
+    assert json.loads(out)["trials"] == 10
+    assert err == "budget exhausted at --max-steps 1: 4 of 5 runs at size 10, 5 of 5 runs at size 20\n"
 
 
 def test_tail_table_and_decay_ratio_units():
@@ -730,6 +736,8 @@ def test_verify_rejects_malformed_colourings(tmp_path, capsys):
 
 def test_bad_flag_values_exit_one(tmp_path, capsys):
     path = write_problem(tmp_path, single_clause_problem())
+    star1012 = write_problem(tmp_path, star_problem(1012), "star1012.json")
+    star1015 = write_problem(tmp_path, star_problem(1015), "star1015.json")
     for argv, reason in [
         (["solve", path, "--R", "0"], "R must be >= 1"),
         # argparse's own rejections exit 1 too, not 2 (budget exhausted), with
@@ -738,10 +746,9 @@ def test_bad_flag_values_exit_one(tmp_path, capsys):
         (["solve-det", path, "--classic", "--delta", "-inf"], "expected one argument"),  # -inf reads as an option
         # used to print "math domain error": the decay factor rounds to 1
         (["solve-det", path, "--classic", "--delta", "1e-300"], "delta=1e-300 is too small"),
-        # these used to end in an OverflowError traceback
-        (["solve-det", path, "--classic", "--d", "1030"], "ln K overflows a float"),
-        (["solve-det", path, "--classic", "--d", "1" + "0" * 4000], "ln K overflows a float"),
-        (["solve-det", path, "--classic", "--d", "1020", "--delta", "1e-10"], "no tape length below 2^1024"),
+        # these used to end in an OverflowError traceback; each star's d is its own degree
+        (["solve-det", star1015, "--classic"], "ln K overflows a float"),
+        (["solve-det", star1012, "--classic", "--delta", "1e-10"], "no tape length below 2^1024"),
         # a repeated side used to run twice and count its trials twice
         (["stats", "--sizes", "5,5", "--repeat", "2"], "ladder sizes must not repeat"),
         (["stats", "--sizes", "3,8,3", "--repeat", "2"], "ladder sizes must not repeat"),
@@ -786,10 +793,10 @@ def forbid_work(monkeypatch):
 
 # every ranged flag on every subcommand that takes it, refused by its argparse type
 # before any work; the solve-det --R, stats --R, stats --max-steps, --repeat, --m,
-# stats --b and --sizes cases had no test before, and solve-det --d 0 was refused
-# only after the problem was loaded and partitioned, as were solve --seed -1 and
-# every solve-det --delta case; a stats seed range past 64 bits was refused only
-# after the first torus was built and run
+# stats --b and --sizes cases had no test before, and solve --seed -1 and every
+# solve-det --delta case were refused only after the problem was loaded and
+# partitioned; a stats seed range past 64 bits was refused only after the first
+# torus was built and run
 @pytest.mark.parametrize(
     "argv, reason",
     [
@@ -800,7 +807,6 @@ def forbid_work(monkeypatch):
         (["solve", "<p>", "--max-steps", "0"], "--max-steps: max-steps must be >= 1"),
         (["stats", "--max-steps", "0"], "--max-steps: max-steps must be >= 1"),
         (["solve-det", "<p>", "--m", "0"], "--m: m must be >= 1"),
-        (["solve-det", "<p>", "--d", "0"], "--d: d must be >= 1"),
         (["solve-det", "<p>", "--tape-cap", "0"], "--tape-cap: tape-cap must be >= 1"),
         (["stats", "--repeat", "-1"], "--repeat: repeat must be >= 0"),
         (["stats", "--b", "1"], "--b: b must be >= 2"),
@@ -822,6 +828,33 @@ def test_ranged_flag_out_of_range_exits_one(tmp_path, capsys, monkeypatch, argv,
     forbid_work(monkeypatch)
     argv = [str(tmp_path / "problem.json") if tok == "<p>" else tok for tok in argv]
     assert_one_error_line(capsys, argv, reason)
+
+
+# argparse used to take any unique prefix of a flag: --m ran as --max-steps, and
+# with --d gone, --d would have run as --delta
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve-det", "<p>", "--d", "5"],
+        ["solve", "<p>", "--m", "1"],
+        ["solve", "<p>", "--ver"],
+        ["solve-det", "<p>", "--cl"],
+    ],
+)
+def test_flags_are_taken_only_by_their_full_names(tmp_path, capsys, monkeypatch, argv):
+    forbid_work(monkeypatch)
+    argv = [str(tmp_path / "problem.json") if tok == "<p>" else tok for tok in argv]
+    assert_one_error_line(capsys, argv, "unrecognized arguments")
+
+
+# a KeyError can only be a bug, so main lets it through instead of reporting it as bad input
+def test_main_lets_an_internal_key_error_through(monkeypatch):
+    def broken():
+        raise KeyError("bug")
+
+    monkeypatch.setattr(cli, "oracle_checks", broken)
+    with pytest.raises(KeyError):
+        cli.main(["oracle", "--quiet"])
 
 
 # a file nested past the recursion limit used to end in a RecursionError traceback

@@ -23,7 +23,7 @@ from resample_forge.derand import (
     threshold_m,
 )
 from resample_forge.graph_core import Digraph
-from resample_forge.instance_io import gen_torus_nae, load_problem
+from resample_forge.instance_io import load_problem
 from resample_forge.mta_runner import STATUS_TAPE_DEPLETED, run
 from resample_forge.partitioner import SparsePartition, singleton_partition, sparse_partition
 from resample_forge.rule_engine import ColouringProblem, LocalRule, bad_set, satisfies
@@ -35,11 +35,13 @@ from tests.helpers import (
     random_cnf_problem,
     random_looped_problem,
     single_clause_problem,
+    star_problem,
     unsatisfiable_problem,
 )
 from tests.reference_derand import reference_derand_solve
 from tests.reference_runner import reference_finite_tape
 from tests.test_acceptance import _tiny_satisfiable
+from tests.test_instance_io import reference_stamps
 
 ONE_PART = SparsePartition(1, (0, 0))
 
@@ -123,10 +125,11 @@ def test_explicit_k_rejects_bad_args():
 
 
 def test_budget_past_the_float_range_is_unenumerable():
-    # ln K ~ 1.2e308 is finite, and |pi| * m ~ 5.9e308 is compared with the 10,000-bit limit without a float
-    p = gen_torus_nae(4, 4, 2)
-    budget = theoretical_budget(p, singleton_partition(p.n), delta=1.0, d=1020)
-    assert budget.k_log == pytest.approx(16 * (2**1020 * math.log(2)), rel=1e-3)
+    # the star's own d = 1,012 and |pi| = 1,013 give ln K ~ 3.1e307, which is finite, and
+    # |pi| * m ~ 3.1e310 is compared with the 10,000-bit limit without a float
+    p = star_problem(1012)
+    budget = theoretical_budget(p, singleton_partition(p.n), delta=1.0)
+    assert budget.k_log == pytest.approx(1013 * (2**1012 * math.log(2)), rel=1e-3)
     assert budget.m > 10**307
     assert budget.num_tapes is None and budget.infeasible
 
@@ -179,6 +182,20 @@ def test_theoretical_budget_flags_infeasible():
     assert budget.m >= 1
     assert budget.num_tapes == p.b ** (p.n * budget.m)
     assert budget.infeasible == (budget.num_tapes > 2**24)
+
+
+# the budget takes d and Delta from the instance: here they are counted from its scopes
+@pytest.mark.parametrize("mode", ["singleton", "sparse"])
+@pytest.mark.parametrize("name", ["torus10", "ksat6", "tiny1000", "unsat_2x4", "unsat_3x9", "single_clause"])
+def test_theoretical_budget_reads_the_instance_degrees(name, mode):
+    p = load_problem(str(GOLDEN_DIR / f"{name}.json"))
+    pi = partition_for(p, mode, r=3)
+    stamps = reference_stamps(p)
+    d, big_delta = max(1, stamps["d"]), max(1, stamps["Delta"])
+    k_log = explicit_k_log(p.b, 1.0, d, pi.num_parts, big_delta)
+    budget = theoretical_budget(p, pi, 1.0)
+    assert budget.k_log == k_log
+    assert budget.m == threshold_m(k_log, pi.num_parts, big_delta, 1.0)
 
 
 # ---------------------------------------------------------------------------

@@ -224,25 +224,26 @@ class TestMargin:
 
 class TestCondition:
     def test_frozen_example(self):
-        # margin 1/16 against dependency degree 6, delta=0.1, eps=0.05, b=2, d=5
-        # threshold = (6e)^(-1.1) * 2^(-0.25), computed independently here
+        # margin 1/16 against dependency degree 6, delta=0.1, eps=0.05, b=2, d=6
+        # threshold = (6e)^(-1.1) * 2^(-0.3) ~ 0.0377, computed independently here
         # six rule vertices all reading cells {1,2,3,4}: the dependency graph is
-        # complete on them, so every vertex has dependency degree 6
+        # complete on them, so every vertex has dependency degree 6; cells 1..4
+        # are read by all six, so the degree d is 6 too
         g = Digraph.from_edges(6, [(x, v) for x in range(6) for v in (1, 2, 3, 4)])
         rule = LocalRule([((0, 0, 0, 0),), (), (), (), (), ()])
         p = ColouringProblem(g, 2, rule)
         p.validate()
-        rep = condition_report(p, 0.1, 0.05, 5)
+        rep = condition_report(p, 0.1, 0.05)
         assert rep["max_dep_degree"] == 6
         assert rep["margin"] == pytest.approx(1.0 / 16.0)
-        expected_threshold = (6 * math.e) ** (-1.1) * 2 ** (-0.25)
+        expected_threshold = (6 * math.e) ** (-1.1) * 2 ** (-0.05 * 6)
         assert rep["threshold"] == pytest.approx(expected_threshold, rel=1e-12)
-        assert check_condition(p, 0.1, 0.05, 5) is False
+        assert check_condition(p, 0.1, 0.05) is False
 
     def test_margin_zero_always_passes(self):
         g = Digraph.from_edges(2, [(0, 1)])
         p = ColouringProblem(g, 2, LocalRule([(), ()]))
-        assert check_condition(p, 0.5, 0.5, 3) is True
+        assert check_condition(p, 0.5, 0.5) is True
 
     def test_tolerance_accepts_exact_boundary(self):
         # engineered so margin equals the threshold up to float rounding:
@@ -258,13 +259,11 @@ class TestCondition:
         p = ColouringProblem(g, 16, rule_lo)  # margin 1/16 = 0.0625
         thr = 1.0 / ((math.e) ** 2 * 16 ** (eps * d))
         assert lll_margin(p) > thr  # 0.0625 > 0.00846
-        assert check_condition(p, 1.0, eps, d) is False
+        assert check_condition(p, 1.0, eps) is False
 
     def test_invalid_parameters_rejected(self):
         p = single_clause_problem()
         with pytest.raises(ValueError):
-            check_condition(p, 0.0, 0.1, 5)
+            check_condition(p, 0.0, 0.1)
         with pytest.raises(ValueError):
-            check_condition(p, 0.1, -1.0, 5)
-        with pytest.raises(ValueError):
-            check_condition(p, 0.1, 0.1, 0)
+            check_condition(p, 0.1, -1.0)
