@@ -134,13 +134,20 @@ def cmd_solve(args: argparse.Namespace) -> int:
 def cmd_solve_det(args: argparse.Namespace) -> int:
     p = load_problem(args.problem)
     pi = _partition_for(p, args)
-    budget = theoretical_budget(p, pi, args.delta, args.tape_cap)
-    payload = {
-        "k_log": round(budget.k_log, 6),
-        "m_theoretical": budget.m,
-        "num_tapes_theoretical": budget.num_tapes,
-        "infeasible": budget.infeasible,
-    }
+    try:
+        budget = theoretical_budget(p, pi, args.delta, args.tape_cap)
+        payload = {
+            "k_log": round(budget.k_log, 6),
+            "m_theoretical": budget.m,
+            "num_tapes_theoretical": budget.num_tapes,
+            "infeasible": budget.infeasible,
+        }
+    except ValueError:
+        if args.m is None:
+            raise
+        # with a tape length given, a budget past the float range is only a report;
+        # unenumerable, it is infeasible, as whenever num_tapes is None
+        payload = {"k_log": None, "m_theoretical": None, "num_tapes_theoretical": None, "infeasible": True}
     _table(payload, args.quiet)
     if args.m is None:
         payload["status"] = "report_only"

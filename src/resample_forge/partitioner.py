@@ -3,9 +3,13 @@
 A partition is r-sparse when distinct same-part vertices sit at undirected
 distance greater than 2r; equivalently, every radius-r ball sees pairwise
 distinct parts.  Such partitions are exactly the proper colourings of the
-distance-2r power graph, and are built here by greedy colouring.  The power
-graph's adjacency comes from one reused-array BFS scan (`graph_core.balls`),
-not from one `ball()` call per vertex.
+distance-2r power graph, and `sparse_partition` colours that graph greedily
+without building it.  It rests on the midpoint identity: x and y are within
+distance 2r exactly when some z lies within r of both, since a shortest
+path of length k <= 2r splits at its midpoint into ceil(k/2) + floor(k/2)
+steps, each at most r.  So the radius-r balls, read from the radius-r
+power graph (one reused-array BFS scan in `graph_core.balls`), carry all
+the colouring needs.
 """
 
 from __future__ import annotations
@@ -33,19 +37,28 @@ def singleton_partition(n: int) -> SparsePartition:
 def sparse_partition(g: Digraph, r: int) -> SparsePartition:
     """Greedy colouring of the distance-2r power graph, scanning vertices by index.
 
-    Each vertex takes the least colour unused among its already-coloured
-    power-graph neighbours, so the colour set comes out dense.
+    Each vertex x takes the least colour unused among the already-coloured
+    vertices within distance 2r of it, so the colour set comes out dense.
+    Only the radius-r power graph is built.  `seen[z]` is a bitmask whose
+    bit c is set once a vertex of colour c lies within r of z.  By the
+    midpoint identity, the OR of `seen[z]` over the radius-r ball of x (x
+    included) has bit c set exactly when a coloured vertex of colour c lies
+    within 2r of x, so its lowest zero bit is the old least-absent colour.
+    x then sets that bit in `seen[z]` for every z of its ball.
     """
     if r < 1:
         raise ValueError("sparsity radius must be >= 1")
-    padj = power_graph(g, 2 * r).out_adj
-    colour = [-1] * g.n
-    for x in range(g.n):
-        taken = set(map(colour.__getitem__, padj[x]))  # -1 (uncoloured) is never chosen
-        c = 0
-        while c in taken:
-            c += 1
-        colour[x] = c
+    seen = [0] * g.n
+    colour = []
+    for x, near in enumerate(power_graph(g, r).out_adj):
+        m = seen[x]
+        for z in near:
+            m |= seen[z]
+        bit = ~m & (m + 1)  # lowest zero bit of m
+        colour.append(bit.bit_length() - 1)
+        seen[x] |= bit
+        for z in near:
+            seen[z] |= bit
     num_parts = max(colour) + 1 if g.n else 0
     return SparsePartition(num_parts, tuple(colour))
 

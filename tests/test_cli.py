@@ -361,6 +361,30 @@ def test_solve_det_infeasible_exit_three(tmp_path, capsys):
     assert json.loads(out)["status"] == "infeasible"
 
 
+# a budget past the float range used to refuse a search given its own tape length:
+# with --m the budget fields are null, and the search alone sets the exit code
+def test_solve_det_with_m_searches_past_an_overflowing_budget(tmp_path, capsys):
+    star1012 = write_problem(tmp_path, star_problem(1012), "star1012.json")
+    star1015 = write_problem(tmp_path, star_problem(1015), "star1015.json")
+    null_budget = {"k_log": None, "m_theoretical": None, "num_tapes_theoretical": None, "infeasible": True}
+    for argv in (
+        [star1015, "--m", "1"],
+        [star1015, "--m", "1", "--classic"],
+        [star1012, "--m", "1", "--classic", "--delta", "1e-10"],
+    ):
+        # 2^1013 or more tapes exceed the default cap
+        code, out, _ = run_cli(capsys, "solve-det", *argv, "--quiet")
+        assert code == 3, argv
+        payload = json.loads(out)
+        assert payload["status"] == "infeasible"
+        assert {k: payload[k] for k in null_budget} == null_budget
+    code, out, _ = run_cli(capsys, "solve-det", star1015, "--m", "1", "--tape-cap", str(2**1100), "--quiet")
+    assert code == 0
+    payload = json.loads(out)
+    assert {k: payload[k] for k in null_budget} == null_budget
+    assert (payload["status"], payload["tape_index"], payload["passes"]) == ("solved", 0, 0)
+
+
 def test_solve_det_exhausted_exit_four(tmp_path, capsys):
     path = write_problem(tmp_path, unsatisfiable_problem())
     code, out, _ = run_cli(capsys, "solve-det", path, "--classic", "--m", "1", "--quiet")

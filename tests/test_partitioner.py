@@ -1,6 +1,7 @@
 """Tests for distance-sparse partitions."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -117,6 +118,7 @@ class TestMatchesBallPerVertex:
     def test_random_digraphs(self, seed):
         # at 30 vertices and 24 edges, every seed here leaves isolated vertices; seeds 1, 2, 4 have self-loops
         g = random_digraph(30, 24, seed)
+        assert any(x in g.out_adj[x] for x in range(g.n)) == (seed in (1, 2, 4))
         for r in range(1, 5):
             pi = sparse_partition(g, r)
             assert pi == reference_sparse_partition(g, r)
@@ -125,6 +127,54 @@ class TestMatchesBallPerVertex:
         g = Digraph.from_edges(0, [])
         for r in range(1, 5):
             assert sparse_partition(g, r) == reference_sparse_partition(g, r)
+
+    @pytest.mark.parametrize("n", range(3, 16))
+    def test_cycles_and_paths(self, n):
+        # odd shortest paths up to 2r split unevenly at their midpoint, ceil(k/2) + floor(k/2)
+        cycle = Digraph.from_edges(n, [(i, (i + 1) % n) for i in range(n)])
+        for g in (cycle, path_graph(n)):
+            for r in range(1, 5):
+                assert sparse_partition(g, r) == reference_sparse_partition(g, r)
+
+    def test_disjoint_union_of_two_tori(self):
+        a = gen_torus_nae(6, 6, 2).graph
+        b = gen_torus_nae(5, 7, 2).graph
+        g = Digraph.from_scopes(a.out_adj + [[v + a.n for v in scope] for scope in b.out_adj])
+        for r in range(1, 5):
+            pi = sparse_partition(g, r)
+            assert pi == reference_sparse_partition(g, r)
+            assert reference_is_r_sparse(g, pi, r)
+
+    @pytest.mark.parametrize("w, h", [(7, 12), (9, 20)])
+    def test_oblong_tori(self, w, h):
+        g = gen_torus_nae(w, h, 2).graph
+        for r in range(1, 5):
+            pi = sparse_partition(g, r)
+            assert pi == reference_sparse_partition(g, r)
+            assert reference_is_r_sparse(g, pi, r)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 14), st.integers(0, 30), st.integers(0, 10**6), st.integers(1, 4))
+    def test_small_random_digraphs(self, n, num_edges, seed, r):
+        g = random_digraph(n, num_edges, seed)
+        assert sparse_partition(g, r) == reference_sparse_partition(g, r)
+
+
+def traced_peak(fn, *args):
+    """Peak bytes tracemalloc sees while fn(*args) runs, from a fresh start."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_partition_transient_is_under_half_the_distance_2r_power_graph():
+    # a machine-independent memory bound: the partition must not hold the distance-2r power graph
+    g = gen_torus_nae(60, 60, 2).graph
+    g.und_adj()  # cached on the graph, so neither peak includes it
+    assert traced_peak(sparse_partition, g, 3) < traced_peak(graph_core.power_graph, g, 6) / 2
 
 
 def test_ball_scans_do_not_call_ball(monkeypatch):
