@@ -62,31 +62,49 @@ class Digraph:
             raise ValueError("vertex count must be nonnegative")
         out_sets: list[set[int]] = [set() for _ in range(n)]
         for src, dst in edges:
-            if not (0 <= src < n and 0 <= dst < n):
-                raise ValueError(f"edge ({src}, {dst}) out of range for n={n}")
             if type(src) is not int or type(dst) is not int:
                 raise ValueError(f"edge ({src!r}, {dst!r}): vertex ids must be ints")
+            if not (0 <= src < n and 0 <= dst < n):
+                raise ValueError(f"edge ({src}, {dst}) out of range for n={n}")
             out_sets[src].add(dst)
         return Digraph.from_scopes([sorted(s) for s in out_sets])
 
     def deg(self, x: int) -> int:
         # a self-loop contributes 1, via set semantics
-        return len(set(self.out_adj[x]).union(self.in_adj[x]))
+        return len({*self.out_adj[x], *self.in_adj[x]})
 
     def maxdeg(self) -> int:
-        """Largest deg(x), cached: annotation, the budget and the search each ask."""
+        """Largest deg(x), cached: annotation, the budget and the search each ask.
+
+        When `out_adj is in_adj` (every `build_rel` result), deg(x) is the
+        length of the duplicate-free list; otherwise one set per vertex.
+        """
         if self._maxdeg is None:
-            self._maxdeg = max((self.deg(x) for x in range(self.n)), default=0)
+            if self.out_adj is self.in_adj:
+                degs = map(len, self.out_adj)
+            else:
+                degs = (len({*out, *inn}) for out, inn in zip(self.out_adj, self.in_adj))
+            self._maxdeg = max(degs, default=0)
         return self._maxdeg
 
     def und_adj(self) -> list[list[int]]:
-        """Undirected adjacency (out+in, self-loops dropped), cached."""
+        """Undirected adjacency (out+in, self-loops dropped), sorted, cached.
+
+        Where `out_adj[x] == in_adj[x]` (every torus vertex) the row is that
+        list without x; elsewhere one set of both lists, sorted.
+        """
         if self._und_adj is None:
             und = []
-            for x in range(self.n):
-                s = set(self.out_adj[x]) | set(self.in_adj[x])
-                s.discard(x)
-                und.append(sorted(s))
+            for x, (out, inn) in enumerate(zip(self.out_adj, self.in_adj)):
+                if out == inn:
+                    near = out.copy()
+                    if x in near:
+                        near.remove(x)
+                else:
+                    near = {*out, *inn}
+                    near.discard(x)
+                    near = sorted(near)
+                und.append(near)
             self._und_adj = und
         return self._und_adj
 
@@ -116,22 +134,34 @@ def _scope_reader(scope: list[int]):
     return _read_nothing
 
 
+def rel_row(g: Digraph, x: int) -> list[int]:
+    """Row x of `build_rel(g)`: every y whose scope meets the scope of x, sorted."""
+    in_adj = g.in_adj  # in_adj[v]: every y with v in its scope
+    return sorted(set().union(*[in_adj[v] for v in g.out_adj[x]]))
+
+
 def build_rel(g: Digraph) -> Digraph:
     """Dependency graph: edge (x, y) iff the scopes of x and y intersect.
 
     Symmetric, with a self-loop at every vertex whose scope is nonempty.
     """
-    in_adj = g.in_adj  # in_adj[v]: every y with v in its scope
-    adj = [sorted(set().union(*[in_adj[v] for v in scope])) for scope in g.out_adj]
+    adj = [rel_row(g, x) for x in range(g.n)]
     return Digraph(g.n, adj, adj)
 
 
-def ball(g: Digraph, x: int, r: int) -> set[int]:
-    """All vertices within undirected distance r of x (x included)."""
-    if not (0 <= x < g.n):
-        raise ValueError(f"vertex {x} out of range")
+def _check_radius(r) -> None:
+    # an exact int: ball's `d == r` never holds for 1.5, and True would pass for 1
+    if type(r) is not int:
+        raise ValueError(f"radius must be an integer, not {r!r}")
     if r < 0:
         raise ValueError("radius must be nonnegative")
+
+
+def ball(g: Digraph, x: int, r: int) -> set[int]:
+    """All vertices within undirected distance r of x (x included); r must be an exact int."""
+    if not (0 <= x < g.n):
+        raise ValueError(f"vertex {x} out of range")
+    _check_radius(r)
     und = g.und_adj()
     seen = {x}
     frontier = deque([(x, 0)])
@@ -152,11 +182,10 @@ def balls(g: Digraph, r: int):
     Each list starts with x; the rest follow in BFS order, level by level.
     One `mark` list serves the whole scan (mark[w] == x means w is already
     in x's ball), so no per-vertex set, deque or sort is built.  Callers may
-    keep the yielded lists.  A negative r raises ValueError once the scan
-    starts.
+    keep the yielded lists.  An r that is negative or not an exact int
+    raises ValueError once the scan starts.
     """
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
+    _check_radius(r)
     und = g.und_adj()
     mark = [-1] * g.n
     for x in range(g.n):
@@ -177,25 +206,28 @@ def balls(g: Digraph, r: int):
 
 
 def power_graph(g: Digraph, r: int) -> Digraph:
-    """Symmetric loopless digraph joining pairs at undirected distance 1..r."""
-    if r < 0:
-        raise ValueError("radius must be nonnegative")
-    adj = [sorted(near[1:]) for near in balls(g, r)]
+    """Symmetric loopless digraph joining pairs at undirected distance 1..r; `balls` checks r."""
+    adj = []
+    for near in balls(g, r):  # each ball is a fresh list, so it is trimmed and sorted in place
+        del near[0]
+        near.sort()
+        adj.append(near)
     return Digraph(g.n, adj, adj)
 
 
-def greedy_mis(g_sym: Digraph, scan: list[int]) -> list[int]:
+def greedy_mis(adj: list, scan: list[int]) -> list[int]:
     """Greedy maximal independent subset of `scan`, a list of distinct vertices.
 
     Takes each vertex in list order unless an already chosen neighbour blocks
-    it, and returns the chosen vertices in that order.  `g_sym` must be
-    symmetric; self-loops are ignored for independence.
+    it, and returns the chosen vertices in that order.  `adj` holds the rows
+    of a symmetric graph; only the rows of `scan` are read, so the others may
+    be missing (None).  Self-loops are ignored for independence.
     """
     chosen: list[int] = []
     blocked: set[int] = set()  # neighbours of chosen vertices
     for x in scan:
         if x not in blocked:
             chosen.append(x)
-            blocked.update(g_sym.out_adj[x])
+            blocked.update(adj[x])
     return chosen
 

@@ -190,7 +190,8 @@ def load_problem(path: str) -> ColouringProblem:
     """Read a problem file; raises ValueError, naming the first fault, on a malformed one.
 
     `Digraph.from_scopes` checks the scopes and `ColouringProblem.validate`
-    the rows, which are kept as written: neither is sorted or deduplicated.
+    the rows, which are kept as written: neither is sorted or deduplicated,
+    but equal tables become one shared tuple (`LocalRule.interned`).
     """
     payload = load_json(path)
     if not isinstance(payload, dict):
@@ -212,7 +213,7 @@ def load_problem(path: str) -> ColouringProblem:
     forbidden = payload["forbidden"]
     if not (type(forbidden) is list and all(map(_is_list_of_lists, forbidden))):
         raise ValueError("field 'forbidden' must hold, per vertex, a list of colour tuples")
-    rule = LocalRule([tuple(map(tuple, rows)) for rows in forbidden])
+    rule = LocalRule.interned(forbidden)
     p = ColouringProblem(g, b, rule, metadata=metadata)
     p.validate()
     return p

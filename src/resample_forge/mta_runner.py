@@ -13,6 +13,13 @@ tape work therefore follows the symbols consumed, not the cells touched.
 Rules are checked through the graph's cached scope readers
 (`Digraph.readers`), which build each scope's tuple of colours in C.
 
+What depends only on the instance is built once and shared: the readers
+per graph, one forbidden set per distinct rule table
+(`ColouringProblem.forbidden_sets`).  Dependency-graph rows are built on
+demand: a run asks `ColouringProblem.rel_rows` for the rows of the rules it
+visits, which the problem keeps for later runs and for `rel()`, so a loaded
+problem never builds the rows of rules that were never violated.
+
 `run` is the engine for both solvers: one loop over the colouring, the
 counters and the list of violated rules, on an infinite tape and on each
 finite tape of the exhaustive search in `derand`.  Only the initial fill
@@ -172,13 +179,14 @@ def run(
     symbols: dict[tuple[int, int], int] = {}  # what the rounds read, keyed (part, t >= 1)
     h = [1] * p.n
     currently = bad_set(p, f)
-    rel, sets = p.rel(), p.forbidden_sets()
+    sets = p.forbidden_sets()
     viol_snapshots: list[dict[int, tuple[int, ...]]] = []
     bad_sizes = [len(currently)]
     reevals = 0
 
     while currently and len(viol_snapshots) < max_steps:
-        ib = greedy_mis(rel, currently if found_order else sorted(currently))
+        rel_adj = p.rel_rows(currently)  # greedy_mis and the re-check read only these rows
+        ib = greedy_mis(rel_adj, currently if found_order else sorted(currently))
         cells = [v for c in ib for v in scopes[c]]
         keys = [(part_of[v], h[v]) for v in cells]
         try:
@@ -192,7 +200,7 @@ def run(
         for v, key in zip(cells, keys):
             f[v] = symbols[key]
             h[v] += 1
-        potentially = _with_neighbours(rel.out_adj, currently)
+        potentially = _with_neighbours(rel_adj, currently)
         currently = [c for c in potentially if read[c](f) in sets[c]]
         reevals += len(potentially)
         bad_sizes.append(len(currently))

@@ -3,8 +3,10 @@
 The scans call `ball()` once per vertex (a fresh set and deque per vertex),
 as the package did before `graph_core.balls`; `from_edges` and `build_rel`
 fill one set per vertex and sort each, as the package did before its
-key-sorted and union builders.  `reference_validate` is the graph check the
-package no longer makes on graphs it builds itself.
+key-sorted and union builders, and `und_adj` unions an out-set and an
+in-set per vertex, as `Digraph.und_adj` did before it reused equal lists.
+`reference_validate` is the graph check the package no longer makes on
+graphs it builds itself.
 """
 
 from resample_forge.graph_core import Digraph, ball
@@ -22,6 +24,15 @@ def reference_from_edges(n, edges):
         out_sets[src].add(dst)
         in_sets[dst].add(src)
     return Digraph(n, [sorted(s) for s in out_sets], [sorted(s) for s in in_sets])
+
+
+def reference_und_adj(g):
+    und = []
+    for x in range(g.n):
+        s = set(g.out_adj[x]) | set(g.in_adj[x])
+        s.discard(x)
+        und.append(sorted(s))
+    return und
 
 
 def reference_build_rel(g):

@@ -18,6 +18,7 @@ from tests.reference_partition import (
     reference_build_rel,
     reference_from_edges,
     reference_power_graph,
+    reference_und_adj,
     reference_validate,
 )
 from tests.reference_rule_engine import reference_validate_problem
@@ -79,6 +80,8 @@ class TestDigraph:
             (True, 0),  # bool source
             (0, True),  # bool target
             (0.0, 1),  # float
+            ("a", 0),  # str source: the type test comes before the range test
+            (0, None),  # None target
         ],
     )
     def test_from_edges_rejects(self, edge):
@@ -118,6 +121,19 @@ class TestDigraph:
         # N(0) = Var(0) | Cl(0) = {1, 2} | {2}
         assert g.deg(0) == 2
         assert g.maxdeg() == 2
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_und_adj_matches_set_union_reference(self, seed):
+        symmetric = build_rel(random_digraph(20, 30, seed))  # out_adj is in_adj, self-loops on
+        shapes = [
+            random_digraph(20, 30, seed, self_loops=False),  # asymmetric, loopless
+            random_digraph(20, 30, seed),  # asymmetric, self-loops
+            symmetric,
+            Digraph(symmetric.n, symmetric.out_adj, [list(a) for a in symmetric.out_adj]),  # equal, unshared lists
+            power_graph(random_digraph(20, 30, seed), 2),  # symmetric and loopless
+        ]
+        for g in shapes:
+            assert g.und_adj() == reference_und_adj(g)
 
     def test_readers_return_scope_tuples_at_every_arity(self):
         # scopes of arity 2, 1 and 0
@@ -220,6 +236,18 @@ class TestBalls:
             list(balls(path_graph(3), -1))
 
 
+@pytest.mark.parametrize("r", [1.5, 1.0, True, "1", None])
+def test_non_int_radius_rejected(r):
+    # ball(path10, 0, 1.5) once returned all ten vertices: its `d == r` never held
+    g = path_graph(10)
+    with pytest.raises(ValueError, match="radius must be an integer"):
+        ball(g, 0, r)
+    with pytest.raises(ValueError, match="radius must be an integer"):
+        list(balls(g, r))
+    with pytest.raises(ValueError, match="radius must be an integer"):
+        power_graph(g, r)
+
+
 class TestPowerGraph:
     def test_path_power_two(self):
         g = path_graph(4)
@@ -249,26 +277,26 @@ class TestGreedyMis:
         # scan 0 (take), 1 (blocked by 0), 2 (take)
         g = path_graph(3)
         sym = power_graph(g, 1)
-        assert greedy_mis(sym, [0, 1, 2]) == [0, 2]
+        assert greedy_mis(sym.out_adj, [0, 1, 2]) == [0, 2]
 
     def test_order_changes_selection(self):
         g = path_graph(3)
         sym = power_graph(g, 1)
-        assert greedy_mis(sym, [1, 0, 2]) == [1]
+        assert greedy_mis(sym.out_adj, [1, 0, 2]) == [1]
 
     def test_returns_scan_order(self):
         g = path_graph(5)
         sym = power_graph(g, 1)
-        assert greedy_mis(sym, [4, 1, 2, 0]) == [4, 1]
+        assert greedy_mis(sym.out_adj, [4, 1, 2, 0]) == [4, 1]
 
     def test_self_loops_do_not_block(self):
         g = Digraph.from_edges(2, [(0, 0), (1, 1)])
         rel = build_rel(g)
-        assert greedy_mis(rel, [0, 1]) == [0, 1]
+        assert greedy_mis(rel.out_adj, [0, 1]) == [0, 1]
 
     def test_empty_candidates(self):
         g = path_graph(3)
-        assert greedy_mis(build_rel(g), []) == []
+        assert greedy_mis(build_rel(g).out_adj, []) == []
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 10**6), st.integers(0, 10**6))
@@ -283,7 +311,7 @@ class TestGreedyMis:
         assert [by_priority.key(x) for x in priority + rest] == list(range(g.n))
         for order in (VertexOrder.identity(g.n), by_priority):
             scan = sorted(candidates, key=order.key)
-            chosen = greedy_mis(rel, scan)
+            chosen = greedy_mis(rel.out_adj, scan)
             assert chosen == [x for x in scan if x in set(chosen)]  # in scan order
             assert sorted(chosen) == reference_greedy_mis(rel, candidates, order)
             chosen_set = set(chosen)
@@ -328,7 +356,10 @@ class TestMatchesBallPerVertex:
     def test_maxdeg_on_random_digraphs(self, seed):
         # deg(x) is |Var(x) | Cl(x)|: the vertices x reads and the vertices that read x
         g = random_digraph(30, 40, seed)
-        for h in (g, build_rel(g)):
+        # symmetric, one list of lists as both sides, a self-loop at every vertex
+        adj = [sorted(set(a) | {x}) for x, a in enumerate(reference_und_adj(g))]
+        shared = Digraph(g.n, adj, adj)
+        for h in (g, build_rel(g), shared):
             nbrs = [set() for _ in range(h.n)]
             for x in range(h.n):
                 for y in h.out_adj[x]:

@@ -232,6 +232,30 @@ def test_load_rejects_duplicate_or_unsorted_rows(tmp_path, rows):
         load_problem(write_payload(tmp_path, forbidden=[[], rows]))
 
 
+def test_load_shares_equal_tables(tmp_path):
+    path = tmp_path / "torus.json"
+    save_problem(gen_torus_nae(6, 5, 3), str(path))
+    q = load_problem(str(path))
+    assert len({id(rows) for rows in q.rule.forbidden}) == 1
+    assert len({id(s) for s in q.forbidden_sets()}) == 1
+
+
+@pytest.mark.parametrize(
+    "scopes, forbidden, message",
+    [
+        # vertices 1 and 2 share one table; vertex 2's scope is one cell longer
+        ([[0], [1], [1, 2]], [[], [[0]], [[0]]], "vertex 2: forbidden tuple (0,) has length 1, scope needs 2"),
+        # equal under ==, but true is no colour: the tables are not merged
+        ([[0], [1], [2]], [[[1]], [[1]], [[True]]], "vertex 2: colour True out of range 0..1"),
+        ([[0], [1], [2]], [[[1]], [[1.0]], [[1]]], "vertex 1: colour 1.0 out of range 0..1"),
+    ],
+)
+def test_load_checks_each_vertex_of_a_shared_table(tmp_path, scopes, forbidden, message):
+    with pytest.raises(ValueError) as caught:
+        load_problem(write_payload(tmp_path, scopes=scopes, forbidden=forbidden))
+    assert str(caught.value) == message
+
+
 @pytest.mark.parametrize("forbidden", [[[]], [[], [[0]], []]])
 def test_load_rejects_rule_table_of_another_length(tmp_path, forbidden):
     with pytest.raises(ValueError, match="rule table size"):

@@ -4,13 +4,15 @@ import dataclasses
 import functools
 import itertools
 import json
+import os
 import random
+import tempfile
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from resample_forge.graph_core import Digraph
-from resample_forge.instance_io import gen_grid_ksat, gen_torus_nae
+from resample_forge.graph_core import Digraph, build_rel
+from resample_forge.instance_io import gen_grid_ksat, gen_torus_nae, load_problem, save_problem
 from resample_forge.mta_runner import (
     DEFAULT_MAX_STEPS,
     STATUS_BUDGET_EXHAUSTED,
@@ -339,10 +341,22 @@ def witness_rules_problem(side, seed):
     return p
 
 
+def reloaded(p):
+    """`p` saved and loaded back: shared rule tables, no dependency rows built yet."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "problem.json")
+        save_problem(p, path)
+        return load_problem(path)
+
+
+# generated problems carry a prebuilt dependency graph (`_annotate` builds it);
+# witness_rules and loaded problems have their rows built on demand by `run`
 DIFFERENTIAL_CASES = {
     "torus": lambda seed: gen_torus_nae(12, 12, 2),
     "ksat": lambda seed: gen_grid_ksat(8, 8, 5, 2, 2, seed, b=2),
     "witness_rules": lambda seed: witness_rules_problem(8, seed),
+    "loaded_torus": lambda seed: reloaded(gen_torus_nae(12, 12, 2)),
+    "loaded_ksat": lambda seed: reloaded(gen_grid_ksat(8, 8, 5, 2, 2, seed, b=2)),
 }
 
 
@@ -372,10 +386,35 @@ class TestMatchesFullRescan:
         for seed in range(4):
             p = DIFFERENTIAL_CASES[kind](seed)
             pi = singleton_partition(p.n) if partition == "singleton" else sparse_partition(p.graph, 3)
-            self.assert_same_trace(
-                run(p, pi, RandomTape(seed, p.b), max_steps=30),
-                reference_run(p, pi, RandomTape(seed, p.b), max_steps=30),
-            )
+            got = run(p, pi, RandomTape(seed, p.b), max_steps=30)
+            # the rows the run built on demand, before the reference completes the graph
+            assert (None in p.rel_rows([])) == (kind not in ("torus", "ksat"))
+            self.assert_same_trace(got, reference_run(p, pi, RandomTape(seed, p.b), max_steps=30))
+
+
+class TestDependencyRowsOnDemand:
+    """A run builds only the dependency rows of the rules it visits, each equal to build_rel's."""
+
+    @pytest.mark.parametrize("make", [lambda: reloaded(gen_torus_nae(60, 60, 2)), lambda: witness_rules_problem(16, 3)])
+    def test_rows_built_equal_build_rel(self, make):
+        p = make()
+        want = build_rel(p.graph).out_adj
+        pi = sparse_partition(p.graph, 3)
+        for seed in range(3):
+            trace = run(p, pi, RandomTape(seed, p.b), max_steps=30)
+            rows = p.rel_rows([])
+            built = [x for x in range(p.n) if rows[x] is not None]
+            assert built and all(rows[x] == want[x] for x in built)
+            assert {x for snap in trace.viol_snapshots for x in snap} <= set(built)
+        assert p.rel().out_adj == want
+        assert p.rel().out_adj is rows  # rel() completed the same table
+
+    def test_loaded_torus_builds_fewer_rows_than_vertices(self):
+        p = reloaded(gen_torus_nae(60, 60, 2))
+        trace = run(p, sparse_partition(p.graph, 3), RandomTape(11, p.b))
+        assert trace.succeeded and trace.rounds > 0
+        built = sum(row is not None for row in p.rel_rows([]))
+        assert 0 < built < p.n
 
 
 class RecordingTape:

@@ -59,6 +59,13 @@ class TestValidation:
         with pytest.raises(MalformedProblemError):
             ColouringProblem(g, 1, LocalRule([()])).validate()
 
+    @pytest.mark.parametrize("b", [2.5, 3.0, True, "3", None])
+    def test_non_int_colour_count_rejected(self, b):
+        # with b = 2.5, a rule forbidding colour 2 once validated
+        g = Digraph.from_edges(1, [(0, 0)])
+        with pytest.raises(MalformedProblemError, match="colour count must be an integer"):
+            ColouringProblem(g, b, LocalRule([((2,),)])).validate()
+
     def test_empty_scope_with_rule_rejected(self):
         g = Digraph.from_edges(1, [])
         with pytest.raises(MalformedProblemError):
@@ -111,6 +118,9 @@ class TestValidation:
         valid = st.integers(0, b - 1)
         table = []
         for scope in g.out_adj:
+            if table and data.draw(st.booleans()):  # an earlier vertex's rows again, perhaps at another arity
+                table.append(tuple(data.draw(st.sampled_from(table))))
+                continue
             width = len(scope)
             cell = colour if data.draw(st.booleans()) else valid
             arity = st.sampled_from([width, width, width, width + 1, max(width - 1, 0)])
@@ -122,18 +132,57 @@ class TestValidation:
             table.append(tuple(rows))
         p = ColouringProblem(g, b, LocalRule(table))
 
-        def outcome(check):
+        def outcome(check, q=p):
             try:
-                check(p)
-            except MalformedProblemError:
-                return "rejected"
-            return "accepted"
+                check(q)
+            except MalformedProblemError as exc:
+                return "rejected", str(exc)
+            return "accepted", None
 
-        assert outcome(ColouringProblem.validate) == outcome(reference_validate_problem)
+        assert outcome(ColouringProblem.validate)[0] == outcome(reference_validate_problem)[0]
+        # equal tables shared, as loaded files hold them: the same verdict, at the same vertex
+        shared = ColouringProblem(g, b, LocalRule.interned(table))
+        assert outcome(ColouringProblem.validate, shared) == outcome(ColouringProblem.validate)
 
     def test_from_lists_normalises(self):
         rule = LocalRule.from_lists([[[0], [0], [1]]])
         assert rule.forbidden[0] == ((0,), (1,))
+
+    def test_from_lists_shares_equal_tables(self):
+        rule = LocalRule.from_lists([[[1], [0]], [[0], [1]], [[0]], [], []])
+        t = rule.forbidden
+        assert t == [((0,), (1,)), ((0,), (1,)), ((0,),), (), ()]
+        assert t[0] is t[1] and t[3] is t[4] and t[0] is not t[2]
+
+    def test_interned_tells_types_apart(self):
+        # 1 == 1.0 == True, but only the int is a colour: merging them would hide the bad tables
+        rule = LocalRule.interned([[[1]], [[1.0]], [[True]], [[1]]])
+        t = rule.forbidden
+        assert t[0] is t[3]
+        assert len({id(rows) for rows in t}) == 3
+        assert [type(rows[0][0]) for rows in t] == [int, float, bool, int]
+        g = Digraph.from_edges(4, [(x, x) for x in range(4)])
+        with pytest.raises(MalformedProblemError, match="vertex 1: colour 1.0"):
+            ColouringProblem(g, 2, rule).validate()
+
+    def test_shared_table_checked_at_each_scope_length(self):
+        # vertices 0 and 1 share the table and pass; vertex 2 has it at arity 1 under a 2-cell scope
+        g = Digraph.from_scopes([[0], [1], [0, 1]])
+        p = ColouringProblem(g, 2, LocalRule.interned([[[0]], [[0]], [[0]]]))
+        assert p.rule.forbidden[0] is p.rule.forbidden[2]
+        with pytest.raises(MalformedProblemError, match="vertex 2: forbidden tuple"):
+            p.validate()
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_forbidden_sets_match_each_table(self, seed):
+        shared = LocalRule.from_lists([[[0, 0]], [[1, 1]], [[0, 0]], [], [[1, 1]], [[0, 0]]] * 3)
+        g = random_digraph(18, 40, seed)
+        for p in (random_problem(12, 20, 2, 0.3, seed), ColouringProblem(g, 2, shared)):
+            sets = p.forbidden_sets()
+            assert all(sets[x] == frozenset(p.rule.forbidden[x]) for x in range(p.n))
+            # one set per distinct table object
+            by_table = {id(rows): s for rows, s in zip(p.rule.forbidden, sets)}
+            assert len({id(s) for s in sets}) == len(by_table)
 
 
 class TestViolation:
