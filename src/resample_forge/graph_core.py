@@ -71,7 +71,7 @@ class Digraph:
 
     def deg(self, x: int) -> int:
         # a self-loop contributes 1, via set semantics
-        return len({*self.out_adj[x], *self.in_adj[x]})
+        return len(set(self.out_adj[x]).union(self.in_adj[x]))
 
     def maxdeg(self) -> int:
         """Largest deg(x), cached: annotation, the budget and the search each ask.

@@ -13,7 +13,8 @@ import math
 import operator
 from dataclasses import dataclass, field
 
-from resample_forge.graph_core import Digraph, build_rel, rel_row
+from resample_forge.graph_core import Digraph, rel_row
+from resample_forge.graph_core import build_rel  # noqa: F401
 
 # Colourings are plain lists of ints, one colour per vertex.
 Colouring = list
@@ -72,11 +73,13 @@ class ColouringProblem:
         """Per vertex, its forbidden tuples as a frozenset, cached; one set per distinct table object."""
         if self._forbidden_sets is None:
             by_table: dict[int, frozenset] = {}  # id(table) -> its set; every table stays alive in self.rule
-            # an empty set is falsy, so an empty table reaches setdefault each time, which keeps the first set
-            self._forbidden_sets = [
-                by_table.get(id(rows)) or by_table.setdefault(id(rows), frozenset(rows))
-                for rows in self.rule.forbidden
-            ]
+            sets = []
+            for rows in self.rule.forbidden:
+                s = by_table.get(id(rows))
+                if s is None:
+                    s = by_table[id(rows)] = frozenset(rows)
+                sets.append(s)
+            self._forbidden_sets = sets
         return self._forbidden_sets
 
     def active_clauses(self) -> list[int]:
@@ -107,11 +110,8 @@ class ColouringProblem:
     def rel(self) -> Digraph:
         """The dependency graph, cached; it completes the rows `rel_rows` has built so far."""
         if self._rel is None:
-            if self._rel_rows is None:
-                self._rel = build_rel(self.graph)
-            else:
-                rows = self.rel_rows(range(self.n))
-                self._rel = Digraph(self.n, rows, rows)
+            rows = self.rel_rows(range(self.n))
+            self._rel = Digraph(self.n, rows, rows)
         return self._rel
 
     def validate(self) -> None:

@@ -106,9 +106,9 @@ class TestValidation:
         rows = tuple(itertools.product(range(3), repeat=2))
         ColouringProblem(g, 3, LocalRule([rows, ()])).validate()
 
-    @settings(max_examples=300, deadline=None)
-    @given(st.data())
-    def test_validate_rejects_exactly_what_the_reference_rejects(self, data):
+    @staticmethod
+    def draw_problem(data) -> ColouringProblem:
+        """A small problem whose per-vertex tables are each drawn independently, some of them malformed."""
         n = data.draw(st.integers(1, 4))
         edges = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=6))
         g = Digraph.from_edges(n, edges)
@@ -118,9 +118,6 @@ class TestValidation:
         valid = st.integers(0, b - 1)
         table = []
         for scope in g.out_adj:
-            if table and data.draw(st.booleans()):  # an earlier vertex's rows again, perhaps at another arity
-                table.append(tuple(data.draw(st.sampled_from(table))))
-                continue
             width = len(scope)
             cell = colour if data.draw(st.booleans()) else valid
             arity = st.sampled_from([width, width, width, width + 1, max(width - 1, 0)])
@@ -130,19 +127,35 @@ class TestValidation:
             if data.draw(st.booleans()):  # the shape from_lists builds
                 rows = sorted(set(rows))
             table.append(tuple(rows))
-        p = ColouringProblem(g, b, LocalRule(table))
+        return ColouringProblem(g, b, LocalRule(table))
 
-        def outcome(check, q=p):
-            try:
-                check(q)
-            except MalformedProblemError as exc:
-                return "rejected", str(exc)
-            return "accepted", None
+    @staticmethod
+    def outcome(check, p):
+        try:
+            check(p)
+        except MalformedProblemError as exc:
+            return "rejected", str(exc)
+        return "accepted", None
 
-        assert outcome(ColouringProblem.validate)[0] == outcome(reference_validate_problem)[0]
-        # equal tables shared, as loaded files hold them: the same verdict, at the same vertex
-        shared = ColouringProblem(g, b, LocalRule.interned(table))
-        assert outcome(ColouringProblem.validate, shared) == outcome(ColouringProblem.validate)
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_validate_rejects_exactly_what_the_reference_rejects(self, data):
+        p = self.draw_problem(data)
+        assert self.outcome(ColouringProblem.validate, p)[0] == self.outcome(reference_validate_problem, p)[0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_shared_tables_get_the_verdict_of_separate_copies(self, data):
+        # vertices take copies of earlier vertices' tables, perhaps at another arity; interned, as
+        # loaded files hold them, the copies share one object, which validate checks once per scope length
+        p = self.draw_problem(data)
+        drawn = p.rule.forbidden
+        table = [[*drawn[data.draw(st.integers(0, x))]] for x in range(p.n)]
+        separate = ColouringProblem(p.graph, p.b, LocalRule([tuple(rows) for rows in table]))
+        shared = ColouringProblem(p.graph, p.b, LocalRule.interned(table))
+        want = self.outcome(ColouringProblem.validate, separate)
+        assert self.outcome(ColouringProblem.validate, shared) == want
+        assert want[0] == self.outcome(reference_validate_problem, separate)[0]
 
     def test_from_lists_normalises(self):
         rule = LocalRule.from_lists([[[0], [0], [1]]])
