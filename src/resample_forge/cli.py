@@ -43,7 +43,7 @@ import sys
 import time
 
 from .derand import DEFAULT_TAPE_CAP, ExhaustedError, InfeasibleError, derand_solve, theoretical_budget
-from .graph_core import Digraph, build_rel
+from .graph_core import Digraph, rel_maxdeg
 from .instance_io import gen_grid_ksat, gen_torus_nae, load_json, load_problem, save_problem
 from .landscape_lab import count_delta_trees, count_grounded_forests, q_poly, q_value_at_rho
 from .mta_runner import DEFAULT_MAX_STEPS, run
@@ -331,7 +331,7 @@ def oracle_checks() -> list[tuple[str, bool]]:
         )
         check(f"Q_4 coefficients (delta={delta}) = {coeffs[: min(5, len(coeffs))]}", "tree counts", ok)
     for name, g in _oracle_graphs():
-        big = max(1, build_rel(g).maxdeg())
+        big = max(1, rel_maxdeg(g))
         for m, value in enumerate(count_grounded_forests(g, 3)):
             bound = (m + 1) ** (g.n - 1) * (math.e * big) ** m
             check(f"forests({name}, m={m}) = {value}", f"(m+1)^(n-1)*(e*Delta)^m ~= {round(bound, 3)}", value <= bound)

@@ -20,7 +20,9 @@ class Digraph:
     `from_scopes` and `from_edges` are the checked constructors; the plain
     constructor trusts its lists to be sorted, duplicate-free, in range and
     mutually consistent.  The lists are read-only once built.  A symmetric
-    graph may share one list of lists as both `out_adj` and `in_adj`.
+    graph shares one list of lists as both `out_adj` and `in_adj`: every
+    `build_rel` and `power_graph` result does, and so does every
+    `from_scopes` graph whose scopes are symmetric, such as a torus.
     """
 
     n: int
@@ -36,7 +38,9 @@ class Digraph:
 
         Each scope must be a list of exact-int vertex ids in 0..n-1 (a bool is
         not an id), strictly increasing, which rules out duplicates and
-        disorder in one test; n is the number of scopes.
+        disorder in one test; n is the number of scopes.  When the in-lists
+        equal the scopes (y reads x exactly when x reads y, as on a torus),
+        the scopes serve as `in_adj` too and the in-lists are dropped.
         """
         if type(scopes) is not list:
             raise ValueError("scopes must be a list of vertex lists")
@@ -50,6 +54,8 @@ class Digraph:
         for src, scope in enumerate(scopes):  # sources in increasing order, so each in-list fills sorted
             for dst in scope:
                 in_adj[dst].append(src)
+        if in_adj == scopes:
+            in_adj = scopes
         return Digraph(n, scopes, in_adj)
 
     @staticmethod
@@ -76,8 +82,9 @@ class Digraph:
     def maxdeg(self) -> int:
         """Largest deg(x), cached: annotation, the budget and the search each ask.
 
-        When `out_adj is in_adj` (every `build_rel` result), deg(x) is the
-        length of the duplicate-free list; otherwise one set per vertex.
+        When `out_adj is in_adj` (every symmetric graph; see the class note),
+        deg(x) is the length of the duplicate-free list; otherwise one set
+        per vertex.
         """
         if self._maxdeg is None:
             if self.out_adj is self.in_adj:
@@ -90,8 +97,9 @@ class Digraph:
     def und_adj(self) -> list[list[int]]:
         """Undirected adjacency (out+in, self-loops dropped), sorted, cached.
 
-        Where `out_adj[x] == in_adj[x]` (every torus vertex) the row is that
-        list without x; elsewhere one set of both lists, sorted.
+        Where `out_adj[x] == in_adj[x]` (every vertex of a symmetric graph,
+        where the two are one list) the row is a copy of that list without x;
+        elsewhere one set of both lists, sorted.
         """
         if self._und_adj is None:
             und = []
@@ -138,6 +146,12 @@ def rel_row(g: Digraph, x: int) -> list[int]:
     """Row x of `build_rel(g)`: every y whose scope meets the scope of x, sorted."""
     in_adj = g.in_adj  # in_adj[v]: every y with v in its scope
     return sorted(set().union(*[in_adj[v] for v in g.out_adj[x]]))
+
+
+def rel_maxdeg(g: Digraph) -> int:
+    """`build_rel(g).maxdeg()`, streamed: each row's length from its set, no row kept or sorted."""
+    in_adj = g.in_adj
+    return max((len(set().union(*[in_adj[v] for v in scope])) for scope in g.out_adj), default=0)
 
 
 def build_rel(g: Digraph) -> Digraph:

@@ -24,7 +24,7 @@ SCHEMA_VERSION = 2
 def _annotate(p: ColouringProblem) -> ColouringProblem:
     """Stamp degree, dependency degree and margin."""
     p.metadata["d"] = p.graph.maxdeg()
-    p.metadata["Delta"] = p.rel().maxdeg()
+    p.metadata["Delta"] = p.big_delta()
     p.metadata["margin"] = lll_margin(p)
     return p
 
@@ -55,11 +55,11 @@ def gen_torus_nae(w: int, h: int, b: int) -> ColouringProblem:
         for j in range(w)
     ]
     g = Digraph.from_scopes(scopes)
-    constant = [[(c,) * 5 for c in range(b)] for _ in range(n)]
+    constant = tuple((c,) * 5 for c in range(b))  # sorted and distinct: one table for every cell
     p = ColouringProblem(
         g,
         b,
-        LocalRule.from_lists(constant),
+        LocalRule([constant] * n),
         metadata={"generator": "torus_nae", "w": w, "h": h, "b": b},
     )
     return _annotate(p)
@@ -190,8 +190,11 @@ def load_problem(path: str) -> ColouringProblem:
     """Read a problem file; raises ValueError, naming the first fault, on a malformed one.
 
     `Digraph.from_scopes` checks the scopes and `ColouringProblem.validate`
-    the rows, which are kept as written: neither is sorted or deduplicated,
-    but equal tables become one shared tuple (`LocalRule.interned`).
+    the rows, which are kept as written: neither is sorted or deduplicated.
+    Equal tables are made one object as soon as the file is parsed
+    (`LocalRule.share_equal`), so each duplicate is freed before the graph
+    is built and the list shape is checked once per distinct table; then
+    each becomes one shared tuple (`LocalRule.interned`).
     """
     payload = load_json(path)
     if not isinstance(payload, dict):
@@ -209,11 +212,12 @@ def load_problem(path: str) -> ColouringProblem:
     metadata = payload.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ValueError("field 'metadata' must be a JSON object")
-    g = Digraph.from_scopes(payload["scopes"])
     forbidden = payload["forbidden"]
-    if not (type(forbidden) is list and all(map(_is_list_of_lists, forbidden))):
+    # sharing raises nothing, so a scope fault is still reported before a 'forbidden' one
+    distinct = LocalRule.share_equal(forbidden) if type(forbidden) is list else None
+    g = Digraph.from_scopes(payload["scopes"])
+    if distinct is None or not all(map(_is_list_of_lists, distinct)):
         raise ValueError("field 'forbidden' must hold, per vertex, a list of colour tuples")
-    rule = LocalRule.interned(forbidden)
-    p = ColouringProblem(g, b, rule, metadata=metadata)
+    p = ColouringProblem(g, b, LocalRule.interned(forbidden, distinct), metadata=metadata)
     p.validate()
     return p

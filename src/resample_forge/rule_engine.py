@@ -13,7 +13,8 @@ import math
 import operator
 from dataclasses import dataclass, field
 
-from resample_forge.graph_core import Digraph, rel_row
+from resample_forge.graph_core import Digraph, rel_maxdeg, rel_row
+# unused here, but perfbench/tracing.py wraps the name rule_engine.build_rel
 from resample_forge.graph_core import build_rel  # noqa: F401
 
 # Colourings are plain lists of ints, one colour per vertex.
@@ -38,20 +39,33 @@ class LocalRule:
     @staticmethod
     def from_lists(rows) -> "LocalRule":
         """Sorted, deduplicated tables, equal ones shared."""
-        return LocalRule.interned([sorted(set(map(tuple, row))) for row in rows])
+        tables = [sorted(set(map(tuple, row))) for row in rows]
+        return LocalRule.interned(tables, LocalRule.share_equal(tables))
 
     @staticmethod
-    def interned(tables: list) -> "LocalRule":
-        """Each vertex's rows as a tuple of tuples, in the order given; equal tables share one tuple.
+    def share_equal(tables: list) -> list:
+        """Replace each table in `tables`, in place, with the first equal one; returns the distinct tables.
 
         Tables are compared by their marshal bytes, which are exact about
         types where == is not (1 == 1.0 == True) and need nothing hashable,
-        so a malformed table is never merged into a well-formed one.  Each
-        distinct table is converted once.
+        so a malformed table is never merged into a well-formed one.  A
+        duplicate is dropped as soon as it is met, and on JSON values this
+        raises nothing, so a loader may share first and check later.
         """
-        keys = [marshal.dumps(rows, 2) for rows in tables]
-        shared = {key: tuple(map(tuple, rows)) for key, rows in dict(zip(keys, tables)).items()}
-        return LocalRule([shared[key] for key in keys])
+        first: dict[bytes, list] = {}
+        for x, rows in enumerate(tables):
+            tables[x] = first.setdefault(marshal.dumps(rows, 2), rows)
+        return list(first.values())
+
+    @staticmethod
+    def interned(tables: list, distinct: list) -> "LocalRule":
+        """Each vertex's rows as a tuple of tuples, in the order given; equal tables share one tuple.
+
+        `tables` must already be shared in place by `share_equal`, and
+        `distinct` be its result.  Each distinct table is converted once.
+        """
+        shared = {id(rows): tuple(map(tuple, rows)) for rows in distinct}  # every table stays alive in `tables`
+        return LocalRule([shared[id(rows)] for rows in tables])
 
 
 @dataclass
@@ -64,6 +78,7 @@ class ColouringProblem:
     _active: list[int] | None = field(default=None, repr=False, compare=False)
     _rel: Digraph | None = field(default=None, repr=False, compare=False)
     _rel_rows: list | None = field(default=None, repr=False, compare=False)
+    _big_delta: int | None = field(default=None, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -94,11 +109,10 @@ class ColouringProblem:
         Row x equals `build_rel`'s row x.  A row is built the first time it is
         asked for and kept; one nobody has asked for yet is None.  A run asks
         only for the rules it visits: on a loaded 120x120 torus, 537 to 2,247
-        of the 14,400 rows over ten seeds.  Once `rel` has been built, its
-        full table is returned.
+        of the 14,400 rows over ten seeds.  No table exists until the first
+        call, and neither loading nor generating a problem makes one.  Once
+        `rel` has been built, every row is.
         """
-        if self._rel is not None:
-            return self._rel.out_adj
         rows = self._rel_rows
         if rows is None:
             rows = self._rel_rows = [None] * self.n
@@ -108,11 +122,23 @@ class ColouringProblem:
         return rows
 
     def rel(self) -> Digraph:
-        """The dependency graph, cached; it completes the rows `rel_rows` has built so far."""
+        """The whole dependency graph, cached; it completes the rows `rel_rows` has built so far.
+
+        Only the witness forests read every row; Delta alone is `big_delta`.
+        """
         if self._rel is None:
             rows = self.rel_rows(range(self.n))
             self._rel = Digraph(self.n, rows, rows)
         return self._rel
+
+    def big_delta(self) -> int:
+        """Delta, the dependency graph's maximum degree (a self-loop counted once), cached.
+
+        Streamed through `rel_maxdeg`, so no row is kept.
+        """
+        if self._big_delta is None:
+            self._big_delta = rel_maxdeg(self.graph)
+        return self._big_delta
 
     def validate(self) -> None:
         """Check the rule table against the graph; raises MalformedProblemError.
@@ -197,7 +223,7 @@ def condition_report(p: ColouringProblem, delta: float, eps: float) -> dict:
         raise ValueError("delta and eps must be positive")
     margin = lll_margin(p)
     d = p.graph.maxdeg()
-    big_delta = p.rel().maxdeg()
+    big_delta = p.big_delta()
     if big_delta == 0:
         if margin > 0:
             raise MalformedProblemError("nonempty forbidden sets on a scope-free instance")

@@ -12,8 +12,10 @@ from resample_forge.graph_core import (
     build_rel,
     greedy_mis,
     power_graph,
+    rel_maxdeg,
 )
 from resample_forge.instance_io import gen_grid_ksat, gen_torus_nae
+from resample_forge.rule_engine import ColouringProblem, LocalRule
 from tests.reference_partition import (
     reference_build_rel,
     reference_from_edges,
@@ -437,6 +439,44 @@ class TestMatchesSetPerVertex:
         g = Digraph.from_scopes(scopes)
         assert g == reference_from_edges(n, edges)
         assert g == Digraph.from_edges(n, edges)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_from_scopes_shares_symmetric_lists(self, data):
+        # the scopes serve as in_adj too exactly when the in-lists equal them
+        n, edges = self.draw_digraph(data)
+        if data.draw(st.booleans()):  # close the edges under reversal: symmetric scopes
+            edges = [*edges, *((dst, src) for src, dst in edges)]
+        want = reference_from_edges(n, edges)
+        g = Digraph.from_scopes([sorted({dst for src, dst in edges if src == x}) for x in range(n)])
+        assert g.in_adj == want.in_adj
+        assert (g.in_adj is g.out_adj) == (want.in_adj == want.out_adj)
+
+    def test_from_scopes_shares_the_torus_lists_only(self):
+        torus = gen_torus_nae(7, 5, 2).graph
+        ksat = gen_grid_ksat(6, 6, 5, 2, 1, 1).graph  # clauses read variables, variables read nothing
+        assert torus.in_adj is torus.out_adj
+        assert ksat.in_adj is not ksat.out_adj
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_rel_maxdeg_and_big_delta(self, data):
+        n, edges = self.draw_digraph(data)
+        self.check_big_delta(Digraph.from_edges(n, edges))
+
+    @pytest.mark.parametrize("scopes", [[], [[]], [[], [], []], [[], [0, 2], []]])
+    def test_rel_maxdeg_and_big_delta_with_empty_scopes(self, scopes):
+        self.check_big_delta(Digraph.from_scopes(scopes))
+
+    @staticmethod
+    def check_big_delta(g):
+        want = build_rel(g).maxdeg()
+        assert rel_maxdeg(g) == want == reference_build_rel(g).maxdeg()
+        streamed = ColouringProblem(g, 2, LocalRule([()] * g.n))
+        assert streamed.big_delta() == want and streamed._rel is None and streamed._rel_rows is None
+        built = ColouringProblem(g, 2, LocalRule([()] * g.n))
+        built.rel()
+        assert built.big_delta() == want
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())

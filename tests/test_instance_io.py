@@ -65,6 +65,14 @@ def test_torus_stamps_match_the_reference(side):
         assert p.metadata == {"generator": "torus_nae", "w": w, "h": side, "b": 2, **reference_stamps(p)}
 
 
+@pytest.mark.parametrize("make", [lambda: gen_torus_nae(12, 9, 3), lambda: gen_grid_ksat(6, 6, 5, 2, 2, seed=4)])
+def test_generators_hold_no_dependency_rows(make):
+    # Delta is streamed, so a generated problem keeps neither the whole graph nor any row
+    p = make()
+    assert p._rel is None and p._rel_rows is None
+    assert p.metadata["Delta"] == p.big_delta() == reference_stamps(p)["Delta"]
+
+
 def test_torus_rejects_small_sides():
     with pytest.raises(ValueError):
         gen_torus_nae(2, 5, 2)
@@ -254,6 +262,30 @@ def test_load_checks_each_vertex_of_a_shared_table(tmp_path, scopes, forbidden, 
     with pytest.raises(ValueError) as caught:
         load_problem(write_payload(tmp_path, scopes=scopes, forbidden=forbidden))
     assert str(caught.value) == message
+
+
+@pytest.mark.parametrize(
+    "scopes, forbidden, message",
+    [
+        ([[], [1, 1]], [[], 7], "vertex 1: scope must be strictly increasing vertex ids in 0..1"),
+        ([[], [1, 1]], 7, "vertex 1: scope must be strictly increasing vertex ids in 0..1"),
+        ([[0], ["0"]], [[[0]], [0]], "vertex 1: scope must be a list of integer vertex ids"),
+        ([[0], [0], [2, 3]], [[[0]], [[0]], [0]], "vertex 2: scope must be strictly increasing vertex ids in 0..2"),
+    ],
+)
+def test_load_reports_a_bad_scope_before_a_bad_table(tmp_path, scopes, forbidden, message):
+    # the tables are shared before the scopes are checked, but that step raises nothing
+    with pytest.raises(ValueError) as caught:
+        load_problem(write_payload(tmp_path, scopes=scopes, forbidden=forbidden))
+    assert str(caught.value) == message
+
+
+@pytest.mark.parametrize("odd", [5, [0], [[0], 0], {"0": [0]}, None])
+def test_load_rejects_a_non_list_table_among_equal_tables(tmp_path, odd):
+    # the list shape is checked once per distinct table, after equal tables are shared
+    with pytest.raises(ValueError) as caught:
+        load_problem(write_payload(tmp_path, scopes=[[0], [1], [2], [3]], forbidden=[[[0]], [[0]], odd, [[0]]]))
+    assert str(caught.value) == "field 'forbidden' must hold, per vertex, a list of colour tuples"
 
 
 @pytest.mark.parametrize("forbidden", [[[]], [[], [[0]], []]])

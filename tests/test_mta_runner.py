@@ -349,10 +349,16 @@ def reloaded(p):
         return load_problem(path)
 
 
-# generated problems carry a prebuilt dependency graph (`_annotate` builds it);
-# witness_rules and loaded problems have their rows built on demand by `run`
+def prebuilt(p):
+    """`p` with its whole dependency graph built, as after the witness forests."""
+    p.rel()
+    return p
+
+
+# every kind but "prebuilt_torus" has its rows built on demand by `run`
 DIFFERENTIAL_CASES = {
     "torus": lambda seed: gen_torus_nae(12, 12, 2),
+    "prebuilt_torus": lambda seed: prebuilt(gen_torus_nae(12, 12, 2)),
     "ksat": lambda seed: gen_grid_ksat(8, 8, 5, 2, 2, seed, b=2),
     "witness_rules": lambda seed: witness_rules_problem(8, seed),
     "loaded_torus": lambda seed: reloaded(gen_torus_nae(12, 12, 2)),
@@ -387,8 +393,9 @@ class TestMatchesFullRescan:
             p = DIFFERENTIAL_CASES[kind](seed)
             pi = singleton_partition(p.n) if partition == "singleton" else sparse_partition(p.graph, 3)
             got = run(p, pi, RandomTape(seed, p.b), max_steps=30)
-            # the rows the run built on demand, before the reference completes the graph
-            assert (None in p.rel_rows([])) == (kind not in ("torus", "ksat"))
+            # the rows the run built on demand, before the reference completes the graph;
+            # only the prebuilt kind has its whole dependency graph yet
+            assert (None in p.rel_rows([])) == (kind != "prebuilt_torus")
             self.assert_same_trace(got, reference_run(p, pi, RandomTape(seed, p.b), max_steps=30))
 
 

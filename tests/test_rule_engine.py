@@ -24,6 +24,11 @@ from tests.reference_rule_engine import reference_bad_set, reference_validate_pr
 from tests.test_graph_core import random_digraph
 
 
+def interned(tables):
+    """`tables` shared in place, then interned, as `load_problem` does."""
+    return LocalRule.interned(tables, LocalRule.share_equal(tables))
+
+
 def single_clause_problem():
     """One clause vertex c=0 reading itself, forbidding colour 0, b=2."""
     g = Digraph.from_edges(1, [(0, 0)])
@@ -152,7 +157,7 @@ class TestValidation:
         drawn = p.rule.forbidden
         table = [[*drawn[data.draw(st.integers(0, x))]] for x in range(p.n)]
         separate = ColouringProblem(p.graph, p.b, LocalRule([tuple(rows) for rows in table]))
-        shared = ColouringProblem(p.graph, p.b, LocalRule.interned(table))
+        shared = ColouringProblem(p.graph, p.b, interned(table))
         want = self.outcome(ColouringProblem.validate, separate)
         assert self.outcome(ColouringProblem.validate, shared) == want
         assert want[0] == self.outcome(reference_validate_problem, separate)[0]
@@ -169,7 +174,7 @@ class TestValidation:
 
     def test_interned_tells_types_apart(self):
         # 1 == 1.0 == True, but only the int is a colour: merging them would hide the bad tables
-        rule = LocalRule.interned([[[1]], [[1.0]], [[True]], [[1]]])
+        rule = interned([[[1]], [[1.0]], [[True]], [[1]]])
         t = rule.forbidden
         assert t[0] is t[3]
         assert len({id(rows) for rows in t}) == 3
@@ -178,10 +183,18 @@ class TestValidation:
         with pytest.raises(MalformedProblemError, match="vertex 1: colour 1.0"):
             ColouringProblem(g, 2, rule).validate()
 
+    def test_share_equal_works_in_place(self):
+        # a loader shares a file's tables before checking them, so any JSON value must pass through
+        tables = [[[0]], [[1]], [[0]], [[1.0]], 5, [[0]], [[1]], None]
+        distinct = LocalRule.share_equal(tables)
+        assert [id(t) for t in distinct] == [id(tables[x]) for x in (0, 1, 3, 4, 7)]
+        assert tables[2] is tables[0] and tables[5] is tables[0] and tables[6] is tables[1]
+        assert tables[3] is not tables[1]
+
     def test_shared_table_checked_at_each_scope_length(self):
         # vertices 0 and 1 share the table and pass; vertex 2 has it at arity 1 under a 2-cell scope
         g = Digraph.from_scopes([[0], [1], [0, 1]])
-        p = ColouringProblem(g, 2, LocalRule.interned([[[0]], [[0]], [[0]]]))
+        p = ColouringProblem(g, 2, interned([[[0]], [[0]], [[0]]]))
         assert p.rule.forbidden[0] is p.rule.forbidden[2]
         with pytest.raises(MalformedProblemError, match="vertex 2: forbidden tuple"):
             p.validate()
