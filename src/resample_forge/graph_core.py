@@ -75,16 +75,13 @@ class Digraph:
             out_sets[src].add(dst)
         return Digraph.from_scopes([sorted(s) for s in out_sets])
 
-    def deg(self, x: int) -> int:
-        # a self-loop contributes 1, via set semantics
-        return len(set(self.out_adj[x]).union(self.in_adj[x]))
-
     def maxdeg(self) -> int:
-        """Largest deg(x), cached: annotation, the budget and the search each ask.
+        """Largest degree, cached: annotation, the budget and the search each ask.
 
-        When `out_adj is in_adj` (every symmetric graph; see the class note),
-        deg(x) is the length of the duplicate-free list; otherwise one set
-        per vertex.
+        A vertex's degree counts its distinct out- and in-neighbours, a
+        self-loop once.  When `out_adj is in_adj` (every symmetric graph; see
+        the class note) it is the length of the duplicate-free list; otherwise
+        one set per vertex.
         """
         if self._maxdeg is None:
             if self.out_adj is self.in_adj:

@@ -57,16 +57,18 @@ def validate_landscape(p: ColouringProblem, fl: FinalisedLandscape) -> None:
     """Structural checks, and every decoration must be a forbidden tuple.
 
     Each edge and each level is checked against the dependency neighbours of
-    its nodes.  A restricted landscape can fail the last check: its boundary
-    decorations fall back to all-zero tuples over possibly-empty scopes.
+    its nodes: once every node is in range, the rows of the node vertices are
+    read through `rel_rows`, and no other row.  A restricted landscape can
+    fail the last check: its boundary decorations fall back to all-zero
+    tuples over possibly-empty scopes.
     """
-    rel_adj = p.rel().out_adj
     forest = fl.forest
     nodes = forest.nodes
     for nd in nodes:
         x, lvl = nd
         if not (0 <= x < p.n) or lvl < 0:
             raise ValueError(f"node {nd} out of range")
+    rel_adj = p.rel_rows(x for x, _ in nodes)
     for child, par in forest.parent.items():
         if child not in nodes or par not in nodes:
             raise ValueError("parent map mentions unknown node")
@@ -98,14 +100,16 @@ def build_landscape(p: ColouringProblem, pi, trace, k: int) -> FinalisedLandscap
     first k colourings and finalises with the k-th colouring itself (k=0 keeps
     just the initial fill).  Parents follow the lowest-index dependency
     neighbour among the previous round's resampled set; one always exists,
-    because that set is maximal independent.
+    because that set is maximal independent.  It reads, through `rel_rows`,
+    only the dependency rows of the vertices resampled in the prefix, which a
+    run on `p` has already built.
     """
     depth = trace.prefix_rounds(k)
-    rel_adj = p.rel().out_adj
     viol: dict = {}
     parent: dict = {}
     below: dict = {}  # the previous round's snapshot, keyed by its resampled set
     for i, snap in enumerate(trace.viol_snapshots[:depth]):
+        rel_adj = p.rel_rows(snap)
         for x, t in snap.items():
             nd = (x, i)
             viol[nd] = t

@@ -17,10 +17,10 @@ What depends only on the instance is built once and shared: the readers
 per graph, one forbidden set per distinct rule table
 (`ColouringProblem.forbidden_sets`).  Dependency-graph rows are built on
 demand: a run asks `ColouringProblem.rel_rows` for the rows of the rules it
-visits, which the problem keeps for later runs and for `rel()`.  Loading or
-generating a problem builds no row (Delta is streamed by `big_delta`), so
-no problem holds the rows of rules that were never violated unless the
-witness forests complete the graph with `rel()`.
+visits, which the problem keeps for later runs and for the witness forests.
+Loading or generating a problem builds no row (Delta is streamed by
+`big_delta`), so no problem holds the rows of rules that were never
+violated.
 
 `run` is the engine for both solvers: one loop over the colouring, the
 counters and the list of violated rules, on an infinite tape and on each

@@ -76,7 +76,6 @@ class ColouringProblem:
     metadata: dict = field(default_factory=dict)
     _forbidden_sets: list[frozenset] | None = field(default=None, repr=False, compare=False)
     _active: list[int] | None = field(default=None, repr=False, compare=False)
-    _rel: Digraph | None = field(default=None, repr=False, compare=False)
     _rel_rows: list | None = field(default=None, repr=False, compare=False)
     _big_delta: int | None = field(default=None, repr=False, compare=False)
 
@@ -110,8 +109,7 @@ class ColouringProblem:
         asked for and kept; one nobody has asked for yet is None.  A run asks
         only for the rules it visits: on a loaded 120x120 torus, 537 to 2,247
         of the 14,400 rows over ten seeds.  No table exists until the first
-        call, and neither loading nor generating a problem makes one.  Once
-        `rel` has been built, every row is.
+        call, and neither loading nor generating a problem makes one.
         """
         rows = self._rel_rows
         if rows is None:
@@ -120,16 +118,6 @@ class ColouringProblem:
             if rows[x] is None:
                 rows[x] = rel_row(self.graph, x)
         return rows
-
-    def rel(self) -> Digraph:
-        """The whole dependency graph, cached; it completes the rows `rel_rows` has built so far.
-
-        Only the witness forests read every row; Delta alone is `big_delta`.
-        """
-        if self._rel is None:
-            rows = self.rel_rows(range(self.n))
-            self._rel = Digraph(self.n, rows, rows)
-        return self._rel
 
     def big_delta(self) -> int:
         """Delta, the dependency graph's maximum degree (a self-loop counted once), cached.

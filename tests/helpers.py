@@ -109,6 +109,17 @@ def torus_graph(w, h):
     return Digraph.from_edges(n, edges)
 
 
+def witness_rules_problem(side, seed):
+    """Torus scopes of 5 cells, each forbidding 6 random tuples of 32, as in the witness benchmark."""
+    rng = random.Random(seed)
+    g = torus_graph(side, side)
+    tuples = list(itertools.product(range(2), repeat=5))
+    rows = [tuple(sorted(rng.sample(tuples, 6))) for _ in range(g.n)]
+    p = ColouringProblem(g, 2, LocalRule(rows))
+    p.validate()
+    return p
+
+
 def partition_for(p, mode, seed=0, r=1):
     """singleton | sparse | random partition over the problem's graph."""
     if mode == "singleton":

@@ -48,7 +48,7 @@ def _trees(nodes, parent):
 
 
 def reference_ground(p, fl, step_cap=10**6):
-    rel_sets = [set(a) for a in p.rel().out_adj]
+    rel_sets = [set(a) for a in build_rel(p.graph).out_adj]
     nodes = set(fl.forest.nodes)
     parent = dict(fl.forest.parent)
     viol = dict(fl.viol)
@@ -101,7 +101,7 @@ def reference_ground(p, fl, step_cap=10**6):
 
 
 def reference_validate_landscape(p, fl, strict_viol=True):
-    rel_sets = [set(a) for a in p.rel().out_adj]
+    rel_sets = [set(a) for a in build_rel(p.graph).out_adj]
     forest = fl.forest
     for nd in forest.nodes:
         x, lvl = nd

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 
 from resample_forge import mta_runner
 from resample_forge.derand import SUCCESS, TAPE_EXHAUSTED
+from resample_forge.graph_core import build_rel
 from resample_forge.mta_runner import STATUS_BUDGET_EXHAUSTED, STATUS_SUCCEEDED, RunTrace
 from resample_forge.rule_engine import res
 from resample_forge.tape import TapeDepleted
@@ -69,6 +70,7 @@ def reference_run(p, pi, tape, max_steps=mta_runner.DEFAULT_MAX_STEPS):
     ib_sets, resampled_sets, viol_snapshots, bad_sizes = [], [], [], []
     evals = 0
     j = 0
+    rel = build_rel(p.graph)
     while True:
         bad = reference_bad_set(p, f)
         evals += len(p.active_clauses())
@@ -79,7 +81,7 @@ def reference_run(p, pi, tape, max_steps=mta_runner.DEFAULT_MAX_STEPS):
         if j >= max_steps:
             status = STATUS_BUDGET_EXHAUSTED
             break
-        ib = reference_greedy_mis(p.rel(), bad, identity)
+        ib = reference_greedy_mis(rel, bad, identity)
         viol_snapshots.append({x: res(p, f, x) for x in ib})
         resampled = sorted({v for x in ib for v in p.graph.out_adj[x]})
         for v in resampled:
@@ -123,7 +125,7 @@ def _with_neighbours(rel_adj, rules):
 def reference_finite_tape(p, pi, tape):
     """Passes until success or the tape runs out, with every pass's history."""
     attempt = ReferenceAttempt()
-    rel, scopes, sets = p.rel(), p.graph.out_adj, p.forbidden_sets()
+    rel, scopes, sets = build_rel(p.graph), p.graph.out_adj, p.forbidden_sets()
     try:
         f = [tape.symbol(pi.part_of[x], 0) for x in range(p.n)]
         h = [1] * p.n

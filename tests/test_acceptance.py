@@ -352,7 +352,7 @@ def test_criterion_09_derand():
             winner = derand_solve(p, pi, m, attempts=attempts)
             assert satisfies(p, winner.colouring)
             d_bound = max(1, p.graph.maxdeg())
-            rel_sets = [set(a) for a in p.rel().out_adj]
+            rel_sets = [set(a) for a in build_rel(p.graph).out_adj]
             for a in attempts:
                 assert a.reevals <= d_bound**4 * m * p.n
                 digits = _digits_of(a.tape_index, pi.num_parts * m, p.b)

@@ -22,7 +22,7 @@ from resample_forge.derand import (
     theoretical_budget,
     threshold_m,
 )
-from resample_forge.graph_core import Digraph
+from resample_forge.graph_core import Digraph, build_rel
 from resample_forge.instance_io import load_problem
 from resample_forge.mta_runner import STATUS_TAPE_DEPLETED, run
 from resample_forge.partitioner import SparsePartition, singleton_partition, sparse_partition
@@ -417,7 +417,7 @@ def test_pass_resamples_maximal_independent_slice(seed, index):
     m = 3
     index %= p.b ** (pi.num_parts * m)
     trace, want = same_moves(p, pi, index, m)
-    rel_sets = [set(a) for a in p.rel().out_adj]
+    rel_sets = [set(a) for a in build_rel(p.graph).out_adj]
     for j in range(trace.rounds):
         picked = trace.ib_sets[j]
         bad = bad_set(p, trace.colouring_at(j))

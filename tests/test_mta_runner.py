@@ -2,10 +2,8 @@
 
 import dataclasses
 import functools
-import itertools
 import json
 import os
-import random
 import tempfile
 
 import pytest
@@ -30,8 +28,8 @@ from tests.helpers import (
     all_allowed_problem,
     run_random_case,
     single_clause_problem,
-    torus_graph,
     unsatisfiable_problem,
+    witness_rules_problem,
 )
 from tests.reference_runner import reference_run
 
@@ -180,7 +178,7 @@ class TestInvariants:
     @given(st.integers(0, 10**6))
     def test_ib_maximal_in_bad(self, seed):
         p, pi, tape, trace = run_random_case(seed)
-        rel = p.rel()
+        rel = build_rel(p.graph)
         for j, ib in enumerate(trace.ib_sets):
             f = trace.colouring_at(j)
             bad = bad_set(p, f)
@@ -330,17 +328,6 @@ class TestDerivedColourings:
                 trace.colouring_at(i)
 
 
-def witness_rules_problem(side, seed):
-    """Torus scopes of 5 cells, each forbidding 6 random tuples of 32, as in the witness benchmark."""
-    rng = random.Random(seed)
-    g = torus_graph(side, side)
-    tuples = list(itertools.product(range(2), repeat=5))
-    rows = [tuple(sorted(rng.sample(tuples, 6))) for _ in range(g.n)]
-    p = ColouringProblem(g, 2, LocalRule(rows))
-    p.validate()
-    return p
-
-
 def reloaded(p):
     """`p` saved and loaded back: shared rule tables, no dependency rows built yet."""
     with tempfile.TemporaryDirectory() as tmp:
@@ -350,8 +337,8 @@ def reloaded(p):
 
 
 def prebuilt(p):
-    """`p` with its whole dependency graph built, as after the witness forests."""
-    p.rel()
+    """`p` with every dependency row built."""
+    p.rel_rows(range(p.n))
     return p
 
 
@@ -393,8 +380,7 @@ class TestMatchesFullRescan:
             p = DIFFERENTIAL_CASES[kind](seed)
             pi = singleton_partition(p.n) if partition == "singleton" else sparse_partition(p.graph, 3)
             got = run(p, pi, RandomTape(seed, p.b), max_steps=30)
-            # the rows the run built on demand, before the reference completes the graph;
-            # only the prebuilt kind has its whole dependency graph yet
+            # the rows the run built on demand: only the prebuilt kind has every row
             assert (None in p.rel_rows([])) == (kind != "prebuilt_torus")
             self.assert_same_trace(got, reference_run(p, pi, RandomTape(seed, p.b), max_steps=30))
 
@@ -413,8 +399,8 @@ class TestDependencyRowsOnDemand:
             built = [x for x in range(p.n) if rows[x] is not None]
             assert built and all(rows[x] == want[x] for x in built)
             assert {x for snap in trace.viol_snapshots for x in snap} <= set(built)
-        assert p.rel().out_adj == want
-        assert p.rel().out_adj is rows  # rel() completed the same table
+        assert p.rel_rows(range(p.n)) == want
+        assert p.rel_rows(range(p.n)) is rows  # completing the table fills the same list
 
     def test_loaded_torus_builds_fewer_rows_than_vertices(self):
         p = reloaded(gen_torus_nae(60, 60, 2))
