@@ -21,8 +21,9 @@ class Digraph:
     constructor trusts its lists to be sorted, duplicate-free, in range and
     mutually consistent.  The lists are read-only once built.  A symmetric
     graph shares one list of lists as both `out_adj` and `in_adj`: every
-    `build_rel` and `power_graph` result does, and so does every
-    `from_scopes` graph whose scopes are symmetric, such as a torus.
+    `build_rel` and `power_graph` result does, as does `gen_torus_nae`'s
+    graph, which is built symmetric through the plain constructor, and every
+    `from_scopes` graph whose scopes are symmetric, such as a loaded torus.
     """
 
     n: int

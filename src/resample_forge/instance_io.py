@@ -33,28 +33,42 @@ def _annotate(p: ColouringProblem) -> ColouringProblem:
 # generators
 
 
+def _require_ints(**args) -> None:
+    # exact, as in graph_core._check_radius: a bool or a float is not a size, count or seed
+    for name, v in args.items():
+        if type(v) is not int:
+            raise ValueError(f"{name} must be an integer, not {v!r}")
+
+
 def gen_torus_nae(w: int, h: int, b: int) -> ColouringProblem:
     """Torus of not-all-equal rules: each cell reads itself and 4 neighbours.
 
     Forbidden tuples are the b constant assignments, so the violation margin
     is exactly b^-4 per clause.
+
+    The scopes go to the plain `Digraph` constructor as both `out_adj` and
+    `in_adj`, not through `from_scopes`: with exact-int sides >= 3 the five
+    cells of a scope are distinct, in range and sorted, and y reads x exactly
+    when x reads y, so that constructor's checks and in-list table could only
+    confirm it.  `test_torus_graph_equals_the_checked_construction` pins the
+    graph to the one the checked constructors build.
     """
+    _require_ints(w=w, h=h, b=b)
     if w < 3 or h < 3:
         raise ValueError("torus needs both sides >= 3")
     if b < 2:
         raise ValueError("alphabet size must be >= 2")
     n = w * h
-
-    def vid(i: int, j: int) -> int:
-        return (i % h) * w + (j % w)
-
-    # both sides >= 3, so the five cells are distinct
-    scopes = [
-        sorted([vid(i + di, j + dj) for (di, dj) in ((0, 0), (1, 0), (-1, 0), (0, 1), (0, -1))])
-        for i in range(h)
-        for j in range(w)
-    ]
-    g = Digraph.from_scopes(scopes)
+    # column offsets of j-1 and j+1, wrapped; each row adds the bases of rows i, i-1 and i+1
+    left = [w - 1, *range(w - 1)]
+    right = [*range(1, w), 0]
+    scopes = []
+    for i in range(h):
+        row, up, down = i * w, ((i - 1) % h) * w, ((i + 1) % h) * w
+        scopes += [
+            sorted([up + j, row + jl, row + j, row + jr, down + j]) for j, jl, jr in zip(range(w), left, right)
+        ]
+    g = Digraph(n, scopes, scopes)
     constant = tuple((c,) * 5 for c in range(b))  # sorted and distinct: one table for every cell
     p = ColouringProblem(
         g,
@@ -81,6 +95,9 @@ def gen_grid_ksat(
     within Manhattan distance clause_radius, each forbidding one tuple drawn
     from a counter-based deterministic stream.
     """
+    _require_ints(
+        w=w, h=h, k=k, clause_radius=clause_radius, clauses_per_cell=clauses_per_cell, seed=seed, b=b
+    )
     if w < 1 or h < 1:
         raise ValueError("grid must be nonempty")
     if k < 1:

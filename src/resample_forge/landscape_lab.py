@@ -57,16 +57,18 @@ def validate_landscape(p: ColouringProblem, fl: FinalisedLandscape) -> None:
     """Structural checks, and every decoration must be a forbidden tuple.
 
     Each edge and each level is checked against the dependency neighbours of
-    its nodes: once every node is in range, the rows of the node vertices are
-    read through `rel_rows`, and no other row.  A restricted landscape can
-    fail the last check: its boundary decorations fall back to all-zero
-    tuples over possibly-empty scopes.
+    its nodes: once every node is a pair of exact ints in range, the rows of
+    the node vertices are read through `rel_rows`, and no other row.  A
+    restricted landscape can fail the last check: its boundary decorations
+    fall back to all-zero tuples over possibly-empty scopes.
     """
     forest = fl.forest
     nodes = forest.nodes
+    n = p.n
     for nd in nodes:
         x, lvl = nd
-        if not (0 <= x < p.n) or lvl < 0:
+        # exact ints first: True would pass for vertex 1, and 1.0 cannot index a row
+        if type(x) is not int or type(lvl) is not int or not (0 <= x < n) or lvl < 0:
             raise ValueError(f"node {nd} out of range")
     rel_adj = p.rel_rows(x for x, _ in nodes)
     for child, par in forest.parent.items():

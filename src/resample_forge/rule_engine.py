@@ -196,13 +196,16 @@ def satisfies(p: ColouringProblem, f: Colouring) -> bool:
 
 
 def lll_margin(p: ColouringProblem) -> float:
-    """Worst-case forbidden fraction: max over x of |forbidden(x)| / b^|Var(x)|."""
-    worst = 0.0
-    for x in range(p.n):
-        rows = p.rule.forbidden[x]
-        if rows:
-            worst = max(worst, len(rows) / p.b ** len(p.graph.out_adj[x]))
-    return worst
+    """Worst-case forbidden fraction: max over x of |forbidden(x)| / b^|Var(x)|.
+
+    0.0 when nothing is forbidden.  The fraction is computed once per (table
+    identity, scope length) pair, the key `ColouringProblem.validate` checks
+    by: a torus has one pair.
+    """
+    forbidden = p.rule.forbidden
+    # (id(table), scope length) -> table; every table stays alive in p.rule meanwhile
+    tables = dict(zip(zip(map(id, forbidden), map(len, p.graph.out_adj)), forbidden))
+    return max((len(rows) / p.b ** k for (_, k), rows in tables.items() if rows), default=0.0)
 
 
 def condition_report(p: ColouringProblem, delta: float, eps: float) -> dict:

@@ -7,6 +7,9 @@ after them.  It checks the graph first, through `reference_validate`.
 
 `reference_bad_set` is `bad_set` before the cached scope readers: it builds
 each scope's tuple of colours and looks it up in a fresh set of the rows.
+
+`reference_lll_margin` is `lll_margin` before it was keyed by table: one
+fraction per vertex.
 """
 
 from resample_forge.rule_engine import MalformedProblemError
@@ -47,3 +50,12 @@ def reference_bad_set(p, f):
         for x in range(p.n)
         if tuple(f[v] for v in p.graph.out_adj[x]) in set(p.rule.forbidden[x])
     ]
+
+
+def reference_lll_margin(p):
+    worst = 0.0
+    for x in range(p.n):
+        rows = p.rule.forbidden[x]
+        if rows:
+            worst = max(worst, len(rows) / p.b ** len(p.graph.out_adj[x]))
+    return worst

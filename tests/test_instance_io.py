@@ -1,6 +1,7 @@
 """Generators and problem files."""
 
 import json
+import tracemalloc
 
 import pytest
 
@@ -12,8 +13,10 @@ from resample_forge.instance_io import (
 )
 from resample_forge.mta_runner import run
 from resample_forge.partitioner import singleton_partition
-from resample_forge.rule_engine import bad_set, lll_margin, satisfies
+from resample_forge.rule_engine import ColouringProblem, LocalRule, bad_set, lll_margin, satisfies
 from resample_forge.tape import RandomTape
+
+from tests.helpers import torus_graph
 
 
 # ---------------------------------------------------------------------------
@@ -71,6 +74,31 @@ def test_generators_hold_no_dependency_rows(make):
     p = make()
     assert p._rel_rows is None
     assert p.metadata["Delta"] == p.big_delta() == reference_stamps(p)["Delta"]
+
+
+# the generator hands its scopes to the plain Digraph constructor; they must be what the checked path builds
+@pytest.mark.parametrize("w, h", [*((w, h) for w in range(3, 10) for h in range(3, 10)), (3, 17), (25, 4)])
+def test_torus_graph_equals_the_checked_construction(w, h):
+    checked = torus_graph(w, h)
+    for b in (2, 3):
+        p = gen_torus_nae(w, h, b)
+        assert p.graph == checked
+        assert p.graph.in_adj is p.graph.out_adj
+        constant = tuple((c,) * 5 for c in range(b))
+        stamps = reference_stamps(ColouringProblem(checked, b, LocalRule([constant] * checked.n)))
+        assert {key: p.metadata[key] for key in ("d", "Delta", "margin")} == stamps
+
+
+def test_torus_generation_peak_is_what_the_problem_holds():
+    # no per-cell table beyond what the problem keeps: the scopes go straight into the graph
+    tracemalloc.start()
+    try:
+        p = gen_torus_nae(60, 60, 2)
+        held, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert p.n == 3600
+    assert peak <= 1.1 * held
 
 
 def test_torus_rejects_small_sides():
@@ -131,6 +159,21 @@ def test_ksat_deterministic_and_seed_sensitive():
 def test_ksat_radius_too_tight():
     with pytest.raises(ValueError, match="fewer than k"):
         gen_grid_ksat(3, 3, 6, 1, 1, seed=0)
+
+
+TORUS_ARGS = {"w": 4, "h": 4, "b": 2}
+KSAT_ARGS = {"w": 4, "h": 4, "k": 3, "clause_radius": 1, "clauses_per_cell": 1, "seed": 1, "b": 2}
+
+
+# the generators' own checks are what the trusted graph rests on: a bool, float or str is refused by name
+@pytest.mark.parametrize(
+    "gen, args, name",
+    [(gen_torus_nae, TORUS_ARGS, name) for name in TORUS_ARGS] + [(gen_grid_ksat, KSAT_ARGS, name) for name in KSAT_ARGS],
+)
+@pytest.mark.parametrize("value", [True, 4.0, "4"])
+def test_generators_refuse_non_int_arguments(gen, args, name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, not {value!r}$"):
+        gen(**{**args, name: value})
 
 
 # a seed outside 64 bits used to be masked, so -1 and 2^64 - 1 made the same instance

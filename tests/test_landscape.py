@@ -3,6 +3,7 @@
 import itertools
 import json
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -241,6 +242,16 @@ def test_validate_refuses_out_of_range_nodes_before_reading_rows(node):
     with pytest.raises(ValueError, match=rf"^node \({node[0]}, {node[1]}\) out of range$"):
         validate_landscape(p, bad)
     assert p.rel_rows([]) == [None] * p.n
+
+
+@pytest.mark.parametrize("node", [(True, 0), (1, 0.0), (1, True), (1.0, 0)])
+def test_validate_refuses_non_int_nodes_before_reading_rows(node):
+    # a range test alone lets True stand for vertex 1 and 0.0 for level 0, and 1.0 cannot index a row
+    p = witness_rules_problem(4, 0)
+    bad = FinalisedLandscape(GForest({node}, {}), {node: p.rule.forbidden[1][0]}, [0] * p.n)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'node {node} out of range')}$"):
+        validate_landscape(p, bad)
+    assert p._rel_rows is None
 
 
 @pytest.mark.parametrize("partition", ["singleton", "sparse"])

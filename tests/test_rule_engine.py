@@ -20,7 +20,8 @@ from resample_forge.rule_engine import (
     res,
     satisfies,
 )
-from tests.reference_rule_engine import reference_bad_set, reference_validate_problem
+from tests.helpers import random_looped_problem
+from tests.reference_rule_engine import reference_bad_set, reference_lll_margin, reference_validate_problem
 from tests.test_graph_core import random_digraph
 
 
@@ -295,6 +296,26 @@ class TestMargin:
         rule = LocalRule([((0,),), ((0,), (1,))])
         p = ColouringProblem(g, 3, rule)
         assert lll_margin(p) == pytest.approx(2.0 / 3.0)
+
+    @pytest.mark.parametrize("kind", ["shared at two lengths", "empty rows", "distinct tables"])
+    def test_margin_equals_the_per_vertex_reference(self, kind):
+        for p in margin_problems(kind):
+            margin = lll_margin(p)
+            assert type(margin) is float and margin == reference_lll_margin(p)
+
+
+def margin_problems(kind):
+    if kind == "shared at two lengths":
+        # one table object at scope lengths 3, 1 and 2, longest first: keyed by the table
+        # alone, the first vertex's 2/8 would stand for the 2/2 of the second; validate
+        # would refuse the arities, but the margin reads the table as it is
+        t = ((0,), (1,))
+        return [ColouringProblem(Digraph.from_scopes([[0, 1, 2], [0], [1, 2]]), 2, LocalRule([t, t, t]))]
+    if kind == "empty rows":
+        # the shared () at scope lengths 0, 1 and 2, beside one nonempty table or none
+        g = Digraph.from_scopes([[], [1], [1, 2], [2]])
+        return [ColouringProblem(g, 3, LocalRule([(), (), ((0, 1),), ()])), ColouringProblem(g, 3, LocalRule([()] * 4))]
+    return [random_looped_problem(12, 20, b, 6, seed) for b in (2, 3) for seed in range(5)]
 
 
 class TestCondition:
