@@ -6,151 +6,7 @@ constraint model (rule_engine), distance-sparse vertex partitions
 resampling loop (mta_runner), witness forests with their recovery, grounding,
 restriction, and counting oracles (landscape_lab), the exhaustive finite-tape
 solver (derand), generators and file formats (instance_io), and the CLI (cli).
+Import each name from its module; the package itself loads none of them.
 """
 
-from .derand import (
-    DEFAULT_TAPE_CAP,
-    DerandBudget,
-    ExhaustedError,
-    InfeasibleError,
-    TapeAttempt,
-    decode_tape,
-    derand_solve,
-    explicit_k_log,
-    run_finite_tape,
-    theoretical_budget,
-    threshold_m,
-)
-from .graph_core import (
-    Digraph,
-    ball,
-    balls,
-    build_rel,
-    greedy_mis,
-    power_graph,
-)
-from .instance_io import (
-    gen_grid_ksat,
-    gen_torus_nae,
-    load_problem,
-    save_problem,
-)
-from .landscape_lab import (
-    FinalisedLandscape,
-    GForest,
-    GroundingError,
-    build_landscape,
-    count_delta_trees,
-    count_grounded_forests,
-    ground,
-    landscape_to_json,
-    q_poly,
-    q_value_at_rho,
-    restrict_landscape,
-    restrict_problem,
-    used_of,
-    validate_landscape,
-    varcount,
-)
-from .mta_runner import (
-    DEFAULT_MAX_STEPS,
-    RunTrace,
-    run,
-    trace_round_csv,
-    trace_to_json,
-)
-from .partitioner import (
-    SparsePartition,
-    is_pi_unique,
-    singleton_partition,
-    sparse_partition,
-)
-from .rule_engine import (
-    ColouringProblem,
-    LocalRule,
-    MalformedProblemError,
-    bad_set,
-    check_condition,
-    condition_report,
-    is_violated,
-    lll_margin,
-    res,
-    satisfies,
-)
-from .tape import (
-    ConsumptionReport,
-    FiniteTape,
-    RandomTape,
-    TapeDepleted,
-    mix64,
-    symbols_consumed,
-    used_unused,
-)
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    "DEFAULT_MAX_STEPS",
-    "DEFAULT_TAPE_CAP",
-    "ColouringProblem",
-    "ConsumptionReport",
-    "DerandBudget",
-    "Digraph",
-    "ExhaustedError",
-    "FinalisedLandscape",
-    "FiniteTape",
-    "GForest",
-    "GroundingError",
-    "InfeasibleError",
-    "LocalRule",
-    "MalformedProblemError",
-    "RandomTape",
-    "RunTrace",
-    "SparsePartition",
-    "TapeAttempt",
-    "TapeDepleted",
-    "bad_set",
-    "ball",
-    "balls",
-    "build_landscape",
-    "build_rel",
-    "check_condition",
-    "condition_report",
-    "count_delta_trees",
-    "count_grounded_forests",
-    "decode_tape",
-    "derand_solve",
-    "explicit_k_log",
-    "gen_grid_ksat",
-    "gen_torus_nae",
-    "greedy_mis",
-    "ground",
-    "is_pi_unique",
-    "is_violated",
-    "landscape_to_json",
-    "lll_margin",
-    "load_problem",
-    "mix64",
-    "power_graph",
-    "q_poly",
-    "q_value_at_rho",
-    "res",
-    "restrict_landscape",
-    "restrict_problem",
-    "run",
-    "run_finite_tape",
-    "satisfies",
-    "save_problem",
-    "singleton_partition",
-    "sparse_partition",
-    "symbols_consumed",
-    "theoretical_budget",
-    "threshold_m",
-    "trace_round_csv",
-    "trace_to_json",
-    "used_of",
-    "used_unused",
-    "validate_landscape",
-    "varcount",
-]

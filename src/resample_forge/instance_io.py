@@ -21,12 +21,9 @@ from resample_forge.tape import GAMMA, MASK64, mix64
 SCHEMA_VERSION = 2
 
 
-def _annotate(p: ColouringProblem) -> ColouringProblem:
-    """Stamp degree, dependency degree and margin."""
-    p.metadata["d"] = p.graph.maxdeg()
-    p.metadata["Delta"] = p.big_delta()
-    p.metadata["margin"] = lll_margin(p)
-    return p
+def stamps(p: ColouringProblem) -> dict:
+    """The degree, dependency degree and margin that `gen` records next to the generator's parameters."""
+    return {"d": p.graph.maxdeg(), "Delta": p.big_delta(), "margin": lll_margin(p)}
 
 
 # ---------------------------------------------------------------------------
@@ -70,13 +67,12 @@ def gen_torus_nae(w: int, h: int, b: int) -> ColouringProblem:
         ]
     g = Digraph(n, scopes, scopes)
     constant = tuple((c,) * 5 for c in range(b))  # sorted and distinct: one table for every cell
-    p = ColouringProblem(
+    return ColouringProblem(
         g,
         b,
         LocalRule([constant] * n),
         metadata={"generator": "torus_nae", "w": w, "h": h, "b": b},
     )
-    return _annotate(p)
 
 
 def gen_grid_ksat(
@@ -144,7 +140,7 @@ def gen_grid_ksat(
                 scopes.append(scope)
                 rows.append([tuple(draw(b) for _ in scope)])
     g = Digraph.from_scopes(scopes)
-    p = ColouringProblem(
+    return ColouringProblem(
         g,
         b,
         LocalRule.from_lists(rows),
@@ -160,7 +156,6 @@ def gen_grid_ksat(
             "num_variables": num_vars,
         },
     )
-    return _annotate(p)
 
 
 # ---------------------------------------------------------------------------

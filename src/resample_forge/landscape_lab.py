@@ -204,6 +204,10 @@ def _restriction(p: ColouringProblem, pi, subset) -> dict:
     when every position does.
     """
     u = set(subset)
+    for v in u:
+        # exact ints, as in validate_landscape: True would pass for vertex 1, and -1 would index vertex n-1
+        if type(v) is not int or not 0 <= v < p.n:
+            raise ValueError(f"subset vertex {v!r} out of range")
     if not is_pi_unique(pi, u):
         raise ValueError("subset is not part-unique")
     part_of = pi.part_of

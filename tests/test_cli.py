@@ -820,7 +820,8 @@ def forbid_work(monkeypatch):
 # stats --b and --sizes cases had no test before, and solve --seed -1 and every
 # solve-det --delta case were refused only after the problem was loaded and
 # partitioned; a stats seed range past 64 bits was refused only after the first
-# torus was built and run
+# torus was built and run, and a stats --b past the tape's 2^64 colours only
+# after a torus whose rule table holds b constant tuples had been built
 @pytest.mark.parametrize(
     "argv, reason",
     [
@@ -834,6 +835,7 @@ def forbid_work(monkeypatch):
         (["solve-det", "<p>", "--tape-cap", "0"], "--tape-cap: tape-cap must be >= 1"),
         (["stats", "--repeat", "-1"], "--repeat: repeat must be >= 0"),
         (["stats", "--b", "1"], "--b: b must be >= 2"),
+        (["stats", "--b", str((1 << 64) + 1)], f"--b: b must be <= {1 << 64}"),
         (["stats", "--sizes", "2"], "--sizes: ladder sizes must be >= 3"),
         (["stats", "--sizes", "4,4"], "--sizes: ladder sizes must not repeat"),
         (["stats", "--sizes", ","], "--sizes: ladder sizes must not be empty"),

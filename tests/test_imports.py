@@ -1,17 +1,21 @@
 """Every name imported by a package module or a test file is used there.
 
 An AST scan, so the next stray import fails the suite.  Imports from
-`__future__` and import lines marked `# noqa: F401` are exempt; the package's
-`__init__.py` is skipped, because re-exporting is all it does; instead its
-`__all__` must list exactly the names it imports, and each of those names must
-have a reader on a program path (see `test_every_export_has_a_program_reader`).
-The last tests load `perfbench/tracing.py` and check that every package name
-it patches or reads still exists.
+`__future__` and import lines marked `# noqa: F401` are exempt.  Each public
+top-level name of a package module must have a reader on a program path (see
+`test_every_public_name_has_a_program_reader`), and the package itself loads
+no module until one is asked for.  The last tests load `perfbench/tracing.py`
+and check that every package name it patches or reads still exists.
 """
 
 import ast
 import importlib.util
+import os
 import pathlib
+import subprocess
+import sys
+
+import pytest
 
 from resample_forge import instance_io
 from resample_forge.derand import decode_tape, run_finite_tape
@@ -25,8 +29,7 @@ PACKAGE = ROOT / "src" / "resample_forge"
 
 
 def scanned_files():
-    package = [f for f in sorted(PACKAGE.glob("*.py")) if f.name != "__init__.py"]
-    return package + sorted((ROOT / "tests").glob("*.py"))
+    return sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "tests").glob("*.py"))
 
 
 def unused_imports(path):
@@ -59,7 +62,7 @@ def test_scan_covers_package_and_tests():
     names = {f.relative_to(ROOT).as_posix() for f in scanned_files()}
     assert "src/resample_forge/landscape_lab.py" in names
     assert "tests/test_imports.py" in names
-    assert "src/resample_forge/__init__.py" not in names
+    assert "src/resample_forge/__init__.py" in names
 
 
 def test_scan_finds_an_unused_import(tmp_path):
@@ -85,39 +88,52 @@ def test_no_unused_imports():
     assert found == [], "unused imports:\n" + "\n".join(found)
 
 
-def test_all_lists_exactly_the_reexports():
-    """`__all__` names each name `__init__.py` imports, plus `__version__`, and each resolves."""
-    import resample_forge
-
-    tree = ast.parse((PACKAGE / "__init__.py").read_text())
-    imported = {
-        alias.asname or alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom)
-        for alias in node.names
-    }
-    assert len(resample_forge.__all__) == len(set(resample_forge.__all__))
-    assert set(resample_forge.__all__) == imported | {"__version__"}
-    for name in resample_forge.__all__:
-        assert hasattr(resample_forge, name), name
-
-
-# __all__ names with no program reader yet, each kept for a stated reason
+# public names with no program reader yet, each kept for a stated reason
 NO_PROGRAM_READER = {
-    "__version__": "package metadata, read by tools rather than by code here",
-    "check_condition": "acceptance criterion 1 checks the paper's hypothesis with it",
-    "varcount": "acceptance criterion 5 checks the forest's symbol budget with it",
-    "trace_to_json": "ROADMAP item 5 gives it a CLI caller (solve --trace-out)",
-    "trace_round_csv": "ROADMAP item 5 gives it a CLI caller (solve --rounds-csv)",
-    "landscape_to_json": "ROADMAP item 5 gives it a CLI caller (the witness subcommand)",
+    "rule_engine.check_condition": "acceptance criterion 1 checks the paper's hypothesis with it",
+    "landscape_lab.varcount": "acceptance criterion 5 checks the forest's symbol budget with it",
+    "mta_runner.trace_to_json": "ROADMAP item 5 gives it a CLI caller (solve --trace-out)",
+    "mta_runner.trace_round_csv": "ROADMAP item 5 gives it a CLI caller (solve --rounds-csv)",
+    "landscape_lab.landscape_to_json": "ROADMAP item 5 gives it a CLI caller (the witness subcommand)",
 }
+
+
+def public_names(path):
+    """The top-level defs, classes and assigned names of `path` that do not start with `_`."""
+    names = []
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [target.id for target in node.targets if isinstance(target, ast.Name)]
+        elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+            names.append(node.target.id)
+    return [name for name in names if not name.startswith("_")]
+
+
+def test_public_names_are_top_level_and_unprefixed(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "import os\n"
+        "from json import dumps\n"
+        "LIMIT = 3\n"
+        "_HIDDEN = 4\n"
+        "TABLE: dict = {}\n"
+        "def helper():\n"
+        "    inner = 1\n"
+        "    return inner\n"
+        "def _private():\n"
+        "    pass\n"
+        "class Shape:\n"
+        "    side = 2\n"
+    )
+    assert public_names(sample) == ["LIMIT", "TABLE", "helper", "Shape"]
 
 
 def program_files():
     """The files on a program path: the package modules, `cli` among them, and perfbench minus its tests."""
-    package = [f for f in sorted(PACKAGE.glob("*.py")) if f.name != "__init__.py"]
     bench = [f for f in sorted((ROOT / "perfbench").glob("*.py")) if not f.name.startswith("test_")]
-    return package + bench
+    return sorted(PACKAGE.glob("*.py")) + bench
 
 
 def code_references(path):
@@ -156,15 +172,36 @@ def test_code_references_skip_definitions_and_docstrings(tmp_path):
     assert code_references(sample) == {"LIMIT", "helper", "attr", "wrapped"}
 
 
-def test_every_export_has_a_program_reader():
-    import resample_forge
-
+def test_every_public_name_has_a_program_reader():
+    """Each public top-level name of a package module, keyed `module.name`, is read on a program path."""
+    keys = [f"{path.stem}.{name}" for path in sorted(PACKAGE.glob("*.py")) for name in public_names(path)]
     read = set().union(*(code_references(path) for path in program_files()))
-    assert not set(NO_PROGRAM_READER) - set(resample_forge.__all__)
-    unread = [name for name in resample_forge.__all__ if name not in read and name not in NO_PROGRAM_READER]
-    assert unread == [], "exported names with no reader in cli, src/ or perfbench/: " + ", ".join(unread)
-    stale = sorted(name for name in NO_PROGRAM_READER if name in read)
+    assert not set(NO_PROGRAM_READER) - set(keys)
+    unread = [key for key in keys if key.partition(".")[2] not in read and key not in NO_PROGRAM_READER]
+    assert unread == [], "public names with no reader in cli, src/ or perfbench/: " + ", ".join(unread)
+    stale = sorted(key for key in NO_PROGRAM_READER if key.partition(".")[2] in read)
     assert stale == [], "exempt names that now have a reader; drop them from NO_PROGRAM_READER: " + ", ".join(stale)
+
+
+MODULES = sorted(f.stem for f in PACKAGE.glob("*.py") if f.name != "__init__.py")
+
+
+def loaded_after(statement):
+    """The `resample_forge` modules a fresh interpreter holds after running `statement`."""
+    script = f"import sys\n{statement}\nprint(sorted(m for m in sys.modules if m.startswith('resample_forge')))"
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    return ast.literal_eval(done.stdout)
+
+
+def test_the_package_loads_no_module():
+    assert len(MODULES) == 9
+    assert loaded_after("import resample_forge") == ["resample_forge"]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_each_module_imports_on_its_own(module):
+    assert f"resample_forge.{module}" in loaded_after(f"import resample_forge.{module}")
 
 
 def load_tracing():

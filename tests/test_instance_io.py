@@ -10,6 +10,7 @@ from resample_forge.instance_io import (
     gen_torus_nae,
     load_problem,
     save_problem,
+    stamps,
 )
 from resample_forge.mta_runner import run
 from resample_forge.partitioner import singleton_partition
@@ -31,8 +32,9 @@ def test_torus_shape_and_margin():
         assert len(scope) == 5 and x in scope
         assert len(p.rule.forbidden[x]) == 2
     assert lll_margin(p) == pytest.approx(1 / 16)
-    assert p.metadata["d"] == 5
-    assert p.metadata["margin"] == pytest.approx(1 / 16)
+    assert holds_only_parameters(p)
+    assert stamps(p)["d"] == 5
+    assert stamps(p)["margin"] == pytest.approx(1 / 16)
 
 
 def test_torus_constant_colouring_violates_everywhere():
@@ -41,6 +43,17 @@ def test_torus_constant_colouring_violates_everywhere():
     # checkerboard satisfies on even-by-even tori
     chess = [(i + j) % 2 for i in range(4) for j in range(4)]
     assert satisfies(p, chess)
+
+
+# the metadata keys of each generator, in the order it writes them; `gen` adds the stamps
+PARAMETERS = {
+    "torus_nae": ["generator", "w", "h", "b"],
+    "grid_ksat": ["generator", "w", "h", "k", "clause_radius", "clauses_per_cell", "seed", "b", "num_variables"],
+}
+
+
+def holds_only_parameters(p):
+    return list(p.metadata) == PARAMETERS[p.metadata["generator"]]
 
 
 def reference_stamps(p):
@@ -65,15 +78,17 @@ def reference_stamps(p):
 def test_torus_stamps_match_the_reference(side):
     for w in {side, max(3, side - 5)}:
         p = gen_torus_nae(w, side, 2)
-        assert p.metadata == {"generator": "torus_nae", "w": w, "h": side, "b": 2, **reference_stamps(p)}
+        assert p.metadata == {"generator": "torus_nae", "w": w, "h": side, "b": 2}
+        assert stamps(p) == reference_stamps(p)
 
 
 @pytest.mark.parametrize("make", [lambda: gen_torus_nae(12, 9, 3), lambda: gen_grid_ksat(6, 6, 5, 2, 2, seed=4)])
 def test_generators_hold_no_dependency_rows(make):
-    # Delta is streamed, so a generated problem keeps neither the whole graph nor any row
+    # Delta is streamed, so stamping a generated problem builds neither the whole graph nor any row
     p = make()
+    assert holds_only_parameters(p)
+    assert stamps(p)["Delta"] == p.big_delta() == reference_stamps(p)["Delta"]
     assert p._rel_rows is None
-    assert p.metadata["Delta"] == p.big_delta() == reference_stamps(p)["Delta"]
 
 
 # the generator hands its scopes to the plain Digraph constructor; they must be what the checked path builds
@@ -82,11 +97,11 @@ def test_torus_graph_equals_the_checked_construction(w, h):
     checked = torus_graph(w, h)
     for b in (2, 3):
         p = gen_torus_nae(w, h, b)
+        assert holds_only_parameters(p)
         assert p.graph == checked
         assert p.graph.in_adj is p.graph.out_adj
         constant = tuple((c,) * 5 for c in range(b))
-        stamps = reference_stamps(ColouringProblem(checked, b, LocalRule([constant] * checked.n)))
-        assert {key: p.metadata[key] for key in ("d", "Delta", "margin")} == stamps
+        assert stamps(p) == reference_stamps(ColouringProblem(checked, b, LocalRule([constant] * checked.n)))
 
 
 def test_torus_generation_peak_is_what_the_problem_holds():
@@ -192,7 +207,8 @@ def test_ksat_accepts_both_ends_of_64_bits(seed):
 @pytest.mark.parametrize("w, h, k, radius, seed", [(1, 1, 1, 1, 0), (3, 4, 3, 3, 0), (6, 6, 5, 2, 1), (8, 5, 3, 1, 2)])
 def test_ksat_stamps_match_the_reference(w, h, k, radius, seed):
     p = gen_grid_ksat(w, h, k, radius, 1, seed)
-    assert {key: p.metadata[key] for key in ("d", "Delta", "margin")} == reference_stamps(p)
+    assert holds_only_parameters(p)
+    assert stamps(p) == reference_stamps(p)
 
 
 def test_ksat_variables_never_bad():

@@ -490,6 +490,22 @@ def test_restrict_problem_rejects_clashing_subset():
         restrict_problem(p, pi, clashing)
 
 
+# -1 once reached vertex n-1 and True vertex 1; n raised IndexError and 1.0 TypeError
+@pytest.mark.parametrize("vertex", [-1, 16, True, 1.0])
+@pytest.mark.parametrize(
+    "restrict",
+    [
+        restrict_problem,
+        lambda p, pi, subset: restrict_landscape(p, pi, FinalisedLandscape(GForest(set(), {}), {}, [0] * p.n), subset),
+    ],
+    ids=["problem", "landscape"],
+)
+def test_restriction_refuses_a_subset_member_that_is_not_a_vertex(restrict, vertex):
+    p = gen_torus_nae(4, 4, 2)
+    with pytest.raises(ValueError, match=f"^{re.escape(f'subset vertex {vertex!r} out of range')}$"):
+        restrict(p, singleton_partition(p.n), [0, vertex])
+
+
 def test_restrict_landscape_boundary_fallback():
     p = path_problem()
     pi = singleton_partition(p.n)
