@@ -44,7 +44,7 @@ import time
 
 from .derand import DEFAULT_TAPE_CAP, ExhaustedError, InfeasibleError, derand_solve, theoretical_budget
 from .graph_core import Digraph, rel_maxdeg
-from .instance_io import gen_grid_ksat, gen_torus_nae, load_json, load_problem, save_problem, stamps
+from .instance_io import MAX_TORUS_B, gen_grid_ksat, gen_torus_nae, load_json, load_problem, save_problem, stamps
 from .landscape_lab import count_delta_trees, count_grounded_forests, q_poly, q_value_at_rho
 from .mta_runner import DEFAULT_MAX_STEPS, run
 from .partitioner import singleton_partition, sparse_partition
@@ -508,8 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--sizes", type=_int_list, default=(8, 12), help="comma list of torus sides")
     s.add_argument("--repeat", type=_at_least(0, "repeat"), default=20, help="trials per size (default 20)")
     s.add_argument("--seed", type=_at_least(0, "seed", high=MASK64), default=0, help="base seed (default 0)")
-    # a RandomTape draws at most 2^64 colours; the torus built before it holds a table of b tuples
-    s.add_argument("--b", type=_at_least(2, "b", high=1 << 64), default=2, help="colour count (default 2)")
+    # the torus holds a table of b constant tuples, so b is capped as gen_torus_nae caps it
+    s.add_argument("--b", type=_at_least(2, "b", high=MAX_TORUS_B), default=2, help="colour count (default 2)")
     _add_partition(s)
     _add_max_steps(s)
     s.add_argument("--csv", type=_results_csv, help="append one row per run here")

@@ -173,7 +173,7 @@ def _tape_count(b: int, num_parts: int, m: int) -> int | None:
 def theoretical_budget(p: ColouringProblem, pi, delta: float, tape_cap: int = DEFAULT_TAPE_CAP) -> DerandBudget:
     """Budget for a guaranteed solve at the instance's own d and Delta, flagged infeasible when unenumerable."""
     d = max(1, p.graph.maxdeg())
-    big_delta = max(1, p.big_delta())
+    big_delta = max(1, p.graph.big_delta())
     k_log = explicit_k_log(p.b, delta, d, pi.num_parts, big_delta)
     m = threshold_m(k_log, pi.num_parts, big_delta, delta)
     num_tapes = _tape_count(p.b, pi.num_parts, m)

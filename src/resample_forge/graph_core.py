@@ -24,6 +24,10 @@ class Digraph:
     `build_rel` and `power_graph` result does, as does `gen_torus_nae`'s
     graph, which is built symmetric through the plain constructor, and every
     `from_scopes` graph whose scopes are symmetric, such as a loaded torus.
+
+    Facts that depend on the graph alone are cached here, not per problem,
+    and shared by every problem on the graph: the scope readers, the
+    dependency rows built so far (`rel_rows`) and Delta (`big_delta`).
     """
 
     n: int
@@ -32,6 +36,8 @@ class Digraph:
     _und_adj: list[list[int]] | None = field(default=None, repr=False, compare=False)
     _maxdeg: int | None = field(default=None, repr=False, compare=False)
     _readers: list | None = field(default=None, repr=False, compare=False)
+    _rel_rows: list | None = field(default=None, repr=False, compare=False)
+    _big_delta: int | None = field(default=None, repr=False, compare=False)
 
     @staticmethod
     def from_scopes(scopes) -> "Digraph":
@@ -125,6 +131,33 @@ class Digraph:
         if self._readers is None:
             self._readers = [_scope_reader(scope) for scope in self.out_adj]
         return self._readers
+
+    def rel_rows(self, xs) -> list:
+        """The dependency graph's row table with at least the rows of `xs` built.
+
+        Row x equals `build_rel`'s row x.  A row is built the first time any
+        problem on this graph asks for it and kept; one nobody has asked for
+        yet is None.  A run asks only for the rules it visits: on a loaded
+        120x120 torus, 537 to 2,247 of the 14,400 rows over ten seeds.  No
+        table exists until the first call, and neither loading nor
+        generating a problem makes one.
+        """
+        rows = self._rel_rows
+        if rows is None:
+            rows = self._rel_rows = [None] * self.n
+        for x in xs:
+            if rows[x] is None:
+                rows[x] = rel_row(self, x)
+        return rows
+
+    def big_delta(self) -> int:
+        """Delta, the dependency graph's maximum degree (a self-loop counted once), cached.
+
+        Streamed through `rel_maxdeg`, so no row is kept.
+        """
+        if self._big_delta is None:
+            self._big_delta = rel_maxdeg(self)
+        return self._big_delta
 
 
 def _read_nothing(f) -> tuple:

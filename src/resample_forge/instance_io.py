@@ -19,11 +19,13 @@ from resample_forge.rule_engine import ColouringProblem, LocalRule, lll_margin
 from resample_forge.tape import GAMMA, MASK64, mix64
 
 SCHEMA_VERSION = 2
+# the torus table holds b constant 5-tuples, ~120 B per colour: 7.8 MB at this cap
+MAX_TORUS_B = 1 << 16
 
 
 def stamps(p: ColouringProblem) -> dict:
     """The degree, dependency degree and margin that `gen` records next to the generator's parameters."""
-    return {"d": p.graph.maxdeg(), "Delta": p.big_delta(), "margin": lll_margin(p)}
+    return {"d": p.graph.maxdeg(), "Delta": p.graph.big_delta(), "margin": lll_margin(p)}
 
 
 # ---------------------------------------------------------------------------
@@ -41,7 +43,8 @@ def gen_torus_nae(w: int, h: int, b: int) -> ColouringProblem:
     """Torus of not-all-equal rules: each cell reads itself and 4 neighbours.
 
     Forbidden tuples are the b constant assignments, so the violation margin
-    is exactly b^-4 per clause.
+    is exactly b^-4 per clause.  b is at most `MAX_TORUS_B`, checked before
+    anything is built, since the table grows with b.
 
     The scopes go to the plain `Digraph` constructor as both `out_adj` and
     `in_adj`, not through `from_scopes`: with exact-int sides >= 3 the five
@@ -55,6 +58,8 @@ def gen_torus_nae(w: int, h: int, b: int) -> ColouringProblem:
         raise ValueError("torus needs both sides >= 3")
     if b < 2:
         raise ValueError("alphabet size must be >= 2")
+    if b > MAX_TORUS_B:
+        raise ValueError(f"alphabet size must be <= {MAX_TORUS_B}")
     n = w * h
     # column offsets of j-1 and j+1, wrapped; each row adds the bases of rows i, i-1 and i+1
     left = [w - 1, *range(w - 1)]

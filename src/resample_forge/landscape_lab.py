@@ -58,7 +58,7 @@ def validate_landscape(p: ColouringProblem, fl: FinalisedLandscape) -> None:
 
     Each edge and each level is checked against the dependency neighbours of
     its nodes: once every node is a pair of exact ints in range, the rows of
-    the node vertices are read through `rel_rows`, and no other row.  A
+    the node vertices are read through `p.graph.rel_rows`, and no other row.  A
     restricted landscape can fail the last check: its boundary decorations
     fall back to all-zero tuples over possibly-empty scopes.
     """
@@ -70,7 +70,7 @@ def validate_landscape(p: ColouringProblem, fl: FinalisedLandscape) -> None:
         # exact ints first: True would pass for vertex 1, and 1.0 cannot index a row
         if type(x) is not int or type(lvl) is not int or not (0 <= x < n) or lvl < 0:
             raise ValueError(f"node {nd} out of range")
-    rel_adj = p.rel_rows(x for x, _ in nodes)
+    rel_adj = p.graph.rel_rows(x for x, _ in nodes)
     for child, par in forest.parent.items():
         if child not in nodes or par not in nodes:
             raise ValueError("parent map mentions unknown node")
@@ -102,16 +102,16 @@ def build_landscape(p: ColouringProblem, pi, trace, k: int) -> FinalisedLandscap
     first k colourings and finalises with the k-th colouring itself (k=0 keeps
     just the initial fill).  Parents follow the lowest-index dependency
     neighbour among the previous round's resampled set; one always exists,
-    because that set is maximal independent.  It reads, through `rel_rows`,
-    only the dependency rows of the vertices resampled in the prefix, which a
-    run on `p` has already built.
+    because that set is maximal independent.  It reads, through
+    `p.graph.rel_rows`, only the dependency rows of the vertices resampled in
+    the prefix, which a run on `p` has already built on its graph.
     """
     depth = trace.prefix_rounds(k)
     viol: dict = {}
     parent: dict = {}
     below: dict = {}  # the previous round's snapshot, keyed by its resampled set
     for i, snap in enumerate(trace.viol_snapshots[:depth]):
-        rel_adj = p.rel_rows(snap)
+        rel_adj = p.graph.rel_rows(snap)
         for x, t in snap.items():
             nd = (x, i)
             viol[nd] = t

@@ -16,11 +16,11 @@ Rules are checked through the graph's cached scope readers
 What depends only on the instance is built once and shared: the readers
 per graph, one forbidden set per distinct rule table
 (`ColouringProblem.forbidden_sets`).  Dependency-graph rows are built on
-demand: a run asks `ColouringProblem.rel_rows` for the rows of the rules it
-visits, which the problem keeps for later runs and for the witness forests.
-Loading or generating a problem builds no row (Delta is streamed by
-`big_delta`), so no problem holds the rows of rules that were never
-violated.
+demand: a run asks `Digraph.rel_rows` for the rows of the rules it visits,
+which the graph keeps for later runs, for the witness forests and for every
+other problem on the same graph.  Loading or generating a problem builds no
+row (Delta is streamed by `Digraph.big_delta`), so no graph holds the rows
+of rules that were never violated.
 
 `run` is the engine for both solvers: one loop over the colouring, the
 counters and the list of violated rules, on an infinite tape and on each
@@ -187,7 +187,7 @@ def run(
     reevals = 0
 
     while currently and len(viol_snapshots) < max_steps:
-        rel_adj = p.rel_rows(currently)  # greedy_mis and the re-check read only these rows
+        rel_adj = p.graph.rel_rows(currently)  # greedy_mis and the re-check read only these rows
         ib = greedy_mis(rel_adj, currently if found_order else sorted(currently))
         cells = [v for c in ib for v in scopes[c]]
         keys = [(part_of[v], h[v]) for v in cells]

@@ -19,9 +19,9 @@ import warnings
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from resample_forge import cli
+from resample_forge import cli, instance_io
 from resample_forge.graph_core import Digraph
-from resample_forge.instance_io import gen_torus_nae, load_problem, save_problem
+from resample_forge.instance_io import MAX_TORUS_B, gen_torus_nae, load_problem, save_problem
 from resample_forge.rule_engine import ColouringProblem, LocalRule
 
 from .helpers import all_allowed_problem, single_clause_problem, star_problem, unsatisfiable_problem
@@ -820,8 +820,8 @@ def forbid_work(monkeypatch):
 # stats --b and --sizes cases had no test before, and solve --seed -1 and every
 # solve-det --delta case were refused only after the problem was loaded and
 # partitioned; a stats seed range past 64 bits was refused only after the first
-# torus was built and run, and a stats --b past the tape's 2^64 colours only
-# after a torus whose rule table holds b constant tuples had been built
+# torus was built and run, and a stats --b past the torus cap of 2^16 colours
+# only after a torus whose rule table holds b constant tuples had been built
 @pytest.mark.parametrize(
     "argv, reason",
     [
@@ -835,7 +835,7 @@ def forbid_work(monkeypatch):
         (["solve-det", "<p>", "--tape-cap", "0"], "--tape-cap: tape-cap must be >= 1"),
         (["stats", "--repeat", "-1"], "--repeat: repeat must be >= 0"),
         (["stats", "--b", "1"], "--b: b must be >= 2"),
-        (["stats", "--b", str((1 << 64) + 1)], f"--b: b must be <= {1 << 64}"),
+        (["stats", "--b", str(MAX_TORUS_B + 1)], f"--b: b must be <= {MAX_TORUS_B}"),
         (["stats", "--sizes", "2"], "--sizes: ladder sizes must be >= 3"),
         (["stats", "--sizes", "4,4"], "--sizes: ladder sizes must not repeat"),
         (["stats", "--sizes", ","], "--sizes: ladder sizes must not be empty"),
@@ -854,6 +854,31 @@ def test_ranged_flag_out_of_range_exits_one(tmp_path, capsys, monkeypatch, argv,
     forbid_work(monkeypatch)
     argv = [str(tmp_path / "problem.json") if tok == "<p>" else tok for tok in argv]
     assert_one_error_line(capsys, argv, reason)
+
+
+# stats --b took up to 2^64 and gen --b any int, and the torus then tried to hold
+# b constant tuples, ~120 B each: 7.8 MB at 2^16, without bound past it
+@pytest.mark.parametrize("cmd", [["stats", "--sizes", "3", "--repeat", "1"], ["gen", "torus", "--w", "3", "--h", "3"]])
+def test_b_past_the_torus_cap_exits_one_before_any_torus(tmp_path, capsys, monkeypatch, cmd):
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a torus was built")
+
+    monkeypatch.setattr(instance_io, "Digraph", no_graph)
+    out = tmp_path / "torus.json"
+    argv = [*cmd, "--b", str(MAX_TORUS_B + 1), *(["--out", str(out)] if cmd[0] == "gen" else [])]
+    assert_one_error_line(capsys, argv, f"must be <= {MAX_TORUS_B}")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("cmd", [["stats", "--sizes", "3", "--repeat", "1"], ["gen", "torus", "--w", "3", "--h", "3"]])
+def test_b_at_the_torus_cap_is_accepted(tmp_path, capsys, cmd):
+    out = tmp_path / "torus.json"
+    argv = [*cmd, "--b", str(MAX_TORUS_B), *(["--out", str(out)] if cmd[0] == "gen" else [])]
+    code, _, err = run_cli(capsys, *argv)
+    assert code == 0 and "error:" not in err
+    if cmd[0] == "gen":
+        p = load_problem(str(out))
+        assert p.b == MAX_TORUS_B and len(p.rule.forbidden[0]) == MAX_TORUS_B
 
 
 # argparse used to take any unique prefix of a flag: --m ran as --max-steps, and

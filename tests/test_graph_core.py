@@ -15,7 +15,6 @@ from resample_forge.graph_core import (
     rel_maxdeg,
 )
 from resample_forge.instance_io import gen_grid_ksat, gen_torus_nae
-from resample_forge.rule_engine import ColouringProblem, LocalRule
 from tests.reference_partition import (
     reference_build_rel,
     reference_from_edges,
@@ -471,9 +470,8 @@ class TestMatchesSetPerVertex:
     def check_big_delta(g):
         want = build_rel(g).maxdeg()
         assert rel_maxdeg(g) == want == reference_build_rel(g).maxdeg()
-        streamed = ColouringProblem(g, 2, LocalRule([()] * g.n))
-        assert streamed.big_delta() == want and streamed._rel_rows is None
-        built = ColouringProblem(g, 2, LocalRule([()] * g.n))
+        assert g.big_delta() == want and g._rel_rows is None
+        built = Digraph(g.n, g.out_adj, g.in_adj)  # a fresh graph: no cached Delta
         built.rel_rows(range(g.n))
         assert built.big_delta() == want
 

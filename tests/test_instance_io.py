@@ -5,7 +5,9 @@ import tracemalloc
 
 import pytest
 
+from resample_forge import instance_io
 from resample_forge.instance_io import (
+    MAX_TORUS_B,
     gen_grid_ksat,
     gen_torus_nae,
     load_problem,
@@ -87,8 +89,8 @@ def test_generators_hold_no_dependency_rows(make):
     # Delta is streamed, so stamping a generated problem builds neither the whole graph nor any row
     p = make()
     assert holds_only_parameters(p)
-    assert stamps(p)["Delta"] == p.big_delta() == reference_stamps(p)["Delta"]
-    assert p._rel_rows is None
+    assert stamps(p)["Delta"] == p.graph.big_delta() == reference_stamps(p)["Delta"]
+    assert p.graph._rel_rows is None
 
 
 # the generator hands its scopes to the plain Digraph constructor; they must be what the checked path builds
@@ -121,6 +123,18 @@ def test_torus_rejects_small_sides():
         gen_torus_nae(2, 5, 2)
     with pytest.raises(ValueError):
         gen_torus_nae(4, 4, 1)
+
+
+def test_torus_refuses_b_past_the_cap_before_building(monkeypatch):
+    # the table holds one constant 5-tuple per colour, ~120 B each
+    def no_graph(*args, **kwargs):
+        raise AssertionError("a torus was built")
+
+    monkeypatch.setattr(instance_io, "Digraph", no_graph)
+    with pytest.raises(ValueError, match=f"^alphabet size must be <= {MAX_TORUS_B}$"):
+        gen_torus_nae(3, 3, MAX_TORUS_B + 1)
+    monkeypatch.undo()
+    assert gen_torus_nae(3, 3, MAX_TORUS_B).rule.forbidden[0][-1] == (MAX_TORUS_B - 1,) * 5
 
 
 def test_torus_solvable_by_runner():

@@ -241,7 +241,7 @@ def test_validate_refuses_out_of_range_nodes_before_reading_rows(node):
     bad = FinalisedLandscape(GForest(nodes, {}), {nd: (0,) * 5 for nd in nodes}, [0] * p.n)
     with pytest.raises(ValueError, match=rf"^node \({node[0]}, {node[1]}\) out of range$"):
         validate_landscape(p, bad)
-    assert p.rel_rows([]) == [None] * p.n
+    assert p.graph.rel_rows([]) == [None] * p.n
 
 
 @pytest.mark.parametrize("node", [(True, 0), (1, 0.0), (1, True), (1.0, 0)])
@@ -251,7 +251,7 @@ def test_validate_refuses_non_int_nodes_before_reading_rows(node):
     bad = FinalisedLandscape(GForest({node}, {}), {node: p.rule.forbidden[1][0]}, [0] * p.n)
     with pytest.raises(ValueError, match=f"^{re.escape(f'node {node} out of range')}$"):
         validate_landscape(p, bad)
-    assert p._rel_rows is None
+    assert p.graph._rel_rows is None
 
 
 @pytest.mark.parametrize("partition", ["singleton", "sparse"])
@@ -261,13 +261,13 @@ def test_witness_forests_build_no_row_beyond_the_run(partition):
     pi = partition_for(p, partition, r=3)
     for seed in range(3):
         trace = run(p, pi, RandomTape(seed, p.b), max_steps=30)
-        rows = p.rel_rows([])
+        rows = p.graph.rel_rows([])
         built = [x for x in range(p.n) if rows[x] is not None]
         assert trace.rounds > 0 and 0 < len(built) < p.n
         fl = build_landscape(p, pi, trace, trace.rounds + 1)
         validate_landscape(p, fl)
         assert [x for x in range(p.n) if rows[x] is not None] == built
-        assert p.rel_rows([]) is rows
+        assert p.graph.rel_rows([]) is rows
 
 
 def test_validate_rejects_repeated_node():

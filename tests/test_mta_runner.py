@@ -9,7 +9,8 @@ import tempfile
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from resample_forge.graph_core import Digraph, build_rel
+from resample_forge import graph_core
+from resample_forge.graph_core import Digraph, build_rel, rel_row
 from resample_forge.instance_io import gen_grid_ksat, gen_torus_nae, load_problem, save_problem
 from resample_forge.mta_runner import (
     DEFAULT_MAX_STEPS,
@@ -31,6 +32,7 @@ from tests.helpers import (
     unsatisfiable_problem,
     witness_rules_problem,
 )
+from tests.reference_partition import reference_build_rel
 from tests.reference_runner import reference_run
 
 
@@ -338,7 +340,7 @@ def reloaded(p):
 
 def prebuilt(p):
     """`p` with every dependency row built."""
-    p.rel_rows(range(p.n))
+    p.graph.rel_rows(range(p.n))
     return p
 
 
@@ -381,7 +383,7 @@ class TestMatchesFullRescan:
             pi = singleton_partition(p.n) if partition == "singleton" else sparse_partition(p.graph, 3)
             got = run(p, pi, RandomTape(seed, p.b), max_steps=30)
             # the rows the run built on demand: only the prebuilt kind has every row
-            assert (None in p.rel_rows([])) == (kind != "prebuilt_torus")
+            assert (None in p.graph.rel_rows([])) == (kind != "prebuilt_torus")
             self.assert_same_trace(got, reference_run(p, pi, RandomTape(seed, p.b), max_steps=30))
 
 
@@ -395,18 +397,39 @@ class TestDependencyRowsOnDemand:
         pi = sparse_partition(p.graph, 3)
         for seed in range(3):
             trace = run(p, pi, RandomTape(seed, p.b), max_steps=30)
-            rows = p.rel_rows([])
+            rows = p.graph.rel_rows([])
             built = [x for x in range(p.n) if rows[x] is not None]
             assert built and all(rows[x] == want[x] for x in built)
             assert {x for snap in trace.viol_snapshots for x in snap} <= set(built)
-        assert p.rel_rows(range(p.n)) == want
-        assert p.rel_rows(range(p.n)) is rows  # completing the table fills the same list
+        assert p.graph.rel_rows(range(p.n)) == want
+        assert p.graph.rel_rows(range(p.n)) is rows  # completing the table fills the same list
+
+    def test_problems_on_one_graph_share_their_rows(self, monkeypatch):
+        # rows depend on the graph alone: a second rule set on the graph rebuilds none of them
+        p1 = witness_rules_problem(16, 1)
+        p2 = ColouringProblem(p1.graph, 2, witness_rules_problem(16, 2).rule)
+        assert p2.rule != p1.rule
+        built = []
+        monkeypatch.setattr(graph_core, "rel_row", lambda g, x: built.append(x) or rel_row(g, x))
+        pi = sparse_partition(p1.graph, 3)
+        run(p1, pi, RandomTape(1, 2), max_steps=30)
+        first = set(built)
+        built.clear()
+        trace = run(p2, pi, RandomTape(2, 2), max_steps=30)
+        visited = {x for snap in trace.viol_snapshots for x in snap}
+        assert first and visited & first  # the second run reads rows the first built
+        assert built and not first & set(built) and len(set(built)) == len(built)
+        assert p1.graph.rel_rows([]) is p2.graph.rel_rows([])
+        rows = p2.graph.rel_rows([])
+        want = reference_build_rel(p1.graph).out_adj
+        assert all(rows[x] == want[x] for x in first | set(built))
+        assert [x for x in range(p1.n) if rows[x] is not None] == sorted(first | set(built))
 
     def test_loaded_torus_builds_fewer_rows_than_vertices(self):
         p = reloaded(gen_torus_nae(60, 60, 2))
         trace = run(p, sparse_partition(p.graph, 3), RandomTape(11, p.b))
         assert trace.succeeded and trace.rounds > 0
-        built = sum(row is not None for row in p.rel_rows([]))
+        built = sum(row is not None for row in p.graph.rel_rows([]))
         assert 0 < built < p.n
 
 

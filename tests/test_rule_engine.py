@@ -3,6 +3,8 @@
 import itertools
 import math
 import random
+import sys
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -20,7 +22,7 @@ from resample_forge.rule_engine import (
     res,
     satisfies,
 )
-from tests.helpers import random_looped_problem
+from tests.helpers import random_looped_problem, witness_rules_problem
 from tests.reference_rule_engine import reference_bad_set, reference_lll_margin, reference_validate_problem
 from tests.test_graph_core import random_digraph
 
@@ -210,6 +212,41 @@ class TestValidation:
             # one set per distinct table object
             by_table = {id(rows): s for rows, s in zip(p.rule.forbidden, sets)}
             assert len({id(s) for s in sets}) == len(by_table)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_forbidden_sets_are_sized_once(self, data):
+        # each set equals its table's rows, and its hash table is sized as a copy of a
+        # set of those rows: grown row by row from the tuple, six rows take 32 slots, not 16
+        b, k = data.draw(st.sampled_from([(2, 1), (2, 3), (2, 5), (3, 2), (3, 3)]))
+        every = list(itertools.product(range(b), repeat=k))
+        tables = data.draw(st.lists(st.sets(st.sampled_from(every)).map(sorted).map(tuple), min_size=1, max_size=4))
+        tables += tables[:2]  # repeated table objects share one set
+        n = max(len(tables), k)  # every vertex reads cells 0..k-1, so any table of 0..b^k rows fits
+        p = ColouringProblem(Digraph.from_scopes([list(range(k))] * n), b, LocalRule(tables + [()] * (n - len(tables))))
+        p.validate()
+        for rows, s in zip(p.rule.forbidden, p.forbidden_sets()):
+            assert type(s) is frozenset and s == frozenset(rows)
+            assert sys.getsizeof(s) == sys.getsizeof(frozenset(set(rows)))
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_forbidden_sets_take_less_memory_than_tuple_built_sets(self, seed):
+        # 256 six-row tables: 472 B a set built from a set, 728 B one grown from the tuple
+        p = witness_rules_problem(16, seed)
+
+        def traced(build):
+            tracemalloc.start()
+            try:
+                before = tracemalloc.get_traced_memory()[0]
+                held = build()
+                return tracemalloc.get_traced_memory()[0] - before, held
+            finally:
+                tracemalloc.stop()
+
+        size, sets = traced(p.forbidden_sets)
+        tuple_size, tuple_built = traced(lambda: [frozenset(rows) for rows in p.rule.forbidden])
+        assert sets == tuple_built
+        assert size <= 0.7 * tuple_size
 
 
 class TestViolation:
