@@ -44,7 +44,16 @@ import time
 
 from .derand import DEFAULT_TAPE_CAP, ExhaustedError, InfeasibleError, derand_solve, theoretical_budget
 from .graph_core import Digraph, rel_maxdeg
-from .instance_io import MAX_TORUS_B, gen_grid_ksat, gen_torus_nae, load_json, load_problem, save_problem, stamps
+from .instance_io import (
+    MAX_TORUS_B,
+    MAX_TORUS_CELLS,
+    gen_grid_ksat,
+    gen_torus_nae,
+    load_json,
+    load_problem,
+    save_problem,
+    stamps,
+)
 from .landscape_lab import count_delta_trees, count_grounded_forests, q_poly, q_value_at_rho
 from .mta_runner import DEFAULT_MAX_STEPS, run
 from .partitioner import singleton_partition, sparse_partition
@@ -419,7 +428,7 @@ def _positive_float(raw: str) -> float:
 
 
 def _int_list(raw: str) -> tuple[int, ...]:
-    """The `stats --sizes` ladder: a nonempty comma list of distinct torus sides, each >= 3."""
+    """The `stats --sizes` ladder: a nonempty comma list of distinct torus sides, each >= 3 and within the torus cap."""
     try:
         sizes = tuple(int(tok) for tok in raw.split(",") if tok.strip())
     except ValueError as exc:
@@ -428,6 +437,8 @@ def _int_list(raw: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError("ladder sizes must not be empty")
     if min(sizes) < 3:
         raise argparse.ArgumentTypeError("ladder sizes must be >= 3")
+    if max(sizes) ** 2 > MAX_TORUS_CELLS:
+        raise argparse.ArgumentTypeError(f"ladder sizes must be <= {math.isqrt(MAX_TORUS_CELLS)}")
     if len(set(sizes)) != len(sizes):
         raise argparse.ArgumentTypeError("ladder sizes must not repeat")
     return sizes

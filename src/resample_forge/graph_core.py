@@ -21,18 +21,25 @@ class Digraph:
     constructor trusts its lists to be sorted, duplicate-free, in range and
     mutually consistent.  The lists are read-only once built.  A symmetric
     graph shares one list of lists as both `out_adj` and `in_adj`: every
-    `build_rel` and `power_graph` result does, as does `gen_torus_nae`'s
-    graph, which is built symmetric through the plain constructor, and every
-    `from_scopes` graph whose scopes are symmetric, such as a loaded torus.
+    `build_rel` and `power_graph` result does, as does every torus that
+    `instance_io.torus_graph` builds through the plain constructor, and
+    every `from_scopes` graph whose scopes are symmetric, such as a torus
+    loaded from its scope lists.
 
     Facts that depend on the graph alone are cached here, not per problem,
     and shared by every problem on the graph: the scope readers, the
     dependency rows built so far (`rel_rows`) and Delta (`big_delta`).
+
+    `torus` is (w, h) on a graph that `instance_io.torus_graph` built, and
+    None on every other graph, an equal one from scope lists included;
+    `save_problem` writes a graph by its sides only when it is set.  It
+    takes no part in ==.
     """
 
     n: int
     out_adj: list[list[int]]
     in_adj: list[list[int]]
+    torus: tuple[int, int] | None = field(default=None, compare=False)
     _und_adj: list[list[int]] | None = field(default=None, repr=False, compare=False)
     _maxdeg: int | None = field(default=None, repr=False, compare=False)
     _readers: list | None = field(default=None, repr=False, compare=False)

@@ -1,10 +1,18 @@
 """Benchmark generators and problem (de)serialisation.
 
-A problem file is one JSON object that mirrors the in-memory model:
-`schema_version`, `b`, `scopes` (`graph.out_adj`, one strictly increasing list
-of vertex ids per vertex), `forbidden` (`rule.forbidden`, one list of sorted
-colour tuples per vertex) and `metadata`.  There is one schema version; a file
-of any other version is refused.
+A problem file is one JSON object: `schema_version`, `b`, the graph, the
+rule tables and `metadata`.  Two schema versions are read, into equal
+problems; a file of any other version is refused.
+
+- Schema 3, the one `save_problem` writes, holds each fact once.  `tables`
+  lists the distinct rule tables in first-seen order, and `table_of` gives
+  each vertex's index into them, as a list of n ints or as one int for every
+  vertex.  The graph is either `scopes` (`graph.out_adj`, one strictly
+  increasing list of vertex ids per vertex) or `"graph": {"torus": [w, h]}`,
+  the torus `torus_graph` builds.
+- Schema 2 mirrors the in-memory model vertex by vertex: `scopes` as above
+  and `forbidden` (`rule.forbidden`, one list of sorted colour tuples per
+  vertex).  It is read, never written.
 """
 
 from __future__ import annotations
@@ -18,9 +26,14 @@ from resample_forge.graph_core import ball  # noqa: F401
 from resample_forge.rule_engine import ColouringProblem, LocalRule, lll_margin
 from resample_forge.tape import GAMMA, MASK64, mix64
 
-SCHEMA_VERSION = 2
-# the torus table holds b constant 5-tuples, ~120 B per colour: 7.8 MB at this cap
+SCHEMA_VERSION = 3
+# the torus table holds b constant 5-tuples, ~120 B per colour: 7.8 MB at this cap; a
+# problem file writes the one shared table once, 2.4 MB at this cap whatever the torus's size
 MAX_TORUS_B = 1 << 16
+# 1024 x 1024 cells: a torus file names its sides in a few bytes, so this bounds what a
+# ~60-byte file can make the loader build; gen_torus_nae(1000, 1000, 2) takes 1.5 s and
+# peaks at 291 MB RSS (Python 3.11), and loading its file the same
+MAX_TORUS_CELLS = 1 << 20
 
 
 def stamps(p: ColouringProblem) -> dict:
@@ -39,28 +52,24 @@ def _require_ints(**args) -> None:
             raise ValueError(f"{name} must be an integer, not {v!r}")
 
 
-def gen_torus_nae(w: int, h: int, b: int) -> ColouringProblem:
-    """Torus of not-all-equal rules: each cell reads itself and 4 neighbours.
+def torus_graph(w: int, h: int) -> Digraph:
+    """The w x h torus on which each cell reads itself and its 4 neighbours, the one torus builder.
 
-    Forbidden tuples are the b constant assignments, so the violation margin
-    is exactly b^-4 per clause.  b is at most `MAX_TORUS_B`, checked before
-    anything is built, since the table grows with b.
-
-    The scopes go to the plain `Digraph` constructor as both `out_adj` and
-    `in_adj`, not through `from_scopes`: with exact-int sides >= 3 the five
-    cells of a scope are distinct, in range and sorted, and y reads x exactly
-    when x reads y, so that constructor's checks and in-list table could only
-    confirm it.  `test_torus_graph_equals_the_checked_construction` pins the
-    graph to the one the checked constructors build.
+    Cell (i, j) is vertex i*w + j.  Both sides must be exact ints >= 3 and
+    the torus at most `MAX_TORUS_CELLS` cells, checked before anything is
+    built.  The scopes come from column and row offset tables and go to the
+    plain `Digraph` constructor as both `out_adj` and `in_adj`, not through
+    `from_scopes`: with exact-int sides >= 3 the five cells of a scope are
+    distinct, in range and sorted, and y reads x exactly when x reads y, so
+    that constructor's checks and in-list table could only confirm it.
+    `test_torus_graph_equals_the_checked_construction` pins the graph to the
+    one the checked constructors build.  The graph's `torus` is (w, h).
     """
-    _require_ints(w=w, h=h, b=b)
+    _require_ints(w=w, h=h)
     if w < 3 or h < 3:
         raise ValueError("torus needs both sides >= 3")
-    if b < 2:
-        raise ValueError("alphabet size must be >= 2")
-    if b > MAX_TORUS_B:
-        raise ValueError(f"alphabet size must be <= {MAX_TORUS_B}")
-    n = w * h
+    if w * h > MAX_TORUS_CELLS:
+        raise ValueError(f"torus needs at most {MAX_TORUS_CELLS} cells, not {w}x{h}")
     # column offsets of j-1 and j+1, wrapped; each row adds the bases of rows i, i-1 and i+1
     left = [w - 1, *range(w - 1)]
     right = [*range(1, w), 0]
@@ -70,12 +79,28 @@ def gen_torus_nae(w: int, h: int, b: int) -> ColouringProblem:
         scopes += [
             sorted([up + j, row + jl, row + j, row + jr, down + j]) for j, jl, jr in zip(range(w), left, right)
         ]
-    g = Digraph(n, scopes, scopes)
+    return Digraph(w * h, scopes, scopes, torus=(w, h))
+
+
+def gen_torus_nae(w: int, h: int, b: int) -> ColouringProblem:
+    """Torus of not-all-equal rules on `torus_graph(w, h)`.
+
+    Forbidden tuples are the b constant assignments, so the violation margin
+    is exactly b^-4 per clause.  b is at most `MAX_TORUS_B`, checked before
+    anything is built, since the table grows with b; every cell shares the
+    one table.
+    """
+    _require_ints(b=b)
+    if b < 2:
+        raise ValueError("alphabet size must be >= 2")
+    if b > MAX_TORUS_B:
+        raise ValueError(f"alphabet size must be <= {MAX_TORUS_B}")
+    g = torus_graph(w, h)
     constant = tuple((c,) * 5 for c in range(b))  # sorted and distinct: one table for every cell
     return ColouringProblem(
         g,
         b,
-        LocalRule([constant] * n),
+        LocalRule([constant] * g.n),
         metadata={"generator": "torus_nae", "w": w, "h": h, "b": b},
     )
 
@@ -168,13 +193,32 @@ def gen_grid_ksat(
 
 
 def save_problem(p: ColouringProblem, path: str) -> None:
+    """Write `p` as a schema-3 file: each distinct table once, and a torus by its sides.
+
+    The graph is written as `{"torus": [w, h]}` only when `torus_graph`
+    built it (its `torus` is set), and as its scope lists otherwise.  Equal
+    tables are told apart as `LocalRule.share_equal` tells them, by their
+    marshal bytes, once per table object, so a torus's one shared table is
+    looked at once.
+    """
+    forbidden = p.rule.forbidden
+    objects = list({id(rows): rows for rows in forbidden}.values())  # each table object once, first seen first
+    merged = objects.copy()
+    tables = LocalRule.share_equal(merged)
+    index = {id(rows): i for i, rows in enumerate(tables)}
+    index_of = {id(rows): index[id(first)] for rows, first in zip(objects, merged)}
+    table_of = [index_of[id(rows)] for rows in forbidden]
     payload = {
         "schema_version": SCHEMA_VERSION,
         "b": p.b,
-        "scopes": p.graph.out_adj,
-        "forbidden": p.rule.forbidden,
+        "tables": tables,
+        "table_of": table_of[0] if len(tables) == 1 else table_of,
         "metadata": p.metadata,
     }
+    if p.graph.torus is None:
+        payload["scopes"] = p.graph.out_adj
+    else:
+        payload["graph"] = {"torus": p.graph.torus}
     with open(path, "w", encoding="utf-8") as fh:
         # compact, so json's C encoder writes it
         fh.write(json.dumps(payload, sort_keys=True))
@@ -203,24 +247,32 @@ def load_json(path: str):
             raise ValueError(f"{path}: JSON nested too deeply") from None
 
 
-def load_problem(path: str) -> ColouringProblem:
-    """Read a problem file; raises ValueError, naming the first fault, on a malformed one.
+# per schema version, the fields a file must hold; a schema-3 file may hold no other field than these
+_REQUIRED = {2: ("b", "scopes", "forbidden"), 3: ("b", "tables", "table_of")}
+_SCHEMA_3_FIELDS = {"schema_version", "b", "tables", "table_of", "scopes", "graph", "metadata"}
 
-    `Digraph.from_scopes` checks the scopes and `ColouringProblem.validate`
-    the rows, which are kept as written: neither is sorted or deduplicated.
+
+def load_problem(path: str) -> ColouringProblem:
+    """Read a schema-2 or schema-3 problem file; raises ValueError, naming the first fault, on a malformed one.
+
+    Both schemas load into equal problems, through the same checks.  Scope
+    lists go through `Digraph.from_scopes`; a schema-3 torus is built by
+    `torus_graph` from its sides, which are checked, metadata unread.  The
+    rule tables are kept as written: neither sorted nor deduplicated.
     Equal tables are made one object as soon as the file is parsed
     (`LocalRule.share_equal`), so each duplicate is freed before the graph
     is built and the list shape is checked once per distinct table; then
-    each becomes one shared tuple (`LocalRule.interned`).
+    each becomes one shared tuple (`LocalRule.interned`), and
+    `ColouringProblem.validate` checks the rows.
     """
     payload = load_json(path)
     if not isinstance(payload, dict):
         raise ValueError("problem file must hold a JSON object")
     version = payload.get("schema_version")
     # exact type test: JSON true/false load as bool, a subclass of int
-    if type(version) is not int or version != SCHEMA_VERSION:
+    if type(version) is not int or version not in _REQUIRED:
         raise ValueError(f"unsupported schema_version {version!r}")
-    for field_name in ("b", "scopes", "forbidden"):
+    for field_name in _REQUIRED[version]:
         if field_name not in payload:
             raise ValueError(f"missing field {field_name!r}")
     b = payload["b"]
@@ -229,12 +281,60 @@ def load_problem(path: str) -> ColouringProblem:
     metadata = payload.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ValueError("field 'metadata' must be a JSON object")
+    g, forbidden, distinct = (_schema_2 if version == 2 else _schema_3)(payload)
+    p = ColouringProblem(g, b, LocalRule.interned(forbidden, distinct), metadata=metadata)
+    p.validate()
+    return p
+
+
+def _schema_2(payload: dict) -> tuple:
+    """The graph, the per-vertex tables and the distinct tables of a schema-2 file."""
     forbidden = payload["forbidden"]
     # sharing raises nothing, so a scope fault is still reported before a 'forbidden' one
     distinct = LocalRule.share_equal(forbidden) if type(forbidden) is list else None
     g = Digraph.from_scopes(payload["scopes"])
     if distinct is None or not all(map(_is_list_of_lists, distinct)):
         raise ValueError("field 'forbidden' must hold, per vertex, a list of colour tuples")
-    p = ColouringProblem(g, b, LocalRule.interned(forbidden, distinct), metadata=metadata)
-    p.validate()
-    return p
+    return g, forbidden, distinct
+
+
+def _schema_3(payload: dict) -> tuple:
+    """The graph, the per-vertex tables and the distinct tables of a schema-3 file."""
+    unknown = sorted(set(payload) - _SCHEMA_3_FIELDS)
+    if unknown:
+        raise ValueError(f"unknown field {unknown[0]!r}")
+    if ("scopes" in payload) == ("graph" in payload):
+        raise ValueError("need exactly one of the fields 'scopes' and 'graph'")
+    tables = payload["tables"]
+    # as in schema 2, sharing raises nothing, so a graph fault is reported before a table one
+    distinct = LocalRule.share_equal(tables) if type(tables) is list else None
+    g = Digraph.from_scopes(payload["scopes"]) if "scopes" in payload else _described_graph(payload["graph"])
+    if distinct is None or not all(map(_is_list_of_lists, distinct)):
+        raise ValueError("field 'tables' must be a list of tables, each a list of colour tuples")
+    table_of = payload["table_of"]
+    count = len(tables)
+    if type(table_of) is int:
+        if not 0 <= table_of < count:
+            raise ValueError(f"field 'table_of': index {table_of} out of range for {count} tables")
+        return g, [tables[table_of]] * g.n, distinct
+    if not (type(table_of) is list and {int}.issuperset(map(type, table_of))):
+        raise ValueError("field 'table_of' must be an integer table index or a list of them")
+    if len(table_of) != g.n:
+        raise ValueError(f"field 'table_of' has {len(table_of)} entries for {g.n} vertices")
+    if table_of and not (0 <= min(table_of) and max(table_of) < count):
+        x, i = next((x, i) for x, i in enumerate(table_of) if not 0 <= i < count)
+        raise ValueError(f"field 'table_of': vertex {x}: index {i} out of range for {count} tables")
+    return g, list(map(tables.__getitem__, table_of)), distinct
+
+
+def _described_graph(graph) -> Digraph:
+    """The graph a schema-3 `graph` field describes: `{"torus": [w, h]}` is its one form."""
+    if not (isinstance(graph, dict) and list(graph) == ["torus"]):
+        raise ValueError('field \'graph\' must be {"torus": [w, h]}')
+    sides = graph["torus"]
+    if not (type(sides) is list and len(sides) == 2):
+        raise ValueError("field 'graph': torus must be a list of two sides [w, h]")
+    try:
+        return torus_graph(*sides)
+    except ValueError as exc:
+        raise ValueError(f"field 'graph': {exc}") from None

@@ -1,6 +1,7 @@
 """Shared builders for runner, landscape, and derandomization tests."""
 
 import itertools
+import marshal
 import random
 
 from resample_forge.graph_core import Digraph
@@ -143,3 +144,31 @@ def run_random_case(seed, n=12, b=2, mode="singleton", max_forbidden=2, max_step
     tape = RandomTape(seed ^ 0xABCDEF, b)
     trace = run(p, pi, tape, max_steps=max_steps)
     return p, pi, tape, trace
+
+
+def schema2_payload(p):
+    """The schema-2 file of `p`, every scope and table in full, as the writer wrote it before schema 3."""
+    return {
+        "schema_version": 2,
+        "b": p.b,
+        "scopes": p.graph.out_adj,
+        "forbidden": p.rule.forbidden,
+        "metadata": p.metadata,
+    }
+
+
+def schema3_payload(payload):
+    """A schema-2 payload rewritten as schema 3, its scopes kept: each table once, in first-seen order.
+
+    Tables are told apart by their marshal bytes, so [[1]], [[1.0]] and
+    [[true]] stay three tables; `table_of` is always a list.
+    """
+    tables, table_of, index = [], [], {}
+    for rows in payload["forbidden"]:
+        key = marshal.dumps(rows, 2)
+        if key not in index:
+            index[key] = len(tables)
+            tables.append(rows)
+        table_of.append(index[key])
+    rest = {k: v for k, v in payload.items() if k != "forbidden"}
+    return {**rest, "schema_version": 3, "tables": tables, "table_of": table_of}

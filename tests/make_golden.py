@@ -16,12 +16,17 @@ demands the same exit code and bytes on every run, so a change to these
 outputs shows up as a failing test and a regenerated file.
 
 The inputs are fixed files in `tests/golden/`, never regenerated here:
-- `torus10.json`: `gen torus --w 10 --h 10 --out torus10.json`;
+- `torus10.json`: `gen torus --w 10 --h 10 --out torus10.json`, as written
+  in schema 2;
 - `single_clause.json` and `unsat.json`: `tests.helpers.single_clause_problem`
-  and `unsatisfiable_problem`, written by `instance_io.save_problem`;
+  and `unsatisfiable_problem`, written by `instance_io.save_problem` when it
+  wrote schema 2;
 - `zeros100.json`: the all-zero colouring of the torus, which violates
   every rule;
-- `ksat6.json`: `gen ksat --w 6 --h 6 --seed 1 --out ksat6.json`;
+- `ksat6.json`: `gen ksat --w 6 --h 6 --seed 1 --out ksat6.json`, as
+  written in schema 2;
+- `torus10_schema3.json` and `ksat6_schema3.json`: the same two commands as
+  `gen` writes them now, in schema 3, the torus by its sides;
 - `malformed.json`: a problem file whose one rule row has the wrong arity;
 - `unsat_2x4.json` and `unsat_3x9.json`: the two unsatisfiable tape-search
   instances of the benchmark, `perfbench.workloads.unsat_cnf(2, 4, rng)` then
@@ -34,14 +39,17 @@ The inputs are fixed files in `tests/golden/`, never regenerated here:
 - `colouring_bare_list.json`: a satisfying colouring of `single_clause.json`
   as a bare JSON list, not the `{"colouring": [...]}` that the program writes.
 
-The `gen_torus10` and `gen_ksat6` entries record the bytes of the first two
-commands above, so their side files equal `torus10.json` and `ksat6.json`.
+The `gen_torus10` and `gen_ksat6` entries record the bytes of those two
+commands, so their side files equal `torus10_schema3.json` and
+`ksat6_schema3.json`.  `tests/test_cli.py` runs every entry that reads
+`torus10.json` or `ksat6.json` on the schema-3 file too, and demands the same
+exit code, stdout and side files.
 
-The problem inputs are schema-2 files.  They were converted from their
-schema-1 forms once, by loading each with the schema-1 reader and writing it
-with `instance_io.save_problem`; each loads to the same `b`, scopes, in-lists,
-rows and metadata as before.  `malformed.json` was rewritten by hand in the
-same shape, keeping its one wrong-arity row.
+Every problem input but those two is a schema-2 file, which the loader still
+reads.  They were converted from their schema-1 forms once, by loading each with the
+schema-1 reader and writing it with the schema-2 writer; each loads to the
+same `b`, scopes, in-lists, rows and metadata as before.  `malformed.json` was
+rewritten by hand in the same shape, keeping its one wrong-arity row.
 
 `verify_solved` reads `solve_ksat6.out.json`, the colouring recorded by the
 `solve_ksat6` entry before it, so that entry must stay first.

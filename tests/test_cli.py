@@ -21,11 +21,18 @@ from hypothesis import given, settings, strategies as st
 
 from resample_forge import cli, instance_io
 from resample_forge.graph_core import Digraph
-from resample_forge.instance_io import MAX_TORUS_B, gen_torus_nae, load_problem, save_problem
+from resample_forge.instance_io import MAX_TORUS_B, MAX_TORUS_CELLS, gen_torus_nae, load_problem, save_problem
 from resample_forge.rule_engine import ColouringProblem, LocalRule
 
-from .helpers import all_allowed_problem, single_clause_problem, star_problem, unsatisfiable_problem
-from .make_golden import COMMANDS, GOLDEN_DIR, capture
+from .helpers import (
+    all_allowed_problem,
+    schema2_payload,
+    schema3_payload,
+    single_clause_problem,
+    star_problem,
+    unsatisfiable_problem,
+)
+from .make_golden import COMMANDS, GOLDEN_DIR, KSAT6, TORUS10, capture
 
 GOLDEN_TORUS10_SEED7 = (
     '{"bits": 77.0, "max_h": 2, "rounds": 1, "status": "succeeded", "symbols": 77}'
@@ -147,6 +154,74 @@ def test_solve_missing_file_exit_one(tmp_path, capsys):
         assert caught == [], path  # a warning would print more lines on stderr
 
 
+SCHEMA_3 = {"schema_version": 3, "b": 2, "scopes": [[], [0], [0, 1]], "tables": [[], [[0]]], "table_of": [0, 1, 0]}
+TORUS_3 = {"schema_version": 3, "b": 2, "graph": {"torus": [3, 4]}, "tables": [[[0] * 5]], "table_of": 0}
+
+
+# a malformed schema-3 file exits 1 with one error line, never a traceback or an answer
+@pytest.mark.parametrize(
+    "base, change, reason",
+    [
+        (SCHEMA_3, {"table_of": [0, 2, 0]}, "field 'table_of': vertex 1: index 2 out of range for 2 tables"),
+        (SCHEMA_3, {"table_of": [0, 1, -1]}, "field 'table_of': vertex 2: index -1 out of range for 2 tables"),
+        (SCHEMA_3, {"table_of": 2}, "field 'table_of': index 2 out of range for 2 tables"),
+        (SCHEMA_3, {"table_of": -1}, "field 'table_of': index -1 out of range for 2 tables"),
+        (TORUS_3, {"table_of": 1}, "field 'table_of': index 1 out of range for 1 tables"),
+        (SCHEMA_3, {"tables": [], "table_of": [0, 0, 0]}, "index 0 out of range for 0 tables"),
+        (SCHEMA_3, {"table_of": [0, True, 0]}, "'table_of' must be an integer table index or a list of them"),
+        (SCHEMA_3, {"table_of": [0, 1.0, 0]}, "'table_of' must be an integer table index or a list of them"),
+        (TORUS_3, {"table_of": False}, "'table_of' must be an integer table index or a list of them"),
+        (TORUS_3, {"table_of": 0.0}, "'table_of' must be an integer table index or a list of them"),
+        (SCHEMA_3, {"table_of": [0, 1]}, "field 'table_of' has 2 entries for 3 vertices"),
+        (SCHEMA_3, {"table_of": [0, 1, 0, 0]}, "field 'table_of' has 4 entries for 3 vertices"),
+        (TORUS_3, {"table_of": [0] * 11}, "field 'table_of' has 11 entries for 12 vertices"),
+        (SCHEMA_3, {"tables": {"0": []}}, "'tables' must be a list of tables, each a list of colour tuples"),
+        (SCHEMA_3, {"tables": [[], 0]}, "'tables' must be a list of tables, each a list of colour tuples"),
+        (SCHEMA_3, {"tables": [[], [0]]}, "'tables' must be a list of tables, each a list of colour tuples"),
+        (SCHEMA_3, {"tables": [[], [[0], 0]]}, "'tables' must be a list of tables, each a list of colour tuples"),
+        (SCHEMA_3, {"tables": [[], [[[0]]]]}, "vertex 1: colour [0] out of range 0..1"),
+        (SCHEMA_3, {"graph": {"torus": [3, 3]}}, "need exactly one of the fields 'scopes' and 'graph'"),
+        ({k: v for k, v in SCHEMA_3.items() if k != "scopes"}, {}, "need exactly one of the fields"),
+        (TORUS_3, {"graph": {"torus": [2, 4]}}, "field 'graph': torus needs both sides >= 3"),
+        (TORUS_3, {"graph": {"torus": [3, -3]}}, "field 'graph': torus needs both sides >= 3"),
+        (TORUS_3, {"graph": {"torus": [3.0, 4]}}, "field 'graph': w must be an integer, not 3.0"),
+        (TORUS_3, {"graph": {"torus": [3, True]}}, "field 'graph': h must be an integer, not True"),
+        (TORUS_3, {"graph": {"torus": [3, "4"]}}, "field 'graph': h must be an integer, not '4'"),
+        (TORUS_3, {"graph": {"torus": [3, 4, 5]}}, "field 'graph': torus must be a list of two sides [w, h]"),
+        (TORUS_3, {"graph": {"torus": 12}}, "field 'graph': torus must be a list of two sides [w, h]"),
+        (TORUS_3, {"graph": {"torus": [3, 4], "w": 3}}, 'field \'graph\' must be {"torus": [w, h]}'),
+        (TORUS_3, {"graph": {"grid": [3, 4]}}, 'field \'graph\' must be {"torus": [w, h]}'),
+        (TORUS_3, {"graph": [3, 4]}, 'field \'graph\' must be {"torus": [w, h]}'),
+        (TORUS_3, {"graph": {"torus": [1 << 20, 1 << 20]}}, f"torus needs at most {MAX_TORUS_CELLS} cells"),
+        (TORUS_3, {"forbidden": []}, "unknown field 'forbidden'"),
+        (TORUS_3, {"schema_version": 4}, "unsupported schema_version 4"),
+        ({k: v for k, v in TORUS_3.items() if k != "tables"}, {}, "missing field 'tables'"),
+        ({k: v for k, v in TORUS_3.items() if k != "table_of"}, {}, "missing field 'table_of'"),
+        # the checks the rows get in schema 2 hold here: the torus needs 5-cell rows
+        (TORUS_3, {"tables": [[[0, 0]]]}, "vertex 0: forbidden tuple (0, 0) has length 2, scope needs 5"),
+        (TORUS_3, {"tables": [[[1] * 5, [0] * 5]]}, "vertex 0: forbidden tuples are not strictly increasing"),
+        (SCHEMA_3, {"scopes": [[], [0], [1, 0]]}, "vertex 2: scope must be strictly increasing vertex ids in 0..2"),
+    ],
+)
+def test_malformed_schema_3_file_exits_one(tmp_path, capsys, base, change, reason):
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps({**base, **change}))
+    for cmd in (["solve", str(path)], ["solve-det", str(path), "--classic"]):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert_one_error_line(capsys, cmd, reason)
+        assert caught == []
+
+
+def test_well_formed_schema_3_files_solve(tmp_path, capsys):
+    # the two bases above are well formed: each malformed case is one change away from a loadable file
+    for payload in (SCHEMA_3, TORUS_3):
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps(payload))
+        code, out, _ = run_cli(capsys, "solve", str(path), "--quiet")
+        assert code == 0 and json.loads(out)["status"] == "succeeded"
+
+
 @functools.cache
 def saved_torus3_text():
     with tempfile.TemporaryDirectory() as tmp:
@@ -154,6 +229,14 @@ def saved_torus3_text():
         save_problem(gen_torus_nae(3, 3, 2), path)
         with open(path, encoding="utf-8") as fh:
             return fh.read()
+
+
+# the same torus in each form a file can hold it: schema 3 by its sides (what gen writes),
+# schema 3 by its scope lists, and schema 2
+def torus3_payloads():
+    described = json.loads(saved_torus3_text())
+    schema2 = json.loads(json.dumps(schema2_payload(gen_torus_nae(3, 3, 2))))
+    return [described, schema3_payload(schema2), schema2]
 
 
 def json_slots(node, out):
@@ -218,20 +301,20 @@ class ScriptedData:
 
 
 def test_mutate_draws_only_kinds_with_a_slot():
-    # retyping "scopes" and then "forbidden" leaves no list to truncate
+    # retyping "graph" and then "tables" leaves no list to truncate
     payload = json.loads(saved_torus3_text())
-    mutate(payload, ScriptedData("retype", (payload, "scopes"), 0))
-    mutate(payload, ScriptedData("retype", (payload, "forbidden"), None))
+    mutate(payload, ScriptedData("retype", (payload, "graph"), 0))
+    mutate(payload, ScriptedData("retype", (payload, "tables"), None))
     data = ScriptedData("not_int", (payload, "b"), "x")
     mutate(payload, data)
     assert data.offered[0] == ["drop", "retype", "not_int"]
     assert payload["b"] == "x"
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=90, deadline=None)
 @given(st.data())
 def test_mutated_problem_file_never_raises(data):
-    payload = json.loads(saved_torus3_text())
+    payload = data.draw(st.sampled_from(torus3_payloads()))
     for _ in range(data.draw(st.integers(1, 3))):
         mutate(payload, data)
     out, err = io.StringIO(), io.StringIO()
@@ -661,19 +744,51 @@ def test_golden_stdout(name):
         assert data == (GOLDEN_DIR / f"{name}.{suffix}").read_bytes(), suffix
 
 
-@pytest.mark.parametrize("name, source", [("gen_torus10", "torus10.json"), ("gen_ksat6", "ksat6.json")])
+@pytest.mark.parametrize(
+    "name, source", [("gen_torus10", "torus10_schema3.json"), ("gen_ksat6", "ksat6_schema3.json")]
+)
 def test_golden_inputs_are_what_gen_writes(name, source):
     assert (GOLDEN_DIR / f"{name}.out.json").read_bytes() == (GOLDEN_DIR / source).read_bytes()
 
 
-@pytest.mark.parametrize(
-    "name", ["torus10", "ksat6", "single_clause", "unsat", "unsat_2x4", "unsat_3x9", "tiny1000"]
-)
+SCHEMA_2_INPUTS = ["torus10", "ksat6", "single_clause", "unsat", "unsat_2x4", "unsat_3x9", "tiny1000"]
+
+
+@pytest.mark.parametrize("name", [*SCHEMA_2_INPUTS, "torus10_schema3", "ksat6_schema3"])
 def test_committed_problem_files_are_canonical(tmp_path, name):
-    # every problem input but malformed.json is byte for byte what the writer makes of it
-    path = tmp_path / "resaved.json"
-    save_problem(load_problem(str(GOLDEN_DIR / f"{name}.json")), str(path))
-    assert path.read_bytes() == (GOLDEN_DIR / f"{name}.json").read_bytes()
+    # every problem input but malformed.json is byte for byte what its schema's writer makes of it:
+    # save_problem for the schema-3 inputs, the schema-2 writer's sorted compact JSON for the rest
+    source = GOLDEN_DIR / f"{name}.json"
+    p = load_problem(str(source))
+    if name in SCHEMA_2_INPUTS:
+        assert source.read_text() == json.dumps(schema2_payload(p), sort_keys=True) + "\n"
+    else:
+        path = tmp_path / "resaved.json"
+        save_problem(p, str(path))
+        assert path.read_bytes() == source.read_bytes()
+
+
+# each golden command on torus10.json or ksat6.json, with the schema-3 form of its input
+SCHEMA_3_TWINS = {
+    name: [tok.replace(".json", "_schema3.json") if tok in (TORUS10, KSAT6) else tok for tok in argv]
+    for name, (argv, _) in COMMANDS.items()
+    if TORUS10 in argv or KSAT6 in argv
+}
+
+
+def test_schema_3_twins_cover_solve_on_both_inputs():
+    covered = {"solve_torus10", "solve_ksat6", "solve_det_report", "verify_solved", "verify_violated"}
+    assert covered <= set(SCHEMA_3_TWINS)
+
+
+@pytest.mark.parametrize("name", sorted(SCHEMA_3_TWINS))
+def test_schema_3_input_prints_the_schema_2_golden(name):
+    # stdout, exit code and side files byte for byte as recorded from the schema-2 input
+    code, out, files = capture(SCHEMA_3_TWINS[name])
+    assert code == COMMANDS[name][1]
+    files["stdout"] = out.encode()
+    for suffix, data in files.items():
+        assert data == (GOLDEN_DIR / f"{name}.{suffix}").read_bytes(), suffix
 
 
 # ---------------------------------------------------------------------------
@@ -879,6 +994,57 @@ def test_b_at_the_torus_cap_is_accepted(tmp_path, capsys, cmd):
     if cmd[0] == "gen":
         p = load_problem(str(out))
         assert p.b == MAX_TORUS_B and len(p.rule.forbidden[0]) == MAX_TORUS_B
+
+
+# a file or a flag that names a torus past the cell cap is refused before any list is built
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "torus", "--w", "1048576", "--h", "1048576", "--out", "<out>"],
+        ["gen", "torus", "--w", "3", "--h", str(MAX_TORUS_CELLS // 3 + 1), "--out", "<out>"],
+        ["solve", "<big>"],
+        ["verify", "<big>", "<big>"],
+    ],
+)
+def test_torus_past_the_cell_cap_exits_one_before_building(tmp_path, capsys, argv):
+    big = tmp_path / "big.json"
+    payload = {"schema_version": 3, "b": 2, "graph": {"torus": [1 << 20, 1 << 20]}, "tables": [[]], "table_of": 0}
+    big.write_text(json.dumps(payload))
+    out = tmp_path / "torus.json"
+    argv = [str(big) if tok == "<big>" else str(out) if tok == "<out>" else tok for tok in argv]
+    tracemalloc.start()
+    try:
+        assert_one_error_line(capsys, argv, f"torus needs at most {MAX_TORUS_CELLS} cells")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # the argparse parser and the error line, no torus
+    assert not out.exists()
+
+
+def test_stats_side_past_the_cell_cap_exits_one_while_parsing(capsys, monkeypatch):
+    forbid_work(monkeypatch)
+    argv = ["stats", "--sizes", "8,1025", "--repeat", "1"]
+    assert_one_error_line(capsys, argv, "--sizes: ladder sizes must be <= 1024")
+
+
+# gen torus --b 65536 used to write every cell's table of b constant tuples, ~2.4 MB per
+# cell; the one shared table is written once, so the file's size does not grow with the torus.
+# The files differ only in the digits of w and h (metadata and the torus field, twice each)
+# and of the Delta stamp, which wrap-around lowers from 13 to 9 on a 3x3 torus
+@pytest.mark.parametrize("small, large", [(3, 30), (5, 50)])
+def test_gen_torus_file_size_does_not_grow_with_the_torus(tmp_path, capsys, small, large):
+    sizes, deltas = [], []
+    for side in (small, large):
+        out = tmp_path / f"torus{side}.json"
+        argv = ["gen", "torus", "--w", str(side), "--h", str(side), "--b", "1024", "--out", str(out)]
+        code, _, _ = run_cli(capsys, *argv)
+        assert code == 0
+        sizes.append(out.stat().st_size)
+        deltas.append(json.loads(out.read_text())["metadata"]["Delta"])
+    digits = 4 * (len(str(large)) - len(str(small))) + len(str(deltas[1])) - len(str(deltas[0]))
+    assert sizes[1] - sizes[0] == digits
+    assert sizes[0] < 40_000  # 1,024 rows of 5 colours, written once
 
 
 # argparse used to take any unique prefix of a flag: --m ran as --max-steps, and

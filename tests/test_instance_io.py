@@ -1,13 +1,19 @@
 """Generators and problem files."""
 
+import itertools
 import json
+import pathlib
+import tempfile
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from resample_forge import instance_io
+from resample_forge.graph_core import Digraph
 from resample_forge.instance_io import (
     MAX_TORUS_B,
+    MAX_TORUS_CELLS,
     gen_grid_ksat,
     gen_torus_nae,
     load_problem,
@@ -19,7 +25,8 @@ from resample_forge.partitioner import singleton_partition
 from resample_forge.rule_engine import ColouringProblem, LocalRule, bad_set, lll_margin, satisfies
 from resample_forge.tape import RandomTape
 
-from tests.helpers import torus_graph
+from tests.helpers import schema2_payload, schema3_payload, torus_graph
+from tests.make_golden import GOLDEN_DIR
 
 
 # ---------------------------------------------------------------------------
@@ -235,6 +242,18 @@ def test_ksat_variables_never_bad():
 # problem files
 
 
+def write_json(tmp_path, payload, name="problem.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(payload))
+    return str(path)
+
+
+def saved_and_loaded(tmp_path, p):
+    path = tmp_path / "saved.json"
+    save_problem(p, str(path))
+    return load_problem(str(path))
+
+
 def torus_with_legacy_metadata():
     """A torus whose metadata also holds the growth certificate that older files carry."""
     p = gen_torus_nae(10, 10, 2)
@@ -248,10 +267,12 @@ def torus_with_legacy_metadata():
         lambda: gen_torus_nae(4, 4, 2),
         lambda: gen_torus_nae(5, 3, 3),
         lambda: gen_grid_ksat(4, 4, 3, 2, 2, seed=5),
+        lambda: gen_grid_ksat(3, 4, 3, 3, 1, seed=0),
         torus_with_legacy_metadata,
     ],
 )
 def test_round_trip_identity(tmp_path, make):
+    # both generators, through the schema-3 file save writes and the schema-2 form of the same problem
     p = make()
     path = tmp_path / "problem.json"
     save_problem(p, str(path))
@@ -261,19 +282,38 @@ def test_round_trip_identity(tmp_path, make):
     assert q.graph.in_adj == p.graph.in_adj
     assert q.rule.forbidden == p.rule.forbidden
     assert q.metadata == p.metadata
+    assert q == p == load_problem(write_json(tmp_path, schema2_payload(p), "schema2.json"))
+    # the loaded tables are shared exactly as the generated ones are
+    assert len({id(rows) for rows in q.rule.forbidden}) == len({id(rows) for rows in p.rule.forbidden})
 
 
-def test_file_mirrors_the_model(tmp_path):
+def test_file_holds_each_fact_once(tmp_path):
+    # schema 3: one table and an index for every cell, and the torus by its sides
     p = gen_torus_nae(3, 3, 2)
     path = tmp_path / "torus.json"
     save_problem(p, str(path))
     text = path.read_text()
     assert "\n" not in text[:-1] and text.endswith("}\n")  # compact, one line
     payload = json.loads(text)
-    assert sorted(payload) == ["b", "forbidden", "metadata", "schema_version", "scopes"]
-    assert payload["schema_version"] == 2
+    assert sorted(payload) == ["b", "graph", "metadata", "schema_version", "table_of", "tables"]
+    assert payload["schema_version"] == 3
+    assert payload["graph"] == {"torus": [3, 3]}
+    assert payload["tables"] == [[[0] * 5, [1] * 5]]
+    assert payload["table_of"] == 0
+
+
+def test_file_lists_scopes_and_indices_of_any_other_graph(tmp_path):
+    p = gen_grid_ksat(4, 4, 3, 2, 2, seed=5)
+    path = tmp_path / "ksat.json"
+    save_problem(p, str(path))
+    payload = json.loads(path.read_text())
+    assert sorted(payload) == ["b", "metadata", "schema_version", "scopes", "table_of", "tables"]
     assert payload["scopes"] == p.graph.out_adj
-    assert payload["forbidden"] == [[list(t) for t in rows] for rows in p.rule.forbidden]
+    assert payload["tables"][0] == []  # the variables' empty table, first seen at vertex 0
+    assert [payload["tables"][i] for i in payload["table_of"]] == [
+        [list(t) for t in rows] for rows in p.rule.forbidden
+    ]
+    assert len(payload["tables"]) == len({id(rows) for rows in p.rule.forbidden})
 
 
 def write_payload(tmp_path, **change):
@@ -365,3 +405,170 @@ def test_load_rejects_a_non_list_table_among_equal_tables(tmp_path, odd):
 def test_load_rejects_rule_table_of_another_length(tmp_path, forbidden):
     with pytest.raises(ValueError, match="rule table size"):
         load_problem(write_payload(tmp_path, forbidden=forbidden))
+
+
+# ---------------------------------------------------------------------------
+# schema 3 against schema 2
+
+# every problem input of the golden corpus but malformed.json, which no schema loads
+GOLDEN_PROBLEMS = [
+    "torus10",
+    "ksat6",
+    "single_clause",
+    "unsat",
+    "unsat_2x4",
+    "unsat_3x9",
+    "tiny1000",
+    "torus10_schema3",
+    "ksat6_schema3",
+]
+
+
+@pytest.mark.parametrize("name", GOLDEN_PROBLEMS)
+def test_golden_problem_survives_a_schema_3_round_trip(tmp_path, name):
+    p = load_problem(str(GOLDEN_DIR / f"{name}.json"))
+    assert saved_and_loaded(tmp_path, p) == p
+    assert load_problem(write_json(tmp_path, schema2_payload(p), "schema2.json")) == p
+
+
+@pytest.mark.parametrize("name", ["torus10", "ksat6"])
+def test_schema_3_golden_inputs_load_as_their_schema_2_forms(name):
+    p2 = load_problem(str(GOLDEN_DIR / f"{name}.json"))
+    p3 = load_problem(str(GOLDEN_DIR / f"{name}_schema3.json"))
+    assert p3 == p2
+    assert (p3.graph.torus, p2.graph.torus) == (((10, 10), None) if name == "torus10" else (None, None))
+
+
+@pytest.mark.parametrize("w, h", [(3, 3), (3, 8), (10, 4), (17, 17)])
+def test_described_torus_is_the_generated_and_the_checked_graph(tmp_path, w, h):
+    p = gen_torus_nae(w, h, 2)
+    q = saved_and_loaded(tmp_path, p)
+    assert q.graph.torus == p.graph.torus == (w, h)
+    assert q.graph == p.graph == torus_graph(w, h)
+    assert q.graph == Digraph.from_scopes([list(scope) for scope in q.graph.out_adj])
+    assert q.graph.in_adj is q.graph.out_adj
+
+
+def test_only_the_builder_marks_a_torus(tmp_path):
+    # the same graph from scope lists is written as scope lists; its sides are not guessed
+    p = load_problem(str(GOLDEN_DIR / "torus10.json"))
+    assert p.graph == instance_io.torus_graph(10, 10) and p.graph.torus is None
+    path = tmp_path / "resaved.json"
+    save_problem(p, str(path))
+    payload = json.loads(path.read_text())
+    assert "graph" not in payload and payload["scopes"] == p.graph.out_adj
+    assert gen_torus_nae(10, 10, 2).graph.torus == (10, 10)
+    assert gen_grid_ksat(3, 3, 2, 1, 1, seed=0).graph.torus is None
+
+
+def test_metadata_never_shapes_the_graph(tmp_path):
+    p = gen_torus_nae(5, 4, 2)
+    q = saved_and_loaded(tmp_path, p)
+    path = tmp_path / "saved.json"
+    payload = json.loads(path.read_text())
+    payload["metadata"].update(w=10, h=10, generator="grid_ksat")
+    r = load_problem(write_json(tmp_path, payload, "lying.json"))
+    assert r.graph == q.graph == torus_graph(5, 4) and r.n == 20
+    assert r.metadata == payload["metadata"]
+
+
+def test_equal_tables_in_the_file_become_one_tuple(tmp_path):
+    tables = [[[0]], [[0]]]
+    payload = {"schema_version": 3, "b": 2, "scopes": [[0], [1], [2]], "tables": tables, "table_of": [0, 1, 1]}
+    q = load_problem(write_json(tmp_path, payload))
+    assert q.rule.forbidden[0] is q.rule.forbidden[1] is q.rule.forbidden[2] == ((0,),)
+    assert len({id(s) for s in q.forbidden_sets()}) == 1
+
+
+def test_one_index_serves_every_vertex(tmp_path):
+    payload = {"schema_version": 3, "b": 3, "scopes": [[0, 1], [0, 1]], "tables": [[], [[0, 2]]], "table_of": 1}
+    q = load_problem(write_json(tmp_path, payload))
+    assert q.rule.forbidden == [((0, 2),), ((0, 2),)]
+
+
+# tables of random valid problems: rows drawn per scope length, a table reused by
+# several vertices, and the empty table, the one table valid at two scope lengths
+@st.composite
+def random_problems(draw):
+    b = draw(st.integers(2, 3))
+    n = draw(st.integers(1, 7))
+    scopes = [sorted(draw(st.sets(st.integers(0, n - 1), max_size=3))) for _ in range(n)]
+    scopes[0] = []  # the empty table is used at length 0 and, below, at another length
+    made: dict[int, list] = {}  # scope length -> tables made for it so far
+    rows_of = []
+    for x, scope in enumerate(scopes):
+        k = len(scope)
+        earlier = made.setdefault(k, [()])
+        if x > 0 and k > 0 and draw(st.booleans()):
+            rows = draw(st.sampled_from(earlier))
+        else:
+            tuples = st.tuples(*[st.integers(0, b - 1)] * k)
+            rows = tuple(sorted(draw(st.sets(tuples, max_size=min(4, b**k - 1))))) if k else ()
+            earlier.append(rows)
+        rows_of.append(rows)
+    if any(scopes):
+        rows_of[next(x for x, scope in enumerate(scopes) if scope)] = ()
+    metadata = {"seed": draw(st.integers(0, 9))}
+    p = ColouringProblem(Digraph.from_scopes(scopes), b, LocalRule(rows_of), metadata=metadata)
+    p.validate()
+    return p
+
+
+@settings(max_examples=80, deadline=None)
+@given(random_problems())
+def test_random_problems_round_trip_through_schema_3(p):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = pathlib.Path(tmp)
+        q = saved_and_loaded(tmp, p)
+        assert q == p
+        assert load_problem(write_json(tmp, schema2_payload(p))) == q
+        # equal tables, shared or not in p, are one tuple in q
+        for x, y in itertools.combinations(range(p.n), 2):
+            assert (q.rule.forbidden[x] is q.rule.forbidden[y]) == (p.rule.forbidden[x] == p.rule.forbidden[y])
+
+
+@pytest.mark.parametrize(
+    "scopes, forbidden, message",
+    [
+        # vertices 1 and 2 share one table; vertex 2's scope is one cell longer
+        ([[0], [1], [1, 2]], [[], [[0]], [[0]]], "vertex 2: forbidden tuple (0,) has length 1, scope needs 2"),
+        # equal under ==, but true and 1.0 are no colours: their tables are not merged
+        ([[0], [1], [2]], [[[1]], [[1]], [[True]]], "vertex 2: colour True out of range 0..1"),
+        ([[0], [1], [2]], [[[1]], [[1.0]], [[1]]], "vertex 1: colour 1.0 out of range 0..1"),
+        ([[0], [1], [2]], [[[1.0]], [[1]], [[1.0]]], "vertex 0: colour 1.0 out of range 0..1"),
+        ([[0], [1], [2]], [[[0]], [[True]], [[True]]], "vertex 1: colour True out of range 0..1"),
+    ],
+)
+def test_shared_table_faults_are_named_as_in_schema_2(tmp_path, scopes, forbidden, message):
+    schema2 = {"schema_version": 2, "b": 2, "scopes": scopes, "forbidden": forbidden}
+    for payload in (schema2, schema3_payload(schema2)):
+        with pytest.raises(ValueError) as caught:
+            load_problem(write_json(tmp_path, payload))
+        assert str(caught.value) == message
+
+
+def test_torus_cap_is_checked_before_anything_is_built(tmp_path):
+    side = 1 << 20
+    payload = {"schema_version": 3, "b": 2, "graph": {"torus": [side, side]}, "tables": [[]], "table_of": 0}
+    path = write_json(tmp_path, payload)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^torus needs at most {MAX_TORUS_CELLS} cells, not {side}x{side}$"):
+            gen_torus_nae(side, side, 2)
+        with pytest.raises(ValueError, match=f"^field 'graph': torus needs at most {MAX_TORUS_CELLS} cells"):
+            load_problem(path)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+    # a 1000 x 1000 torus fits, and so does the largest square the cap allows
+    assert 1000 * 1000 <= 1024 * 1024 == MAX_TORUS_CELLS
+
+
+def test_torus_cap_bounds_the_cell_count(monkeypatch):
+    # the bound is on w * h, inclusive, whatever the shape; checked here at 12 cells
+    monkeypatch.setattr(instance_io, "MAX_TORUS_CELLS", 12)
+    assert instance_io.torus_graph(3, 4).n == instance_io.torus_graph(4, 3).n == 12
+    for w, h in [(4, 4), (3, 5), (5, 3)]:
+        with pytest.raises(ValueError, match=f"^torus needs at most 12 cells, not {w}x{h}$"):
+            instance_io.torus_graph(w, h)
