@@ -31,9 +31,10 @@ class Digraph:
     dependency rows built so far (`rel_rows`) and Delta (`big_delta`).
 
     `torus` is (w, h) on a graph that `instance_io.torus_graph` built, and
-    None on every other graph, an equal one from scope lists included;
-    `save_problem` writes a graph by its sides only when it is set.  It
-    takes no part in ==.
+    None on every other graph, an equal one from scope lists included.
+    Two readers trust it: `save_problem` writes a graph by its sides only
+    when it is set, and `power_graph` then writes its rows down from the
+    torus's offsets instead of searching for them.  It takes no part in ==.
     """
 
     n: int
@@ -257,13 +258,63 @@ def balls(g: Digraph, r: int):
         yield near
 
 
+def _torus_rows(w: int, h: int, r: int) -> list[list[int]]:
+    """`power_graph`'s rows on the w x h torus of `instance_io.torus_graph`, written down, not searched for.
+
+    Cell (i, j) is vertex i*w + j, and its radius-r ball is every cell at a
+    wrapped offset (di, dj) with |di| + |dj| <= r.  r is first clamped to the
+    diameter w//2 + h//2, past which the ball is the whole torus, so a huge
+    r builds no more offsets than that.  When w and h exceed 2r, a cell whose
+    columns do not wrap (r <= j < w - r) gets its row as 2r + 2 slices of
+    `cells`, one per row offset in the order of the wrapped row bases, the
+    centre row split around the cell: no sort.  Every other cell (each one
+    within r of a side seam, or all of them on a torus at most 2r across)
+    gets its wrapped offsets as a set, which drops the duplicates wrap-around
+    makes, sorted.  Every entry is an int object of the one `cells` list, so
+    the rows hold no fresh ints.
+    """
+    r = min(r, w // 2 + h // 2)
+    cells = list(range(w * h))
+    offsets = [(di, dj) for di in range(-r, r + 1) for dj in range(abs(di) - r, r - abs(di) + 1) if di or dj]
+    slab = 2 * r < min(w, h)
+    rows = []
+    for i in range(h):
+        ring = [(((i + di) % h) * w, dj) for di, dj in offsets]
+        spans = []  # (start, stop) of each slice at j = 0, in row-base order
+        if slab:
+            for base, di in sorted((((i + di) % h) * w, di) for di in range(-r, r + 1)):
+                s = r - abs(di)
+                spans += [(base - s, base + s + 1)] if di else [(base - r, base), (base + 1, base + r + 1)]
+        for j in range(w):
+            if spans and r <= j < w - r:
+                row = []
+                for start, stop in spans:
+                    row += cells[start + j : stop + j]
+            else:
+                near = {cells[base + (j + dj) % w] for base, dj in ring}
+                near.discard(i * w + j)
+                row = sorted(near)
+            rows.append(row)
+    return rows
+
+
 def power_graph(g: Digraph, r: int) -> Digraph:
-    """Symmetric loopless digraph joining pairs at undirected distance 1..r; `balls` checks r."""
-    adj = []
-    for near in balls(g, r):  # each ball is a fresh list, so it is trimmed and sorted in place
-        del near[0]
-        near.sort()
-        adj.append(near)
+    """Symmetric loopless digraph joining pairs at undirected distance 1..r; r is checked first.
+
+    On a torus that `instance_io.torus_graph` built (`g.torus` set) the rows
+    are written down from its offset tables by `_torus_rows`; on every other
+    graph they are the `balls`, each trimmed of its centre and sorted in
+    place.
+    """
+    _check_radius(r)
+    if g.torus is not None:
+        adj = _torus_rows(*g.torus, r)
+    else:
+        adj = []
+        for near in balls(g, r):  # each ball is a fresh list, so it is trimmed and sorted in place
+            del near[0]
+            near.sort()
+            adj.append(near)
     return Digraph(g.n, adj, adj)
 
 

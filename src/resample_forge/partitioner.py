@@ -8,8 +8,9 @@ without building it.  It rests on the midpoint identity: x and y are within
 distance 2r exactly when some z lies within r of both, since a shortest
 path of length k <= 2r splits at its midpoint into ceil(k/2) + floor(k/2)
 steps, each at most r.  So the radius-r balls, read from the radius-r
-power graph (one reused-array BFS scan in `graph_core.balls`), carry all
-the colouring needs.
+power graph, carry all the colouring needs.  `graph_core.power_graph`
+writes a torus's balls down from its offset tables, and finds those of
+every other graph by one reused-array BFS scan in `graph_core.balls`.
 """
 
 from __future__ import annotations

@@ -8,6 +8,7 @@ forbidden.
 
 from __future__ import annotations
 
+import itertools
 import marshal
 import math
 import operator
@@ -120,36 +121,48 @@ class ColouringProblem:
         outside graphs.
 
         A table object shared by several vertices (see `LocalRule`) is checked
-        once per scope length, so the first faulty vertex is still the one
-        named.
+        once per scope length, with no loop over the vertices in Python: the
+        distinct (table identity, scope length) pairs come out of C-level
+        `dict` builds in first-seen order, so the first faulty pair holds the
+        first faulty vertex, which is looked up only then and named.
         """
         b = self.b
         if type(b) is not int:
             raise MalformedProblemError(f"colour count must be an integer, not {b!r}")
         if b < 2:
             raise MalformedProblemError("colour count must be >= 2")
-        if len(self.rule.forbidden) != self.n:
+        forbidden, scopes = self.rule.forbidden, self.graph.out_adj
+        if len(forbidden) != self.n:
             raise MalformedProblemError("rule table size does not match vertex count")
-        # (id(table), scope length) pairs seen: keyed by identity, since a malformed
-        # row may be unhashable; every table stays alive in self.rule meanwhile
-        checked: set[tuple[int, int]] = set()
-        for x, (scope, rows) in enumerate(zip(self.graph.out_adj, self.rule.forbidden)):
-            key = (id(rows), len(scope))
-            if key in checked:
-                continue
-            checked.add(key)
-            for t in rows:
-                if len(t) != len(scope):
-                    raise MalformedProblemError(
-                        f"vertex {x}: forbidden tuple {t} has length {len(t)}, scope needs {len(scope)}"
-                    )
-                for c in t:
-                    if type(c) is not int or not 0 <= c < b:
-                        raise MalformedProblemError(f"vertex {x}: colour {c!r} out of range 0..{b - 1}")
-            if rows and not scope:  # only the empty tuple fits an empty scope
-                raise MalformedProblemError(f"vertex {x} has empty scope but forbidden tuples")
-            if not all(map(operator.lt, rows, rows[1:])):
-                raise MalformedProblemError(f"vertex {x}: forbidden tuples are not strictly increasing")
+        # keyed by identity, since a malformed row may be unhashable; every table
+        # stays alive in self.rule meanwhile
+        tables = dict(zip(map(id, forbidden), forbidden))
+        lengths = dict.fromkeys(map(len, scopes))
+        if len(tables) > 1 and len(lengths) > 1:
+            pairs = dict.fromkeys(zip(map(id, forbidden), map(len, scopes)))
+        else:  # one half of every pair is the same, so the other half's first-seen order is the pairs'
+            pairs = itertools.product(tables, lengths)
+        for key, k in pairs:
+            rows = tables[key]
+            fault = _table_fault(rows, k, b)
+            if fault:
+                x = next(x for x, (scope, t) in enumerate(zip(scopes, forbidden)) if t is rows and len(scope) == k)
+                raise MalformedProblemError(f"vertex {x}{fault}")
+
+
+def _table_fault(rows, k: int, b: int) -> str:
+    """What is wrong with `rows` as the table of a vertex with a k-cell scope, after "vertex x"; "" if nothing."""
+    for t in rows:
+        if len(t) != k:
+            return f": forbidden tuple {t} has length {len(t)}, scope needs {k}"
+        for c in t:
+            if type(c) is not int or not 0 <= c < b:
+                return f": colour {c!r} out of range 0..{b - 1}"
+    if rows and not k:  # only the empty tuple fits an empty scope
+        return " has empty scope but forbidden tuples"
+    if not all(map(operator.lt, rows, rows[1:])):
+        return ": forbidden tuples are not strictly increasing"
+    return ""
 
 
 def res(p: ColouringProblem, f: Colouring, x: int) -> tuple[int, ...]:

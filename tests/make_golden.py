@@ -91,6 +91,8 @@ COMMANDS = {
     "solve_torus10_seed1": (["solve", TORUS10, "--seed", "1", "--quiet"], 0),
     "solve_torus10_seed5": (["solve", TORUS10, "--seed", "5", "--quiet"], 0),
     "solve_torus10_budget": (["solve", TORUS10, "--seed", "5", "--max-steps", "1", "--quiet"], 2),
+    # r = 3R = 6, so 2r >= 10 and every radius-r ball of the torus wraps round it
+    "solve_torus10_R2": (["solve", TORUS10, "--R", "2", "--seed", "7", "--quiet"], 0),
     "solve_ksat6": (["solve", KSAT6, "--seed", "3", "--out", "<out>", "--quiet"], 0),
     "verify_solved": (["verify", KSAT6, _input("solve_ksat6.out.json"), "--quiet"], 0),
     "solve_det_report": (["solve-det", TORUS10, "--quiet"], 0),

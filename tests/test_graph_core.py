@@ -1,6 +1,7 @@
 """Tests for graph_core against brute-force oracles and hand-traced values."""
 
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,7 +15,7 @@ from resample_forge.graph_core import (
     power_graph,
     rel_maxdeg,
 )
-from resample_forge.instance_io import gen_grid_ksat, gen_torus_nae
+from resample_forge.instance_io import gen_grid_ksat, gen_torus_nae, torus_graph
 from tests.reference_partition import (
     reference_build_rel,
     reference_from_edges,
@@ -366,6 +367,65 @@ class TestMatchesBallPerVertex:
                     nbrs[x].add(y)
                     nbrs[y].add(x)
             assert h.maxdeg() == max(len(ys) for ys in nbrs)
+
+
+def scope_copy(g):
+    """An equal graph read from g's scope lists; its `torus` is None, so `power_graph` walks its balls."""
+    return Digraph.from_scopes([list(s) for s in g.out_adj])
+
+
+def traced_peak(fn, *args):
+    """Peak bytes tracemalloc sees while fn(*args) runs, from a fresh start."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestTorusRows:
+    """The rows `power_graph` writes down on a torus against its BFS path and the ball-per-vertex reference."""
+
+    @staticmethod
+    def assert_all_three_agree(g, r):
+        got = power_graph(g, r)
+        assert got.out_adj is got.in_adj
+        assert got == power_graph(scope_copy(g), r) == reference_power_graph(g, r)
+
+    @pytest.mark.parametrize("r", range(5))
+    def test_every_shape_up_to_2r_plus_3(self, r):
+        # w or h <= 2r wraps every ball round the torus; from 2r + 1 on, inner cells take the slice path
+        for w in range(3, 2 * r + 4):
+            for h in range(3, 2 * r + 4):
+                self.assert_all_three_agree(torus_graph(w, h), r)
+
+    @pytest.mark.parametrize("w, h", [(37, 53), (120, 120)])
+    def test_large_tori(self, w, h):
+        self.assert_all_three_agree(torus_graph(w, h), 3)
+
+    @pytest.mark.parametrize("w, h", [(3, 3), (7, 5)])
+    def test_radius_past_the_diameter_is_clamped(self, w, h):
+        # every ball is the whole torus once r reaches w//2 + h//2, so no larger r may build more offsets
+        g = torus_graph(w, h)
+        diameter = w // 2 + h // 2
+        whole = power_graph(scope_copy(g), diameter)
+        assert all(len(row) == g.n - 1 for row in whole.out_adj)
+        for r in (diameter, 300, 10**9):  # 300 first: unclamped, it would build ~180k offsets and fail here
+            assert traced_peak(power_graph, g, r) < 100_000
+            assert power_graph(g, r) == whole
+
+    def test_radius_checked_before_the_offsets(self):
+        # a negative r would otherwise build no offsets and return empty rows
+        for r in (-1, 1.5, True):
+            with pytest.raises(ValueError, match="radius must be"):
+                power_graph(torus_graph(3, 3), r)
+
+    def test_rows_hold_no_fresh_ints(self):
+        # rows built as `[x + d for d in offsets]` would hold one new int per entry, ~86k of them here;
+        # the written-down rows reuse the ints of one shared list and must not outgrow the BFS path
+        g = torus_graph(60, 60)
+        assert traced_peak(power_graph, g, 3) <= traced_peak(power_graph, scope_copy(g), 3)
 
 
 class TestBuiltGraphsPassTheReferenceCheck:

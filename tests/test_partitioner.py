@@ -1,7 +1,6 @@
 """Tests for distance-sparse partitions."""
 
 import random
-import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,7 +15,7 @@ from resample_forge.partitioner import (
     sparse_partition,
 )
 from tests.reference_partition import reference_is_r_sparse, reference_sparse_partition
-from tests.test_graph_core import floyd_warshall_distances, path_graph, random_digraph
+from tests.test_graph_core import floyd_warshall_distances, path_graph, random_digraph, scope_copy, traced_peak
 
 
 def pairwise_distance_sparse(g, pi, r):
@@ -160,21 +159,34 @@ class TestMatchesBallPerVertex:
         assert sparse_partition(g, r) == reference_sparse_partition(g, r)
 
 
-def traced_peak(fn, *args):
-    """Peak bytes tracemalloc sees while fn(*args) runs, from a fresh start."""
-    tracemalloc.start()
-    try:
-        fn(*args)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-
-
 def test_partition_transient_is_under_half_the_distance_2r_power_graph():
     # a machine-independent memory bound: the partition must not hold the distance-2r power graph
     g = gen_torus_nae(60, 60, 2).graph
     g.und_adj()  # cached on the graph, so neither peak includes it
     assert traced_peak(sparse_partition, g, 3) < traced_peak(graph_core.power_graph, g, 6) / 2
+
+
+def test_partition_transient_bound_holds_on_the_bfs_path():
+    # the same bound on an equal graph read from scope lists, which power_graph reaches by BFS, not offsets
+    g = scope_copy(gen_torus_nae(60, 60, 2).graph)
+    g.und_adj()
+    assert traced_peak(sparse_partition, g, 3) < traced_peak(graph_core.power_graph, g, 6) / 2
+
+
+class TestTorusRowsPartition:
+    """sparse_partition on a torus, whose power graph is written down, against the same torus read from scopes."""
+
+    @pytest.mark.parametrize("r", range(1, 5))
+    def test_every_shape_up_to_2r_plus_3(self, r):
+        for w in range(3, 2 * r + 4):
+            for h in range(3, 2 * r + 4):
+                g = instance_io.torus_graph(w, h)
+                assert sparse_partition(g, r) == sparse_partition(scope_copy(g), r)
+
+    @pytest.mark.parametrize("w, h", [(37, 53), (120, 120)])
+    def test_large_tori(self, w, h):
+        g = instance_io.torus_graph(w, h)
+        assert sparse_partition(g, 3) == sparse_partition(scope_copy(g), 3)
 
 
 def test_ball_scans_do_not_call_ball(monkeypatch):

@@ -3,6 +3,7 @@
 import itertools
 import math
 import random
+import re
 import sys
 import tracemalloc
 
@@ -164,6 +165,21 @@ class TestValidation:
         want = self.outcome(ColouringProblem.validate, separate)
         assert self.outcome(ColouringProblem.validate, shared) == want
         assert want[0] == self.outcome(reference_validate_problem, separate)[0]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_validate_names_the_vertex_the_reference_names(self, data):
+        # validate looks only at distinct (table, scope length) pairs, not at each vertex; the
+        # vertex it names must still be the first one the per-vertex reference rejects
+        p = self.draw_problem(data)
+        drawn = p.rule.forbidden
+        table = [[*drawn[data.draw(st.integers(0, x))]] for x in range(p.n)]
+        separate = ColouringProblem(p.graph, p.b, LocalRule([tuple(rows) for rows in table]))
+        shared = ColouringProblem(p.graph, p.b, interned(table))
+        got, want = self.outcome(ColouringProblem.validate, shared), self.outcome(reference_validate_problem, separate)
+        assert got[0] == want[0]
+        if got[1] is not None:
+            assert re.match(r"vertex (\d+)", got[1])[1] == re.match(r"vertex (\d+)", want[1])[1]
 
     def test_from_lists_normalises(self):
         rule = LocalRule.from_lists([[[0], [0], [1]]])
