@@ -34,7 +34,8 @@ class Digraph:
     None on every other graph, an equal one from scope lists included.
     Two readers trust it: `save_problem` writes a graph by its sides only
     when it is set, and `power_graph` then writes its rows down from the
-    torus's offsets instead of searching for them.  It takes no part in ==.
+    torus's offsets with `torus_rows`, the writer that made the scopes,
+    instead of searching for them.  It takes no part in ==.
     """
 
     n: int
@@ -258,43 +259,42 @@ def balls(g: Digraph, r: int):
         yield near
 
 
-def _torus_rows(w: int, h: int, r: int) -> list[list[int]]:
-    """`power_graph`'s rows on the w x h torus of `instance_io.torus_graph`, written down, not searched for.
+def torus_rows(w: int, h: int, offsets: list[tuple[int, int]]) -> list[list[int]]:
+    """Per cell of the w x h torus, the cells at its distinct wrapped `offsets`, sorted: the one torus row writer.
 
-    Cell (i, j) is vertex i*w + j, and its radius-r ball is every cell at a
-    wrapped offset (di, dj) with |di| + |dj| <= r.  r is first clamped to the
-    diameter w//2 + h//2, past which the ball is the whole torus, so a huge
-    r builds no more offsets than that.  When w and h exceed 2r, a cell whose
-    columns do not wrap (r <= j < w - r) gets its row as 2r + 2 slices of
-    `cells`, one per row offset in the order of the wrapped row bases, the
-    centre row split around the cell: no sort.  Every other cell (each one
-    within r of a side seam, or all of them on a torus at most 2r across)
-    gets its wrapped offsets as a set, which drops the duplicates wrap-around
-    makes, sorted.  Every entry is an int object of the one `cells` list, so
-    the rows hold no fresh ints.
+    Cell (i, j) is vertex i*w + j, and an offset (di, dj) reaches cell
+    ((i + di) % h, (j + dj) % w); a row holds its own cell exactly when
+    (0, 0) is an offset.  With s the largest |dj|, each grid row sorts its
+    offsets once by (wrapped row base, dj), the order of their cells at
+    every column s <= j < w - s.  When such columns exist and no two of the
+    offsets and the centre wrap to one cell there, those cells' rows are
+    zipped slices of `cells`, one per offset, built at C level.  Every
+    other cell (within s of a side seam, or every cell when a side is too
+    small for that slab) gets its set of wrapped offsets, sorted.  Every
+    entry is an int of the one `cells` list, so no row holds a fresh int.
     """
-    r = min(r, w // 2 + h // 2)
+    if not offsets:
+        return [[] for _ in range(w * h)]
     cells = list(range(w * h))
-    offsets = [(di, dj) for di in range(-r, r + 1) for dj in range(abs(di) - r, r - abs(di) + 1) if di or dj]
-    slab = 2 * r < min(w, h)
+    s = max(abs(dj) for _, dj in offsets)
+    span = {*offsets, (0, 0)}  # in the slab no two of these may wrap onto one cell
+    slab = 2 * s < w and len({(di % h, dj) for di, dj in span}) == len(span)
+    left, right = (s, w - s) if slab else (w, w)  # columns left..right-1 take the zipped slices
+    loop = (0, 0) in offsets
+
+    def wrapped(centre, ring, j):
+        near = {cells[base + (j + dj) % w] for base, dj in ring}
+        if not loop:
+            near.discard(centre + j)
+        return sorted(near)
+
     rows = []
     for i in range(h):
-        ring = [(((i + di) % h) * w, dj) for di, dj in offsets]
-        spans = []  # (start, stop) of each slice at j = 0, in row-base order
+        ring = sorted((((i + di) % h) * w, dj) for di, dj in offsets)
+        rows += [wrapped(i * w, ring, j) for j in range(left)]
         if slab:
-            for base, di in sorted((((i + di) % h) * w, di) for di in range(-r, r + 1)):
-                s = r - abs(di)
-                spans += [(base - s, base + s + 1)] if di else [(base - r, base), (base + 1, base + r + 1)]
-        for j in range(w):
-            if spans and r <= j < w - r:
-                row = []
-                for start, stop in spans:
-                    row += cells[start + j : stop + j]
-            else:
-                near = {cells[base + (j + dj) % w] for base, dj in ring}
-                near.discard(i * w + j)
-                row = sorted(near)
-            rows.append(row)
+            rows += map(list, zip(*[cells[base + dj + s : base + dj + w - s] for base, dj in ring]))
+        rows += [wrapped(i * w, ring, j) for j in range(right, w)]
     return rows
 
 
@@ -302,13 +302,18 @@ def power_graph(g: Digraph, r: int) -> Digraph:
     """Symmetric loopless digraph joining pairs at undirected distance 1..r; r is checked first.
 
     On a torus that `instance_io.torus_graph` built (`g.torus` set) the rows
-    are written down from its offset tables by `_torus_rows`; on every other
-    graph they are the `balls`, each trimmed of its centre and sorted in
-    place.
+    are written down by `torus_rows` at the offsets 1 <= |di| + |dj| <= r,
+    with r clamped to the diameter w//2 + h//2, past which a ball is the
+    whole torus, so a huge r builds no more offsets than that.  On every
+    other graph they are the `balls`, each trimmed of its centre and sorted.
     """
     _check_radius(r)
     if g.torus is not None:
-        adj = _torus_rows(*g.torus, r)
+        w, h = g.torus
+        r = min(r, w // 2 + h // 2)
+        offsets = [(di, dj) for di in range(-r, r + 1) for dj in range(abs(di) - r, r - abs(di) + 1)]
+        offsets.remove((0, 0))
+        adj = torus_rows(w, h, offsets)
     else:
         adj = []
         for near in balls(g, r):  # each ball is a fresh list, so it is trimmed and sorted in place

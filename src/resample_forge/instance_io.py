@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 
-from resample_forge.graph_core import Digraph
+from resample_forge.graph_core import Digraph, torus_rows
 # unused here, but perfbench/tracing.py wraps the name instance_io.ball
 from resample_forge.graph_core import ball  # noqa: F401
 from resample_forge.rule_engine import ColouringProblem, LocalRule, lll_margin
@@ -57,15 +57,15 @@ def torus_graph(w: int, h: int) -> Digraph:
 
     Cell (i, j) is vertex i*w + j.  Both sides must be exact ints >= 3 and
     the torus at most `MAX_TORUS_CELLS` cells, checked before anything is
-    built.  The scopes are written down in increasing order, not sorted per
-    cell: along row i the bases of rows i-1, i and i+1 keep one order, so
-    every inner column takes that row's fixed pattern of five offsets from
-    j, and only the two seam columns 0 and w-1, which wrap sideways, are
-    sorted.  They go to the plain `Digraph` constructor as both `out_adj`
-    and `in_adj`, not through `from_scopes`: with exact-int sides >= 3 the
-    five cells of a scope are distinct, in range and sorted, and y reads x
-    exactly when x reads y, so that constructor's checks and in-list table
-    could only confirm it.
+    built.  The scopes come from `graph_core.torus_rows`, the one torus row
+    writer, at the five offsets (0, 0), (0, +-1) and (+-1, 0): each inner
+    column's scope is a zipped slice of one cell list, already in
+    increasing order, and only the two seam columns 0 and w-1, which wrap
+    sideways, are sorted sets.  They go to the plain `Digraph` constructor
+    as both `out_adj` and `in_adj`, not through `from_scopes`: with
+    exact-int sides >= 3 the five cells of a scope are distinct, in range
+    and sorted, and y reads x exactly when x reads y, so that constructor's
+    checks and in-list table could only confirm it.
     `test_torus_graph_equals_the_checked_construction` pins the graph to the
     one the checked constructors build.  The graph's `torus` is (w, h), from
     which `graph_core.power_graph` writes down its rows.
@@ -75,16 +75,7 @@ def torus_graph(w: int, h: int) -> Digraph:
         raise ValueError("torus needs both sides >= 3")
     if w * h > MAX_TORUS_CELLS:
         raise ValueError(f"torus needs at most {MAX_TORUS_CELLS} cells, not {w}x{h}")
-    scopes = []
-    for i in range(h):
-        row, up, down = i * w, ((i - 1) % h) * w, ((i + 1) % h) * w
-        # offsets from j of an inner column's five cells, in increasing order
-        a, b, c, d, e = [
-            o for base in sorted([up, row, down]) for o in ((base - 1, base, base + 1) if base == row else (base,))
-        ]
-        scopes.append(sorted([up, row + w - 1, row, row + 1, down]))
-        scopes += [[j + a, j + b, j + c, j + d, j + e] for j in range(1, w - 1)]
-        scopes.append(sorted([up + w - 1, row + w - 2, row + w - 1, row, down + w - 1]))
+    scopes = torus_rows(w, h, [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)])
     return Digraph(w * h, scopes, scopes, torus=(w, h))
 
 

@@ -9,8 +9,9 @@ distance 2r exactly when some z lies within r of both, since a shortest
 path of length k <= 2r splits at its midpoint into ceil(k/2) + floor(k/2)
 steps, each at most r.  So the radius-r balls, read from the radius-r
 power graph, carry all the colouring needs.  `graph_core.power_graph`
-writes a torus's balls down from its offset tables, and finds those of
-every other graph by one reused-array BFS scan in `graph_core.balls`.
+writes a torus's balls down with `graph_core.torus_rows`, as zipped slices
+of one cell list clear of the side seams and sorted sets at them, and finds
+those of every other graph by one reused-array BFS scan in `graph_core.balls`.
 """
 
 from __future__ import annotations

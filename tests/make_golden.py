@@ -27,6 +27,9 @@ The inputs are fixed files in `tests/golden/`, never regenerated here:
   written in schema 2;
 - `torus10_schema3.json` and `ksat6_schema3.json`: the same two commands as
   `gen` writes them now, in schema 3, the torus by its sides;
+- `torus40x6.json`: `gen torus --w 40 --h 6 --out torus40x6.json`, in schema
+  3 only.  At the default r = 3 every radius-r ball wraps round its 6-row
+  axis but no ball wraps round its 40-column one;
 - `malformed.json`: a problem file whose one rule row has the wrong arity;
 - `unsat_2x4.json` and `unsat_3x9.json`: the two unsatisfiable tape-search
   instances of the benchmark, `perfbench.workloads.unsat_cnf(2, 4, rng)` then
@@ -45,7 +48,7 @@ commands, so their side files equal `torus10_schema3.json` and
 `torus10.json` or `ksat6.json` on the schema-3 file too, and demands the same
 exit code, stdout and side files.
 
-Every problem input but those two is a schema-2 file, which the loader still
+Every problem input but those three is a schema-2 file, which the loader still
 reads.  They were converted from their schema-1 forms once, by loading each with the
 schema-1 reader and writing it with the schema-2 writer; each loads to the
 same `b`, scopes, in-lists, rows and metadata as before.  `malformed.json` was
@@ -82,6 +85,7 @@ MALFORMED = _input("malformed.json")
 UNSAT_2X4 = _input("unsat_2x4.json")
 UNSAT_3X9 = _input("unsat_3x9.json")
 TINY1000 = _input("tiny1000.json")
+TORUS40X6 = _input("torus40x6.json")
 
 # name -> (argv, expected exit code)
 COMMANDS = {
@@ -93,6 +97,8 @@ COMMANDS = {
     "solve_torus10_budget": (["solve", TORUS10, "--seed", "5", "--max-steps", "1", "--quiet"], 2),
     # r = 3R = 6, so 2r >= 10 and every radius-r ball of the torus wraps round it
     "solve_torus10_R2": (["solve", TORUS10, "--R", "2", "--seed", "7", "--quiet"], 0),
+    # 6 <= 2r rows, so every ball wraps round the short axis, and none round the long one
+    "solve_torus40x6": (["solve", TORUS40X6, "--seed", "3", "--quiet"], 0),
     "solve_ksat6": (["solve", KSAT6, "--seed", "3", "--out", "<out>", "--quiet"], 0),
     "verify_solved": (["verify", KSAT6, _input("solve_ksat6.out.json"), "--quiet"], 0),
     "solve_det_report": (["solve-det", TORUS10, "--quiet"], 0),
@@ -118,6 +124,8 @@ COMMANDS = {
         0,
     ),
     "stats": (["stats", "--sizes", "4,5", "--repeat", "3", "--quiet"], 0),
+    # sides 2r + 1 and 4r + 1 at r = 3: one and seven columns of each row clear of both side seams
+    "stats_7_13": (["stats", "--sizes", "7,13", "--repeat", "3", "--quiet"], 0),
     "stats_csv": (["stats", "--sizes", "4,5", "--repeat", "3", "--csv", "<csv>"], 0),
     "solve_malformed": (["solve", MALFORMED, "--quiet"], 1),
     "solve_no_steps": (["solve", TORUS10, "--max-steps", "0", "--quiet"], 1),

@@ -754,7 +754,7 @@ def test_golden_inputs_are_what_gen_writes(name, source):
 SCHEMA_2_INPUTS = ["torus10", "ksat6", "single_clause", "unsat", "unsat_2x4", "unsat_3x9", "tiny1000"]
 
 
-@pytest.mark.parametrize("name", [*SCHEMA_2_INPUTS, "torus10_schema3", "ksat6_schema3"])
+@pytest.mark.parametrize("name", [*SCHEMA_2_INPUTS, "torus10_schema3", "ksat6_schema3", "torus40x6"])
 def test_committed_problem_files_are_canonical(tmp_path, name):
     # every problem input but malformed.json is byte for byte what its schema's writer makes of it:
     # save_problem for the schema-3 inputs, the schema-2 writer's sorted compact JSON for the rest

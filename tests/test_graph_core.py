@@ -14,6 +14,7 @@ from resample_forge.graph_core import (
     greedy_mis,
     power_graph,
     rel_maxdeg,
+    torus_rows,
 )
 from resample_forge.instance_io import gen_grid_ksat, gen_torus_nae, torus_graph
 from tests.reference_partition import (
@@ -384,8 +385,20 @@ def traced_peak(fn, *args):
         tracemalloc.stop()
 
 
+def wrapped_offset_rows(w, h, offsets):
+    """`torus_rows` by its definition: per cell, the set of its wrapped offsets, sorted, the centre kept only at (0, 0)."""
+    rows = []
+    for i in range(h):
+        for j in range(w):
+            near = {((i + di) % h) * w + (j + dj) % w for di, dj in offsets}
+            if (0, 0) not in offsets:
+                near.discard(i * w + j)
+            rows.append(sorted(near))
+    return rows
+
+
 class TestTorusRows:
-    """The rows `power_graph` writes down on a torus against its BFS path and the ball-per-vertex reference."""
+    """The rows `torus_rows` writes down on a torus against its definition, the BFS path and the ball reference."""
 
     @staticmethod
     def assert_all_three_agree(g, r):
@@ -420,6 +433,38 @@ class TestTorusRows:
         for r in (-1, 1.5, True):
             with pytest.raises(ValueError, match="radius must be"):
                 power_graph(torus_graph(3, 3), r)
+
+    @pytest.mark.parametrize("w, h", [(5, 40), (40, 5), (40, 6), (6, 40)])
+    def test_only_one_side_at_most_2r(self, w, h):
+        # balls wrap round the short axis only: a short h leaves no slab, a short w leaves no inner column
+        self.assert_all_three_agree(torus_graph(w, h), 3)
+
+    @pytest.mark.parametrize("w, h", [(3, 3), (7, 5), (40, 6)])
+    def test_radius_zero_gives_empty_rows(self, w, h):
+        got = power_graph(torus_graph(w, h), 0)
+        assert got.out_adj == [[] for _ in range(w * h)]
+        assert got == reference_power_graph(torus_graph(w, h), 0)
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_any_offsets_match_their_definition(self, seed):
+        # one-sided, lopsided and centre-holding offset sets, on tori from 1 cell wide up to clear slabs
+        rng = random.Random(seed)
+        for _ in range(20):
+            w, h = rng.randint(1, 12), rng.randint(1, 12)
+            box = [(di, dj) for di in range(-3, 4) for dj in range(-3, 4)]
+            offsets = rng.sample(box, rng.randint(0, 8))
+            assert torus_rows(w, h, offsets) == wrapped_offset_rows(w, h, offsets), (w, h, offsets)
+
+    def test_scopes_and_rows_hold_no_fresh_ints(self):
+        # 40x40 is past CPython's small-int cache (-5..256), so a row entry computed per cell would be a new
+        # int object; every entry must be one of the n ints of the writer's one `cells` list
+        g = torus_graph(40, 40)
+        for adj in (g.out_adj, power_graph(g, 3).out_adj):
+            assert len({id(x) for row in adj for x in row}) <= g.n
+
+    def test_torus_graph_traced_peak(self):
+        # the scopes and their n shared ints take ~2.2 MB at 120x120; a fresh int per entry took 3.8 MB
+        assert traced_peak(torus_graph, 120, 120) < 3_000_000
 
     def test_rows_hold_no_fresh_ints(self):
         # rows built as `[x + d for d in offsets]` would hold one new int per entry, ~86k of them here;
