@@ -7,11 +7,15 @@ fields after it, and `stats` prints one line per ladder size.  `stats --csv`
 appends one RESULTS_HEADER row per run, to a new or empty file or under that
 header only.
 
-`build_parser` is the one place that knows each flag: its range is checked by
-its argparse type while parsing, so a bad value, or a side file that cannot be
-written, is refused before any work; so is a `stats` seed range past 2^64 - 1,
-the one check that spans two flags.  `verify` reads only the shape solve
-writes, `{"colouring": [...]}`, and refuses a key given twice.
+The command table `SUBCOMMANDS` is the one place that knows each flag: an
+entry gives a command's name, handler, help line and the function that adds
+its flags.  `main` builds every command but only the flags of the one argv
+names; `build_parser()` with no name builds them all.  A flag's range is
+checked by its argparse type while parsing, so a bad value, or a side file
+that cannot be written, is refused before any work; so is a `stats` seed
+range past 2^64 - 1, the one check that spans two flags.  `verify` reads
+only the shape solve writes, `{"colouring": [...]}`, and refuses a key
+given twice.
 
 Exit codes are stable: 0 solved or all checks passed, 1 error (a malformed
 flag or file included), 2 randomized budget exhausted (by `solve`, or by any
@@ -41,6 +45,7 @@ import math
 import os
 import sys
 import time
+from typing import Callable, NamedTuple
 
 from .derand import DEFAULT_TAPE_CAP, ExhaustedError, InfeasibleError, derand_solve, theoretical_budget
 from .graph_core import Digraph, rel_maxdeg
@@ -474,13 +479,6 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(message)
 
 
-def _subcommand(subs, name: str, handler, help_text: str) -> argparse.ArgumentParser:
-    s = subs.add_parser(name, help=help_text, allow_abbrev=False)
-    s.set_defaults(handler=handler)
-    s.add_argument("--quiet", action="store_true", help="suppress the stderr table")
-    return s
-
-
 def _add_partition(s: argparse.ArgumentParser) -> None:
     s.add_argument("--R", type=_at_least(1, "R"), default=1, help="sparsity radius parameter (default 1)")
     s.add_argument("--classic", action="store_true", help="singleton partition (no sharing)")
@@ -490,15 +488,7 @@ def _add_max_steps(s: argparse.ArgumentParser) -> None:
     s.add_argument("--max-steps", type=_at_least(1, "max-steps"), default=DEFAULT_MAX_STEPS, dest="max_steps")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(
-        prog="resample-forge",
-        allow_abbrev=False,
-        description="shared-tape resampling solver and its verification oracles",
-    )
-    subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    s = _subcommand(subs, "solve", cmd_solve, "randomized shared-tape solve of a problem file")
+def _solve_args(s: argparse.ArgumentParser) -> None:
     s.add_argument("problem", help="problem JSON path")
     s.add_argument("--seed", type=_at_least(0, "seed", high=MASK64), default=0, help="tape seed (default 0)")
     _add_partition(s)
@@ -506,7 +496,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", type=_side_file, help="write the satisfying colouring here on success")
     s.add_argument("--verify", action="store_true", help="re-check the output colouring")
 
-    s = _subcommand(subs, "solve-det", cmd_solve_det, "exhaustive finite-tape search")
+
+def _solve_det_args(s: argparse.ArgumentParser) -> None:
     s.add_argument("problem")
     _add_partition(s)
     s.add_argument("--delta", type=_positive_float, default=1.0, help="slack exponent (default 1)")
@@ -515,7 +506,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", type=_side_file, help="write the colouring here on success")
     s.add_argument("--csv", type=_side_file, help="write pass/reeval stats here, one row per engine run")
 
-    s = _subcommand(subs, "stats", cmd_stats, "seeded trial ladder over torus instances")
+
+def _stats_args(s: argparse.ArgumentParser) -> None:
     s.add_argument("--sizes", type=_int_list, default=(8, 12), help="comma list of torus sides")
     s.add_argument("--repeat", type=_at_least(0, "repeat"), default=20, help="trials per size (default 20)")
     s.add_argument("--seed", type=_at_least(0, "seed", high=MASK64), default=0, help="base seed (default 0)")
@@ -525,10 +517,13 @@ def build_parser() -> argparse.ArgumentParser:
     _add_max_steps(s)
     s.add_argument("--csv", type=_results_csv, help="append one row per run here")
 
-    _subcommand(subs, "oracle", cmd_oracle, "run the counting-bound self-checks")
 
+def _no_args(s: argparse.ArgumentParser) -> None:
+    pass
+
+
+def _gen_args(s: argparse.ArgumentParser) -> None:
     # gen leaves --b and the sides to its generators
-    s = _subcommand(subs, "gen", cmd_gen, "generate an instance file")
     s.add_argument("kind", choices=("torus", "ksat"))
     s.add_argument("--w", type=int, default=10)
     s.add_argument("--h", type=int, default=10)
@@ -539,18 +534,64 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=_at_least(0, "seed", high=MASK64), default=0, help="ksat: generator seed")
     s.add_argument("--out", type=_side_file, required=True, help="output problem JSON path")
 
-    s = _subcommand(subs, "verify", cmd_verify, "check a colouring file against a problem file")
+
+def _verify_args(s: argparse.ArgumentParser) -> None:
     s.add_argument("problem")
     s.add_argument("colouring")
 
+
+class Command(NamedTuple):
+    name: str
+    handler: Callable[[argparse.Namespace], int]
+    help: str
+    add_args: Callable[[argparse.ArgumentParser], None]
+
+
+# every subcommand once, in the order `--help` lists them
+SUBCOMMANDS = (
+    Command("solve", cmd_solve, "randomized shared-tape solve of a problem file", _solve_args),
+    Command("solve-det", cmd_solve_det, "exhaustive finite-tape search", _solve_det_args),
+    Command("stats", cmd_stats, "seeded trial ladder over torus instances", _stats_args),
+    Command("oracle", cmd_oracle, "run the counting-bound self-checks", _no_args),
+    Command("gen", cmd_gen, "generate an instance file", _gen_args),
+    Command("verify", cmd_verify, "check a colouring file against a problem file", _verify_args),
+)
+_NAMES = frozenset(c.name for c in SUBCOMMANDS)
+
+
+def _subcommand(subs, c: Command) -> argparse.ArgumentParser:
+    s = subs.add_parser(c.name, help=c.help, allow_abbrev=False)
+    s.set_defaults(handler=c.handler)
+    s.add_argument("--quiet", action="store_true", help="suppress the stderr table")
+    return s
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """Every subcommand, with its own flags only for `command`, or for all of them when it is None."""
+    parser = _Parser(
+        prog="resample-forge",
+        allow_abbrev=False,
+        description="shared-tape resampling solver and its verification oracles",
+    )
+    subs = parser.add_subparsers(dest="subcommand", required=True)
+    for c in SUBCOMMANDS:
+        s = _subcommand(subs, c)
+        if command is None or command == c.name:
+            c.add_args(s)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
+    if argv is None:
+        argv = sys.argv[1:]
+    # no top-level option takes a value, so the subcommand argparse picks is argv's first
+    # positional; when that names a command it is the first token that does, and when it
+    # does not, every command is still registered, so argparse refuses it the same way
+    command = next((tok for tok in argv if tok in _NAMES), None)
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser(command).parse_args(argv)
         # the parser is now cyclic garbage, all of it in the youngest generation:
         # free it before the command runs rather than hold it until the end
         gc.collect(0)

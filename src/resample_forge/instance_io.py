@@ -24,7 +24,7 @@ from resample_forge.graph_core import Digraph, torus_rows
 # unused here, but perfbench/tracing.py wraps the name instance_io.ball
 from resample_forge.graph_core import ball  # noqa: F401
 from resample_forge.rule_engine import ColouringProblem, LocalRule, lll_margin
-from resample_forge.tape import GAMMA, MASK64, mix64
+from resample_forge.tape import GAMMA, MASK64, mix64, require_ints
 
 SCHEMA_VERSION = 3
 # the torus table holds b constant 5-tuples, ~120 B per colour: 7.8 MB at this cap; a
@@ -45,13 +45,6 @@ def stamps(p: ColouringProblem) -> dict:
 # generators
 
 
-def _require_ints(**args) -> None:
-    # exact, as in graph_core._check_radius: a bool or a float is not a size, count or seed
-    for name, v in args.items():
-        if type(v) is not int:
-            raise ValueError(f"{name} must be an integer, not {v!r}")
-
-
 def torus_graph(w: int, h: int) -> Digraph:
     """The w x h torus on which each cell reads itself and its 4 neighbours, the one torus builder.
 
@@ -70,7 +63,7 @@ def torus_graph(w: int, h: int) -> Digraph:
     one the checked constructors build.  The graph's `torus` is (w, h), from
     which `graph_core.power_graph` writes down its rows.
     """
-    _require_ints(w=w, h=h)
+    require_ints(w=w, h=h)
     if w < 3 or h < 3:
         raise ValueError("torus needs both sides >= 3")
     if w * h > MAX_TORUS_CELLS:
@@ -87,7 +80,7 @@ def gen_torus_nae(w: int, h: int, b: int) -> ColouringProblem:
     anything is built, since the table grows with b; every cell shares the
     one table.
     """
-    _require_ints(b=b)
+    require_ints(b=b)
     if b < 2:
         raise ValueError("alphabet size must be >= 2")
     if b > MAX_TORUS_B:
@@ -116,9 +109,11 @@ def gen_grid_ksat(
     Variable vertices fill a plain w*h grid and carry no rules; each cell
     anchors clauses_per_cell clause vertices reading k distinct variables
     within Manhattan distance clause_radius, each forbidding one tuple drawn
-    from a counter-based deterministic stream.
+    from a counter-based deterministic stream.  The w*h*(1 + clauses_per_cell)
+    vertices are at most `MAX_TORUS_CELLS`, the torus's bound, checked before
+    anything is built.
     """
-    _require_ints(
+    require_ints(
         w=w, h=h, k=k, clause_radius=clause_radius, clauses_per_cell=clauses_per_cell, seed=seed, b=b
     )
     if w < 1 or h < 1:
@@ -129,6 +124,11 @@ def gen_grid_ksat(
         raise ValueError("clause radius must be >= 1")
     if clauses_per_cell < 1:
         raise ValueError("need at least one clause per cell")
+    if w * h * (1 + clauses_per_cell) > MAX_TORUS_CELLS:
+        raise ValueError(
+            f"grid k-SAT needs at most {MAX_TORUS_CELLS} vertices, not {w}x{h} cells "
+            f"with {clauses_per_cell} clauses each"
+        )
     if b < 2:
         raise ValueError("alphabet size must be >= 2")
     if not 0 <= seed <= MASK64:

@@ -33,6 +33,14 @@ class TapeDepleted(Exception):
         self.t = t
 
 
+def require_ints(**args) -> None:
+    """Refuse any argument that is not an exact int: a bool or a float is not a seed, size or count."""
+    # a float b hands out float symbols, and a bool seed runs as 0 or 1
+    for name, v in args.items():
+        if type(v) is not int:
+            raise ValueError(f"{name} must be an integer, not {v!r}")
+
+
 def mix64(z: int) -> int:
     """SplitMix64 finaliser on 64-bit lanes."""
     z &= MASK64
@@ -52,6 +60,7 @@ class RandomTape:
     b: int
 
     def __post_init__(self):
+        require_ints(seed=self.seed, b=self.b)
         if not (0 <= self.seed <= MASK64):
             raise ValueError("seed must fit in 64 bits")
         if not (1 <= self.b <= 1 << 64):
@@ -89,6 +98,7 @@ class FiniteTape:
     reads: list[int] = field(default_factory=list)
 
     def __post_init__(self):
+        require_ints(num_parts=self.num_parts, rounds=self.rounds, b=self.b)
         if len(self.digits) != self.num_parts * self.rounds:
             raise ValueError("digit table size must be num_parts * rounds")
 

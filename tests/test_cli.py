@@ -2,7 +2,10 @@
 
 Everything drives cli.main() in-process; stdout is parsed as JSON where the
 command emits JSON.  Wall-clock columns are the only tolerated difference
-between repeated runs.
+between repeated runs.  Every command line `run_cli` or the golden corpus
+runs is first read by the parser `main` builds, which holds only the named
+command's flags, and by the parser with every command's flags; the two must
+agree (`assert_parsers_agree`).
 """
 
 import contextlib
@@ -40,9 +43,71 @@ GOLDEN_TORUS10_SEED7 = (
 
 
 def run_cli(capsys, *argv):
+    assert_parsers_agree(argv)
     code = cli.main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+class _Picked(Exception):
+    pass
+
+
+def command_main_picks(argv, from_sys_argv=False):
+    """The command name `cli.main` hands to `build_parser` for argv, stopped before it parses."""
+    picked = []
+
+    def spy(command=None):
+        picked.append(command)
+        raise _Picked
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "build_parser", spy)
+        mp.setattr("sys.argv", ["resample-forge", *argv])
+        with pytest.raises(_Picked):
+            cli.main(None if from_sys_argv else list(argv))
+    return picked[0]
+
+
+def main_outcome(argv, full_parser):
+    """Exit code, stdout and stderr of `cli.main(argv)`, with every command's flags built if full_parser."""
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        if full_parser:
+            build_all = cli.build_parser
+            mp.setattr(cli, "build_parser", lambda command=None: build_all())
+        try:
+            code = cli.main(list(argv))
+        except SystemExit as exc:  # --help
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def parsed(parser, argv):
+    """The Namespace parser makes of argv, or None when it refuses argv or prints help."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return parser.parse_args(list(argv))
+        except (ValueError, SystemExit):
+            return None
+
+
+def assert_parsers_agree(argv):
+    """The parser `main` builds for argv, with only the named command's flags, reads it as the full parser does.
+
+    A command line both parse gives equal Namespaces, and its command is the
+    one `main` named; one both refuse, or a `--help`, gives the same exit code,
+    stdout and stderr through `cli.main`, so no command runs here.  `main(None)`
+    names the same command from `sys.argv`.
+    """
+    command = command_main_picks(argv)
+    assert command_main_picks(argv, from_sys_argv=True) == command, argv
+    full = parsed(cli.build_parser(), argv)
+    assert parsed(cli.build_parser(command), argv) == full, argv
+    if full is None:
+        assert main_outcome(argv, full_parser=False) == main_outcome(argv, full_parser=True), argv
+    else:
+        assert full.subcommand == command, argv
 
 
 def write_problem(tmp_path, p, name="problem.json"):
@@ -737,6 +802,7 @@ def test_oracle_all_bounds_hold(capsys):
 def test_golden_stdout(name):
     # regenerate with `python3 -m tests.make_golden` only when an output changes on purpose
     argv, expected = COMMANDS[name]
+    assert_parsers_agree(argv)
     code, out, files = capture(argv)
     assert code == expected
     files["stdout"] = out.encode()
@@ -784,6 +850,7 @@ def test_schema_3_twins_cover_solve_on_both_inputs():
 @pytest.mark.parametrize("name", sorted(SCHEMA_3_TWINS))
 def test_schema_3_input_prints_the_schema_2_golden(name):
     # stdout, exit code and side files byte for byte as recorded from the schema-2 input
+    assert_parsers_agree(SCHEMA_3_TWINS[name])
     code, out, files = capture(SCHEMA_3_TWINS[name])
     assert code == COMMANDS[name][1]
     files["stdout"] = out.encode()
@@ -1022,6 +1089,24 @@ def test_torus_past_the_cell_cap_exits_one_before_building(tmp_path, capsys, arg
     assert not out.exists()
 
 
+# gen ksat --w 100000 --h 100000 used to start on 10^10 scope lists
+@pytest.mark.parametrize(
+    "sides, per_cell",
+    [(["--w", "100000", "--h", "100000"], "1"), (["--w", "512", "--h", str(MAX_TORUS_CELLS // (512 * 3) + 1)], "2")],
+)
+def test_gen_ksat_past_the_vertex_cap_exits_one_before_building(tmp_path, capsys, sides, per_cell):
+    out = tmp_path / "ksat.json"
+    tracemalloc.start()
+    try:
+        argv = ["gen", "ksat", *sides, "--per-cell", per_cell, "--out", str(out)]
+        assert_one_error_line(capsys, argv, f"grid k-SAT needs at most {MAX_TORUS_CELLS} vertices")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # the argparse parsers and the error line, no grid
+    assert not out.exists()
+
+
 def test_stats_side_past_the_cell_cap_exits_one_while_parsing(capsys, monkeypatch):
     forbid_work(monkeypatch)
     argv = ["stats", "--sizes", "8,1025", "--repeat", "1"]
@@ -1119,9 +1204,52 @@ def test_stats_csv_refuses_a_foreign_header(tmp_path, capsys, monkeypatch, text)
 
 @pytest.mark.parametrize("argv", [["--help"], ["solve", "--help"]])
 def test_help_exits_zero(capsys, argv):
+    assert_parsers_agree(argv)
     with pytest.raises(SystemExit) as exc:
         cli.main(argv)
     assert exc.value.code == 0
     out, err = capsys.readouterr()
     assert out.startswith("usage:")
     assert err == ""
+
+
+# main builds only the flags of the command argv names; beyond every argv the tests above
+# run, each command's --help, no command, unknown commands, tokens that name a command
+# elsewhere in argv, and one refused value of each ranged flag read as with every flag built
+@pytest.mark.parametrize(
+    "argv",
+    [
+        *([c.name, "--help"] for c in cli.SUBCOMMANDS),
+        [],
+        ["--help"],
+        ["nosuchcommand"],
+        ["nosuchcommand", "solve", "p.json"],
+        ["--quiet", "solve", "p.json"],
+        ["solve-det", "solve", "--m", "1"],
+        ["verify", "gen", "stats"],
+        ["oracle", "solve"],
+        ["solve", "p.json", "--R", "0"],
+        ["solve", "p.json", "--max-steps", "0"],
+        ["solve", "p.json", "--seed", "-1"],
+        ["solve", "p.json", "--out", "<missing>"],
+        ["solve-det", "p.json", "--R", "0"],
+        ["solve-det", "p.json", "--delta", "0"],
+        ["solve-det", "p.json", "--m", "0"],
+        ["solve-det", "p.json", "--tape-cap", "0"],
+        ["solve-det", "p.json", "--out", "<missing>"],
+        ["solve-det", "p.json", "--csv", "<missing>"],
+        ["stats", "--sizes", "2"],
+        ["stats", "--repeat", "-1"],
+        ["stats", "--seed", "-1"],
+        ["stats", "--b", "1"],
+        ["stats", "--R", "0"],
+        ["stats", "--max-steps", "0"],
+        ["stats", "--csv", "<missing>"],
+        ["gen", "torus", "--seed", "-1", "--out", "t.json"],
+        ["gen", "torus", "--w", "x", "--out", "t.json"],
+        ["gen", "torus", "--out", "<missing>"],
+        ["gen", "cube", "--out", "t.json"],
+    ],
+)
+def test_each_command_parses_as_with_every_flag_built(tmp_path, argv):
+    assert_parsers_agree([str(tmp_path / "missing" / "x") if tok == "<missing>" else tok for tok in argv])

@@ -197,6 +197,27 @@ def test_ksat_radius_too_tight():
         gen_grid_ksat(3, 3, 6, 1, 1, seed=0)
 
 
+# a 10^5 x 10^5 grid used to start on 10^10 scope lists
+def test_ksat_vertex_cap_is_checked_before_anything_is_built():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"^grid k-SAT needs at most {MAX_TORUS_CELLS} vertices, not 100000x100000"):
+            gen_grid_ksat(100_000, 100_000, 5, 2, 1, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_ksat_vertex_cap_counts_variables_and_clauses(monkeypatch):
+    # w * h variables and w * h * clauses_per_cell clauses, inclusive; checked here at 24 vertices
+    monkeypatch.setattr(instance_io, "MAX_TORUS_CELLS", 24)
+    assert gen_grid_ksat(3, 4, 2, 1, 1, seed=0).n == gen_grid_ksat(2, 4, 2, 1, 2, seed=0).n == 24
+    for w, h, per_cell in [(5, 5, 1), (3, 3, 2), (2, 3, 4)]:
+        with pytest.raises(ValueError, match=f"^grid k-SAT needs at most 24 vertices, not {w}x{h} cells"):
+            gen_grid_ksat(w, h, 2, 1, per_cell, seed=0)
+
+
 TORUS_ARGS = {"w": 4, "h": 4, "b": 2}
 KSAT_ARGS = {"w": 4, "h": 4, "k": 3, "clause_radius": 1, "clauses_per_cell": 1, "seed": 1, "b": 2}
 

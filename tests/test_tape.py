@@ -95,6 +95,14 @@ class TestRandomTape:
         with pytest.raises(ValueError):
             RandomTape(0, 0)
 
+    # a float b used to hand out float symbols (0.0), and a bool seed ran as 0 or 1
+    @pytest.mark.parametrize("name", ["seed", "b"])
+    @pytest.mark.parametrize("value", [True, False, 2.0, "2", None])
+    def test_non_int_argument_rejected(self, name, value):
+        args = {"seed": 5, "b": 2, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, not {value!r}$"):
+            RandomTape(**args)
+
     def test_symbol_range_above_two_to_64_rejected(self):
         # past 2^64 no 64-bit candidate is accepted, so symbol() would never return
         with pytest.raises(ValueError):
@@ -141,3 +149,10 @@ class TestFiniteTape:
         tape = FiniteTape(1, 1, 2, [1])
         with pytest.raises(ValueError):
             tape.symbol(1, 0)
+
+    @pytest.mark.parametrize("name", ["num_parts", "rounds", "b"])
+    @pytest.mark.parametrize("value", [True, 1.0, "1", None])
+    def test_non_int_argument_rejected(self, name, value):
+        args = {"num_parts": 1, "rounds": 1, "b": 2, name: value}
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, not {value!r}$"):
+            FiniteTape(digits=[0], **args)
