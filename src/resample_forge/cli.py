@@ -48,7 +48,7 @@ import time
 from typing import Callable, NamedTuple
 
 from .derand import DEFAULT_TAPE_CAP, ExhaustedError, InfeasibleError, derand_solve, theoretical_budget
-from .graph_core import Digraph, rel_maxdeg
+from .graph_core import Digraph
 from .instance_io import (
     MAX_TORUS_B,
     MAX_TORUS_CELLS,
@@ -345,7 +345,7 @@ def oracle_checks() -> list[tuple[str, bool]]:
         )
         check(f"Q_4 coefficients (delta={delta}) = {coeffs[: min(5, len(coeffs))]}", "tree counts", ok)
     for name, g in _oracle_graphs():
-        big = max(1, rel_maxdeg(g))
+        big = max(1, g.big_delta())
         for m, value in enumerate(count_grounded_forests(g, 3)):
             bound = (m + 1) ** (g.n - 1) * (math.e * big) ** m
             check(f"forests({name}, m={m}) = {value}", f"(m+1)^(n-1)*(e*Delta)^m ~= {round(bound, 3)}", value <= bound)

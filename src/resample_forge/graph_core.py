@@ -26,9 +26,8 @@ class Digraph:
     every `from_scopes` graph whose scopes are symmetric, such as a torus
     loaded from its scope lists.
 
-    Facts that depend on the graph alone are cached here, not per problem,
-    and shared by every problem on the graph: the scope readers, the
-    dependency rows built so far (`rel_rows`) and Delta (`big_delta`).
+    The graph caches only what later runs reuse, shared by every problem on
+    it and never a constructor argument: its `readers` and `rel_rows`.
 
     `torus` is (w, h) on a graph that `instance_io.torus_graph` built, and
     None on every other graph, an equal one from scope lists included.
@@ -42,11 +41,8 @@ class Digraph:
     out_adj: list[list[int]]
     in_adj: list[list[int]]
     torus: tuple[int, int] | None = field(default=None, compare=False)
-    _und_adj: list[list[int]] | None = field(default=None, repr=False, compare=False)
-    _maxdeg: int | None = field(default=None, repr=False, compare=False)
-    _readers: list | None = field(default=None, repr=False, compare=False)
-    _rel_rows: list | None = field(default=None, repr=False, compare=False)
-    _big_delta: int | None = field(default=None, repr=False, compare=False)
+    _readers: list | None = field(default=None, init=False, repr=False, compare=False)
+    _rel_rows: list | None = field(default=None, init=False, repr=False, compare=False)
 
     @staticmethod
     def from_scopes(scopes) -> "Digraph":
@@ -92,50 +88,20 @@ class Digraph:
         return Digraph.from_scopes([sorted(s) for s in out_sets])
 
     def maxdeg(self) -> int:
-        """Largest degree, cached: annotation, the budget and the search each ask.
+        """Largest degree: a vertex's distinct out- and in-neighbours, a self-loop once.
 
-        A vertex's degree counts its distinct out- and in-neighbours, a
-        self-loop once.  When `out_adj is in_adj` (every symmetric graph; see
-        the class note) it is the length of the duplicate-free list; otherwise
-        one set per vertex.
+        A row's length when `out_adj is in_adj` (see the class note), else one set per vertex.
         """
-        if self._maxdeg is None:
-            if self.out_adj is self.in_adj:
-                degs = map(len, self.out_adj)
-            else:
-                degs = (len({*out, *inn}) for out, inn in zip(self.out_adj, self.in_adj))
-            self._maxdeg = max(degs, default=0)
-        return self._maxdeg
-
-    def und_adj(self) -> list[list[int]]:
-        """Undirected adjacency (out+in, self-loops dropped), sorted, cached.
-
-        Where `out_adj[x] == in_adj[x]` (every vertex of a symmetric graph,
-        where the two are one list) the row is a copy of that list without x;
-        elsewhere one set of both lists, sorted.
-        """
-        if self._und_adj is None:
-            und = []
-            for x, (out, inn) in enumerate(zip(self.out_adj, self.in_adj)):
-                if out == inn:
-                    near = out.copy()
-                    if x in near:
-                        near.remove(x)
-                else:
-                    near = {*out, *inn}
-                    near.discard(x)
-                    near = sorted(near)
-                und.append(near)
-            self._und_adj = und
-        return self._und_adj
+        if self.out_adj is self.in_adj:
+            return max(map(len, self.out_adj), default=0)
+        return max((len({*out, *inn}) for out, inn in zip(self.out_adj, self.in_adj)), default=0)
 
     def readers(self) -> list:
         """Per vertex, a function taking a colouring to the tuple of its scope's colours, cached.
 
         `operator.itemgetter` builds the tuple in C, but returns a bare value
         for one index, so a one-cell scope gets a 1-tuple wrapper; an empty
-        scope reads ().  Cached here rather than per problem, because many
-        problems can share one graph.
+        scope reads ().
         """
         if self._readers is None:
             self._readers = [_scope_reader(scope) for scope in self.out_adj]
@@ -160,13 +126,9 @@ class Digraph:
         return rows
 
     def big_delta(self) -> int:
-        """Delta, the dependency graph's maximum degree (a self-loop counted once), cached.
-
-        Streamed through `rel_maxdeg`, so no row is kept.
-        """
-        if self._big_delta is None:
-            self._big_delta = rel_maxdeg(self)
-        return self._big_delta
+        """Delta, `build_rel(self).maxdeg()`, streamed: each row's length from its set, no row kept."""
+        in_adj = self.in_adj  # in_adj[v]: every y with v in its scope
+        return max((len(set().union(*[in_adj[v] for v in scope])) for scope in self.out_adj), default=0)
 
 
 def _read_nothing(f) -> tuple:
@@ -188,12 +150,6 @@ def rel_row(g: Digraph, x: int) -> list[int]:
     return sorted(set().union(*[in_adj[v] for v in g.out_adj[x]]))
 
 
-def rel_maxdeg(g: Digraph) -> int:
-    """`build_rel(g).maxdeg()`, streamed: each row's length from its set, no row kept or sorted."""
-    in_adj = g.in_adj
-    return max((len(set().union(*[in_adj[v] for v in scope])) for scope in g.out_adj), default=0)
-
-
 def build_rel(g: Digraph) -> Digraph:
     """Dependency graph: edge (x, y) iff the scopes of x and y intersect.
 
@@ -212,18 +168,23 @@ def _check_radius(r) -> None:
 
 
 def ball(g: Digraph, x: int, r: int) -> set[int]:
-    """All vertices within undirected distance r of x (x included); r must be an exact int."""
+    """All vertices within undirected distance r of x (x included); x and r must be exact ints.
+
+    A plain BFS over `out_adj[v]`, or over both of v's lists unless `out_adj is in_adj`.
+    """
+    if type(x) is not int:  # True would pass for vertex 1, and 1.0 would fail only at the first row lookup
+        raise ValueError(f"vertex must be an integer, not {x!r}")
     if not (0 <= x < g.n):
         raise ValueError(f"vertex {x} out of range")
     _check_radius(r)
-    und = g.und_adj()
+    out_adj, in_adj = g.out_adj, g.in_adj
     seen = {x}
     frontier = deque([(x, 0)])
     while frontier:
         v, d = frontier.popleft()
         if d == r:
             continue
-        for w in und[v]:
+        for w in out_adj[v] if out_adj is in_adj else {*out_adj[v], *in_adj[v]}:
             if w not in seen:
                 seen.add(w)
                 frontier.append((w, d + 1))
@@ -233,14 +194,18 @@ def ball(g: Digraph, x: int, r: int) -> set[int]:
 def balls(g: Digraph, r: int):
     """Yield, for x = 0..n-1 in turn, the list of vertices within undirected distance r of x.
 
-    Each list starts with x; the rest follow in BFS order, level by level.
-    One `mark` list serves the whole scan (mark[w] == x means w is already
-    in x's ball), so no per-vertex set, deque or sort is built.  Callers may
-    keep the yielded lists.  An r that is negative or not an exact int
-    raises ValueError once the scan starts.
+    Each list starts with x; the rest follow level by level, in no set
+    order within a level.  One `mark` list serves the whole scan (mark[w]
+    == x means w is already in x's ball, so self-loops are skipped), and
+    no per-vertex set, deque or sort is built.  The scan reads `out_adj`,
+    or unless `out_adj is in_adj` one undirected row per vertex built for
+    it alone.  Callers may keep the yielded lists.  An r that is negative
+    or not an exact int raises ValueError once the scan starts.
     """
     _check_radius(r)
-    und = g.und_adj()
+    und = g.out_adj
+    if und is not g.in_adj:
+        und = [list({*out, *inn}) for out, inn in zip(und, g.in_adj)]
     mark = [-1] * g.n
     for x in range(g.n):
         mark[x] = x

@@ -75,8 +75,8 @@ class ColouringProblem:
     b: int
     rule: LocalRule
     metadata: dict = field(default_factory=dict)
-    _forbidden_sets: list[frozenset] | None = field(default=None, repr=False, compare=False)
-    _active: list[int] | None = field(default=None, repr=False, compare=False)
+    _forbidden_sets: list[frozenset] | None = field(default=None, init=False, repr=False, compare=False)
+    _active: list[int] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -122,9 +122,9 @@ class ColouringProblem:
 
         A table object shared by several vertices (see `LocalRule`) is checked
         once per scope length, with no loop over the vertices in Python: the
-        distinct (table identity, scope length) pairs come out of C-level
-        `dict` builds in first-seen order, so the first faulty pair holds the
-        first faulty vertex, which is looked up only then and named.
+        pairs come from `_table_pairs` in first-seen order, so the first
+        faulty pair holds the first faulty vertex, which is looked up only
+        then and named.
         """
         b = self.b
         if type(b) is not int:
@@ -134,20 +134,27 @@ class ColouringProblem:
         forbidden, scopes = self.rule.forbidden, self.graph.out_adj
         if len(forbidden) != self.n:
             raise MalformedProblemError("rule table size does not match vertex count")
-        # keyed by identity, since a malformed row may be unhashable; every table
-        # stays alive in self.rule meanwhile
-        tables = dict(zip(map(id, forbidden), forbidden))
-        lengths = dict.fromkeys(map(len, scopes))
-        if len(tables) > 1 and len(lengths) > 1:
-            pairs = dict.fromkeys(zip(map(id, forbidden), map(len, scopes)))
-        else:  # one half of every pair is the same, so the other half's first-seen order is the pairs'
-            pairs = itertools.product(tables, lengths)
-        for key, k in pairs:
-            rows = tables[key]
+        for rows, k in _table_pairs(forbidden, scopes):
             fault = _table_fault(rows, k, b)
             if fault:
                 x = next(x for x, (scope, t) in enumerate(zip(scopes, forbidden)) if t is rows and len(scope) == k)
                 raise MalformedProblemError(f"vertex {x}{fault}")
+
+
+def _table_pairs(forbidden: list, scopes: list):
+    """The distinct (table, scope length) pairs of the vertices, in first-seen order.
+
+    Tables are keyed by identity, since a malformed row may be unhashable,
+    and every table stays alive in `forbidden` meanwhile.  The pairs come
+    out of C-level `dict` builds, with no loop over the vertices in Python.
+    """
+    tables = dict(zip(map(id, forbidden), forbidden))
+    lengths = dict.fromkeys(map(len, scopes))
+    if len(tables) > 1 and len(lengths) > 1:
+        pairs = dict.fromkeys(zip(map(id, forbidden), map(len, scopes)))
+    else:  # one half of every pair is the same, so the other half's first-seen order is the pairs'
+        pairs = itertools.product(tables, lengths)
+    return ((tables[key], k) for key, k in pairs)
 
 
 def _table_fault(rows, k: int, b: int) -> str:
@@ -188,14 +195,12 @@ def satisfies(p: ColouringProblem, f: Colouring) -> bool:
 def lll_margin(p: ColouringProblem) -> float:
     """Worst-case forbidden fraction: max over x of |forbidden(x)| / b^|Var(x)|.
 
-    0.0 when nothing is forbidden.  The fraction is computed once per (table
-    identity, scope length) pair, the key `ColouringProblem.validate` checks
-    by: a torus has one pair.
+    0.0 when nothing is forbidden.  The fraction is computed once per
+    `_table_pairs` pair, the pairs `ColouringProblem.validate` checks: a
+    torus has one.
     """
-    forbidden = p.rule.forbidden
-    # (id(table), scope length) -> table; every table stays alive in p.rule meanwhile
-    tables = dict(zip(zip(map(id, forbidden), map(len, p.graph.out_adj)), forbidden))
-    return max((len(rows) / p.b ** k for (_, k), rows in tables.items() if rows), default=0.0)
+    pairs = _table_pairs(p.rule.forbidden, p.graph.out_adj)
+    return max((len(rows) / p.b**k for rows, k in pairs if rows), default=0.0)
 
 
 def condition_report(p: ColouringProblem, delta: float, eps: float) -> dict:
@@ -209,7 +214,10 @@ def condition_report(p: ColouringProblem, delta: float, eps: float) -> dict:
         if margin > 0:
             raise MalformedProblemError("nonempty forbidden sets on a scope-free instance")
         return {"margin": 0.0, "max_dep_degree": 0, "threshold": 1.0, "ok": True}
-    threshold = 1.0 / ((math.e * big_delta) ** (1.0 + delta) * p.b ** (eps * d))
+    try:
+        threshold = 1.0 / ((math.e * big_delta) ** (1.0 + delta) * p.b ** (eps * d))
+    except OverflowError:  # a denominator past the float range: only margin 0 passes
+        threshold = 0.0
     # real comparison with relative tolerance 1e-12
     ok = margin <= threshold * (1.0 + 1e-12)
     return {"margin": margin, "max_dep_degree": big_delta, "threshold": threshold, "ok": ok}

@@ -3,8 +3,8 @@
 The scans call `ball()` once per vertex (a fresh set and deque per vertex),
 as the package did before `graph_core.balls`; `from_edges` and `build_rel`
 fill one set per vertex and sort each, as the package did before its
-key-sorted and union builders, and `und_adj` unions an out-set and an
-in-set per vertex, as `Digraph.und_adj` did before it reused equal lists.
+key-sorted and union builders, and `reference_und_adj` unions an out-set
+and an in-set per vertex: the undirected rows that `ball` and `balls` walk.
 `reference_validate` is the graph check the package no longer makes on
 graphs it builds itself.
 """

@@ -1,5 +1,6 @@
 """Tests for graph_core against brute-force oracles and hand-traced values."""
 
+import inspect
 import random
 import tracemalloc
 
@@ -13,7 +14,6 @@ from resample_forge.graph_core import (
     build_rel,
     greedy_mis,
     power_graph,
-    rel_maxdeg,
     torus_rows,
 )
 from resample_forge.instance_io import gen_grid_ksat, gen_torus_nae, torus_graph
@@ -126,6 +126,7 @@ class TestDigraph:
 
     @pytest.mark.parametrize("seed", range(6))
     def test_und_adj_matches_set_union_reference(self, seed):
+        # ball and balls at radius 1 reach exactly the undirected rows, on every shape of out/in lists
         symmetric = build_rel(random_digraph(20, 30, seed))  # out_adj is in_adj, self-loops on
         shapes = [
             random_digraph(20, 30, seed, self_loops=False),  # asymmetric, loopless
@@ -135,7 +136,15 @@ class TestDigraph:
             power_graph(random_digraph(20, 30, seed), 2),  # symmetric and loopless
         ]
         for g in shapes:
-            assert g.und_adj() == reference_und_adj(g)
+            want = [{x, *near} for x, near in enumerate(reference_und_adj(g))]
+            assert [ball(g, x, 1) for x in range(g.n)] == want
+            scanned = list(balls(g, 1))
+            assert [set(near) for near in scanned] == want
+            assert all(len(near) == len(set(near)) for near in scanned)
+
+    def test_constructor_takes_the_lists_and_torus_only(self):
+        # the caches (readers, rel_rows) are filled by their methods, never passed in
+        assert list(inspect.signature(Digraph).parameters) == ["n", "out_adj", "in_adj", "torus"]
 
     def test_readers_return_scope_tuples_at_every_arity(self):
         # scopes of arity 2, 1 and 0
@@ -248,6 +257,14 @@ def test_non_int_radius_rejected(r):
         list(balls(g, r))
     with pytest.raises(ValueError, match="radius must be an integer"):
         power_graph(g, r)
+
+
+@pytest.mark.parametrize("x", [True, 1.0, "1", None])
+def test_non_int_vertex_rejected(x):
+    # ball(torus, True, 1) once returned {0, True, 2, 7, 31}, and ball(torus, 1.0, 1) raised TypeError
+    g = gen_torus_nae(6, 6, 2).graph
+    with pytest.raises(ValueError, match="vertex must be an integer"):
+        ball(g, x, 1)
 
 
 class TestPowerGraph:
@@ -574,9 +591,9 @@ class TestMatchesSetPerVertex:
     @staticmethod
     def check_big_delta(g):
         want = build_rel(g).maxdeg()
-        assert rel_maxdeg(g) == want == reference_build_rel(g).maxdeg()
-        assert g.big_delta() == want and g._rel_rows is None
-        built = Digraph(g.n, g.out_adj, g.in_adj)  # a fresh graph: no cached Delta
+        assert g.big_delta() == want == reference_build_rel(g).maxdeg()
+        assert g._rel_rows is None
+        built = Digraph(g.n, g.out_adj, g.in_adj)  # a fresh graph, whose row table is then filled
         built.rel_rows(range(g.n))
         assert built.big_delta() == want
 

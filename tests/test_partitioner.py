@@ -162,14 +162,12 @@ class TestMatchesBallPerVertex:
 def test_partition_transient_is_under_half_the_distance_2r_power_graph():
     # a machine-independent memory bound: the partition must not hold the distance-2r power graph
     g = gen_torus_nae(60, 60, 2).graph
-    g.und_adj()  # cached on the graph, so neither peak includes it
     assert traced_peak(sparse_partition, g, 3) < traced_peak(graph_core.power_graph, g, 6) / 2
 
 
 def test_partition_transient_bound_holds_on_the_bfs_path():
     # the same bound on an equal graph read from scope lists, which power_graph reaches by BFS, not offsets
     g = scope_copy(gen_torus_nae(60, 60, 2).graph)
-    g.und_adj()
     assert traced_peak(sparse_partition, g, 3) < traced_peak(graph_core.power_graph, g, 6) / 2
 
 

@@ -1,5 +1,6 @@
 """Tests for local rules, violation tests, and the feasibility margin."""
 
+import inspect
 import itertools
 import math
 import random
@@ -11,6 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from resample_forge.graph_core import Digraph
+from resample_forge.instance_io import gen_torus_nae
 from resample_forge.rule_engine import (
     ColouringProblem,
     LocalRule,
@@ -416,3 +418,23 @@ class TestCondition:
             check_condition(p, 0.0, 0.1)
         with pytest.raises(ValueError):
             check_condition(p, 0.1, -1.0)
+
+    @pytest.mark.parametrize("delta, eps", [(1e6, 1.0), (1.0, 1e6), (1e6, 1e6)])
+    def test_threshold_past_the_float_range_is_zero(self, delta, eps):
+        # (e*Delta)^(1+delta) or b^(eps*d) once raised OverflowError here
+        p = gen_torus_nae(6, 6, 2)
+        rep = condition_report(p, delta, eps)
+        assert rep["threshold"] == 0.0 and rep["ok"] is False
+        free = ColouringProblem(p.graph, 2, LocalRule([()] * p.n))  # margin 0 still passes
+        assert check_condition(free, delta, eps) is True
+
+    def test_threshold_inside_the_float_range_is_the_formula(self):
+        p = gen_torus_nae(6, 6, 2)  # d = 5, Delta = 13
+        for delta, eps in [(0.1, 0.05), (100.0, 1.0), (1.0, 200.0)]:
+            want = 1.0 / ((math.e * 13) ** (1.0 + delta) * 2 ** (eps * 5))
+            assert want > 0.0 and condition_report(p, delta, eps)["threshold"] == want
+
+
+def test_constructor_takes_the_graph_rule_and_metadata_only():
+    # the caches (forbidden_sets, active_clauses) are filled by their methods, never passed in
+    assert list(inspect.signature(ColouringProblem).parameters) == ["graph", "b", "rule", "metadata"]
