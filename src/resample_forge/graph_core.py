@@ -97,14 +97,9 @@ class Digraph:
         return max((len({*out, *inn}) for out, inn in zip(self.out_adj, self.in_adj)), default=0)
 
     def readers(self) -> list:
-        """Per vertex, a function taking a colouring to the tuple of its scope's colours, cached.
-
-        `operator.itemgetter` builds the tuple in C, but returns a bare value
-        for one index, so a one-cell scope gets a 1-tuple wrapper; an empty
-        scope reads ().
-        """
+        """Per vertex, a function taking a colouring to the tuple of its scope's colours, cached."""
         if self._readers is None:
-            self._readers = [_scope_reader(scope) for scope in self.out_adj]
+            self._readers = [tuple_reader(scope) for scope in self.out_adj]
         return self._readers
 
     def rel_rows(self, xs) -> list:
@@ -135,12 +130,17 @@ def _read_nothing(f) -> tuple:
     return ()
 
 
-def _scope_reader(scope: list[int]):
-    if len(scope) > 1:
-        return operator.itemgetter(*scope)
-    if scope:
-        (v,) = scope
-        return lambda f: (f[v],)
+def tuple_reader(indices: list[int]):
+    """A function taking a sequence to the tuple of its items at `indices`, in that order.
+
+    `operator.itemgetter` builds the tuple in C, but returns a bare value
+    for one index, so one index gets a 1-tuple wrapper; no index reads ().
+    """
+    if len(indices) > 1:
+        return operator.itemgetter(*indices)
+    if indices:
+        (i,) = indices
+        return lambda f: (f[i],)
     return _read_nothing
 
 

@@ -10,9 +10,13 @@ Level conventions: edges go from level i to level i+1, every tree's root is
 its unique minimal-level node, and a landscape is grounded when all roots sit
 at level 0.  Each level's vertex set is independent in the dependency graph.
 
-Construction, symbol recovery, validation, grounding and restriction each
-take one pass over the nodes; a restriction maps every surviving vertex to
-the positions of its scope that survive, once, and relabels from that map.
+Construction, symbol recovery, validation and grounding each take one pass
+over the nodes, and none walks a node's dependency row in Python:
+construction finds each parent with a C-level `filter` over the row, and
+validation checks each level with one set of the cells its nodes read.  A
+restriction maps every surviving vertex to the positions of its scope that
+survive, once, and relabels every tuple over that vertex's scope through
+one `operator.itemgetter`.
 
 The counting oracles are exact: delta-ary trees by the Fuss-Catalan formula,
 grounded forests by one level-by-level DP over independent sets.
@@ -24,12 +28,17 @@ import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter
 
-from resample_forge.graph_core import Digraph, build_rel
+from resample_forge.graph_core import Digraph, build_rel, tuple_reader
 # unused here, but perfbench/tracing.py wraps the name landscape_lab.ball
 from resample_forge.graph_core import ball  # noqa: F401
 from resample_forge.partitioner import is_pi_unique, singleton_partition
 from resample_forge.rule_engine import ColouringProblem, LocalRule
+
+_level = itemgetter(1)
+_level_then_vertex = itemgetter(1, 0)
+
 
 class GroundingError(RuntimeError):
     """The landscape cannot be grounded: two nodes of one empty-scope vertex would share level 0."""
@@ -56,20 +65,34 @@ class FinalisedLandscape:
 def validate_landscape(p: ColouringProblem, fl: FinalisedLandscape) -> None:
     """Structural checks, and every decoration must be a forbidden tuple.
 
-    Each edge and each level is checked against the dependency neighbours of
-    its nodes: once every node is a pair of exact ints in range, the rows of
-    the node vertices are read through `p.graph.rel_rows`, and no other row.  A
-    restricted landscape can fail the last check: its boundary decorations
-    fall back to all-zero tuples over possibly-empty scopes.
+    One pass over the nodes checks that each is a pair of exact ints in
+    range and collects, per level, the cells its nodes read.  Only then are
+    the rows of the node vertices read, through `p.graph.rel_rows`, and no
+    other row: every edge must join dependency neighbours one level apart.
+    Two rule vertices are dependent exactly when their scopes share a cell,
+    so a level is independent exactly when no cell is read twice on it, one
+    set per level; a failed level is searched again only to name a
+    dependent pair.  A restricted landscape can fail the last check: its
+    boundary decorations fall back to all-zero tuples over possibly-empty
+    scopes.
     """
     forest = fl.forest
     nodes = forest.nodes
     n = p.n
+    scopes = p.graph.out_adj
+    read: dict = {}  # level -> the cells its nodes read
     for nd in nodes:
         x, lvl = nd
         # exact ints first: True would pass for vertex 1, and 1.0 cannot index a row
         if type(x) is not int or type(lvl) is not int or not (0 <= x < n) or lvl < 0:
             raise ValueError(f"node {nd} out of range")
+        if lvl in read:
+            read[lvl] += scopes[x]
+        else:
+            read[lvl] = list(scopes[x])
+    # before the levels: a node list that repeats a node would read its cells twice
+    if set(fl.viol.keys()) != nodes:
+        raise ValueError("decoration keys do not match the node set")
     rel_adj = p.graph.rel_rows(x for x, _ in nodes)
     for child, par in forest.parent.items():
         if child not in nodes or par not in nodes:
@@ -79,15 +102,14 @@ def validate_landscape(p: ColouringProblem, fl: FinalisedLandscape) -> None:
             raise ValueError(f"edge {par}->{child} does not advance one level")
         if px not in rel_adj[cx]:
             raise ValueError(f"edge {par}->{child} joins independent rule vertices")
-    for x, lvl in nodes:
-        for y in rel_adj[x]:
-            if y != x and (y, lvl) in nodes:
-                raise ValueError(f"level {lvl} is not independent: {x}, {y}")
-    if set(fl.viol.keys()) != nodes:
-        raise ValueError("decoration keys do not match the node set")
+    for lvl, cells in read.items():
+        if len(set(cells)) != len(cells):
+            xs = {x for x, xlvl in nodes if xlvl == lvl}
+            x, y = next((x, y) for x in sorted(xs) for y in rel_adj[x] if y != x and y in xs)
+            raise ValueError(f"level {lvl} is not independent: {x}, {y}")
     sets = p.forbidden_sets()
     for (x, lvl), t in fl.viol.items():
-        if len(t) != len(p.graph.out_adj[x]):
+        if len(t) != len(scopes[x]):
             raise ValueError(f"decoration at ({x},{lvl}) has wrong arity")
         if t not in sets[x]:
             raise ValueError(f"decoration at ({x},{lvl}) is not forbidden")
@@ -102,9 +124,11 @@ def build_landscape(p: ColouringProblem, pi, trace, k: int) -> FinalisedLandscap
     first k colourings and finalises with the k-th colouring itself (k=0 keeps
     just the initial fill).  Parents follow the lowest-index dependency
     neighbour among the previous round's resampled set; one always exists,
-    because that set is maximal independent.  It reads, through
-    `p.graph.rel_rows`, only the dependency rows of the vertices resampled in
-    the prefix, which a run on `p` has already built on its graph.
+    because that set is maximal independent.  A node's row is sorted, so its
+    parent is the first member of `below` that a C-level `filter` finds in
+    it.  It reads, through `p.graph.rel_rows`, only the dependency rows of
+    the vertices resampled in the prefix, which a run on `p` has already
+    built on its graph.
     """
     depth = trace.prefix_rounds(k)
     viol: dict = {}
@@ -115,12 +139,10 @@ def build_landscape(p: ColouringProblem, pi, trace, k: int) -> FinalisedLandscap
         for x, t in snap.items():
             nd = (x, i)
             viol[nd] = t
-            if i > 0:
-                y = next((y for y in rel_adj[x] if y in below), None)
+            if i:
+                y = next(filter(below.__contains__, rel_adj[x]), None)
                 if y is None:
-                    raise RuntimeError(
-                        f"no parent for node ({x},{i}): previous resampled set not maximal"
-                    )
+                    raise RuntimeError(f"no parent for node ({x},{i}): previous resampled set not maximal")
                 parent[nd] = (y, i - 1)
         below = snap
     return FinalisedLandscape(GForest(set(viol), parent), viol, trace.colouring_at(depth))
@@ -174,18 +196,20 @@ def ground(p: ColouringProblem, fl: FinalisedLandscape) -> FinalisedLandscape:
     moved: dict = {}  # old node -> new node
     parent: dict = {}
     viol: dict = {}
-    for nd in sorted(fl.forest.nodes, key=lambda nd: (nd[1], nd[0])):
+    for nd in sorted(fl.forest.nodes, key=_level_then_vertex):
         x = nd[0]
-        below = [top[v] for v in scopes[x] if top[v] is not None]
-        lvl = 1 + max((b[1] for b in below), default=-1)
+        scope = scopes[x]
+        below = [top[v] for v in scope if top[v] is not None]
+        lvl = 1 + max(map(_level, below), default=-1)
         new = (x, lvl)
         if new in viol:  # only an empty scope lets a vertex land on itself
             raise GroundingError(f"two nodes of empty-scope vertex {x} would both land on level 0")
         if lvl:
-            candidates = {b for b in below if b[1] == lvl - 1}
             kept = moved.get(old_parent.get(nd))
-            parent[new] = kept if kept in candidates else min(candidates)
-        for v in scopes[x]:
+            if kept not in below or kept[1] != lvl - 1:
+                kept = min(b for b in below if b[1] == lvl - 1)
+            parent[new] = kept
+        for v in scope:
             top[v] = new
         moved[nd] = new
         viol[new] = fl.viol[nd]
@@ -223,8 +247,9 @@ def restrict_problem(p: ColouringProblem, pi, subset) -> tuple:
     The new graph lives on all part indices: a part's scope is the image of its
     representative's surviving cells, strictly increasing because the subset is
     part-unique.  A part keeps its representative's rule only when that rule's
-    whole scope survives; everything else becomes unconstrained.  The returned
-    partition is the singleton one.
+    whole scope survives, each row relabelled by one `tuple_reader`;
+    everything else becomes unconstrained.  The returned partition is the
+    singleton one.
     """
     kept = _restriction(p, pi, subset)
     part_of, scopes = pi.part_of, p.graph.out_adj
@@ -232,9 +257,11 @@ def restrict_problem(p: ColouringProblem, pi, subset) -> tuple:
     scopes_prime: list = [[] for _ in range(n_prime)]
     rows: list = [()] * n_prime
     for x, pos in kept.items():
-        scopes_prime[part_of[x]] = [part_of[scopes[x][i]] for i in pos]
-        if len(pos) == len(scopes[x]):
-            rows[part_of[x]] = tuple(sorted(tuple(t[i] for i in pos) for t in p.rule.forbidden[x]))
+        scope = scopes[x]
+        alpha = part_of[x]
+        scopes_prime[alpha] = [part_of[scope[i]] for i in pos]
+        if len(pos) == len(scope):
+            rows[alpha] = tuple(sorted(map(tuple_reader(pos), p.rule.forbidden[x])))
     g_prime = Digraph.from_scopes(scopes_prime)
     p_prime = ColouringProblem(g_prime, p.b, LocalRule(rows), metadata={"restricted": True})
     return p_prime, singleton_partition(n_prime)
@@ -244,18 +271,18 @@ def restrict_landscape(p: ColouringProblem, pi, fl: FinalisedLandscape, subset) 
     """Image of a landscape under the part quotient over `subset`.
 
     Nodes and edges survive when their vertices do.  Decorations of nodes whose
-    full scope survives are relabelled; boundary nodes fall back to all-zero
-    tuples (the result can therefore violate strict decoration membership).
-    Final colours of parts without a surviving representative default to 0.
+    full scope survives are relabelled, by one `tuple_reader` per vertex;
+    boundary nodes fall back to all-zero tuples (the result can therefore
+    violate strict decoration membership).  Final colours of parts without a
+    surviving representative default to 0.
     """
     kept = _restriction(p, pi, subset)
     part_of, scopes = pi.part_of, p.graph.out_adj
+    relabel = {x: tuple_reader(pos) for x, pos in kept.items() if len(pos) == len(scopes[x])}
     viol: dict = {}
     for (x, lvl), t in fl.viol.items():
-        pos = kept.get(x)
-        if pos is not None:
-            full = len(pos) == len(scopes[x])
-            viol[(part_of[x], lvl)] = tuple(t[i] for i in pos) if full else (0,) * len(pos)
+        if x in kept:
+            viol[part_of[x], lvl] = relabel[x](t) if x in relabel else (0,) * len(kept[x])
     parent = {
         (part_of[cx], clvl): (part_of[px], plvl)
         for (cx, clvl), (px, plvl) in fl.forest.parent.items()

@@ -66,11 +66,11 @@ def sparse_partition(g: Digraph, r: int) -> SparsePartition:
 
 
 def is_pi_unique(pi: SparsePartition, subset) -> bool:
-    """True iff the partition map is injective on `subset`."""
-    seen: set[int] = set()
-    for x in subset:
-        alpha = pi.part_of[x]
-        if alpha in seen:
-            return False
-        seen.add(alpha)
-    return True
+    """True iff the partition map is injective on `subset`: as many distinct parts as members.
+
+    `subset` may be any iterable of vertices, read once.  A repeated vertex
+    shares its part with itself, so a subset that repeats one is never
+    injective.
+    """
+    parts = list(map(pi.part_of.__getitem__, subset))
+    return len(set(parts)) == len(parts)

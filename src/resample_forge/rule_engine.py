@@ -76,7 +76,7 @@ class ColouringProblem:
     rule: LocalRule
     metadata: dict = field(default_factory=dict)
     _forbidden_sets: list[frozenset] | None = field(default=None, init=False, repr=False, compare=False)
-    _active: list[int] | None = field(default=None, init=False, repr=False, compare=False)
+    _active: range | list[int] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
@@ -100,10 +100,15 @@ class ColouringProblem:
             self._forbidden_sets = sets
         return self._forbidden_sets
 
-    def active_clauses(self) -> list[int]:
-        """Vertices with at least one forbidden tuple; only these can be violated."""
+    def active_clauses(self) -> range | list[int]:
+        """Vertices with at least one forbidden tuple, ascending; only these can be violated, cached.
+
+        `range(n)` when every vertex has one, as on a torus, so no list of n
+        ints is kept; otherwise the list of those vertices.
+        """
         if self._active is None:
-            self._active = [x for x in range(self.n) if self.rule.forbidden[x]]
+            forbidden = self.rule.forbidden
+            self._active = range(self.n) if all(forbidden) else [x for x in range(self.n) if forbidden[x]]
         return self._active
 
     def validate(self) -> None:
@@ -204,8 +209,11 @@ def lll_margin(p: ColouringProblem) -> float:
 
 
 def condition_report(p: ColouringProblem, delta: float, eps: float) -> dict:
-    """Numbers behind check_condition: margin, dependency degree, threshold."""
-    if delta <= 0 or eps <= 0:
+    """Numbers behind check_condition: margin, dependency degree, threshold.
+
+    delta and eps must be positive; NaN is not, and is refused too.
+    """
+    if not (delta > 0 and eps > 0):
         raise ValueError("delta and eps must be positive")
     margin = lll_margin(p)
     d = p.graph.maxdeg()

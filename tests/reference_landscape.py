@@ -15,6 +15,10 @@ the quotient problem and remaps every scope through its part
 representatives, recovery sorts one event list per cell, and validation
 compares every pair of nodes on each level.
 
+`reference_build_landscape` builds the witness forest node by node from the
+whole dependency graph of `reference_build_rel`: each parent is the
+lowest-index neighbour in the previous round's resampled set.
+
 `reference_grounded_forests` counts grounded forests by trying every
 placement of m nodes on levels 0..m-1, the oracle for the level-by-level
 `count_grounded_forests`.  `brute_labelled_trees` builds every canonical
@@ -26,8 +30,10 @@ import itertools
 
 from resample_forge.graph_core import Digraph, build_rel
 from resample_forge.landscape_lab import FinalisedLandscape, GForest, GroundingError
-from resample_forge.partitioner import is_pi_unique, singleton_partition
+from resample_forge.partitioner import singleton_partition
 from resample_forge.rule_engine import ColouringProblem, LocalRule
+
+from tests.reference_partition import reference_build_rel, reference_is_pi_unique
 
 
 def _trees(nodes, parent):
@@ -100,6 +106,23 @@ def reference_ground(p, fl, step_cap=10**6):
     return FinalisedLandscape(GForest(nodes, parent), viol, list(fl.fin))
 
 
+def reference_build_landscape(p, pi, trace, k):
+    rel = reference_build_rel(p.graph).out_adj
+    depth = trace.prefix_rounds(k)
+    nodes, parent, viol = set(), {}, {}
+    for i in range(depth):
+        for x, t in trace.viol_snapshots[i].items():
+            nodes.add((x, i))
+            viol[(x, i)] = t
+            if i == 0:
+                continue
+            below = [y for y in rel[x] if y in trace.viol_snapshots[i - 1]]
+            if not below:
+                raise RuntimeError(f"no parent for node ({x},{i}): previous resampled set not maximal")
+            parent[(x, i)] = (min(below), i - 1)
+    return FinalisedLandscape(GForest(nodes, parent), viol, trace.colouring_at(depth))
+
+
 def reference_validate_landscape(p, fl, strict_viol=True):
     rel_sets = [set(a) for a in build_rel(p.graph).out_adj]
     forest = fl.forest
@@ -161,7 +184,7 @@ def _scope_remap(p, pi, x, restricted_scope):
 
 def reference_restrict_problem(p, pi, subset):
     u = set(subset)
-    if not is_pi_unique(pi, u):
+    if not reference_is_pi_unique(pi, u):
         raise ValueError("subset is not part-unique")
     rep = {pi.part_of[x]: x for x in u}
     n_prime = pi.num_parts

@@ -6,11 +6,23 @@ fill one set per vertex and sort each, as the package did before its
 key-sorted and union builders, and `reference_und_adj` unions an out-set
 and an in-set per vertex: the undirected rows that `ball` and `balls` walk.
 `reference_validate` is the graph check the package no longer makes on
-graphs it builds itself.
+graphs it builds itself.  `reference_is_pi_unique` walks the subset and
+stops at the first repeated part, as `is_pi_unique` did before it compared
+set sizes.
 """
 
 from resample_forge.graph_core import Digraph, ball
 from resample_forge.partitioner import SparsePartition
+
+
+def reference_is_pi_unique(pi, subset):
+    seen = set()
+    for x in subset:
+        alpha = pi.part_of[x]
+        if alpha in seen:
+            return False
+        seen.add(alpha)
+    return True
 
 
 def reference_from_edges(n, edges):

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from resample_forge.graph_core import Digraph, ball, build_rel
+from resample_forge.graph_core import Digraph, ball, build_rel, rel_row
 from resample_forge.instance_io import gen_torus_nae
 from resample_forge.landscape_lab import (
     MAX_FOREST_VERTICES,
@@ -31,7 +31,7 @@ from resample_forge.landscape_lab import (
     validate_landscape,
     varcount,
 )
-from resample_forge.mta_runner import run
+from resample_forge.mta_runner import RunTrace, run
 from resample_forge.partitioner import SparsePartition, singleton_partition, sparse_partition
 from resample_forge.rule_engine import ColouringProblem, LocalRule, lll_margin
 from resample_forge.tape import RandomTape, used_unused
@@ -46,6 +46,7 @@ from tests.helpers import (
 )
 from tests.reference_landscape import (
     brute_labelled_trees,
+    reference_build_landscape,
     reference_ground,
     reference_restrict_landscape,
     reference_restrict_problem,
@@ -578,10 +579,14 @@ def _problem_key(restricted):
 
 
 def _mutate(p, fl, rng):
-    """One random edit: move, add or re-parent a node, or flip or clip a decoration."""
+    """One random edit: move, add or re-parent a node, or flip or clip a decoration.
+
+    Two edits aim at one refusal each: a dependency neighbour added on a
+    node's level, and an edge from a vertex independent of its child.
+    """
     nodes, parent, viol = set(fl.forest.nodes), dict(fl.forest.parent), dict(fl.viol)
     order = sorted(nodes)
-    kind = rng.randrange(6)
+    kind = rng.randrange(8)
     if kind == 0 and order:  # move a node, carrying its decoration and edges
         old = rng.choice(order)
         new = (rng.randrange(p.n), max(0, old[1] + rng.choice((-1, 0, 1))))
@@ -613,12 +618,73 @@ def _mutate(p, fl, rng):
     elif kind == 5 and order:  # move a node but leave its decoration behind
         old = rng.choice(order)
         nodes = (nodes - {old}) | {(old[0], old[1] + 1)}
+    elif kind == 6 and order:  # put a dependency neighbour of a node on the node's level
+        x, lvl = rng.choice(order)
+        others = [y for y in rel_row(p.graph, x) if y != x and (y, lvl) not in nodes]
+        if others:
+            nd = (rng.choice(others), lvl)
+            nodes.add(nd)
+            viol[nd] = tuple(rng.randrange(p.b) for _ in p.graph.out_adj[nd[0]])
+    elif kind == 7 and order:  # hang a node from an independent vertex one level below
+        par = rng.choice(order)
+        row = set(rel_row(p.graph, par[0]))
+        strangers = [x for x in range(p.n) if x not in row]
+        if strangers:
+            child = (rng.choice(strangers), par[1] + 1)
+            if child not in nodes:
+                nodes.add(child)
+                viol[child] = tuple(rng.randrange(p.b) for _ in p.graph.out_adj[child[0]])
+            parent[child] = par
     return FinalisedLandscape(GForest(nodes, parent), viol, list(fl.fin))
 
 
 def _assert_witness_path_matches(p, fl):
     _same_outcome(validate_landscape, reference_validate_landscape, p, fl)
     _same_outcome(used_of, reference_used_of, p, fl)
+
+
+def _random_run(case, mode, rng):
+    """A run on a random looped instance or, every fifth case, a small NAE torus, as criteria 6 and 7 draw them."""
+    if case % 5 == 4:
+        p = gen_torus_nae(rng.randint(4, 6), rng.randint(4, 6), 2)
+    else:
+        p = random_looped_problem(
+            n=rng.randint(6, 16),
+            extra_edges=rng.randint(2, 12),
+            b=2,
+            max_forbidden=2,
+            seed=rng.randrange(2**30),
+        )
+    if mode == "sparse":
+        pi = sparse_partition(p.graph, 3)
+    elif mode == "singleton":
+        pi = singleton_partition(p.n)
+    else:
+        pi = SparsePartition(p.n, tuple(rng.sample(range(p.n), p.n)))
+    return p, pi, run(p, pi, RandomTape(rng.randrange(2**30), p.b), max_steps=30)
+
+
+@pytest.mark.parametrize("mode", ["singleton", "sparse", "shuffled"])
+def test_build_landscape_matches_reference(mode):
+    """Every k-prefix forest against the node-by-node build over the whole dependency graph."""
+    rng = random.Random({"singleton": 20, "sparse": 200, "shuffled": 2000}[mode])
+    for case in range(100):
+        p, pi, trace = _random_run(case, mode, rng)
+        for k in range(trace.rounds + 2):
+            _same_outcome(build_landscape, reference_build_landscape, p, pi, trace, k)
+
+
+def test_build_landscape_refuses_a_round_without_a_parent():
+    # round 1 resamples vertex 2, whose scope {1, 2} misses round 0's {0}: round 0 was not maximal
+    p = path_problem()
+    trace = RunTrace(
+        status="budget_exhausted", b=2, num_parts=3, viol_snapshots=[{0: (0,)}, {2: (0, 0)}],
+        bad_sizes=[2, 1, 1], h=[1, 1, 1], final_colouring=[1, 1, 1], clause_evals=3, scopes=p.graph.out_adj,
+    )
+    for build in (build_landscape, reference_build_landscape):
+        with pytest.raises(RuntimeError, match=r"^no parent for node \(2,1\): previous resampled set not maximal$"):
+            build(p, singleton_partition(p.n), trace, 3)
+        assert build(p, singleton_partition(p.n), trace, 2).forest.nodes == {(0, 0)}  # round 0 alone is fine
 
 
 @pytest.mark.parametrize("mode", ["singleton", "sparse", "shuffled"])
@@ -633,23 +699,7 @@ def test_witness_path_matches_reference(mode):
     """
     rng = random.Random({"singleton": 10, "sparse": 100, "shuffled": 1000}[mode])
     for case in range(200):
-        if case % 5 == 4:
-            p = gen_torus_nae(rng.randint(4, 6), rng.randint(4, 6), 2)
-        else:
-            p = random_looped_problem(
-                n=rng.randint(6, 16),
-                extra_edges=rng.randint(2, 12),
-                b=2,
-                max_forbidden=2,
-                seed=rng.randrange(2**30),
-            )
-        if mode == "sparse":
-            pi = sparse_partition(p.graph, 3)
-        elif mode == "singleton":
-            pi = singleton_partition(p.n)
-        else:
-            pi = SparsePartition(p.n, tuple(rng.sample(range(p.n), p.n)))
-        trace = run(p, pi, RandomTape(rng.randrange(2**30), p.b), max_steps=30)
+        p, pi, trace = _random_run(case, mode, rng)
         fl = build_landscape(p, pi, trace, rng.randint(1, max(1, min(8, trace.rounds + 1))))
         if case % 3 == 2:
             u = set(rng.sample(range(p.n), rng.randint(0, p.n)))

@@ -14,7 +14,7 @@ from resample_forge.partitioner import (
     singleton_partition,
     sparse_partition,
 )
-from tests.reference_partition import reference_is_r_sparse, reference_sparse_partition
+from tests.reference_partition import reference_is_pi_unique, reference_is_r_sparse, reference_sparse_partition
 from tests.test_graph_core import floyd_warshall_distances, path_graph, random_digraph, scope_copy, traced_peak
 
 
@@ -88,6 +88,18 @@ class TestPiUnique:
         assert is_pi_unique(pi, [0, 1])
         assert not is_pi_unique(pi, [0, 1, 2])
         assert is_pi_unique(pi, [])
+
+    def test_matches_the_loop_on_lists_with_duplicates_and_on_generators(self):
+        rng = random.Random(5)
+        for _ in range(300):
+            n = rng.randint(1, 12)
+            pi = SparsePartition(n, tuple(rng.randrange(n) for _ in range(n)))
+            subset = [rng.randrange(n) for _ in range(rng.randint(0, n + 2))]  # may repeat a vertex
+            want = reference_is_pi_unique(pi, subset)
+            assert is_pi_unique(pi, subset) is want
+            assert is_pi_unique(pi, (x for x in subset)) is want
+            assert is_pi_unique(pi, set(subset)) is reference_is_pi_unique(pi, set(subset))
+        assert not is_pi_unique(singleton_partition(3), [1, 1])  # a repeated vertex shares its own part
 
     def test_sparse_partition_unique_on_balls(self):
         # r-sparse partitions are injective on radius-r balls by definition

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from resample_forge.graph_core import Digraph
-from resample_forge.instance_io import gen_torus_nae
+from resample_forge.instance_io import gen_grid_ksat, gen_torus_nae
 from resample_forge.rule_engine import (
     ColouringProblem,
     LocalRule,
@@ -419,6 +419,14 @@ class TestCondition:
         with pytest.raises(ValueError):
             check_condition(p, 0.1, -1.0)
 
+    @pytest.mark.parametrize("delta, eps", [(math.nan, 0.1), (0.1, math.nan), (math.nan, math.nan)])
+    def test_nan_parameters_rejected(self, delta, eps):
+        # NaN fails every comparison, so a guard written as `delta <= 0` lets it through
+        p = single_clause_problem()
+        for check in (condition_report, check_condition):
+            with pytest.raises(ValueError, match="must be positive"):
+                check(p, delta, eps)
+
     @pytest.mark.parametrize("delta, eps", [(1e6, 1.0), (1.0, 1e6), (1e6, 1e6)])
     def test_threshold_past_the_float_range_is_zero(self, delta, eps):
         # (e*Delta)^(1+delta) or b^(eps*d) once raised OverflowError here
@@ -433,6 +441,28 @@ class TestCondition:
         for delta, eps in [(0.1, 0.05), (100.0, 1.0), (1.0, 200.0)]:
             want = 1.0 / ((math.e * 13) ** (1.0 + delta) * 2 ** (eps * 5))
             assert want > 0.0 and condition_report(p, delta, eps)["threshold"] == want
+
+
+def test_active_clauses_of_a_torus_are_a_range():
+    # every torus vertex has a rule, so no list of n ints is kept
+    p = gen_torus_nae(6, 6, 2)
+    assert p.active_clauses() == range(p.n) and p.active_clauses() is p.active_clauses()
+    assert p.active_clauses()[0] == 0  # the first active rule, as the benchmark's corrupted checks pick it
+    rng = random.Random(3)
+    for _ in range(20):
+        f = [rng.randrange(p.b) for _ in range(p.n)]
+        assert bad_set(p, f) == reference_bad_set(p, f)
+
+
+def test_active_clauses_of_a_ksat_instance_are_its_clause_vertices():
+    # variable vertices carry no rule, so only the clause vertices are listed
+    p = gen_grid_ksat(6, 6, 3, 1, 2, 0)
+    want = [x for x in range(p.n) if p.rule.forbidden[x]]
+    assert type(p.active_clauses()) is list and p.active_clauses() == want and 0 < len(want) < p.n
+    rng = random.Random(4)
+    for _ in range(20):
+        f = [rng.randrange(p.b) for _ in range(p.n)]
+        assert bad_set(p, f) == reference_bad_set(p, f)
 
 
 def test_constructor_takes_the_graph_rule_and_metadata_only():
