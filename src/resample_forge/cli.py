@@ -43,6 +43,7 @@ import gc
 import json
 import math
 import os
+import statistics
 import sys
 import time
 from typing import Callable, NamedTuple
@@ -253,13 +254,7 @@ def decay_ratio(tail: dict[int, float]) -> float | None:
     points = [(m, math.log(p)) for m, p in sorted(tail.items()) if p > 0]
     if len(points) < 2:
         return None
-    xs = [m for m, _ in points]
-    ys = [y for _, y in points]
-    mean_x = sum(xs) / len(xs)
-    mean_y = sum(ys) / len(ys)
-    denom = sum((x - mean_x) ** 2 for x in xs)  # > 0: the m are distinct
-    slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / denom
-    return math.exp(slope)
+    return math.exp(statistics.linear_regression(*zip(*points)).slope)  # the m are distinct
 
 
 def cmd_stats(args: argparse.Namespace) -> int:

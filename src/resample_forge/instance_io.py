@@ -258,9 +258,9 @@ def load_problem(path: str) -> ColouringProblem:
     rule tables are kept as written: neither sorted nor deduplicated.
     Equal tables are made one object as soon as the file is parsed
     (`LocalRule.share_equal`), so each duplicate is freed before the graph
-    is built and the list shape is checked once per distinct table; then
-    each becomes one shared tuple (`LocalRule.interned`), and
-    `ColouringProblem.validate` checks the rows.
+    is built and the list shape is checked once per distinct table.  Each
+    reader then hands back the rule, every distinct table one shared tuple
+    (`LocalRule.interned`), and `ColouringProblem.validate` checks the rows.
     """
     payload = load_json(path)
     if not isinstance(payload, dict):
@@ -278,25 +278,25 @@ def load_problem(path: str) -> ColouringProblem:
     metadata = payload.get("metadata", {})
     if not isinstance(metadata, dict):
         raise ValueError("field 'metadata' must be a JSON object")
-    g, forbidden, distinct = (_schema_2 if version == 2 else _schema_3)(payload)
-    p = ColouringProblem(g, b, LocalRule.interned(forbidden, distinct), metadata=metadata)
+    g, rule = (_schema_2 if version == 2 else _schema_3)(payload)
+    p = ColouringProblem(g, b, rule, metadata=metadata)
     p.validate()
     return p
 
 
 def _schema_2(payload: dict) -> tuple:
-    """The graph, the per-vertex tables and the distinct tables of a schema-2 file."""
+    """The graph and the rule of a schema-2 file, its per-vertex tables interned."""
     forbidden = payload["forbidden"]
     # sharing raises nothing, so a scope fault is still reported before a 'forbidden' one
     distinct = LocalRule.share_equal(forbidden) if type(forbidden) is list else None
     g = Digraph.from_scopes(payload["scopes"])
     if distinct is None or not all(map(_is_list_of_lists, distinct)):
         raise ValueError("field 'forbidden' must hold, per vertex, a list of colour tuples")
-    return g, forbidden, distinct
+    return g, LocalRule.interned(forbidden, distinct)
 
 
 def _schema_3(payload: dict) -> tuple:
-    """The graph, the per-vertex tables and the distinct tables of a schema-3 file."""
+    """The graph and the rule of a schema-3 file: its own `tables` interned, then indexed by `table_of`."""
     unknown = sorted(set(payload) - _SCHEMA_3_FIELDS)
     if unknown:
         raise ValueError(f"unknown field {unknown[0]!r}")
@@ -308,12 +308,13 @@ def _schema_3(payload: dict) -> tuple:
     g = Digraph.from_scopes(payload["scopes"]) if "scopes" in payload else _described_graph(payload["graph"])
     if distinct is None or not all(map(_is_list_of_lists, distinct)):
         raise ValueError("field 'tables' must be a list of tables, each a list of colour tuples")
+    interned = LocalRule.interned(tables, distinct).forbidden
     table_of = payload["table_of"]
     count = len(tables)
     if type(table_of) is int:
         if not 0 <= table_of < count:
             raise ValueError(f"field 'table_of': index {table_of} out of range for {count} tables")
-        return g, [tables[table_of]] * g.n, distinct
+        return g, LocalRule([interned[table_of]] * g.n)
     if not (type(table_of) is list and {int}.issuperset(map(type, table_of))):
         raise ValueError("field 'table_of' must be an integer table index or a list of them")
     if len(table_of) != g.n:
@@ -321,7 +322,7 @@ def _schema_3(payload: dict) -> tuple:
     if table_of and not (0 <= min(table_of) and max(table_of) < count):
         x, i = next((x, i) for x, i in enumerate(table_of) if not 0 <= i < count)
         raise ValueError(f"field 'table_of': vertex {x}: index {i} out of range for {count} tables")
-    return g, list(map(tables.__getitem__, table_of)), distinct
+    return g, LocalRule(list(map(interned.__getitem__, table_of)))
 
 
 def _described_graph(graph) -> Digraph:

@@ -10,8 +10,8 @@ Cells of one part share their stream, so a run asks the tape for each
 (part, t) symbol once and hands it to every cell that reaches it: the fill
 reads one symbol per part, and the rounds keep what they read in a dict.  The
 tape work therefore follows the symbols consumed, not the cells touched.
-Rules are checked through the graph's cached scope readers
-(`Digraph.readers`), which build each scope's tuple of colours in C.
+Rules are checked, and snapshots taken, through the graph's cached scope
+readers (`Digraph.readers`), which build each scope's tuple of colours in C.
 
 What depends only on the instance is built once and shared: the readers
 per graph, one forbidden set per distinct rule table
@@ -40,9 +40,12 @@ import csv
 import io
 import json
 from dataclasses import dataclass, field
+from itertools import chain
 
 from resample_forge.graph_core import greedy_mis
-from resample_forge.rule_engine import ColouringProblem, bad_set, res
+from resample_forge.rule_engine import ColouringProblem, bad_set
+# unused here, but perfbench/tracing.py wraps the name mta_runner.res
+from resample_forge.rule_engine import res  # noqa: F401
 from resample_forge.tape import TapeDepleted
 
 STATUS_SUCCEEDED = "succeeded"
@@ -138,18 +141,6 @@ class RunTrace:
         return [self.colouring_at(i) for i in range(self.rounds + 1)]
 
 
-def _with_neighbours(rel_adj: list[list[int]], rules: list[int]) -> list[int]:
-    """`rules`, then their dependency-graph neighbours, each once in first-seen order."""
-    out = list(rules)
-    seen = set(rules)
-    for c in rules:
-        for nb in rel_adj[c]:
-            if nb not in seen:
-                seen.add(nb)
-                out.append(nb)
-    return out
-
-
 def run(
     p: ColouringProblem,
     pi,
@@ -168,8 +159,8 @@ def run(
     round that would read past the end of a finite tape is not taken, and the
     run ends with status "tape_depleted".  A symbol read before comes from
     the run's own record, which never depletes.  The chosen scopes are
-    snapshotted, redrawn, and then only the rules violated before the round
-    and their neighbours are re-checked.
+    snapshotted through the graph's readers, redrawn, and then only the
+    rules violated before the round and their neighbours are re-checked.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
@@ -198,11 +189,12 @@ def run(
         except TapeDepleted:
             status = STATUS_TAPE_DEPLETED
             break
-        viol_snapshots.append({x: res(p, f, x) for x in sorted(ib)})
+        viol_snapshots.append({x: read[x](f) for x in sorted(ib)})
         for v, key in zip(cells, keys):
             f[v] = symbols[key]
             h[v] += 1
-        potentially = _with_neighbours(rel_adj, currently)
+        # the violated rules, then their neighbours, each once in first-seen order
+        potentially = list(dict.fromkeys(chain(currently, *map(rel_adj.__getitem__, currently))))
         currently = [c for c in potentially if read[c](f) in sets[c]]
         reevals += len(potentially)
         bad_sizes.append(len(currently))

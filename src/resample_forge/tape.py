@@ -95,7 +95,7 @@ class FiniteTape:
     rounds: int
     b: int
     digits: list[int]
-    reads: list[int] = field(default_factory=list)
+    reads: list[int] = field(default_factory=list, init=False)
 
     def __post_init__(self):
         require_ints(num_parts=self.num_parts, rounds=self.rounds, b=self.b)

@@ -14,7 +14,9 @@ import functools
 import gc
 import io
 import json
+import math
 import os
+import random
 import tempfile
 import tracemalloc
 import warnings
@@ -155,6 +157,18 @@ def test_solve_writes_verifiable_colouring(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "verify", path, out_path, "--quiet")
     assert code == 0
     assert json.loads(out) == {"satisfies": True, "violated": [], "violated_count": 0}
+
+
+def test_solve_verify_refuses_a_violated_colouring(tmp_path, capsys, monkeypatch):
+    # --verify re-checks the run's success; a check that disagrees exits 1 and writes nothing
+    path = write_problem(tmp_path, gen_torus_nae(6, 6, 2))
+    out_path = tmp_path / "col.json"
+    monkeypatch.setattr(cli, "satisfies", lambda p, f: False)
+    code, out, err = run_cli(capsys, "solve", path, "--seed", "3", "--verify", "--out", str(out_path), "--quiet")
+    assert code == 1
+    assert json.loads(out)["status"] == "succeeded"
+    assert err == "error: run reported success but the colouring is violated\n"
+    assert not out_path.exists()
 
 
 def test_solve_budget_exhausted_exit_two(tmp_path, capsys):
@@ -782,6 +796,39 @@ def test_tail_table_and_decay_ratio_units():
     assert ratio == pytest.approx(0.5)
     assert cli.decay_ratio({1: 1.0}) is None
     assert cli.tail_table([]) == {}
+
+
+def reference_decay_ratio(tail):
+    """The hand-written least-squares fit of log Pr against m that `decay_ratio` replaced."""
+    points = [(m, math.log(p)) for m, p in sorted(tail.items()) if p > 0]
+    if len(points) < 2:
+        return None
+    xs = [m for m, _ in points]
+    ys = [y for _, y in points]
+    mean_x = sum(xs) / len(xs)
+    mean_y = sum(ys) / len(ys)
+    denom = sum((x - mean_x) ** 2 for x in xs)
+    slope = sum((x - mean_x) * (y - mean_y) for x, y in zip(xs, ys)) / denom
+    return math.exp(slope)
+
+
+def test_decay_ratio_matches_the_hand_written_fit():
+    # tails of random max-h samples, and random tails with gaps and zeros in their support
+    rng = random.Random(37)
+    tails = [cli.tail_table([rng.randint(1, rng.randint(1, 12)) for _ in range(rng.randint(1, 60))]) for _ in range(300)]
+    tails += [
+        {m: rng.choice([0.0, rng.random()]) for m in rng.sample(range(1, 40), rng.randint(1, 12))} for _ in range(300)
+    ]
+    fitted = 0
+    for tail in tails:
+        got, want = cli.decay_ratio(tail), reference_decay_ratio(tail)
+        if want is None:
+            assert got is None
+        else:
+            fitted += 1
+            assert math.isclose(got, want, rel_tol=1e-12), tail
+            assert round(got, 6) == round(want, 6), tail  # the figure `stats` prints
+    assert fitted > 300
 
 
 # ---------------------------------------------------------------------------

@@ -119,6 +119,9 @@ def test_explicit_k_rejects_bad_args():
     for k_log in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="k_log must be finite"):
             threshold_m(k_log, 1, 1, 1.0)
+    for args, message in [((0.0, 0, 1, 1.0), "need at least one part"), ((0.0, 1, 0, 1.0), "dependency degree must be >= 1")]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            threshold_m(*args)
     # m ~ k_log / (delta * (1 + ln Delta)) would pass 2^1024
     with pytest.raises(ValueError, match="no tape length below 2\\^1024"):
         threshold_m(1.2e308, 16, 11, 1e-10)
@@ -290,6 +293,14 @@ def test_derand_solve_rejects_work_over_the_bound(monkeypatch):
     with pytest.raises(RuntimeError, match=r"re-evaluation count 3 exceeds d\^4\*m\*n = 2"):
         derand_solve(p, singleton_partition(p.n), 1, attempts=attempts)
     assert [a.tape_index for a in attempts] == [0]
+
+
+def test_derand_solve_refuses_success_on_a_violated_colouring(monkeypatch):
+    # the final check that the winning colouring satisfies every rule, made to fail
+    p = single_clause_problem()
+    monkeypatch.setattr(derand, "satisfies", lambda p, f: False)
+    with pytest.raises(RuntimeError, match="^inner loop reported success on a violated colouring$"):
+        derand_solve(p, ONE_PART, 1)
 
 
 # ---------------------------------------------------------------------------

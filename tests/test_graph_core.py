@@ -91,6 +91,10 @@ class TestDigraph:
         with pytest.raises(ValueError):
             Digraph.from_edges(2, [(0, 1), edge])
 
+    def test_from_edges_rejects_a_negative_vertex_count(self):
+        with pytest.raises(ValueError, match="^vertex count must be nonnegative$"):
+            Digraph.from_edges(-1, [])
+
     def test_from_scopes_builds_sorted_in_lists(self):
         g = Digraph.from_scopes([[1, 2], [], [0, 2]])
         assert g == Digraph(3, [[1, 2], [], [0, 2]], [[2], [0], [0, 2]])
@@ -264,6 +268,14 @@ def test_non_int_vertex_rejected(x):
     # ball(torus, True, 1) once returned {0, True, 2, 7, 31}, and ball(torus, 1.0, 1) raised TypeError
     g = gen_torus_nae(6, 6, 2).graph
     with pytest.raises(ValueError, match="vertex must be an integer"):
+        ball(g, x, 1)
+
+
+@pytest.mark.parametrize("x", [-1, 36])
+def test_out_of_range_vertex_rejected(x):
+    # -1 would otherwise start the search at the last vertex
+    g = gen_torus_nae(6, 6, 2).graph
+    with pytest.raises(ValueError, match=f"^vertex {x} out of range$"):
         ball(g, x, 1)
 
 

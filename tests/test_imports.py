@@ -5,7 +5,8 @@ An AST scan, so the next stray import fails the suite.  Imports from
 top-level name of a package module must have a reader on a program path (see
 `test_every_public_name_has_a_program_reader`), and the package itself loads
 no module until one is asked for.  The last tests load `perfbench/tracing.py`
-and check that every package name it patches or reads still exists.
+and check that every package name it patches or reads still exists, and that
+every `# noqa: F401` import in the package is a name it patches there.
 """
 
 import ast
@@ -224,6 +225,46 @@ def test_perfbench_boundaries_resolve():
     targets.append((instance_io, "json"))
     missing = [f"{owner.__name__}.{attr}" for owner, attr in targets if attr not in owner.__dict__]
     assert missing == [], "names perfbench/tracing.py patches but the package lacks: " + ", ".join(missing)
+
+
+# imports a package module keeps only so that perfbench/tracing.py can wrap the name there
+TRACER_PINS = {
+    ("derand", "is_violated"),
+    ("instance_io", "ball"),
+    ("landscape_lab", "ball"),
+    ("mta_runner", "res"),
+    ("partitioner", "ball"),
+    ("rule_engine", "build_rel"),
+}
+
+
+def noqa_imports(path):
+    """(module, name) for each name that `path` imports on a line marked `# noqa: F401`."""
+    source = path.read_text()
+    lines = source.splitlines()
+    return {
+        (path.stem, alias.asname or alias.name)
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        and any("# noqa: F401" in line for line in lines[node.lineno - 1 : node.end_lineno])
+        for alias in node.names
+    }
+
+
+def test_every_unused_import_is_a_tracer_pin():
+    """Each `# noqa: F401` import in the package is listed in TRACER_PINS, and the tracer still patches it there.
+
+    A pin the tracer no longer wraps is dead weight; drop its import and its entry.
+    """
+    found = set().union(*(noqa_imports(path) for path in PACKAGE.glob("*.py")))
+    assert found == TRACER_PINS
+    patched = {
+        (owner.__name__.rpartition(".")[2], attr)
+        for _, _, pairs, _ in load_tracing()._boundaries()
+        for owner, attr in pairs
+    }
+    stale = sorted(f"{module}.{name}" for module, name in TRACER_PINS - patched)
+    assert stale == [], "imports kept for names perfbench/tracing.py no longer patches: " + ", ".join(stale)
 
 
 def test_perfbench_reads_a_run_and_a_tape_attempt():

@@ -192,6 +192,22 @@ def test_ksat_deterministic_and_seed_sensitive():
     assert (a.graph.out_adj, a.rule.forbidden) != (c.graph.out_adj, c.rule.forbidden)
 
 
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"w": 0}, "grid must be nonempty"),
+        ({"h": 0}, "grid must be nonempty"),
+        ({"k": 0}, "k must be >= 1"),
+        ({"clause_radius": 0}, "clause radius must be >= 1"),
+        ({"clauses_per_cell": 0}, "need at least one clause per cell"),
+        ({"b": 1}, "alphabet size must be >= 2"),
+    ],
+)
+def test_ksat_refuses_out_of_range_arguments(change, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        gen_grid_ksat(**{**KSAT_ARGS, **change})
+
+
 def test_ksat_radius_too_tight():
     with pytest.raises(ValueError, match="fewer than k"):
         gen_grid_ksat(3, 3, 6, 1, 1, seed=0)
@@ -354,6 +370,21 @@ def test_load_rejects_bad_schema(tmp_path):
         load_problem(str(path))
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[]", "problem file must hold a JSON object"),
+        (json.dumps({"schema_version": 2, "b": 2, "scopes": [], "forbidden": [], "metadata": []}),
+         "field 'metadata' must be a JSON object"),
+    ],
+)
+def test_load_refuses_a_file_that_is_not_an_object_or_metadata_that_is_not(tmp_path, text, message):
+    path = tmp_path / "problem.json"
+    path.write_text(text)
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        load_problem(str(path))
+
+
 def test_load_refuses_schema_1(tmp_path):
     path = tmp_path / "old.json"
     old = {"schema_version": 1, "b": 2, "num_vertices": 2, "edges": [[1, 0]], "forbidden": {"1": [[0]]}}
@@ -505,6 +536,40 @@ def test_one_index_serves_every_vertex(tmp_path):
     payload = {"schema_version": 3, "b": 3, "scopes": [[0, 1], [0, 1]], "tables": [[], [[0, 2]]], "table_of": 1}
     q = load_problem(write_json(tmp_path, payload))
     assert q.rule.forbidden == [((0, 2),), ((0, 2),)]
+
+
+@pytest.mark.parametrize(
+    "make, one_index",
+    [
+        (lambda: gen_torus_nae(6, 5, 3), True),
+        (lambda: gen_grid_ksat(4, 4, 3, 2, 2, seed=5), False),
+        (lambda: gen_grid_ksat(3, 3, 1, 1, 3, seed=2, b=3), False),
+    ],
+)
+def test_schema_3_tables_are_interned_once_and_indexed(tmp_path, monkeypatch, make, one_index):
+    # the loader interns the file's T tables, not one table per vertex, and each vertex of one
+    # table holds the same tuple; the file loads equal to its schema-2 form
+    p = make()
+    path = tmp_path / "problem.json"
+    save_problem(p, str(path))
+    payload = json.loads(path.read_text())
+    assert (type(payload["table_of"]) is int) == one_index
+    interned_sizes = []
+    real = LocalRule.interned
+
+    def spy(tables, distinct):
+        interned_sizes.append(len(tables))
+        return real(tables, distinct)
+
+    monkeypatch.setattr(LocalRule, "interned", staticmethod(spy))
+    q = load_problem(str(path))
+    assert interned_sizes == [len(payload["tables"])]
+    table_of = [payload["table_of"]] * q.n if one_index else payload["table_of"]
+    first = {}
+    for x, i in enumerate(table_of):
+        assert q.rule.forbidden[x] is first.setdefault(i, q.rule.forbidden[x])
+    assert len({id(rows) for rows in q.rule.forbidden}) == len(payload["tables"])
+    assert q == load_problem(write_json(tmp_path, schema2_payload(p), "schema2.json")) == p
 
 
 # tables of random valid problems: rows drawn per scope length, a table reused by

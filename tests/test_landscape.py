@@ -232,6 +232,10 @@ def test_validate_rejects_malformed():
     with pytest.raises(ValueError, match="not forbidden"):
         validate_landscape(p, allowed_decoration)
 
+    short_fin = FinalisedLandscape(ok.forest, ok.viol, [1, 1])
+    with pytest.raises(ValueError, match="^final colouring has wrong length$"):
+        validate_landscape(p, short_fin)
+
 
 @pytest.mark.parametrize("node", [(16, 0), (-1, 0), (0, -1)])
 def test_validate_refuses_out_of_range_nodes_before_reading_rows(node):
@@ -795,6 +799,21 @@ def test_q_value_at_rho_bounded():
             prev = val
     with pytest.raises(ValueError, match="nonnegative"):
         q_value_at_rho(2, -1)
+
+
+@pytest.mark.parametrize(
+    "oracle, args, message",
+    [
+        (count_delta_trees, (0, 1), "delta must be >= 1"),
+        (count_delta_trees, (2, -1), "size must be nonnegative"),
+        (q_poly, (0, 1), "delta must be >= 1"),
+        (q_poly, (2, -1), "iteration must be nonnegative"),
+        (q_value_at_rho, (0, 1), "delta must be >= 1"),
+    ],
+)
+def test_counting_oracles_refuse_bad_arguments(oracle, args, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        oracle(*args)
 
 
 def brute_grounded_forests(g, m):

@@ -23,10 +23,11 @@ from resample_forge.mta_runner import (
     trace_to_json,
 )
 from resample_forge.partitioner import singleton_partition, sparse_partition
-from resample_forge.rule_engine import ColouringProblem, LocalRule, bad_set, satisfies
+from resample_forge.rule_engine import ColouringProblem, LocalRule, bad_set, res, satisfies
 from resample_forge.tape import FiniteTape, RandomTape, symbols_consumed, used_unused
 from tests.helpers import (
     all_allowed_problem,
+    random_cnf_problem,
     run_random_case,
     single_clause_problem,
     unsatisfiable_problem,
@@ -352,6 +353,8 @@ DIFFERENTIAL_CASES = {
     "witness_rules": lambda seed: witness_rules_problem(8, seed),
     "loaded_torus": lambda seed: reloaded(gen_torus_nae(12, 12, 2)),
     "loaded_ksat": lambda seed: reloaded(gen_grid_ksat(8, 8, 5, 2, 2, seed, b=2)),
+    # clauses of one or two cells: a one-cell scope is read through the readers' 1-tuple wrapper
+    "cnf": lambda seed: random_cnf_problem(12, 8, 3, seed),
 }
 
 
@@ -385,6 +388,18 @@ class TestMatchesFullRescan:
             # the rows the run built on demand: only the prebuilt kind has every row
             assert (None in p.graph.rel_rows([])) == (kind != "prebuilt_torus")
             self.assert_same_trace(got, reference_run(p, pi, RandomTape(seed, p.b), max_steps=30))
+
+    def test_one_cell_snapshots_are_what_res_reads(self):
+        # the "cnf" case resamples one-cell rules, whose snapshots come from the 1-tuple wrapper
+        one_cell = 0
+        for seed in range(4):
+            p = DIFFERENTIAL_CASES["cnf"](seed)
+            trace = run(p, singleton_partition(p.n), RandomTape(seed, p.b), max_steps=30)
+            for j, snap in enumerate(trace.viol_snapshots):
+                f = trace.colouring_at(j)
+                assert snap == {x: res(p, f, x) for x in snap}
+                one_cell += sum(len(p.graph.out_adj[x]) == 1 for x in snap)
+        assert one_cell > 0
 
 
 class TestDependencyRowsOnDemand:

@@ -436,6 +436,18 @@ class TestCondition:
         free = ColouringProblem(p.graph, 2, LocalRule([()] * p.n))  # margin 0 still passes
         assert check_condition(free, delta, eps) is True
 
+    def test_scope_free_instance(self):
+        # no scope, so Delta = 0: a validated problem passes, and a table forbidding the
+        # empty tuple, which `validate` refuses, is reported rather than given a threshold
+        g = Digraph.from_scopes([[], []])
+        p = ColouringProblem(g, 2, LocalRule([(), ()]))
+        p.validate()
+        assert g.big_delta() == 0
+        assert condition_report(p, 0.5, 0.5) == {"margin": 0.0, "max_dep_degree": 0, "threshold": 1.0, "ok": True}
+        bad = ColouringProblem(g, 2, LocalRule([((),), ()]))
+        with pytest.raises(MalformedProblemError, match="^nonempty forbidden sets on a scope-free instance$"):
+            condition_report(bad, 0.5, 0.5)
+
     def test_threshold_inside_the_float_range_is_the_formula(self):
         p = gen_torus_nae(6, 6, 2)  # d = 5, Delta = 13
         for delta, eps in [(0.1, 0.05), (100.0, 1.0), (1.0, 200.0)]:

@@ -150,6 +150,18 @@ class TestFiniteTape:
         with pytest.raises(ValueError):
             tape.symbol(1, 0)
 
+    def test_negative_round_rejected(self):
+        tape = FiniteTape(1, 1, 2, [1])
+        with pytest.raises(ValueError, match="^round index must be nonnegative$"):
+            tape.symbol(0, -1)
+        assert tape.reads == []
+
+    def test_reads_is_no_constructor_argument(self):
+        # the record starts empty on every tape; no caller hands one in
+        with pytest.raises(TypeError, match="reads"):
+            FiniteTape(1, 1, 2, [1], reads=[0])
+        assert FiniteTape(1, 1, 2, [1]).reads == []
+
     @pytest.mark.parametrize("name", ["num_parts", "rounds", "b"])
     @pytest.mark.parametrize("value", [True, 1.0, "1", None])
     def test_non_int_argument_rejected(self, name, value):
