@@ -9,8 +9,9 @@ header only.
 
 The command table `SUBCOMMANDS` is the one place that knows each flag: an
 entry gives a command's name, handler, help line and the function that adds
-its flags.  `main` builds every command but only the flags of the one argv
-names; `build_parser()` with no name builds them all.  A flag's range is
+its flags.  When argv starts with a command's name, `main` builds only that
+command's parser; any other argv, and `build_parser()` with no name, gets
+every command, so help and refusals list them all.  A flag's range is
 checked by its argparse type while parsing, so a bad value, or a side file
 that cannot be written, is refused before any work; so is a `stats` seed
 range past 2^64 - 1, the one check that spans two flags.  `verify` reads
@@ -28,7 +29,7 @@ timings only ever land in the wall_ms CSV column, never on stdout.
 The cyclic garbage collector is paused for each command.  Building and
 solving an instance allocates hundreds of thousands of containers but almost
 no reference cycles, and none that grow with the instance: only the argparse
-parser's few hundred objects, which `main` frees with one young-generation
+parser's hundred or so objects, which `main` frees with one young-generation
 collection before the command runs.  The collector's automatic passes found
 nothing else to free while taking about a sixth of a large solve.  Reference
 counting still frees everything at once, and `main` restores the collector as
@@ -562,7 +563,7 @@ def _subcommand(subs, c: Command) -> argparse.ArgumentParser:
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """Every subcommand, with its own flags only for `command`, or for all of them when it is None."""
+    """Only the subcommand `command` with its flags, or every subcommand with theirs when it is None."""
     parser = _Parser(
         prog="resample-forge",
         allow_abbrev=False,
@@ -570,19 +571,18 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     )
     subs = parser.add_subparsers(dest="subcommand", required=True)
     for c in SUBCOMMANDS:
-        s = _subcommand(subs, c)
         if command is None or command == c.name:
-            c.add_args(s)
+            c.add_args(_subcommand(subs, c))
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    # no top-level option takes a value, so the subcommand argparse picks is argv's first
-    # positional; when that names a command it is the first token that does, and when it
-    # does not, every command is still registered, so argparse refuses it the same way
-    command = next((tok for tok in argv if tok in _NAMES), None)
+    # a command name first in argv is the subcommand argparse picks, so the parser needs no
+    # other; any other argv (help, no command, an unknown one, an option or `--` before
+    # the command) gets every command, so its refusal or help lists them all
+    command = argv[0] if argv and argv[0] in _NAMES else None
     gc_was_enabled = gc.isenabled()
     gc.disable()
     try:

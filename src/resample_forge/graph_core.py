@@ -11,6 +11,7 @@ from __future__ import annotations
 import operator
 from collections import deque
 from dataclasses import dataclass, field
+from itertools import chain
 
 
 @dataclass
@@ -57,8 +58,11 @@ class Digraph:
         if type(scopes) is not list:
             raise ValueError("scopes must be a list of vertex lists")
         n = len(scopes)
+        # two C-level passes type every scope; only when one fails does the loop type
+        # each scope again, so the first offender is named as the loop meets it
+        typed = {list}.issuperset(map(type, scopes)) and {int}.issuperset(map(type, chain.from_iterable(scopes)))
         for x, scope in enumerate(scopes):
-            if not (type(scope) is list and {int}.issuperset(map(type, scope))):
+            if not (typed or type(scope) is list and {int}.issuperset(map(type, scope))):
                 raise ValueError(f"vertex {x}: scope must be a list of integer vertex ids")
             if scope and not (0 <= scope[0] and scope[-1] < n and all(map(operator.lt, scope, scope[1:]))):
                 raise ValueError(f"vertex {x}: scope must be strictly increasing vertex ids in 0..{n - 1}")

@@ -6,7 +6,9 @@ fill one set per vertex and sort each, as the package did before its
 key-sorted and union builders, and `reference_und_adj` unions an out-set
 and an in-set per vertex: the undirected rows that `ball` and `balls` walk.
 `reference_validate` is the graph check the package no longer makes on
-graphs it builds itself.  `reference_is_pi_unique` walks the subset and
+graphs it builds itself.  `reference_from_scopes` types each scope in its
+own loop step, as `Digraph.from_scopes` did before its two whole-list type
+passes.  `reference_is_pi_unique` walks the subset and
 stops at the first repeated part, as `is_pi_unique` did before it compared
 set sizes.
 """
@@ -36,6 +38,23 @@ def reference_from_edges(n, edges):
         out_sets[src].add(dst)
         in_sets[dst].add(src)
     return Digraph(n, [sorted(s) for s in out_sets], [sorted(s) for s in in_sets])
+
+
+def reference_from_scopes(scopes):
+    if type(scopes) is not list:
+        raise ValueError("scopes must be a list of vertex lists")
+    n = len(scopes)
+    for x, scope in enumerate(scopes):
+        if not (type(scope) is list and all(type(v) is int for v in scope)):
+            raise ValueError(f"vertex {x}: scope must be a list of integer vertex ids")
+        if scope and not (0 <= scope[0] and scope[-1] < n and all(a < b for a, b in zip(scope, scope[1:]))):
+            raise ValueError(f"vertex {x}: scope must be strictly increasing vertex ids in 0..{n - 1}")
+    in_sets = [set() for _ in range(n)]
+    for src, scope in enumerate(scopes):
+        for dst in scope:
+            in_sets[dst].add(src)
+    in_adj = [sorted(s) for s in in_sets]
+    return Digraph(n, scopes, scopes if in_adj == scopes else in_adj)
 
 
 def reference_und_adj(g):

@@ -3,9 +3,9 @@
 Everything drives cli.main() in-process; stdout is parsed as JSON where the
 command emits JSON.  Wall-clock columns are the only tolerated difference
 between repeated runs.  Every command line `run_cli` or the golden corpus
-runs is first read by the parser `main` builds, which holds only the named
-command's flags, and by the parser with every command's flags; the two must
-agree (`assert_parsers_agree`).
+runs is first read by the parser `main` builds, which holds only the command
+argv starts with, and by the parser with every command and its flags; the two
+must agree (`assert_parsers_agree`).
 """
 
 import contextlib
@@ -95,7 +95,7 @@ def parsed(parser, argv):
 
 
 def assert_parsers_agree(argv):
-    """The parser `main` builds for argv, with only the named command's flags, reads it as the full parser does.
+    """The parser `main` builds for argv, with only the command it names, reads it as the full parser does.
 
     A command line both parse gives equal Namespaces, and its command is the
     one `main` named; one both refuse, or a `--help`, gives the same exit code,
@@ -1260,9 +1260,10 @@ def test_help_exits_zero(capsys, argv):
     assert err == ""
 
 
-# main builds only the flags of the command argv names; beyond every argv the tests above
-# run, each command's --help, no command, unknown commands, tokens that name a command
-# elsewhere in argv, and one refused value of each ranged flag read as with every flag built
+# main builds only the command argv starts with; beyond every argv the tests above run,
+# each command's --help, no command, unknown commands, tokens that name a command
+# elsewhere in argv, `--`, `-` and help around a command, and one refused value of each
+# ranged flag read as with every command built
 @pytest.mark.parametrize(
     "argv",
     [
@@ -1296,7 +1297,43 @@ def test_help_exits_zero(capsys, argv):
         ["gen", "torus", "--w", "x", "--out", "t.json"],
         ["gen", "torus", "--out", "<missing>"],
         ["gen", "cube", "--out", "t.json"],
+        ["--", "solve", "p.json"],
+        ["-h", "solve"],
+        ["-", "solve"],
+        ["solve", "--", "p.json"],
+        ["solve", "p.json", "extra"],
+        ["solve", "-h", "p.json"],
+        ["--help", "solve", "--help"],
     ],
 )
 def test_each_command_parses_as_with_every_flag_built(tmp_path, argv):
     assert_parsers_agree([str(tmp_path / "missing" / "x") if tok == "<missing>" else tok for tok in argv])
+
+
+@pytest.mark.parametrize(
+    "argv, built",
+    [
+        (["solve", "<missing>"], ["solve"]),
+        (["--help"], [c.name for c in cli.SUBCOMMANDS]),
+        ([], [c.name for c in cli.SUBCOMMANDS]),
+        (["nosuchcommand"], [c.name for c in cli.SUBCOMMANDS]),
+    ],
+)
+def test_main_builds_only_the_command_argv_starts_with(tmp_path, capsys, argv, built):
+    names = []
+    subcommand = cli._subcommand
+
+    def spy(subs, c):
+        names.append(c.name)
+        return subcommand(subs, c)
+
+    argv = [str(tmp_path / "missing.json") if tok == "<missing>" else tok for tok in argv]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(cli, "_subcommand", spy)
+        try:
+            code = cli.main(argv)
+        except SystemExit as exc:  # --help
+            code = exc.code
+    assert names == built
+    assert code == (0 if argv == ["--help"] else cli.EXIT_ERROR)
+    capsys.readouterr()

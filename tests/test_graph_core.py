@@ -1,5 +1,6 @@
 """Tests for graph_core against brute-force oracles and hand-traced values."""
 
+import copy
 import inspect
 import random
 import tracemalloc
@@ -20,6 +21,7 @@ from resample_forge.instance_io import gen_grid_ksat, gen_torus_nae, torus_graph
 from tests.reference_partition import (
     reference_build_rel,
     reference_from_edges,
+    reference_from_scopes,
     reference_power_graph,
     reference_und_adj,
     reference_validate,
@@ -571,6 +573,27 @@ class TestMatchesSetPerVertex:
         g = Digraph.from_scopes(scopes)
         assert g == reference_from_edges(n, edges)
         assert g == Digraph.from_edges(n, edges)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_from_scopes_refuses_the_first_fault_as_the_loop_does(self, data):
+        # valid sorted scopes with up to three scopes replaced by faulty ones: wrong types,
+        # disorder, duplicates or out-of-range cells inside a list, or a scope that is no list
+        n = data.draw(st.integers(0, 12))
+        scopes = [sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=4))) for _ in range(n)]
+        cell = st.one_of(st.integers(-2, n + 1), st.booleans(), st.floats(allow_nan=False), st.just("0"))
+        fault = st.one_of(st.lists(cell, max_size=4), st.tuples(st.integers(0, n)), st.integers(), st.none())
+        for _ in range(data.draw(st.integers(0, 3)) if n else 0):
+            scopes[data.draw(st.integers(0, n - 1))] = data.draw(fault)
+
+        def outcome(build):
+            try:
+                g = build(copy.deepcopy(scopes))
+            except ValueError as exc:
+                return str(exc)
+            return g, g.in_adj is g.out_adj
+
+        assert outcome(Digraph.from_scopes) == outcome(reference_from_scopes)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
