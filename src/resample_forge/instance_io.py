@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from itertools import chain, count
 
 from resample_forge.graph_core import Digraph, torus_rows
 # unused here, but perfbench/tracing.py wraps the name instance_io.ball
@@ -31,9 +32,12 @@ SCHEMA_VERSION = 3
 # problem file writes the one shared table once, 2.4 MB at this cap whatever the torus's size
 MAX_TORUS_B = 1 << 16
 # 1024 x 1024 cells: a torus file names its sides in a few bytes, so this bounds what a
-# ~60-byte file can make the loader build; gen_torus_nae(1000, 1000, 2) takes 1.5 s and
-# peaks at 291 MB RSS (Python 3.11), and loading its file the same
+# ~60-byte file can make the loader build; gen_torus_nae(1000, 1000, 2) takes 0.65 s and
+# peaks at 168 MB ru_maxrss (Python 3.11), and loading its file 0.77 s and the same 168 MB
 MAX_TORUS_CELLS = 1 << 20
+# clause-window cells gen_grid_ksat may copy, clauses x window cells; each costs ~50-110 ns (Python 3.11),
+# 8.1 s for 400 x 400 cells at radius 15 (7.7 * 10^7), so ~15 s at this cap
+MAX_WINDOW_CELLS = 1 << 27
 
 
 def stamps(p: ColouringProblem) -> dict:
@@ -109,9 +113,15 @@ def gen_grid_ksat(
     Variable vertices fill a plain w*h grid and carry no rules; each cell
     anchors clauses_per_cell clause vertices reading k distinct variables
     within Manhattan distance clause_radius, each forbidding one tuple drawn
-    from a counter-based deterministic stream.  The w*h*(1 + clauses_per_cell)
-    vertices are at most `MAX_TORUS_CELLS`, the torus's bound, checked before
-    anything is built.
+    from a counter-based deterministic stream.  A cell's window, the L1
+    diamond around it clipped at the grid edge, is written down, not
+    searched for: each grid row i has one table of (first cell, reach) pairs,
+    one per row in range, and the window of (i, j) is one C-level range per
+    pair, in row-major order, which is the order draw() picks by index.  Two
+    bounds are checked before anything is built: the w*h*(1 + clauses_per_cell)
+    vertices are at most `MAX_TORUS_CELLS`, the torus's bound, and the
+    window cells the clauses copy, w*h*clauses_per_cell times the diamond's
+    size capped at w*h, at most `MAX_WINDOW_CELLS`, which bounds the time.
     """
     require_ints(
         w=w, h=h, k=k, clause_radius=clause_radius, clauses_per_cell=clauses_per_cell, seed=seed, b=b
@@ -133,37 +143,34 @@ def gen_grid_ksat(
         raise ValueError("alphabet size must be >= 2")
     if not 0 <= seed <= MASK64:
         raise ValueError(f"seed must be in 0..{MASK64}")
+    if w * h * clauses_per_cell * min(2 * clause_radius * (clause_radius + 1) + 1, w * h) > MAX_WINDOW_CELLS:
+        raise ValueError(
+            f"grid k-SAT copies at most {MAX_WINDOW_CELLS} window cells, not {w}x{h} cells "
+            f"with {clauses_per_cell} clauses each at radius {clause_radius}"
+        )
     num_vars = w * h
-
-    counter = 0
+    counter = count(1)
 
     def draw(bound: int) -> int:
-        nonlocal counter
-        counter += 1
-        return mix64((seed + counter * GAMMA) & MASK64) % bound
+        return mix64((seed + next(counter) * GAMMA) & MASK64) % bound
 
     scopes: list = [[] for _ in range(num_vars)]
     rows: list = [[] for _ in range(num_vars)]
     for i in range(h):
+        # per grid row in range, its first cell and how far the L1 diamond around row i reaches along it
+        in_range = range(max(0, i - clause_radius), min(h, i + clause_radius + 1))
+        reach = [(i2 * w, clause_radius - abs(i2 - i)) for i2 in in_range]
         for j in range(w):
-            # the (2r+1)-square around (i, j), clipped at the grid edge; row-major, as draw() picks by index
-            nearby = [
-                i2 * w + j2
-                for i2 in range(max(0, i - clause_radius), min(h, i + clause_radius + 1))
-                for j2 in range(max(0, j - clause_radius), min(w, j + clause_radius + 1))
-                if abs(i2 - i) + abs(j2 - j) <= clause_radius
-            ]
+            # the diamond around (i, j), clipped at the grid edge, row-major, as draw() picks by index
+            nearby = list(chain.from_iterable(range(base + max(0, j - d), base + min(w, j + d + 1)) for base, d in reach))
             if len(nearby) < k:
                 raise ValueError(
                     f"cell ({i},{j}) sees {len(nearby)} variables within "
                     f"radius {clause_radius}, fewer than k={k}"
                 )
             for _ in range(clauses_per_cell):
-                pool = list(nearby)
-                scope = []
-                for _ in range(k):
-                    scope.append(pool.pop(draw(len(pool))))
-                scope.sort()
+                pool = nearby.copy()
+                scope = sorted(pool.pop(draw(len(pool))) for _ in range(k))
                 scopes.append(scope)
                 rows.append([tuple(draw(b) for _ in scope)])
     g = Digraph.from_scopes(scopes)

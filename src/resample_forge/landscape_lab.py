@@ -29,6 +29,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import itemgetter
+from typing import AbstractSet
 
 from resample_forge.graph_core import Digraph, build_rel, tuple_reader
 # unused here, but perfbench/tracing.py wraps the name landscape_lab.ball
@@ -46,9 +47,15 @@ class GroundingError(RuntimeError):
 
 @dataclass
 class GForest:
-    """Level-graded forest: node set plus a partial parent map (in-degree <= 1)."""
+    """Level-graded forest: node set plus a partial parent map (in-degree <= 1).
 
-    nodes: set
+    `nodes` is any set-like collection of (vertex, level) pairs.  The
+    builders (`build_landscape`, `ground`, `restrict_landscape`) pass their
+    decoration map's `keys()` view, so a landscape holds its node set once;
+    `validate_landscape` still checks the keys of a hand-built one.
+    """
+
+    nodes: AbstractSet
     parent: dict
 
     def roots(self) -> list:
@@ -91,7 +98,7 @@ def validate_landscape(p: ColouringProblem, fl: FinalisedLandscape) -> None:
         else:
             read[lvl] = list(scopes[x])
     # before the levels: a node list that repeats a node would read its cells twice
-    if set(fl.viol.keys()) != nodes:
+    if fl.viol.keys() != nodes:
         raise ValueError("decoration keys do not match the node set")
     rel_adj = p.graph.rel_rows(x for x, _ in nodes)
     for child, par in forest.parent.items():
@@ -145,7 +152,7 @@ def build_landscape(p: ColouringProblem, pi, trace, k: int) -> FinalisedLandscap
                     raise RuntimeError(f"no parent for node ({x},{i}): previous resampled set not maximal")
                 parent[nd] = (y, i - 1)
         below = snap
-    return FinalisedLandscape(GForest(set(viol), parent), viol, trace.colouring_at(depth))
+    return FinalisedLandscape(GForest(viol.keys(), parent), viol, trace.colouring_at(depth))
 
 
 def used_of(p: ColouringProblem, fl: FinalisedLandscape) -> list:
@@ -213,7 +220,7 @@ def ground(p: ColouringProblem, fl: FinalisedLandscape) -> FinalisedLandscape:
             top[v] = new
         moved[nd] = new
         viol[new] = fl.viol[nd]
-    return FinalisedLandscape(GForest(set(viol), parent), viol, list(fl.fin))
+    return FinalisedLandscape(GForest(viol.keys(), parent), viol, list(fl.fin))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +298,7 @@ def restrict_landscape(p: ColouringProblem, pi, fl: FinalisedLandscape, subset) 
     fin = [0] * pi.num_parts
     for x in kept:
         fin[part_of[x]] = fl.fin[x]
-    return FinalisedLandscape(GForest(set(viol), parent), viol, fin)
+    return FinalisedLandscape(GForest(viol.keys(), parent), viol, fin)
 
 
 # ---------------------------------------------------------------------------

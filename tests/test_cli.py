@@ -26,7 +26,14 @@ from hypothesis import given, settings, strategies as st
 
 from resample_forge import cli, instance_io
 from resample_forge.graph_core import Digraph
-from resample_forge.instance_io import MAX_TORUS_B, MAX_TORUS_CELLS, gen_torus_nae, load_problem, save_problem
+from resample_forge.instance_io import (
+    MAX_TORUS_B,
+    MAX_TORUS_CELLS,
+    MAX_WINDOW_CELLS,
+    gen_torus_nae,
+    load_problem,
+    save_problem,
+)
 from resample_forge.rule_engine import ColouringProblem, LocalRule
 
 from .helpers import (
@@ -1147,6 +1154,20 @@ def test_gen_ksat_past_the_vertex_cap_exits_one_before_building(tmp_path, capsys
     try:
         argv = ["gen", "ksat", *sides, "--per-cell", per_cell, "--out", str(out)]
         assert_one_error_line(capsys, argv, f"grid k-SAT needs at most {MAX_TORUS_CELLS} vertices")
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # the argparse parsers and the error line, no grid
+    assert not out.exists()
+
+
+# gen ksat --w 700 --h 700 --radius 1400 used to start on ~2.4 * 10^11 window cells
+def test_gen_ksat_past_the_window_cap_exits_one_before_building(tmp_path, capsys):
+    out = tmp_path / "ksat.json"
+    tracemalloc.start()
+    try:
+        argv = ["gen", "ksat", "--w", "700", "--h", "700", "--radius", "1400", "--out", str(out)]
+        assert_one_error_line(capsys, argv, f"grid k-SAT copies at most {MAX_WINDOW_CELLS} window cells")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -3,17 +3,19 @@
 import itertools
 import json
 import pathlib
+import re
 import tempfile
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from resample_forge import instance_io
 from resample_forge.graph_core import Digraph
 from resample_forge.instance_io import (
     MAX_TORUS_B,
     MAX_TORUS_CELLS,
+    MAX_WINDOW_CELLS,
     gen_grid_ksat,
     gen_torus_nae,
     load_problem,
@@ -23,9 +25,10 @@ from resample_forge.instance_io import (
 from resample_forge.mta_runner import run
 from resample_forge.partitioner import singleton_partition
 from resample_forge.rule_engine import ColouringProblem, LocalRule, bad_set, lll_margin, satisfies
-from resample_forge.tape import RandomTape
+from resample_forge.tape import MASK64, RandomTape
 
 from tests.helpers import schema2_payload, schema3_payload, torus_graph
+from tests.reference_instance_io import reference_gen_grid_ksat
 from tests.make_golden import GOLDEN_DIR
 
 
@@ -232,6 +235,77 @@ def test_ksat_vertex_cap_counts_variables_and_clauses(monkeypatch):
     for w, h, per_cell in [(5, 5, 1), (3, 3, 2), (2, 3, 4)]:
         with pytest.raises(ValueError, match=f"^grid k-SAT needs at most 24 vertices, not {w}x{h} cells"):
             gen_grid_ksat(w, h, 2, 1, per_cell, seed=0)
+
+
+# gen ksat --w 700 --h 700 --radius 1400 used to start on ~2.4 * 10^11 window cells
+def test_ksat_window_cap_is_checked_before_anything_is_built():
+    tracemalloc.start()
+    try:
+        with pytest.raises(
+            ValueError,
+            match=f"^grid k-SAT copies at most {MAX_WINDOW_CELLS} window cells, "
+            "not 700x700 cells with 1 clauses each at radius 1400$",
+        ):
+            gen_grid_ksat(700, 700, 5, 1400, 1, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 100_000
+
+
+def test_ksat_window_cap_counts_clauses_times_the_clipped_diamond(monkeypatch):
+    # the diamond holds 2r(r+1) + 1 cells, capped at the grid's w * h; the bound is inclusive
+    for w, h, k, radius, per_cell, cells in [(3, 4, 2, 1, 1, 60), (3, 4, 2, 1, 2, 120), (3, 3, 2, 5, 1, 81)]:
+        monkeypatch.setattr(instance_io, "MAX_WINDOW_CELLS", cells)
+        assert gen_grid_ksat(w, h, k, radius, per_cell, seed=0).n == w * h * (1 + per_cell)
+        monkeypatch.setattr(instance_io, "MAX_WINDOW_CELLS", cells - 1)
+        message = f"^grid k-SAT copies at most {cells - 1} window cells, not {w}x{h} cells with {per_cell} clauses"
+        with pytest.raises(ValueError, match=message):
+            gen_grid_ksat(w, h, k, radius, per_cell, seed=0)
+
+
+_KSAT_SEEDS = st.one_of(st.sampled_from([0, MASK64]), st.integers(0, MASK64))
+
+
+# the clause windows are written down from each row's reach table; the reference walks and filters the square
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 12), st.integers(1, 12), st.integers(1, 30), st.integers(1, 3), st.integers(2, 3), _KSAT_SEEDS,
+    st.integers(0, 1 << 16),
+)
+@example(1, 12, 30, 3, 3, MASK64, 4)
+@example(12, 1, 2, 2, 2, 0, 5)
+@example(1, 1, 1, 1, 2, 0, 0)
+def test_ksat_equals_the_square_walk_reference(w, h, radius, per_cell, b, seed, pick):
+    # k is at most one past the largest window, so some draws refuse a cell that sees fewer than k variables
+    k = 1 + pick % (min(w * h, 2 * radius * (radius + 1) + 1) + 1)
+    try:
+        want = reference_gen_grid_ksat(w, h, k, radius, per_cell, seed, b)
+    except ValueError as exc:  # the same first cell that sees fewer than k variables, in the same words
+        with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+            gen_grid_ksat(w, h, k, radius, per_cell, seed, b)
+        return
+    got = gen_grid_ksat(w, h, k, radius, per_cell, seed, b)
+    assert got.graph.out_adj == want.graph.out_adj
+    assert got.rule.forbidden == want.rule.forbidden
+    assert got.metadata == want.metadata
+
+
+# past the diameter (w - 1) + (h - 1) the window is the whole grid, so the radius no longer matters
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.integers(1, 10**6), st.integers(1, 3), _KSAT_SEEDS, st.data())
+def test_ksat_radius_past_the_diameter_makes_the_diameter_problem(w, h, extra, per_cell, seed, data):
+    diameter = max(1, w + h - 2)
+    k = data.draw(st.integers(1, w * h + 1), label="k")
+    radius = diameter + extra
+    if k > w * h:  # every cell sees the whole grid, so the first cell is the first refused
+        with pytest.raises(ValueError, match=rf"^cell \(0,0\) sees {w * h} variables within radius {radius}, "):
+            gen_grid_ksat(w, h, k, radius, per_cell, seed)
+        return
+    got = gen_grid_ksat(w, h, k, radius, per_cell, seed)
+    want = reference_gen_grid_ksat(w, h, k, diameter, per_cell, seed)
+    assert got.graph.out_adj == want.graph.out_adj
+    assert got.rule.forbidden == want.rule.forbidden
 
 
 TORUS_ARGS = {"w": 4, "h": 4, "b": 2}

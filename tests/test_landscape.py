@@ -532,6 +532,19 @@ def test_restrict_landscape_boundary_fallback():
     reference_validate_landscape(rp, rl, strict_viol=False)
 
 
+# each builder hands its forest the decoration map's keys view, not a copy of the keys
+def test_landscape_builders_hold_the_node_set_once():
+    p, pi, tape, trace = run_random_case(11, n=8, b=2)
+    fl = build_landscape(p, pi, trace, trace.rounds + 1)
+    assert fl.forest.nodes
+    for made in (fl, ground(p, fl), restrict_landscape(p, pi, fl, range(0, p.n, 2))):
+        nodes = made.forest.nodes
+        assert type(nodes) is type({}.keys()) and nodes == set(made.viol)
+        # `nodes.mapping` is a read-only proxy, never viol itself: a key added to viol shows the view is of it
+        made.viol[None] = ()
+        assert None in nodes
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10**6), centre=st.integers(0, 24))
 def test_restriction_preserves_interior_playback(seed, centre):
