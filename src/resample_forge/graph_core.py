@@ -203,8 +203,10 @@ def balls(g: Digraph, r: int):
     == x means w is already in x's ball, so self-loops are skipped), and
     no per-vertex set, deque or sort is built.  The scan reads `out_adj`,
     or unless `out_adj is in_adj` one undirected row per vertex built for
-    it alone.  Callers may keep the yielded lists.  An r that is negative
-    or not an exact int raises ValueError once the scan starts.
+    it alone.  Callers may keep the yielded lists; `power_graph` keeps
+    each one as a row, while `partitioner.sparse_partition` keeps none and
+    drops each ball once it is read.  An r that is negative or not an
+    exact int raises ValueError once the scan starts.
     """
     _check_radius(r)
     und = g.out_adj
@@ -275,6 +277,9 @@ def power_graph(g: Digraph, r: int) -> Digraph:
     with r clamped to the diameter w//2 + h//2, past which a ball is the
     whole torus, so a huge r builds no more offsets than that.  On every
     other graph they are the `balls`, each trimmed of its centre and sorted.
+    Its one program caller is `partitioner.sparse_partition` on a torus,
+    which reads the written-down rows; the partition walks `balls` itself
+    on every other graph, so only tests build those sorted rows.
     """
     _check_radius(r)
     if g.torus is not None:

@@ -7,18 +7,19 @@ distance-2r power graph, and `sparse_partition` colours that graph greedily
 without building it.  It rests on the midpoint identity: x and y are within
 distance 2r exactly when some z lies within r of both, since a shortest
 path of length k <= 2r splits at its midpoint into ceil(k/2) + floor(k/2)
-steps, each at most r.  So the radius-r balls, read from the radius-r
-power graph, carry all the colouring needs.  `graph_core.power_graph`
-writes a torus's balls down with `graph_core.torus_rows`, as zipped slices
-of one cell list clear of the side seams and sorted sets at them, and finds
-those of every other graph by one reused-array BFS scan in `graph_core.balls`.
+steps, each at most r.  So the radius-r balls carry all the colouring
+needs, each read once.  On a torus that `instance_io.torus_graph` built
+they are the rows of `graph_core.power_graph`, written down by
+`graph_core.torus_rows` as zipped slices of one cell list clear of the side
+seams and sorted sets at them.  On every other graph they come one at a
+time from the reused-array BFS scan of `graph_core.balls`, and none is kept.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from resample_forge.graph_core import Digraph, power_graph
+from resample_forge.graph_core import Digraph, _check_radius, balls, power_graph
 # unused here, but perfbench/tracing.py wraps the name partitioner.ball
 from resample_forge.graph_core import ball  # noqa: F401
 
@@ -32,7 +33,9 @@ class SparsePartition:
 
 
 def singleton_partition(n: int) -> SparsePartition:
-    """Every vertex its own part; r-sparse for every r."""
+    """Every vertex its own part; r-sparse for every r.  n must be a nonnegative exact int."""
+    if type(n) is not int or n < 0:  # True would pass for 1, and -2 would make num_parts -2
+        raise ValueError(f"vertex count must be a nonnegative integer, not {n!r}")
     return SparsePartition(n, tuple(range(n)))
 
 
@@ -41,18 +44,25 @@ def sparse_partition(g: Digraph, r: int) -> SparsePartition:
 
     Each vertex x takes the least colour unused among the already-coloured
     vertices within distance 2r of it, so the colour set comes out dense.
-    Only the radius-r power graph is built.  `seen[z]` is a bitmask whose
-    bit c is set once a vertex of colour c lies within r of z.  By the
-    midpoint identity, the OR of `seen[z]` over the radius-r ball of x (x
-    included) has bit c set exactly when a coloured vertex of colour c lies
-    within 2r of x, so its lowest zero bit is the old least-absent colour.
-    x then sets that bit in `seen[z]` for every z of its ball.
+    The distance-2r power graph is never built.  Each radius-r ball is
+    read in turn: when `g.torus` is set, from the rows `power_graph(g, r)`
+    writes down, held for the scan; otherwise from `balls(g, r)`, one
+    fresh list dropped once x is coloured.  `seen[z]` is a bitmask whose bit c is set once a vertex of
+    colour c lies within r of z.  By the midpoint identity, the OR of
+    `seen[z]` over the radius-r ball of x (x included) has bit c set
+    exactly when a coloured vertex of colour c lies within 2r of x, so its
+    lowest zero bit is the old least-absent colour.  x then sets that bit
+    in `seen[z]` for every z of its ball.  Neither pass depends on the
+    order within a ball, and a ball from `balls` holding x too only ORs
+    and sets `seen[x]` twice, so both sources give the same colouring.
     """
-    if r < 1:
+    if type(r) is int and r < 1:
         raise ValueError("sparsity radius must be >= 1")
+    _check_radius(r)  # every r that is not an exact int, before anything compares it
+    near_of = power_graph(g, r).out_adj if g.torus is not None else balls(g, r)
     seen = [0] * g.n
     colour = []
-    for x, near in enumerate(power_graph(g, r).out_adj):
+    for x, near in enumerate(near_of):
         m = seen[x]
         for z in near:
             m |= seen[z]

@@ -125,13 +125,25 @@ class ConsumptionReport(NamedTuple):
     bits: float
 
 
+def _check_fits(trace, pi) -> None:
+    # zip would truncate a partition of another instance and give a silently wrong answer
+    if len(pi.part_of) != len(trace.h) or pi.num_parts != trace.num_parts:
+        raise ValueError(
+            f"partition of {len(pi.part_of)} vertices in {pi.num_parts} parts does not fit"
+            f" a trace of {len(trace.h)} vertices in {trace.num_parts} parts"
+        )
+
+
 def used_unused(trace, pi, tape, k: int):
     """Split each vertex's first k tape symbols into consumed and untouched.
 
     The consumed prefix has length h^k(x): one initial sample plus one per
     resampling of x during the first k rounds.  Returns (used, unused) as
     per-vertex lists of tuples; their concatenation always has length k.
+    A partition whose vertex or part count differs from the trace's raises
+    ValueError.
     """
+    _check_fits(trace, pi)
     depth = trace.prefix_rounds(k)
     n = len(trace.h)
     h_k = [0] * n if k == 0 else [1] * n
@@ -151,7 +163,10 @@ def symbols_consumed(trace, pi) -> ConsumptionReport:
     """Total distinct tape cells consumed: per part, the largest counter wins.
 
     For a run that exhausted its budget the count is only a lower bound.
+    A partition whose vertex or part count differs from the trace's raises
+    ValueError.
     """
+    _check_fits(trace, pi)
     top = [0] * pi.num_parts
     for alpha, hx in zip(pi.part_of, trace.h):
         if hx > top[alpha]:

@@ -22,7 +22,7 @@ from resample_forge.mta_runner import (
     trace_round_csv,
     trace_to_json,
 )
-from resample_forge.partitioner import singleton_partition, sparse_partition
+from resample_forge.partitioner import SparsePartition, singleton_partition, sparse_partition
 from resample_forge.rule_engine import ColouringProblem, LocalRule, bad_set, res, satisfies
 from resample_forge.tape import FiniteTape, RandomTape, symbols_consumed, used_unused
 from tests.helpers import (
@@ -272,6 +272,14 @@ class TestUsedUnused:
         with pytest.raises(ValueError):
             used_unused(trace, pi, RandomTape(5, 2), trace.rounds + 2)
 
+    @pytest.mark.parametrize("other", [SparsePartition(4, (0, 1, 2, 3)), SparsePartition(1, (0,) * 6)])
+    def test_rejects_a_partition_that_does_not_fit_the_trace(self, other):
+        p = all_allowed_problem(6)
+        trace = run(p, singleton_partition(6), RandomTape(4, 2))
+        msg = f"^partition of {len(other.part_of)} vertices in {other.num_parts} parts does not fit a trace of 6 vertices in 6 parts$"
+        with pytest.raises(ValueError, match=msg):
+            used_unused(trace, other, RandomTape(4, 2), 1)
+
 
 class TestSymbolsConsumed:
     def test_immediate_success_counts_parts(self):
@@ -297,6 +305,15 @@ class TestSymbolsConsumed:
         trace = run(p, pi, RandomTape(5, 2), max_steps=3)
         report = symbols_consumed(trace, pi)
         assert report.count >= 2
+
+    @pytest.mark.parametrize("other", [SparsePartition(4, (0, 1, 2, 3)), SparsePartition(1, (0,) * 6)])
+    def test_rejects_a_partition_that_does_not_fit_the_trace(self, other):
+        # zip used to truncate: another instance's 4-vertex partition counted 4 of the 6 vertices
+        p = all_allowed_problem(6)
+        trace = run(p, singleton_partition(6), RandomTape(4, 2))
+        msg = f"^partition of {len(other.part_of)} vertices in {other.num_parts} parts does not fit a trace of 6 vertices in 6 parts$"
+        with pytest.raises(ValueError, match=msg):
+            symbols_consumed(trace, other)
 
 
 class TestTraceExport:

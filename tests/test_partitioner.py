@@ -1,6 +1,7 @@
 """Tests for distance-sparse partitions."""
 
 import random
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -52,8 +53,19 @@ class TestSparsePartition:
         assert sparse_partition(g, 2) == sparse_partition(g, 2)
 
     def test_rejects_radius_zero(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^sparsity radius must be >= 1$"):
             sparse_partition(path_graph(3), 0)
+
+    @pytest.mark.parametrize("r", [-1, -7])
+    def test_negative_int_radius_keeps_its_message(self, r):
+        with pytest.raises(ValueError, match=r"^sparsity radius must be >= 1$"):
+            sparse_partition(path_graph(3), r)
+
+    @pytest.mark.parametrize("r", [None, "2", 2.0, True, 1.5])
+    def test_radius_that_is_not_an_exact_int_is_checked_before_any_comparison(self, r):
+        # None and "2" used to reach `r < 1` first and raise TypeError
+        with pytest.raises(ValueError, match=rf"^radius must be an integer, not {re.escape(repr(r))}$"):
+            sparse_partition(path_graph(3), r)
 
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10**6), st.integers(1, 3))
@@ -80,6 +92,15 @@ class TestSingletonPartition:
         assert pi.part_of == tuple(range(6))
         for r in range(4):
             assert reference_is_r_sparse(g, pi, r)
+
+    def test_empty_graph_has_no_parts(self):
+        assert singleton_partition(0) == SparsePartition(0, ())
+
+    @pytest.mark.parametrize("n", [-2, -1, True, False, 3.0, "3", None])
+    def test_rejects_a_count_that_is_not_a_nonnegative_int(self, n):
+        # -2 used to give num_parts=-2, and True num_parts=True
+        with pytest.raises(ValueError, match=rf"^vertex count must be a nonnegative integer, not {re.escape(repr(n))}$"):
+            singleton_partition(n)
 
 
 class TestPiUnique:
@@ -181,6 +202,12 @@ def test_partition_transient_bound_holds_on_the_bfs_path():
     # the same bound on an equal graph read from scope lists, which power_graph reaches by BFS, not offsets
     g = scope_copy(gen_torus_nae(60, 60, 2).graph)
     assert traced_peak(sparse_partition, g, 3) < traced_peak(graph_core.power_graph, g, 6) / 2
+
+
+def test_partition_off_the_torus_holds_no_radius_r_power_graph():
+    # grid k-SAT has no described torus: the partition walks its balls and keeps none of them
+    g = gen_grid_ksat(32, 32, 5, 2, 2, 7).graph
+    assert traced_peak(sparse_partition, g, 3) < traced_peak(graph_core.power_graph, g, 3) / 3
 
 
 class TestTorusRowsPartition:
