@@ -19,13 +19,13 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from itertools import chain, count
+from itertools import chain
 
 from resample_forge.graph_core import Digraph, torus_rows
 # unused here, but perfbench/tracing.py wraps the name instance_io.ball
 from resample_forge.graph_core import ball  # noqa: F401
 from resample_forge.rule_engine import ColouringProblem, LocalRule, lll_margin
-from resample_forge.tape import GAMMA, MASK64, mix64, require_ints
+from resample_forge.tape import GAMMA, MASK64, mix64_stream, require_ints
 
 SCHEMA_VERSION = 3
 # the torus table holds b constant 5-tuples, ~120 B per colour: 7.8 MB at this cap; a
@@ -113,7 +113,8 @@ def gen_grid_ksat(
     Variable vertices fill a plain w*h grid and carry no rules; each cell
     anchors clauses_per_cell clause vertices reading k distinct variables
     within Manhattan distance clause_radius, each forbidding one tuple drawn
-    from a counter-based deterministic stream.  A cell's window, the L1
+    from the counter-based stream mix64(seed + c * GAMMA), c = 1, 2, ...,
+    hashed in packed blocks by `mix64_stream`.  A cell's window, the L1
     diamond around it clipped at the grid edge, is written down, not
     searched for: each grid row i has one table of (first cell, reach) pairs,
     one per row in range, and the window of (i, j) is one C-level range per
@@ -149,10 +150,10 @@ def gen_grid_ksat(
             f"with {clauses_per_cell} clauses each at radius {clause_radius}"
         )
     num_vars = w * h
-    counter = count(1)
+    stream = mix64_stream((seed + GAMMA) & MASK64, GAMMA)  # mix64(seed + c * GAMMA) for c = 1, 2, ...
 
     def draw(bound: int) -> int:
-        return mix64((seed + next(counter) * GAMMA) & MASK64) % bound
+        return next(stream) % bound
 
     scopes: list = [[] for _ in range(num_vars)]
     rows: list = [[] for _ in range(num_vars)]

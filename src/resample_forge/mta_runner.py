@@ -8,8 +8,10 @@ taken at x so far (the initial fill included), so a run is a pure function of
 
 Cells of one part share their stream, so a run asks the tape for each
 (part, t) symbol once and hands it to every cell that reaches it: the fill
-reads one symbol per part, and the rounds keep what they read in a dict.  The
-tape work therefore follows the symbols consumed, not the cells touched.
+takes one symbol per part from the tape's bulk `fill` (on a `RandomTape`, one
+packed SplitMix64 pass per block of parts), and the rounds read theirs one
+`symbol` call at a time and keep them in a dict.  The tape work therefore
+follows the symbols consumed, not the cells touched.
 Rules are checked, and snapshots taken, through the graph's cached scope
 readers (`Digraph.readers`), which build each scope's tuple of colours in C.
 
@@ -167,7 +169,7 @@ def run(
 
     part_of, scopes, read = pi.part_of, p.graph.out_adj, p.graph.readers()
     # one read per part for the fill: parts are dense 0..num_parts-1
-    fill = [tape.symbol(a, 0) for a in range(pi.num_parts)]
+    fill = tape.fill(pi.num_parts)
     f = [fill[a] for a in part_of]
     symbols: dict[tuple[int, int], int] = {}  # what the rounds read, keyed (part, t >= 1)
     h = [1] * p.n

@@ -83,20 +83,27 @@ class ColouringProblem:
         return self.graph.n
 
     def forbidden_sets(self) -> list[frozenset]:
-        """Per vertex, its forbidden tuples as a frozenset, cached; one set per distinct table object.
+        """Per vertex, its forbidden tuples as a frozenset, cached; one set per distinct table.
 
         Each set is built from a `set`, whose size CPython knows, so the
         frozenset's table is sized once: built from the tuple, a six-row set
-        grows to 32 slots, 728 B against 472 B.
+        grows to 32 slots, 728 B against 472 B.  When every table equals
+        the first, as on a torus where they are one object, one C-level
+        `count` finds it and every vertex gets that one set, with no Python
+        loop over the vertices; otherwise each table object gets its own set.
         """
         if self._forbidden_sets is None:
-            by_table: dict[int, frozenset] = {}  # id(table) -> its set; every table stays alive in self.rule
-            sets = []
-            for rows in self.rule.forbidden:
-                s = by_table.get(id(rows))
-                if s is None:
-                    s = by_table[id(rows)] = frozenset(set(rows))
-                sets.append(s)
+            forbidden = self.rule.forbidden
+            if forbidden and forbidden.count(forbidden[0]) == len(forbidden):
+                sets = [frozenset(set(forbidden[0]))] * len(forbidden)
+            else:
+                by_table: dict[int, frozenset] = {}  # id(table) -> its set; every table stays alive in self.rule
+                sets = []
+                for rows in forbidden:
+                    s = by_table.get(id(rows))
+                    if s is None:
+                        s = by_table[id(rows)] = frozenset(set(rows))
+                    sets.append(s)
             self._forbidden_sets = sets
         return self._forbidden_sets
 

@@ -9,11 +9,20 @@ reproducible and independent of access order.  The candidate stream is
 with mix64 the SplitMix64 finaliser, and the returned symbol is v_j mod b for
 the first candidate below floor(2^64 / b) * b (rejection sampling, so symbols
 are exactly uniform on range(b)).
+
+A run's initial fill needs the t = 0 symbol of every part at once, and
+`RandomTape.fill` evaluates the same stream for a whole block of parts in one
+pass: `mix64_lanes` packs the lanes into one int, 128 bits per lane, and runs
+each step of mix64 once over it.  A lane at or past the acceptance limit
+falls back to `symbol`, so the bulk path is bit-identical to the scalar one,
+rejections included.
 """
 
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -22,6 +31,30 @@ GAMMA = 0x9E3779B97F4A7C15
 SALT = 0xD1B54A32D192ED03
 
 _LIMIT32 = 1 << 32
+
+LANES = 1024  # lanes in one packed block, which is then a 16 KiB int
+_SWAP = sys.byteorder != "little"  # array("Q") is host-order; packed ints are little-endian
+
+
+def _pack(lanes) -> int:
+    """64-bit lanes as one int, lane i at bits 128*i .. 128*i+63, the upper 64 bits zero."""
+    a = array("Q", bytes(16 * len(lanes)))
+    a[::2] = array("Q", lanes)
+    if _SWAP:
+        a.byteswap()
+    return int.from_bytes(a, "little")
+
+
+def _unpack(z: int, count: int) -> list[int]:
+    a = array("Q")
+    a.frombytes(z.to_bytes(16 * count, "little"))
+    if _SWAP:
+        a.byteswap()
+    return a[::2].tolist()
+
+
+_ONES = _pack([1] * LANES)
+_IOTA = _pack(range(LANES))
 
 
 class TapeDepleted(Exception):
@@ -52,6 +85,36 @@ def mix64(z: int) -> int:
     return z
 
 
+def mix64_lanes(first: int, step: int, count: int, mask: int = MASK64) -> list[int]:
+    """[mix64((first + i * step) & MASK64) & mask for i in range(count)], for count <= LANES.
+
+    One pass over a packed int: a lane's products fit its 128 bits, so each
+    xor-shift and multiply runs once over all lanes, masked to 64 bits per
+    lane before the next multiply.  `first`, `step` and `mask` are in 0..2^64-1.
+    """
+    if not 0 <= count <= LANES:
+        raise ValueError(f"a block holds 0..{LANES} lanes, not {count}")
+    top = (1 << 128 * count) - 1
+    ones = _ONES & top
+    m = ones * MASK64
+    z = ((_IOTA & top) * step + ones * first) & m
+    z ^= z >> 30
+    z = (z & m) * 0xBF58476D1CE4E5B9 & m
+    z ^= z >> 27
+    z = (z & m) * 0x94D049BB133111EB & m
+    z ^= z >> 31
+    return _unpack(z & ones * mask, count)
+
+
+def mix64_stream(first: int, step: int):
+    """mix64((first + i * step) & MASK64) for i = 0, 1, 2, ..., made lazily in blocks of up to LANES."""
+    size = 64  # a short stream pays for a small block only
+    while True:
+        yield from mix64_lanes(first, step, size)
+        first = (first + size * step) & MASK64
+        size = min(2 * size, LANES)
+
+
 @dataclass
 class RandomTape:
     """Seeded infinite tape over all (part, t) cells."""
@@ -79,6 +142,31 @@ class RandomTape:
             if v < self._accept_limit:
                 return v % self.b
             j += 1
+
+    def fill(self, num_parts: int, start: int = 0) -> list[int]:
+        """[symbol(a, 0) for a in range(start, num_parts)], LANES parts per `mix64_lanes` pass.
+
+        A power-of-two b never rejects, and its `% b` is the lane mask
+        b - 1; otherwise any lane at or past the acceptance limit is redrawn
+        by `symbol`.
+        """
+        if start < 0 or num_parts > _LIMIT32:
+            raise ValueError(f"parts {start}..{num_parts - 1} outside 32-bit range")
+        b, limit = self.b, self._accept_limit
+        pow2 = b & (b - 1) == 0
+        first = (self.seed + GAMMA) & MASK64
+        step = (GAMMA << 32) & MASK64  # part a's lane is first + a * step
+        out: list[int] = []
+        for lo in range(start, num_parts, LANES):
+            count = min(LANES, num_parts - lo)
+            lanes = mix64_lanes((first + lo * step) & MASK64, step, count, b - 1 if pow2 else MASK64)
+            if pow2:
+                out += lanes
+            elif max(lanes) < limit:
+                out += map(b.__rmod__, lanes)
+            else:
+                out += [v % b if v < limit else self.symbol(a, 0) for a, v in enumerate(lanes, lo)]
+        return out
 
 
 @dataclass
@@ -112,6 +200,10 @@ class FiniteTape:
         i = t * self.num_parts + part
         self.reads.append(i)
         return self.digits[i]
+
+    def fill(self, num_parts: int) -> list[int]:
+        """[symbol(a, 0) for a in range(num_parts)]: each read is recorded, as a scalar read is."""
+        return [self.symbol(a, 0) for a in range(num_parts)]
 
     @property
     def max_index_touched(self) -> dict[int, int]:

@@ -466,7 +466,7 @@ class TestDependencyRowsOnDemand:
 
 
 class RecordingTape:
-    """A RandomTape that records every (part, t) it is asked for."""
+    """A RandomTape that records every (part, t) it is asked for, one by one or by a bulk fill."""
 
     def __init__(self, seed, b):
         self.tape = RandomTape(seed, b)
@@ -475,6 +475,10 @@ class RecordingTape:
     def symbol(self, part, t):
         self.calls.append((part, t))
         return self.tape.symbol(part, t)
+
+    def fill(self, num_parts):
+        self.calls += [(a, 0) for a in range(num_parts)]
+        return self.tape.fill(num_parts)
 
 
 @functools.cache

@@ -231,6 +231,24 @@ class TestValidation:
             by_table = {id(rows): s for rows, s in zip(p.rule.forbidden, sets)}
             assert len({id(s) for s in sets}) == len(by_table)
 
+    def test_one_shared_table_gives_one_set_object(self):
+        rows = ((0, 0, 0, 0, 0), (1, 1, 1, 1, 1))
+        for p in (gen_torus_nae(7, 5, 2), ColouringProblem(random_digraph(9, 9, 1), 2, LocalRule([()] * 9))):
+            sets = p.forbidden_sets()
+            assert len(sets) == p.n and all(s is sets[0] for s in sets)
+            assert type(sets[0]) is frozenset and sets[0] == frozenset(p.rule.forbidden[0])
+        assert gen_torus_nae(7, 5, 2).forbidden_sets()[0] == frozenset(rows)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_mixed_tables_give_the_per_table_sets(self, seed):
+        # the first table shared by all but the last vertex, then one other table
+        p = gen_grid_ksat(6, 6, 3, 2, 1, seed)
+        sample = ColouringProblem(p.graph, 2, LocalRule([p.rule.forbidden[0]] * (p.n - 1) + [((0, 1, 1),)]))
+        for q in (p, sample):
+            sets = q.forbidden_sets()
+            assert sets == [frozenset(rows) for rows in q.rule.forbidden]
+            assert len({id(s) for s in sets}) == len({id(rows) for rows in q.rule.forbidden})
+
     @settings(max_examples=150, deadline=None)
     @given(st.data())
     def test_forbidden_sets_are_sized_once(self, data):

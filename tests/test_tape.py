@@ -6,8 +6,18 @@ import pathlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from resample_forge.tape import GAMMA, MASK64, FiniteTape, RandomTape, TapeDepleted, mix64
-from tests.reference_mix64 import ref_mix64, ref_symbol, splitmix64_stream
+from resample_forge.tape import (
+    GAMMA,
+    LANES,
+    MASK64,
+    FiniteTape,
+    RandomTape,
+    TapeDepleted,
+    mix64,
+    mix64_lanes,
+    mix64_stream,
+)
+from tests.reference_mix64 import ref_candidate, ref_mix64, ref_symbol, splitmix64_stream
 
 GOLDEN_PATH = pathlib.Path(__file__).resolve().parent.parent / "tape_vectors.json"
 
@@ -49,6 +59,14 @@ class TestGoldenVectors:
         records = load_golden()
         assert sum(1 for r in records if r["rejections"] >= 1) >= 4
         assert any(r["rejections"] >= 3 for r in records)
+
+    def test_every_first_round_record_through_fill(self):
+        # the bulk fill is held to the same frozen contract as symbol()
+        records = [rec for rec in load_golden() if rec["t"] == 0]
+        assert len(records) >= 10 and max(rec["part"] for rec in records) == (1 << 32) - 1
+        for rec in records:
+            tape = RandomTape(rec["seed"], rec["b"])
+            assert tape.fill(rec["part"] + 1, rec["part"]) == [rec["symbol"]], rec
 
     def test_golden_file_matches_reference(self):
         for rec in load_golden():
@@ -122,6 +140,61 @@ class TestRandomTape:
             counts[tape.symbol(0, t)] += 1
         for c in counts:
             assert 850 < c < 1150
+
+
+class TestFill:
+    """The bulk fill against the scalar stream it replaces."""
+
+    @pytest.mark.parametrize("b", [1, 2, 3, 6, 2**63 + 1, 2**64 - 1, 2**64])
+    @pytest.mark.parametrize("seed", [0, MASK64])
+    def test_equals_scalar_symbols(self, seed, b):
+        tape = RandomTape(seed, b)
+        scalar = [tape.symbol(a, 0) for a in range(LANES + 1)]
+        for k in (0, 1, LANES - 1, LANES, LANES + 1):
+            assert tape.fill(k) == scalar[:k]
+        assert tape.fill(LANES + 1, LANES - 2) == scalar[LANES - 2 :]
+
+    def test_rejected_lanes_fall_back_to_symbol(self):
+        # at b = 2^63 + 1 about half the candidates are rejected, some of them twice
+        b = 2**63 + 1
+        limit = ((1 << 64) // b) * b
+        rejected = [a for a in range(LANES + 1) if ref_candidate(0, a, 0, 0) >= limit]
+        assert len(rejected) > LANES // 4
+        assert any(ref_candidate(0, a, 0, 1) >= limit for a in rejected)
+        assert RandomTape(0, b).fill(LANES + 1) == [ref_symbol(0, a, 0, b) for a in range(LANES + 1)]
+
+    def test_parts_outside_32_bits_rejected(self):
+        tape = RandomTape(0, 2)
+        with pytest.raises(ValueError):
+            tape.fill((1 << 32) + 1)
+        with pytest.raises(ValueError):
+            tape.fill(1, -1)
+        assert tape.fill(1 << 32, (1 << 32) - 1) == [tape.symbol((1 << 32) - 1, 0)]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, MASK64), st.integers(0, MASK64), st.integers(0, 300), st.integers(0, MASK64))
+    def test_lanes_are_mix64_of_a_progression(self, first, step, count, mask):
+        want = [mix64((first + i * step) & MASK64) for i in range(count)]
+        assert mix64_lanes(first, step, count) == want
+        assert mix64_lanes(first, step, count, mask) == [v & mask for v in want]
+
+    def test_block_past_its_lanes_rejected(self):
+        assert len(mix64_lanes(1, GAMMA, LANES)) == LANES
+        with pytest.raises(ValueError):
+            mix64_lanes(1, GAMMA, LANES + 1)
+
+    def test_stream_runs_on_past_its_blocks(self):
+        stream = mix64_stream(MASK64, GAMMA)
+        got = [next(stream) for _ in range(2 * LANES + 200)]
+        assert got == [mix64((MASK64 + i * GAMMA) & MASK64) for i in range(len(got))]
+
+    def test_finite_fill_reads_each_part_in_order(self):
+        digits = [1, 0, 2, 2, 1, 0]
+        tape = FiniteTape(3, 2, 3, digits)
+        assert tape.fill(3) == [1, 0, 2]
+        assert tape.reads == [0, 1, 2]
+        with pytest.raises(TapeDepleted):
+            FiniteTape(2, 0, 2, []).fill(2)
 
 
 class TestFiniteTape:
