@@ -21,8 +21,7 @@ rejections included.
 from __future__ import annotations
 
 import math
-import sys
-from array import array
+import struct
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -33,24 +32,11 @@ SALT = 0xD1B54A32D192ED03
 _LIMIT32 = 1 << 32
 
 LANES = 1024  # lanes in one packed block, which is then a 16 KiB int
-_SWAP = sys.byteorder != "little"  # array("Q") is host-order; packed ints are little-endian
 
 
 def _pack(lanes) -> int:
     """64-bit lanes as one int, lane i at bits 128*i .. 128*i+63, the upper 64 bits zero."""
-    a = array("Q", bytes(16 * len(lanes)))
-    a[::2] = array("Q", lanes)
-    if _SWAP:
-        a.byteswap()
-    return int.from_bytes(a, "little")
-
-
-def _unpack(z: int, count: int) -> list[int]:
-    a = array("Q")
-    a.frombytes(z.to_bytes(16 * count, "little"))
-    if _SWAP:
-        a.byteswap()
-    return a[::2].tolist()
+    return int.from_bytes(b"".join(v.to_bytes(16, "little") for v in lanes), "little")
 
 
 _ONES = _pack([1] * LANES)
@@ -103,7 +89,8 @@ def mix64_lanes(first: int, step: int, count: int, mask: int = MASK64) -> list[i
     z ^= z >> 27
     z = (z & m) * 0x94D049BB133111EB & m
     z ^= z >> 31
-    return _unpack(z & ones * mask, count)
+    # each lane's low 8 bytes, little-endian, skipping the 8 zero bytes above it
+    return list(struct.unpack("<" + "Q8x" * count, (z & ones * mask).to_bytes(16 * count, "little")))
 
 
 def mix64_stream(first: int, step: int):
@@ -143,30 +130,32 @@ class RandomTape:
                 return v % self.b
             j += 1
 
-    def fill(self, num_parts: int, start: int = 0) -> list[int]:
-        """[symbol(a, 0) for a in range(start, num_parts)], LANES parts per `mix64_lanes` pass.
+    def fill(self, num_parts: int) -> list[int]:
+        """[symbol(a, 0) for a in range(num_parts)], LANES parts per `mix64_lanes` pass."""
+        if num_parts > _LIMIT32:
+            raise ValueError(f"part index {num_parts - 1} outside 32-bit range")
+        out: list[int] = []
+        for lo in range(0, num_parts, LANES):
+            out += self._fill_block(lo, min(LANES, num_parts - lo))
+        return out
+
+    def _fill_block(self, lo: int, count: int) -> list[int]:
+        """[symbol(a, 0) for a in range(lo, lo + count)] in one `mix64_lanes` pass, count <= LANES.
 
         A power-of-two b never rejects, and its `% b` is the lane mask
         b - 1; otherwise any lane at or past the acceptance limit is redrawn
         by `symbol`.
         """
-        if start < 0 or num_parts > _LIMIT32:
-            raise ValueError(f"parts {start}..{num_parts - 1} outside 32-bit range")
         b, limit = self.b, self._accept_limit
         pow2 = b & (b - 1) == 0
-        first = (self.seed + GAMMA) & MASK64
-        step = (GAMMA << 32) & MASK64  # part a's lane is first + a * step
-        out: list[int] = []
-        for lo in range(start, num_parts, LANES):
-            count = min(LANES, num_parts - lo)
-            lanes = mix64_lanes((first + lo * step) & MASK64, step, count, b - 1 if pow2 else MASK64)
-            if pow2:
-                out += lanes
-            elif max(lanes) < limit:
-                out += map(b.__rmod__, lanes)
-            else:
-                out += [v % b if v < limit else self.symbol(a, 0) for a, v in enumerate(lanes, lo)]
-        return out
+        step = (GAMMA << 32) & MASK64  # part a's lane is seed + GAMMA + a * step
+        first = (self.seed + GAMMA + lo * step) & MASK64
+        lanes = mix64_lanes(first, step, count, b - 1 if pow2 else MASK64)
+        if pow2:
+            return lanes
+        if max(lanes) < limit:
+            return list(map(b.__rmod__, lanes))
+        return [v % b if v < limit else self.symbol(a, 0) for a, v in enumerate(lanes, lo)]
 
 
 @dataclass
