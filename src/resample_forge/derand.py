@@ -189,10 +189,14 @@ class TapeAttempt:
     """Everything observable about running the inner loop against one tape."""
 
     tape_index: int
-    outcome: str
     passes: int
     reevals: int
     colouring: list | None = None
+
+    @property
+    def outcome(self) -> str:
+        """SUCCESS exactly when the run left a colouring, else TAPE_EXHAUSTED."""
+        return TAPE_EXHAUSTED if self.colouring is None else SUCCESS
 
 
 def run_finite_tape(p: ColouringProblem, pi, tape: FiniteTape, tape_index: int = -1) -> TapeAttempt:
@@ -202,7 +206,6 @@ def run_finite_tape(p: ColouringProblem, pi, tape: FiniteTape, tape_index: int =
     trace = run(p, pi, tape, max(1, p.n * tape.rounds), found_order=True)
     return TapeAttempt(
         tape_index,
-        SUCCESS if trace.succeeded else TAPE_EXHAUSTED,
         trace.rounds,
         trace.clause_evals - len(p.active_clauses()),
         trace.final_colouring if trace.succeeded else None,

@@ -19,13 +19,15 @@ class Digraph:
     """Simple digraph with dense integer vertices and sorted adjacency lists.
 
     `from_scopes` and `from_edges` are the checked constructors; the plain
-    constructor trusts its lists to be sorted, duplicate-free, in range and
-    mutually consistent.  The lists are read-only once built.  A symmetric
-    graph shares one list of lists as both `out_adj` and `in_adj`: every
-    `build_rel` and `power_graph` result does, as does every torus that
-    `instance_io.torus_graph` builds through the plain constructor, and
-    every `from_scopes` graph whose scopes are symmetric, such as a torus
-    loaded from its scope lists.
+    constructor takes only the two lists and `torus`, and trusts its lists to
+    be sorted, duplicate-free, in range and mutually consistent.  The vertex
+    count `n` is `len(out_adj)`, never stored, so no graph holds a count that
+    disagrees with its lists.  The lists are read-only once built.  A
+    symmetric graph shares one list of lists as both `out_adj` and `in_adj`:
+    every `build_rel` and `power_graph` result does, as does every torus that
+    `instance_io.torus_graph` builds through the plain constructor, and every
+    `from_scopes` graph whose scopes are symmetric, such as a torus loaded
+    from its scope lists.
 
     The graph caches only what later runs reuse, shared by every problem on
     it and never a constructor argument: its `readers` and `rel_rows`.
@@ -38,12 +40,16 @@ class Digraph:
     instead of searching for them.  It takes no part in ==.
     """
 
-    n: int
     out_adj: list[list[int]]
     in_adj: list[list[int]]
     torus: tuple[int, int] | None = field(default=None, compare=False)
     _readers: list | None = field(default=None, init=False, repr=False, compare=False)
     _rel_rows: list | None = field(default=None, init=False, repr=False, compare=False)
+
+    @property
+    def n(self) -> int:
+        """Vertex count: one out-list per vertex."""
+        return len(self.out_adj)
 
     @staticmethod
     def from_scopes(scopes) -> "Digraph":
@@ -72,7 +78,7 @@ class Digraph:
                 in_adj[dst].append(src)
         if in_adj == scopes:
             in_adj = scopes
-        return Digraph(n, scopes, in_adj)
+        return Digraph(scopes, in_adj)
 
     @staticmethod
     def from_edges(n: int, edges) -> "Digraph":
@@ -160,7 +166,7 @@ def build_rel(g: Digraph) -> Digraph:
     Symmetric, with a self-loop at every vertex whose scope is nonempty.
     """
     adj = [rel_row(g, x) for x in range(g.n)]
-    return Digraph(g.n, adj, adj)
+    return Digraph(adj, adj)
 
 
 def _check_radius(r) -> None:
@@ -294,7 +300,7 @@ def power_graph(g: Digraph, r: int) -> Digraph:
             del near[0]
             near.sort()
             adj.append(near)
-    return Digraph(g.n, adj, adj)
+    return Digraph(adj, adj)
 
 
 def greedy_mis(adj: list, scan: list[int]) -> list[int]:

@@ -73,7 +73,7 @@ def torus_graph(w: int, h: int) -> Digraph:
     if w * h > MAX_TORUS_CELLS:
         raise ValueError(f"torus needs at most {MAX_TORUS_CELLS} cells, not {w}x{h}")
     scopes = torus_rows(w, h, [(-1, 0), (0, -1), (0, 0), (0, 1), (1, 0)])
-    return Digraph(w * h, scopes, scopes, torus=(w, h))
+    return Digraph(scopes, scopes, torus=(w, h))
 
 
 def gen_torus_nae(w: int, h: int, b: int) -> ColouringProblem:

@@ -20,6 +20,25 @@ one `operator.itemgetter`.
 
 The counting oracles are exact: delta-ary trees by the Fuss-Catalan formula,
 grounded forests by one level-by-level DP over independent sets.
+
+The injection they rest on.  `ground(build_landscape(p, pi, trace, k))`,
+which is the run's landscape itself (it is grounded already), lies in the
+family that `count_grounded_forests(p.graph, m)` counts, m its node count:
+(vertex, level) forests whose roots all sit on level 0, whose every level is
+independent in `build_rel(p.graph)`, and whose every other node hangs from a
+dependency neighbour one level below.  `validate_landscape` checks the
+levels and the edges, and the tests check the roots.  `used_of` reads the
+exact tape symbols the run consumed back off the landscape and the final
+colouring, so runs that consumed different symbols leave different decorated
+landscapes.  Each decoration is one of its vertex's forbidden tuples, which
+make up at most a share p = `rule_engine.lll_margin(p)` of that scope's
+tuples, so an m-node forest gets the weight p^m.  With every cell its own
+part, the witness argument of Moser and Tardos ("A constructive proof of the
+general Lovász Local Lemma", J. ACM 2010) then bounds the expected number
+of resamplings by the sum over m >= 1 of count(m) * p^m.  The code checks
+the family, the playback and the decorations, and counts the forests exactly
+up to `MAX_FOREST_VERTICES`; no test compares a measured count with that
+sum, and nothing here claims the bound for a shared tape.
 """
 
 from __future__ import annotations
@@ -235,9 +254,10 @@ def _restriction(p: ColouringProblem, pi, subset) -> dict:
     when every position does.
     """
     u = set(subset)
+    n = p.n
     for v in u:
         # exact ints, as in validate_landscape: True would pass for vertex 1, and -1 would index vertex n-1
-        if type(v) is not int or not 0 <= v < p.n:
+        if type(v) is not int or not 0 <= v < n:
             raise ValueError(f"subset vertex {v!r} out of range")
     if not is_pi_unique(pi, u):
         raise ValueError("subset is not part-unique")

@@ -153,8 +153,6 @@ class RandomTape:
         lanes = mix64_lanes(first, step, count, b - 1 if pow2 else MASK64)
         if pow2:
             return lanes
-        if max(lanes) < limit:
-            return list(map(b.__rmod__, lanes))
         return [v % b if v < limit else self.symbol(a, 0) for a, v in enumerate(lanes, lo)]
 
 

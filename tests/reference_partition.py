@@ -37,7 +37,7 @@ def reference_from_edges(n, edges):
             raise ValueError(f"edge ({src}, {dst}) out of range for n={n}")
         out_sets[src].add(dst)
         in_sets[dst].add(src)
-    return Digraph(n, [sorted(s) for s in out_sets], [sorted(s) for s in in_sets])
+    return Digraph([sorted(s) for s in out_sets], [sorted(s) for s in in_sets])
 
 
 def reference_from_scopes(scopes):
@@ -54,7 +54,7 @@ def reference_from_scopes(scopes):
         for dst in scope:
             in_sets[dst].add(src)
     in_adj = [sorted(s) for s in in_sets]
-    return Digraph(n, scopes, scopes if in_adj == scopes else in_adj)
+    return Digraph(scopes, scopes if in_adj == scopes else in_adj)
 
 
 def reference_und_adj(g):
@@ -74,7 +74,7 @@ def reference_build_rel(g):
             for y in readers:
                 adj[x].add(y)
     sorted_adj = [sorted(s) for s in adj]
-    return Digraph(g.n, sorted_adj, [list(a) for a in sorted_adj])
+    return Digraph(sorted_adj, [list(a) for a in sorted_adj])
 
 
 def reference_power_graph(g, r):
@@ -85,7 +85,7 @@ def reference_power_graph(g, r):
         near = ball(g, x, r)
         near.discard(x)
         adj.append(sorted(near))
-    return Digraph(g.n, adj, [list(a) for a in adj])
+    return Digraph(adj, [list(a) for a in adj])
 
 
 def reference_sparse_partition(g, r):
@@ -124,8 +124,8 @@ def reference_validate(g):
     one copy of the whole check.
     The out/in check compares two sets of edge pairs.
     """
-    if len(g.out_adj) != g.n or len(g.in_adj) != g.n:
-        raise ValueError("adjacency list count does not match vertex count")
+    if len(g.in_adj) != len(g.out_adj):
+        raise ValueError("in-list count does not match out-list count")
     for name, adj in (("out", g.out_adj), ("in", g.in_adj)):
         for x, lst in enumerate(adj):
             if lst != sorted(set(lst)):

@@ -5,7 +5,8 @@ rule from scratch, takes the violated ones in vertex order, resamples a greedy
 maximal independent subset and records the same trace fields as the worklist
 engine.  Its clause_evals is the number of active rules times the number of
 scans.  It also records every colouring, every round's redrawn cells and every
-round's resampled rules, which the engine's trace only derives.
+round's resampled rules, which the engine's trace only derives, and
+`assert_same_trace` holds a run's trace to all of it, field for field.
 
 Both runners find violations with `reference_bad_set`, which builds each
 scope's tuple, not with the package's cached scope readers, and read the tape
@@ -18,7 +19,9 @@ re-check found, redrawing cell by cell until the tape runs out.  It records
 every pass's colouring, scan list and resampled rules.
 """
 
+import dataclasses
 import itertools
+import json
 from dataclasses import dataclass, field
 
 from resample_forge import mta_runner
@@ -103,6 +106,24 @@ def reference_run(p, pi, tape, max_steps=mta_runner.DEFAULT_MAX_STEPS):
         scopes=p.graph.out_adj,
     )
     return trace, colourings, resampled_sets, ib_sets
+
+
+def assert_same_trace(got, want):
+    """`got`, a run's trace, matches `want`, what `reference_run` returned, field for field.
+
+    The colourings, redrawn cells and resampled rules the trace derives
+    match the ones the reference recorded, round for round, and so does the
+    "ib_sets" list of its JSON export.
+    """
+    want, colourings, resampled_sets, ib_sets = want
+    for f in dataclasses.fields(RunTrace):
+        if f.name != "clause_evals":  # counts re-checks there, full scans here
+            assert getattr(got, f.name) == getattr(want, f.name), f.name
+    assert [got.colouring_at(i) for i in range(got.rounds + 1)] == colourings
+    assert got.resampled_sets == resampled_sets
+    assert got.ib_sets == ib_sets
+    assert json.loads(mta_runner.trace_to_json(got))["ib_sets"] == ib_sets
+    assert got.steps == (len(colourings) if want.succeeded else None)
 
 
 @dataclass

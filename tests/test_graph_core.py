@@ -99,7 +99,7 @@ class TestDigraph:
 
     def test_from_scopes_builds_sorted_in_lists(self):
         g = Digraph.from_scopes([[1, 2], [], [0, 2]])
-        assert g == Digraph(3, [[1, 2], [], [0, 2]], [[2], [0], [0, 2]])
+        assert g == Digraph([[1, 2], [], [0, 2]], [[2], [0], [0, 2]])
         reference_validate(g)
 
     @pytest.mark.parametrize(
@@ -138,7 +138,7 @@ class TestDigraph:
             random_digraph(20, 30, seed, self_loops=False),  # asymmetric, loopless
             random_digraph(20, 30, seed),  # asymmetric, self-loops
             symmetric,
-            Digraph(symmetric.n, symmetric.out_adj, [list(a) for a in symmetric.out_adj]),  # equal, unshared lists
+            Digraph(symmetric.out_adj, [list(a) for a in symmetric.out_adj]),  # equal, unshared lists
             power_graph(random_digraph(20, 30, seed), 2),  # symmetric and loopless
         ]
         for g in shapes:
@@ -150,7 +150,7 @@ class TestDigraph:
 
     def test_constructor_takes_the_lists_and_torus_only(self):
         # the caches (readers, rel_rows) are filled by their methods, never passed in
-        assert list(inspect.signature(Digraph).parameters) == ["n", "out_adj", "in_adj", "torus"]
+        assert list(inspect.signature(Digraph).parameters) == ["out_adj", "in_adj", "torus"]
 
     def test_readers_return_scope_tuples_at_every_arity(self):
         # scopes of arity 2, 1 and 0
@@ -391,7 +391,7 @@ class TestMatchesBallPerVertex:
         g = random_digraph(30, 40, seed)
         # symmetric, one list of lists as both sides, a self-loop at every vertex
         adj = [sorted(set(a) | {x}) for x, a in enumerate(reference_und_adj(g))]
-        shared = Digraph(g.n, adj, adj)
+        shared = Digraph(adj, adj)
         for h in (g, build_rel(g), shared):
             nbrs = [set() for _ in range(h.n)]
             for x in range(h.n):
@@ -513,22 +513,22 @@ class TestBuiltGraphsPassTheReferenceCheck:
     """
 
     @pytest.mark.parametrize(
-        "n, out_adj, in_adj",
+        "out_adj, in_adj",
         [
-            (2, [[1], []], [[], []]),  # one-sided edge, out only
-            (2, [[], []], [[], [0]]),  # one-sided edge, in only
-            (2, [[1], [0]], [[1], [1]]),  # both sides, different edges
-            (3, [[2, 1], [], []], [[], [0], [0]]),  # unsorted
-            (2, [[1, 1], []], [[], [0]]),  # duplicate
-            (2, [[1], []], [[], [0, 0]]),  # duplicate on the in side
-            (3, [[0, 5, 7], [], []], [[0], [], []]),  # out of range
-            (3, [[-1, 0], [], []], [[0], [], []]),  # negative vertex
-            (3, [[], [], []], [[], [], [3]]),  # out of range on the in side
-            (2, [[1]], [[]]),  # list count
+            ([[1], []], [[], []]),  # one-sided edge, out only
+            ([[], []], [[], [0]]),  # one-sided edge, in only
+            ([[1], [0]], [[1], [1]]),  # both sides, different edges
+            ([[2, 1], [], []], [[], [0], [0]]),  # unsorted
+            ([[1, 1], []], [[], [0]]),  # duplicate
+            ([[1], []], [[], [0, 0]]),  # duplicate on the in side
+            ([[0, 5, 7], [], []], [[0], [], []]),  # out of range
+            ([[-1, 0], [], []], [[0], [], []]),  # negative vertex
+            ([[], [], []], [[], [], [3]]),  # out of range on the in side
+            ([[1], []], [[]]),  # list count: out and in lists of different lengths
         ],
     )
-    def test_reference_rejects_malformed_lists(self, n, out_adj, in_adj):
-        assert validate_error(reference_validate, Digraph(n, out_adj, in_adj)) is not None
+    def test_reference_rejects_malformed_lists(self, out_adj, in_adj):
+        assert validate_error(reference_validate, Digraph(out_adj, in_adj)) is not None
 
     @pytest.mark.parametrize("seed", range(4))
     def test_from_edges_build_rel_and_power_graph(self, seed):
@@ -628,7 +628,7 @@ class TestMatchesSetPerVertex:
         want = build_rel(g).maxdeg()
         assert g.big_delta() == want == reference_build_rel(g).maxdeg()
         assert g._rel_rows is None
-        built = Digraph(g.n, g.out_adj, g.in_adj)  # a fresh graph, whose row table is then filled
+        built = Digraph(g.out_adj, g.in_adj)  # a fresh graph, whose row table is then filled
         built.rel_rows(range(g.n))
         assert built.big_delta() == want
 

@@ -1,6 +1,5 @@
 """Runner tests: frozen micro-runs, invariants, determinism, trace bookkeeping."""
 
-import dataclasses
 import functools
 import json
 import os
@@ -17,7 +16,6 @@ from resample_forge.mta_runner import (
     STATUS_BUDGET_EXHAUSTED,
     STATUS_SUCCEEDED,
     STATUS_TAPE_DEPLETED,
-    RunTrace,
     run,
     trace_round_csv,
     trace_to_json,
@@ -34,7 +32,7 @@ from tests.helpers import (
     witness_rules_problem,
 )
 from tests.reference_partition import reference_build_rel
-from tests.reference_runner import reference_run
+from tests.reference_runner import assert_same_trace, reference_run
 
 
 def depleting_case():
@@ -383,18 +381,6 @@ class TestMatchesFullRescan:
     "ib_sets" list of its JSON export.
     """
 
-    @staticmethod
-    def assert_same_trace(got: RunTrace, want):
-        want, colourings, resampled_sets, ib_sets = want
-        for f in dataclasses.fields(RunTrace):
-            if f.name != "clause_evals":  # counts re-checks here, full scans there
-                assert getattr(got, f.name) == getattr(want, f.name), f.name
-        assert [got.colouring_at(i) for i in range(got.rounds + 1)] == colourings
-        assert got.resampled_sets == resampled_sets
-        assert got.ib_sets == ib_sets
-        assert json.loads(trace_to_json(got))["ib_sets"] == ib_sets
-        assert got.steps == (len(colourings) if want.succeeded else None)
-
     @pytest.mark.parametrize("kind", list(DIFFERENTIAL_CASES))
     @pytest.mark.parametrize("partition", ["singleton", "sparse"])
     def test_same_trace(self, kind, partition):
@@ -404,7 +390,7 @@ class TestMatchesFullRescan:
             got = run(p, pi, RandomTape(seed, p.b), max_steps=30)
             # the rows the run built on demand: only the prebuilt kind has every row
             assert (None in p.graph.rel_rows([])) == (kind != "prebuilt_torus")
-            self.assert_same_trace(got, reference_run(p, pi, RandomTape(seed, p.b), max_steps=30))
+            assert_same_trace(got, reference_run(p, pi, RandomTape(seed, p.b), max_steps=30))
 
     def test_one_cell_snapshots_are_what_res_reads(self):
         # the "cnf" case resamples one-cell rules, whose snapshots come from the 1-tuple wrapper
