@@ -40,7 +40,13 @@ The inputs are fixed files in `tests/golden/`, never regenerated here:
   that gives its `colouring` key twice, a violating colouring then a
   satisfying one;
 - `colouring_bare_list.json`: a satisfying colouring of `single_clause.json`
-  as a bare JSON list, not the `{"colouring": [...]}` that the program writes.
+  as a bare JSON list, not the `{"colouring": [...]}` that the program writes;
+- `random6_8x8.json`: `save_problem` of the tables of
+  `tests.helpers.witness_rules_problem(8, 1)` on `instance_io.torus_graph(8, 8)`,
+  the same scopes, so schema 3 with the torus by its sides and 64 distinct
+  six-row tables, one per cell;
+- `columns_8x8.json`: the colouring j mod 2 of its cell (i, j), which
+  violates 7 of its rules.
 
 The `gen_torus10` and `gen_ksat6` entries record the bytes of those two
 commands, so their side files equal `torus10_schema3.json` and
@@ -86,6 +92,7 @@ UNSAT_2X4 = _input("unsat_2x4.json")
 UNSAT_3X9 = _input("unsat_3x9.json")
 TINY1000 = _input("tiny1000.json")
 TORUS40X6 = _input("torus40x6.json")
+RANDOM6 = _input("random6_8x8.json")
 
 # name -> (argv, expected exit code)
 COMMANDS = {
@@ -116,6 +123,9 @@ COMMANDS = {
         0,
     ),
     "verify_violated": (["verify", TORUS10, _input("zeros100.json"), "--quiet"], 1),
+    # a distinct random six-row table per cell: solved in 24 of its 30 rounds
+    "solve_random6": (["solve", RANDOM6, "--seed", "5", "--max-steps", "30", "--quiet"], 0),
+    "verify_random6": (["verify", RANDOM6, _input("columns_8x8.json"), "--quiet"], 1),
     "gen_torus10": (["gen", "torus", "--w", "10", "--h", "10", "--out", "<out>"], 0),
     "gen_ksat6": (["gen", "ksat", "--w", "6", "--h", "6", "--seed", "1", "--out", "<out>"], 0),
     # a 3x4 grid clips the radius-3 clause window at every edge

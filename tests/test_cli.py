@@ -33,6 +33,7 @@ from resample_forge.instance_io import (
     gen_torus_nae,
     load_problem,
     save_problem,
+    torus_graph,
 )
 from resample_forge.rule_engine import ColouringProblem, LocalRule
 
@@ -43,6 +44,7 @@ from .helpers import (
     single_clause_problem,
     star_problem,
     unsatisfiable_problem,
+    witness_rules_problem,
 )
 from .make_golden import COMMANDS, GOLDEN_DIR, KSAT6, TORUS10, capture
 
@@ -874,7 +876,7 @@ def test_golden_inputs_are_what_gen_writes(name, source):
 SCHEMA_2_INPUTS = ["torus10", "ksat6", "single_clause", "unsat", "unsat_2x4", "unsat_3x9", "tiny1000"]
 
 
-@pytest.mark.parametrize("name", [*SCHEMA_2_INPUTS, "torus10_schema3", "ksat6_schema3", "torus40x6"])
+@pytest.mark.parametrize("name", [*SCHEMA_2_INPUTS, "torus10_schema3", "ksat6_schema3", "torus40x6", "random6_8x8"])
 def test_committed_problem_files_are_canonical(tmp_path, name):
     # every problem input but malformed.json is byte for byte what its schema's writer makes of it:
     # save_problem for the schema-3 inputs, the schema-2 writer's sorted compact JSON for the rest
@@ -886,6 +888,14 @@ def test_committed_problem_files_are_canonical(tmp_path, name):
         path = tmp_path / "resaved.json"
         save_problem(p, str(path))
         assert path.read_bytes() == source.read_bytes()
+
+
+def test_random6_holds_the_witness_tables_on_the_described_torus(tmp_path):
+    w = witness_rules_problem(8, 1)
+    path = tmp_path / "random6.json"
+    save_problem(ColouringProblem(torus_graph(8, 8), 2, w.rule), str(path))
+    assert path.read_bytes() == (GOLDEN_DIR / "random6_8x8.json").read_bytes()
+    assert load_problem(str(path)).graph.out_adj == w.graph.out_adj
 
 
 # each golden command on torus10.json or ksat6.json, with the schema-3 form of its input
