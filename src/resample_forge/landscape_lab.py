@@ -133,11 +133,13 @@ def validate_landscape(p: ColouringProblem, fl: FinalisedLandscape) -> None:
             xs = {x for x, xlvl in nodes if xlvl == lvl}
             x, y = next((x, y) for x in sorted(xs) for y in rel_adj[x] if y != x and y in xs)
             raise ValueError(f"level {lvl} is not independent: {x}, {y}")
-    sets = p.forbidden_sets()
+    lookup = p.forbidden_lookup()
     for (x, lvl), t in fl.viol.items():
+        if type(t) is not tuple:  # a list is never a row, and a set lookup could not hash it
+            raise ValueError(f"decoration at ({x},{lvl}) is not a tuple")
         if len(t) != len(scopes[x]):
             raise ValueError(f"decoration at ({x},{lvl}) has wrong arity")
-        if t not in sets[x]:
+        if t not in lookup[x]:
             raise ValueError(f"decoration at ({x},{lvl}) is not forbidden")
     if len(fl.fin) != p.n:
         raise ValueError("final colouring has wrong length")

@@ -16,8 +16,10 @@ Rules are checked, and snapshots taken, through the graph's cached scope
 readers (`Digraph.readers`), which build each scope's tuple of colours in C.
 
 What depends only on the instance is built once and shared: the readers
-per graph, one forbidden set per distinct rule table
-(`ColouringProblem.forbidden_sets`).  Dependency-graph rows are built on
+per graph, and each rule's membership test
+(`ColouringProblem.forbidden_lookup`): one set for a table every vertex
+shares, and otherwise the table itself, or a set per distinct table of more
+than `SMALL_TABLE_ROWS` rows.  Dependency-graph rows are built on
 demand: a run asks `Digraph.rel_rows` for the rows of the rules it visits,
 which the graph keeps for later runs, for the witness forests and for every
 other problem on the same graph.  Loading or generating a problem builds no
@@ -174,7 +176,7 @@ def run(
     symbols: dict[tuple[int, int], int] = {}  # what the rounds read, keyed (part, t >= 1)
     h = [1] * p.n
     currently = bad_set(p, f)
-    sets = p.forbidden_sets()
+    lookup = p.forbidden_lookup()
     viol_snapshots: list[dict[int, tuple[int, ...]]] = []
     bad_sizes = [len(currently)]
     reevals = 0
@@ -197,7 +199,7 @@ def run(
             h[v] += 1
         # the violated rules, then their neighbours, each once in first-seen order
         potentially = list(dict.fromkeys(chain(currently, *map(rel_adj.__getitem__, currently))))
-        currently = [c for c in potentially if read[c](f) in sets[c]]
+        currently = [c for c in potentially if read[c](f) in lookup[c]]
         reevals += len(potentially)
         bad_sizes.append(len(currently))
     else:

@@ -21,6 +21,12 @@ from resample_forge.graph_core import build_rel  # noqa: F401
 # Colourings are plain lists of ints, one colour per vertex.
 Colouring = list
 
+# The most rows a table may have and still answer `in` itself, as a tuple: a
+# full `bad_set` scan of distinct random tables takes 1.4-1.7x the time of
+# their frozensets' scan at 8 rows and 1.7-2.0x at 12 (0.85x at one row),
+# while a frozenset of 5-15 rows takes 472-728 B.
+SMALL_TABLE_ROWS = 8
+
 
 class MalformedProblemError(ValueError):
     """The rule table and the graph disagree."""
@@ -32,7 +38,10 @@ class LocalRule:
 
     `from_lists` and `interned`, which `load_problem` uses, make equal tables
     one shared tuple: a torus holds one table for all its vertices, so
-    `ColouringProblem.validate` and `forbidden_sets` handle it once.
+    `ColouringProblem.validate` checks it once and `forbidden_lookup` builds
+    one set for it.  A table of at most `SMALL_TABLE_ROWS` rows is its own
+    membership test, so distinct small tables, one per cell, cost no memory
+    beyond the tables themselves.
     """
 
     forbidden: list[tuple[tuple[int, ...], ...]]
@@ -75,37 +84,49 @@ class ColouringProblem:
     b: int
     rule: LocalRule
     metadata: dict = field(default_factory=dict)
-    _forbidden_sets: list[frozenset] | None = field(default=None, init=False, repr=False, compare=False)
+    _forbidden_lookup: list | None = field(default=None, init=False, repr=False, compare=False)
     _active: range | list[int] | None = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def n(self) -> int:
         return self.graph.n
 
-    def forbidden_sets(self) -> list[frozenset]:
-        """Per vertex, its forbidden tuples as a frozenset, cached; one set per distinct table.
+    def forbidden_lookup(self) -> list:
+        """Per vertex, a container for which `t in lookup[x]` holds exactly when t is a row of x's table, cached.
 
-        Each set is built from a `set`, whose size CPython knows, so the
-        frozenset's table is sized once: built from the tuple, a six-row set
-        grows to 32 slots, 728 B against 472 B.  When every table equals
-        the first, as on a torus where they are one object, one C-level
-        `count` finds it and every vertex gets that one set, with no Python
-        loop over the vertices; otherwise each table object gets its own set.
+        A set is kept only where it pays for itself:
+        - when every table equals the first, as on a torus where they are
+          one object, one C-level `count` finds it and every vertex gets one
+          frozenset, with no Python loop over the vertices;
+        - otherwise, when no table has more than `SMALL_TABLE_ROWS` rows,
+          which one C-level `max` finds, the lookup is `rule.forbidden`
+          itself, and nothing is built;
+        - otherwise each table object gets one container: itself if it has
+          at most `SMALL_TABLE_ROWS` rows, else a frozenset of its rows.
+        A table serves as its own container only after one C-level pass has
+        found every row a tuple: a list row would never equal a colour tuple,
+        so its rule could never be violated.  Each frozenset is built from a
+        `set`, whose size CPython knows, so its table is sized once: built
+        from the tuple, a six-row set grows to 32 slots, 728 B against 472 B.
         """
-        if self._forbidden_sets is None:
+        if self._forbidden_lookup is None:
             forbidden = self.rule.forbidden
             if forbidden and forbidden.count(forbidden[0]) == len(forbidden):
-                sets = [frozenset(set(forbidden[0]))] * len(forbidden)
+                lookup = [frozenset(set(forbidden[0]))] * len(forbidden)
             else:
-                by_table: dict[int, frozenset] = {}  # id(table) -> its set; every table stays alive in self.rule
-                sets = []
-                for rows in forbidden:
-                    s = by_table.get(id(rows))
-                    if s is None:
-                        s = by_table[id(rows)] = frozenset(set(rows))
-                    sets.append(s)
-            self._forbidden_sets = sets
-        return self._forbidden_sets
+                _require_tuple_rows(forbidden)
+                if max(map(len, forbidden), default=0) <= SMALL_TABLE_ROWS:
+                    lookup = forbidden
+                else:
+                    by_table: dict[int, tuple | frozenset] = {}  # id(table) -> container; tables live in self.rule
+                    lookup = []
+                    for rows in forbidden:
+                        c = by_table.get(id(rows))
+                        if c is None:
+                            c = by_table[id(rows)] = rows if len(rows) <= SMALL_TABLE_ROWS else frozenset(set(rows))
+                        lookup.append(c)
+            self._forbidden_lookup = lookup
+        return self._forbidden_lookup
 
     def active_clauses(self) -> range | list[int]:
         """Vertices with at least one forbidden tuple, ascending; only these can be violated, cached.
@@ -169,9 +190,22 @@ def _table_pairs(forbidden: list, scopes: list):
     return ((tables[key], k) for key, k in pairs)
 
 
+def _require_tuple_rows(forbidden: list) -> None:
+    """Raise MalformedProblemError naming the first vertex with a row that is not a tuple; one C-level pass if none."""
+    if not {tuple}.issuperset(map(type, itertools.chain.from_iterable(forbidden))):
+        x, t = next((x, t) for x, rows in enumerate(forbidden) for t in rows if type(t) is not tuple)
+        raise MalformedProblemError(f"vertex {x}{_row_type_fault(t)}")
+
+
+def _row_type_fault(t) -> str:
+    return f": forbidden row {t!r} is not a tuple"
+
+
 def _table_fault(rows, k: int, b: int) -> str:
     """What is wrong with `rows` as the table of a vertex with a k-cell scope, after "vertex x"; "" if nothing."""
     for t in rows:
+        if type(t) is not tuple:
+            return _row_type_fault(t)
         if len(t) != k:
             return f": forbidden tuple {t} has length {len(t)}, scope needs {k}"
         for c in t:
@@ -190,14 +224,14 @@ def res(p: ColouringProblem, f: Colouring, x: int) -> tuple[int, ...]:
 
 
 def is_violated(p: ColouringProblem, f: Colouring, x: int) -> bool:
-    return res(p, f, x) in p.forbidden_sets()[x]
+    return res(p, f, x) in p.forbidden_lookup()[x]
 
 
 def bad_set(p: ColouringProblem, f: Colouring) -> list[int]:
     """All violated vertices, sorted."""
-    sets = p.forbidden_sets()
+    lookup = p.forbidden_lookup()
     read = p.graph.readers()
-    return [x for x in p.active_clauses() if read[x](f) in sets[x]]
+    return [x for x in p.active_clauses() if read[x](f) in lookup[x]]
 
 
 def satisfies(p: ColouringProblem, f: Colouring) -> bool:

@@ -149,8 +149,10 @@ def reference_validate_landscape(p, fl, strict_viol=True):
                 raise ValueError(f"level {lvl} is not independent: {a}, {b_}")
     if set(fl.viol.keys()) != forest.nodes:
         raise ValueError("decoration keys do not match the node set")
-    sets = p.forbidden_sets()
+    sets = [frozenset(rows) for rows in p.rule.forbidden]
     for (x, lvl), t in fl.viol.items():
+        if type(t) is not tuple:
+            raise ValueError(f"decoration at ({x},{lvl}) is not a tuple")
         if len(t) != len(p.graph.out_adj[x]):
             raise ValueError(f"decoration at ({x},{lvl}) has wrong arity")
         if strict_viol and t not in sets[x]:

@@ -25,6 +25,9 @@ def reference_validate_problem(p):
     for x in range(p.n):
         scope = p.graph.out_adj[x]
         rows = p.rule.forbidden[x]
+        for t in rows:
+            if type(t) is not tuple:
+                raise MalformedProblemError(f"vertex {x}: forbidden row {t!r} is not a tuple")
         if not scope and rows:
             raise MalformedProblemError(f"vertex {x} has empty scope but forbidden tuples")
         if len(set(rows)) != len(rows):

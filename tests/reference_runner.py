@@ -146,7 +146,8 @@ def _with_neighbours(rel_adj, rules):
 def reference_finite_tape(p, pi, tape):
     """Passes until success or the tape runs out, with every pass's history."""
     attempt = ReferenceAttempt()
-    rel, scopes, sets = build_rel(p.graph), p.graph.out_adj, p.forbidden_sets()
+    rel, scopes = build_rel(p.graph), p.graph.out_adj
+    sets = [frozenset(rows) for rows in p.rule.forbidden]
     try:
         f = [tape.symbol(pi.part_of[x], 0) for x in range(p.n)]
         h = [1] * p.n

@@ -484,7 +484,7 @@ def test_load_shares_equal_tables(tmp_path):
     save_problem(gen_torus_nae(6, 5, 3), str(path))
     q = load_problem(str(path))
     assert len({id(rows) for rows in q.rule.forbidden}) == 1
-    assert len({id(s) for s in q.forbidden_sets()}) == 1
+    assert len({id(s) for s in q.forbidden_lookup()}) == 1
 
 
 @pytest.mark.parametrize(
@@ -603,7 +603,7 @@ def test_equal_tables_in_the_file_become_one_tuple(tmp_path):
     payload = {"schema_version": 3, "b": 2, "scopes": [[0], [1], [2]], "tables": tables, "table_of": [0, 1, 1]}
     q = load_problem(write_json(tmp_path, payload))
     assert q.rule.forbidden[0] is q.rule.forbidden[1] is q.rule.forbidden[2] == ((0,),)
-    assert len({id(s) for s in q.forbidden_sets()}) == 1
+    assert len({id(s) for s in q.forbidden_lookup()}) == 1
 
 
 def test_one_index_serves_every_vertex(tmp_path):

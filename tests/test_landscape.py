@@ -237,6 +237,16 @@ def test_validate_rejects_malformed():
         validate_landscape(p, short_fin)
 
 
+@pytest.mark.parametrize("problem", [path_problem, lambda: gen_torus_nae(4, 4, 2)])
+def test_validate_rejects_a_decoration_that_is_not_a_tuple(problem):
+    # distinct small tables answer lookups as tuples, one shared table as a set: a list is refused by both
+    p = problem()
+    fl = FinalisedLandscape(GForest({(1, 0)}, {}), {(1, 0): list(p.rule.forbidden[1][0])}, [0] * p.n)
+    for check in (validate_landscape, reference_validate_landscape):
+        with pytest.raises(ValueError, match=r"^decoration at \(1,0\) is not a tuple$"):
+            check(p, fl)
+
+
 @pytest.mark.parametrize("node", [(16, 0), (-1, 0), (0, -1)])
 def test_validate_refuses_out_of_range_nodes_before_reading_rows(node):
     # (-1, 0) must not reach row n-1 through a negative index

@@ -194,10 +194,10 @@ class TestInvariants:
         # each round snapshots exactly its resampled rules, in index order,
         # and every snapshot is a forbidden tuple of its rule
         p, pi, tape, trace = run_random_case(seed)
-        sets = p.forbidden_sets()
+        tables = p.rule.forbidden
         for ib, snap in zip(trace.ib_sets, trace.viol_snapshots, strict=True):
             assert ib == sorted(ib) and list(snap) == ib
-            assert all(snap[x] in sets[x] for x in ib)
+            assert all(snap[x] in tables[x] for x in ib)
 
     @settings(max_examples=40, deadline=None)
     @given(st.integers(0, 10**6))

@@ -14,6 +14,7 @@ from hypothesis import given, settings, strategies as st
 from resample_forge.graph_core import Digraph
 from resample_forge.instance_io import gen_grid_ksat, gen_torus_nae
 from resample_forge.rule_engine import (
+    SMALL_TABLE_ROWS,
     ColouringProblem,
     LocalRule,
     MalformedProblemError,
@@ -220,69 +221,90 @@ class TestValidation:
         with pytest.raises(MalformedProblemError, match="vertex 2: forbidden tuple"):
             p.validate()
 
+    @staticmethod
+    def assert_lookup_answers_as_tables(p):
+        """`t in lookup[x]` exactly when t is a row of x's table, for each t over x's scope; one container per table."""
+        lookup = p.forbidden_lookup()
+        assert len(lookup) == p.n
+        for rows, scope, c in zip(p.rule.forbidden, p.graph.out_adj, lookup):
+            rows_set = set(rows)
+            assert all((t in c) == (t in rows_set) for t in itertools.product(range(p.b), repeat=len(scope)))
+        # each table object maps to one container
+        assert len(set(zip(map(id, p.rule.forbidden), map(id, lookup)))) == len(set(map(id, p.rule.forbidden)))
+
     @pytest.mark.parametrize("seed", range(4))
-    def test_forbidden_sets_match_each_table(self, seed):
+    def test_forbidden_lookup_matches_each_table(self, seed):
         shared = LocalRule.from_lists([[[0, 0]], [[1, 1]], [[0, 0]], [], [[1, 1]], [[0, 0]]] * 3)
         g = random_digraph(18, 40, seed)
         for p in (random_problem(12, 20, 2, 0.3, seed), ColouringProblem(g, 2, shared)):
-            sets = p.forbidden_sets()
-            assert all(sets[x] == frozenset(p.rule.forbidden[x]) for x in range(p.n))
-            # one set per distinct table object
-            by_table = {id(rows): s for rows, s in zip(p.rule.forbidden, sets)}
-            assert len({id(s) for s in sets}) == len(by_table)
+            self.assert_lookup_answers_as_tables(p)
+            # distinct table objects keep distinct containers
+            assert len({id(c) for c in p.forbidden_lookup()}) == len({id(rows) for rows in p.rule.forbidden})
 
     def test_one_shared_table_gives_one_set_object(self):
         rows = ((0, 0, 0, 0, 0), (1, 1, 1, 1, 1))
         for p in (gen_torus_nae(7, 5, 2), ColouringProblem(random_digraph(9, 9, 1), 2, LocalRule([()] * 9))):
-            sets = p.forbidden_sets()
+            sets = p.forbidden_lookup()
             assert len(sets) == p.n and all(s is sets[0] for s in sets)
             assert type(sets[0]) is frozenset and sets[0] == frozenset(p.rule.forbidden[0])
-        assert gen_torus_nae(7, 5, 2).forbidden_sets()[0] == frozenset(rows)
+        assert gen_torus_nae(7, 5, 2).forbidden_lookup()[0] == frozenset(rows)
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_mixed_tables_give_the_per_table_sets(self, seed):
+    def test_mixed_tables_give_one_container_per_table(self, seed):
         # the first table shared by all but the last vertex, then one other table
         p = gen_grid_ksat(6, 6, 3, 2, 1, seed)
         sample = ColouringProblem(p.graph, 2, LocalRule([p.rule.forbidden[0]] * (p.n - 1) + [((0, 1, 1),)]))
         for q in (p, sample):
-            sets = q.forbidden_sets()
-            assert sets == [frozenset(rows) for rows in q.rule.forbidden]
-            assert len({id(s) for s in sets}) == len({id(rows) for rows in q.rule.forbidden})
+            self.assert_lookup_answers_as_tables(q)
+            assert len({id(c) for c in q.forbidden_lookup()}) == len({id(rows) for rows in q.rule.forbidden})
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
-    def test_forbidden_sets_are_sized_once(self, data):
-        # each set equals its table's rows, and its hash table is sized as a copy of a
-        # set of those rows: grown row by row from the tuple, six rows take 32 slots, not 16
+    def test_forbidden_lookup_answers_as_each_table(self, data):
+        # tables of 0 to b^k rows, some past SMALL_TABLE_ROWS, whose sets are built from a set of
+        # their rows: sized once, as CPython sizes a copy of a set, not grown row by row
         b, k = data.draw(st.sampled_from([(2, 1), (2, 3), (2, 5), (3, 2), (3, 3)]))
         every = list(itertools.product(range(b), repeat=k))
-        tables = data.draw(st.lists(st.sets(st.sampled_from(every)).map(sorted).map(tuple), min_size=1, max_size=4))
-        tables += tables[:2]  # repeated table objects share one set
+        table = st.tuples(st.permutations(every), st.integers(0, len(every))).map(lambda d: tuple(sorted(d[0][: d[1]])))
+        tables = data.draw(st.lists(table, min_size=1, max_size=4))
+        tables += tables[:2]  # repeated table objects share one container
         n = max(len(tables), k)  # every vertex reads cells 0..k-1, so any table of 0..b^k rows fits
         p = ColouringProblem(Digraph.from_scopes([list(range(k))] * n), b, LocalRule(tables + [()] * (n - len(tables))))
         p.validate()
-        for rows, s in zip(p.rule.forbidden, p.forbidden_sets()):
-            assert type(s) is frozenset and s == frozenset(rows)
-            assert sys.getsizeof(s) == sys.getsizeof(frozenset(set(rows)))
+        self.assert_lookup_answers_as_tables(p)
+        for rows, c in zip(p.rule.forbidden, p.forbidden_lookup()):
+            if len(rows) > SMALL_TABLE_ROWS:
+                assert type(c) is frozenset and sys.getsizeof(c) == sys.getsizeof(frozenset(set(rows)))
 
     @pytest.mark.parametrize("seed", range(3))
-    def test_forbidden_sets_take_less_memory_than_tuple_built_sets(self, seed):
-        # 256 six-row tables: 472 B a set built from a set, 728 B one grown from the tuple
+    def test_forbidden_lookup_of_small_distinct_tables_allocates_nothing(self, seed):
+        # 256 distinct six-row tables: their frozensets would hold 256 x 472 B; the tables answer themselves
         p = witness_rules_problem(16, seed)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            lookup = p.forbidden_lookup()
+            size = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert size < 1024
+        self.assert_lookup_answers_as_tables(p)
+        assert lookup is p.forbidden_lookup()
 
-        def traced(build):
-            tracemalloc.start()
-            try:
-                before = tracemalloc.get_traced_memory()[0]
-                held = build()
-                return tracemalloc.get_traced_memory()[0] - before, held
-            finally:
-                tracemalloc.stop()
+    def test_validate_refuses_a_row_that_is_not_a_tuple(self):
+        # a list row never equals a colour tuple, so its rule could never be violated
+        g = Digraph.from_edges(3, [(x, x) for x in range(3)])
+        p = ColouringProblem(g, 2, LocalRule([((0,),), ((1,),), ([0],)]))
+        with pytest.raises(MalformedProblemError, match=r"^vertex 2: forbidden row \[0\] is not a tuple$"):
+            p.validate()
+        with pytest.raises(MalformedProblemError, match="vertex 2"):
+            reference_validate_problem(p)
 
-        size, sets = traced(p.forbidden_sets)
-        tuple_size, tuple_built = traced(lambda: [frozenset(rows) for rows in p.rule.forbidden])
-        assert sets == tuple_built
-        assert size <= 0.7 * tuple_size
+    def test_unvalidated_list_row_is_refused_by_bad_set(self):
+        g = Digraph.from_edges(3, [(x, x) for x in range(3)])
+        p = ColouringProblem(g, 2, LocalRule([((0,),), ((1,),), ([0],)]))
+        with pytest.raises(MalformedProblemError, match=r"vertex 2: forbidden row \[0\] is not a tuple"):
+            bad_set(p, [1, 0, 0])
 
 
 class TestViolation:
@@ -496,5 +518,5 @@ def test_active_clauses_of_a_ksat_instance_are_its_clause_vertices():
 
 
 def test_constructor_takes_the_graph_rule_and_metadata_only():
-    # the caches (forbidden_sets, active_clauses) are filled by their methods, never passed in
+    # the caches (forbidden_lookup, active_clauses) are filled by their methods, never passed in
     assert list(inspect.signature(ColouringProblem).parameters) == ["graph", "b", "rule", "metadata"]
