@@ -18,8 +18,8 @@ readers (`Digraph.readers`), which build each scope's tuple of colours in C.
 What depends only on the instance is built once and shared: the readers
 per graph, and each rule's membership test
 (`ColouringProblem.forbidden_lookup`): one set for a table every vertex
-shares, and otherwise the table itself, or a set per distinct table of more
-than `SMALL_TABLE_ROWS` rows.  Dependency-graph rows are built on
+shares, the tables themselves when none has more than `SMALL_TABLE_ROWS`
+rows, and otherwise a set per distinct table.  Dependency-graph rows are built on
 demand: a run asks `Digraph.rel_rows` for the rows of the rules it visits,
 which the graph keeps for later runs, for the witness forests and for every
 other problem on the same graph.  Loading or generating a problem builds no

@@ -39,9 +39,9 @@ class LocalRule:
     `from_lists` and `interned`, which `load_problem` uses, make equal tables
     one shared tuple: a torus holds one table for all its vertices, so
     `ColouringProblem.validate` checks it once and `forbidden_lookup` builds
-    one set for it.  A table of at most `SMALL_TABLE_ROWS` rows is its own
-    membership test, so distinct small tables, one per cell, cost no memory
-    beyond the tables themselves.
+    one set for it.  When no table has more than `SMALL_TABLE_ROWS` rows,
+    the tables are their own membership test, so distinct small tables, one
+    per cell, cost no memory beyond the tables themselves.
     """
 
     forbidden: list[tuple[tuple[int, ...], ...]]
@@ -101,30 +101,30 @@ class ColouringProblem:
         - otherwise, when no table has more than `SMALL_TABLE_ROWS` rows,
           which one C-level `max` finds, the lookup is `rule.forbidden`
           itself, and nothing is built;
-        - otherwise each table object gets one container: itself if it has
-          at most `SMALL_TABLE_ROWS` rows, else a frozenset of its rows.
-        A table serves as its own container only after one C-level pass has
-        found every row a tuple: a list row would never equal a colour tuple,
-        so its rule could never be violated.  Each frozenset is built from a
-        `set`, whose size CPython knows, so its table is sized once: built
+        - otherwise each table object gets one frozenset of its rows.
+        Every row is first found a tuple, by one C-level pass (over the one
+        table, when it is shared): a list row would never equal a colour
+        tuple, so where a table is its own container its rule could never be
+        violated, and a set could not hash it.  Each frozenset is built from
+        a `set`, whose size CPython knows, so its table is sized once: built
         from the tuple, a six-row set grows to 32 slots, 728 B against 472 B.
         """
         if self._forbidden_lookup is None:
             forbidden = self.rule.forbidden
-            if forbidden and forbidden.count(forbidden[0]) == len(forbidden):
+            shared = bool(forbidden) and forbidden.count(forbidden[0]) == len(forbidden)
+            _require_tuple_rows(forbidden[:1] if shared else forbidden)
+            if shared:
                 lookup = [frozenset(set(forbidden[0]))] * len(forbidden)
+            elif max(map(len, forbidden), default=0) <= SMALL_TABLE_ROWS:
+                lookup = forbidden
             else:
-                _require_tuple_rows(forbidden)
-                if max(map(len, forbidden), default=0) <= SMALL_TABLE_ROWS:
-                    lookup = forbidden
-                else:
-                    by_table: dict[int, tuple | frozenset] = {}  # id(table) -> container; tables live in self.rule
-                    lookup = []
-                    for rows in forbidden:
-                        c = by_table.get(id(rows))
-                        if c is None:
-                            c = by_table[id(rows)] = rows if len(rows) <= SMALL_TABLE_ROWS else frozenset(set(rows))
-                        lookup.append(c)
+                by_table: dict[int, frozenset] = {}  # id(table) -> its set; every table stays alive in self.rule
+                lookup = []
+                for rows in forbidden:
+                    s = by_table.get(id(rows))
+                    if s is None:
+                        s = by_table[id(rows)] = frozenset(set(rows))
+                    lookup.append(s)
             self._forbidden_lookup = lookup
         return self._forbidden_lookup
 

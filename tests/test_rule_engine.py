@@ -305,6 +305,12 @@ class TestValidation:
         p = ColouringProblem(g, 2, LocalRule([((0,),), ((1,),), ([0],)]))
         with pytest.raises(MalformedProblemError, match=r"vertex 2: forbidden row \[0\] is not a tuple"):
             bad_set(p, [1, 0, 0])
+        # one table shared by every vertex is refused the same way, at the first vertex
+        shared = ColouringProblem(g, 2, LocalRule([((1,), [0])] * 3))
+        with pytest.raises(MalformedProblemError, match=r"vertex 0: forbidden row \[0\] is not a tuple"):
+            bad_set(shared, [1, 0, 0])
+        with pytest.raises(MalformedProblemError, match=r"vertex 0: forbidden row \[0\] is not a tuple"):
+            is_violated(ColouringProblem(g, 2, LocalRule([((1,), [0])] * 3)), [0, 0, 0], 2)
 
 
 class TestViolation:
