@@ -67,14 +67,19 @@ class ExhaustedError(RuntimeError):
 def _check_bound_args(b: int, delta: float, d: int, num_parts: int, big_delta: int) -> None:
     if b < 2:
         raise ValueError("alphabet size must be >= 2")
-    if not 0 < delta < math.inf:
-        raise ValueError("delta must be positive and finite")
     if d < 1:
         raise ValueError("degree bound must be >= 1")
+    _check_decay_args(num_parts, big_delta, delta)
+
+
+def _check_decay_args(num_parts: int, big_delta: int, delta: float) -> None:
+    """The arguments `explicit_k_log` and `threshold_m` share."""
     if num_parts < 1:
         raise ValueError("need at least one part")
     if big_delta < 1:
         raise ValueError("dependency degree must be >= 1")
+    if not 0 < delta < math.inf:
+        raise ValueError("delta must be positive and finite")
 
 
 def _decay_rate(delta: float, big_delta: int) -> float:
@@ -124,12 +129,7 @@ def threshold_m(k_log: float, num_parts: int, big_delta: int, delta: float) -> i
     """
     if not math.isfinite(k_log):
         raise ValueError("k_log must be finite")
-    if num_parts < 1:
-        raise ValueError("need at least one part")
-    if big_delta < 1:
-        raise ValueError("dependency degree must be >= 1")
-    if not 0 < delta < math.inf:
-        raise ValueError("delta must be positive and finite")
+    _check_decay_args(num_parts, big_delta, delta)
     rate = _decay_rate(delta, big_delta)
 
     def covered(m: int) -> bool:

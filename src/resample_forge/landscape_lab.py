@@ -255,8 +255,10 @@ def _restriction(p: ColouringProblem, pi, subset) -> dict:
     order of the quotient vertex's scope; the whole scope survives exactly
     when every position does.
     """
-    u = set(subset)
     n = p.n
+    if len(pi.part_of) != n:  # a partition of another instance would quotient the wrong cells
+        raise ValueError(f"partition of {len(pi.part_of)} vertices does not fit a problem of {n} vertices")
+    u = set(subset)
     for v in u:
         # exact ints, as in validate_landscape: True would pass for vertex 1, and -1 would index vertex n-1
         if type(v) is not int or not 0 <= v < n:

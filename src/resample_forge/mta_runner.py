@@ -16,15 +16,13 @@ Rules are checked, and snapshots taken, through the graph's cached scope
 readers (`Digraph.readers`), which build each scope's tuple of colours in C.
 
 What depends only on the instance is built once and shared: the readers
-per graph, and each rule's membership test
-(`ColouringProblem.forbidden_lookup`): one set for a table every vertex
-shares, the tables themselves when none has more than `SMALL_TABLE_ROWS`
-rows, and otherwise a set per distinct table.  Dependency-graph rows are built on
-demand: a run asks `Digraph.rel_rows` for the rows of the rules it visits,
-which the graph keeps for later runs, for the witness forests and for every
-other problem on the same graph.  Loading or generating a problem builds no
-row (Delta is streamed by `Digraph.big_delta`), so no graph holds the rows
-of rules that were never violated.
+per graph, and each rule's membership test, built when the problem is
+validated (see `ColouringProblem.forbidden_lookup`).  Dependency-graph rows
+are built on demand: a run asks `Digraph.rel_rows` for the rows of the rules
+it visits, which the graph keeps for later runs, for the witness forests and
+for every other problem on the same graph.  Loading or generating a problem
+builds no row (Delta is streamed by `Digraph.big_delta`), so no graph holds
+the rows of rules that were never violated.
 
 `run` is the engine for both solvers: one loop over the colouring, the
 counters and the list of violated rules, on an infinite tape and on each
@@ -154,7 +152,8 @@ def run(
 ) -> RunTrace:
     """Drive rounds until nothing is violated, the budget runs out or a finite tape does.
 
-    The initial fill reads each part at counter 0 and must fit on the tape.
+    The partition must have the problem's vertex count; the initial fill
+    reads each part at counter 0 and must fit on the tape.
     Each round scans the violated rules by vertex index or, with
     `found_order`, in the order the last re-check found them (the exhaustive
     solver's scan), and resamples their greedy maximal independent subset.
@@ -170,6 +169,8 @@ def run(
         raise ValueError("max_steps must be >= 1")
 
     part_of, scopes, read = pi.part_of, p.graph.out_adj, p.graph.readers()
+    if len(part_of) != p.n:  # a partition of another instance: the fill would colour the wrong cells
+        raise ValueError(f"partition of {len(part_of)} vertices does not fit a problem of {p.n} vertices")
     # one read per part for the fill: parts are dense 0..num_parts-1
     fill = tape.fill(pi.num_parts)
     f = [fill[a] for a in part_of]

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from resample_forge.graph_core import Digraph, _check_radius, balls, power_graph
+from resample_forge.graph_core import Digraph, balls, power_graph
 # unused here, but perfbench/tracing.py wraps the name partitioner.ball
 from resample_forge.graph_core import ball  # noqa: F401
 
@@ -56,9 +56,10 @@ def sparse_partition(g: Digraph, r: int) -> SparsePartition:
     order within a ball, and a ball from `balls` holding x too only ORs
     and sets `seen[x]` twice, so both sources give the same colouring.
     """
-    if type(r) is int and r < 1:
+    if type(r) is not int:  # before anything compares it: True would pass for 1
+        raise ValueError(f"radius must be an integer, not {r!r}")
+    if r < 1:
         raise ValueError("sparsity radius must be >= 1")
-    _check_radius(r)  # every r that is not an exact int, before anything compares it
     near_of = power_graph(g, r).out_adj if g.torus is not None else balls(g, r)
     seen = [0] * g.n
     colour = []

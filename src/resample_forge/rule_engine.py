@@ -38,10 +38,8 @@ class LocalRule:
 
     `from_lists` and `interned`, which `load_problem` uses, make equal tables
     one shared tuple: a torus holds one table for all its vertices, so
-    `ColouringProblem.validate` checks it once and `forbidden_lookup` builds
-    one set for it.  When no table has more than `SMALL_TABLE_ROWS` rows,
-    the tables are their own membership test, so distinct small tables, one
-    per cell, cost no memory beyond the tables themselves.
+    `ColouringProblem.validate` checks it once.  Each table's membership
+    test is described at `ColouringProblem.forbidden_lookup`.
     """
 
     forbidden: list[tuple[tuple[int, ...], ...]]
@@ -94,38 +92,24 @@ class ColouringProblem:
     def forbidden_lookup(self) -> list:
         """Per vertex, a container for which `t in lookup[x]` holds exactly when t is a row of x's table, cached.
 
-        A set is kept only where it pays for itself:
-        - when every table equals the first, as on a torus where they are
-          one object, one C-level `count` finds it and every vertex gets one
-          frozenset, with no Python loop over the vertices;
+        `validate` builds it, from the distinct table objects it has just
+        checked, so only a well-formed table is ever tested; a problem not
+        yet validated is validated here, once.  A set is kept only where it
+        pays for itself:
+        - one table object shared by every vertex, as on a torus, gets one
+          frozenset, which every vertex shares;
         - otherwise, when no table has more than `SMALL_TABLE_ROWS` rows,
-          which one C-level `max` finds, the lookup is `rule.forbidden`
-          itself, and nothing is built;
-        - otherwise each table object gets one frozenset of its rows.
-        Every row is first found a tuple, by one C-level pass (over the one
-        table, when it is shared): a list row would never equal a colour
-        tuple, so where a table is its own container its rule could never be
-        violated, and a set could not hash it.  Each frozenset is built from
-        a `set`, whose size CPython knows, so its table is sized once: built
-        from the tuple, a six-row set grows to 32 slots, 728 B against 472 B.
+          the lookup is `rule.forbidden` itself, and nothing is built;
+        - otherwise each table object gets one frozenset of its rows, handed
+          to its vertices by a C-level `map` over their tables' ids.
+        Each frozenset is built from a `set`, whose size CPython knows, so
+        its table is sized once.  That is not always the smaller copy: next
+        to a frozenset built from the tuple, it is smaller at 5-7, 19-31 and
+        77-127 rows (472 against 728 B at six), larger at 16-18 and 64-76
+        (1,240 against 728 B at 16), and the same size elsewhere below 256.
         """
         if self._forbidden_lookup is None:
-            forbidden = self.rule.forbidden
-            shared = bool(forbidden) and forbidden.count(forbidden[0]) == len(forbidden)
-            _require_tuple_rows(forbidden[:1] if shared else forbidden)
-            if shared:
-                lookup = [frozenset(set(forbidden[0]))] * len(forbidden)
-            elif max(map(len, forbidden), default=0) <= SMALL_TABLE_ROWS:
-                lookup = forbidden
-            else:
-                by_table: dict[int, frozenset] = {}  # id(table) -> its set; every table stays alive in self.rule
-                lookup = []
-                for rows in forbidden:
-                    s = by_table.get(id(rows))
-                    if s is None:
-                        s = by_table[id(rows)] = frozenset(set(rows))
-                    lookup.append(s)
-            self._forbidden_lookup = lookup
+            self.validate()
         return self._forbidden_lookup
 
     def active_clauses(self) -> range | list[int]:
@@ -157,7 +141,8 @@ class ColouringProblem:
         once per scope length, with no loop over the vertices in Python: the
         pairs come from `_table_pairs` in first-seen order, so the first
         faulty pair holds the first faulty vertex, which is looked up only
-        then and named.
+        then and named.  Once every check passes, the same distinct tables
+        give the lookup that `forbidden_lookup` returns.
         """
         b = self.b
         if type(b) is not int:
@@ -167,21 +152,29 @@ class ColouringProblem:
         forbidden, scopes = self.rule.forbidden, self.graph.out_adj
         if len(forbidden) != self.n:
             raise MalformedProblemError("rule table size does not match vertex count")
-        for rows, k in _table_pairs(forbidden, scopes):
+        tables = dict(zip(map(id, forbidden), forbidden))  # every table stays alive in self.rule
+        for rows, k in _table_pairs(tables, forbidden, scopes):
             fault = _table_fault(rows, k, b)
             if fault:
                 x = next(x for x, (scope, t) in enumerate(zip(scopes, forbidden)) if t is rows and len(scope) == k)
                 raise MalformedProblemError(f"vertex {x}{fault}")
+        if len(tables) == 1:
+            self._forbidden_lookup = [frozenset(set(forbidden[0]))] * self.n
+        elif max(map(len, tables.values()), default=0) <= SMALL_TABLE_ROWS:
+            self._forbidden_lookup = forbidden
+        else:
+            sets = {key: frozenset(set(rows)) for key, rows in tables.items()}
+            self._forbidden_lookup = list(map(sets.__getitem__, map(id, forbidden)))
 
 
-def _table_pairs(forbidden: list, scopes: list):
+def _table_pairs(tables: dict, forbidden: list, scopes: list):
     """The distinct (table, scope length) pairs of the vertices, in first-seen order.
 
-    Tables are keyed by identity, since a malformed row may be unhashable,
-    and every table stays alive in `forbidden` meanwhile.  The pairs come
-    out of C-level `dict` builds, with no loop over the vertices in Python.
+    `tables` is `dict(zip(map(id, forbidden), forbidden))`, which the caller
+    builds: tables are keyed by identity, since a malformed row may be
+    unhashable.  The pairs come out of C-level `dict` builds, with no loop
+    over the vertices in Python.
     """
-    tables = dict(zip(map(id, forbidden), forbidden))
     lengths = dict.fromkeys(map(len, scopes))
     if len(tables) > 1 and len(lengths) > 1:
         pairs = dict.fromkeys(zip(map(id, forbidden), map(len, scopes)))
@@ -190,22 +183,11 @@ def _table_pairs(forbidden: list, scopes: list):
     return ((tables[key], k) for key, k in pairs)
 
 
-def _require_tuple_rows(forbidden: list) -> None:
-    """Raise MalformedProblemError naming the first vertex with a row that is not a tuple; one C-level pass if none."""
-    if not {tuple}.issuperset(map(type, itertools.chain.from_iterable(forbidden))):
-        x, t = next((x, t) for x, rows in enumerate(forbidden) for t in rows if type(t) is not tuple)
-        raise MalformedProblemError(f"vertex {x}{_row_type_fault(t)}")
-
-
-def _row_type_fault(t) -> str:
-    return f": forbidden row {t!r} is not a tuple"
-
-
 def _table_fault(rows, k: int, b: int) -> str:
     """What is wrong with `rows` as the table of a vertex with a k-cell scope, after "vertex x"; "" if nothing."""
     for t in rows:
         if type(t) is not tuple:
-            return _row_type_fault(t)
+            return f": forbidden row {t!r} is not a tuple"
         if len(t) != k:
             return f": forbidden tuple {t} has length {len(t)}, scope needs {k}"
         for c in t:
@@ -245,7 +227,8 @@ def lll_margin(p: ColouringProblem) -> float:
     `_table_pairs` pair, the pairs `ColouringProblem.validate` checks: a
     torus has one.
     """
-    pairs = _table_pairs(p.rule.forbidden, p.graph.out_adj)
+    forbidden = p.rule.forbidden
+    pairs = _table_pairs(dict(zip(map(id, forbidden), forbidden)), forbidden, p.graph.out_adj)
     return max((len(rows) / p.b**k for rows, k in pairs if rows), default=0.0)
 
 

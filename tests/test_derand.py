@@ -97,8 +97,14 @@ def test_explicit_k_log_finite_past_float_range():
 
 
 def test_explicit_k_rejects_bad_args():
-    for args in [(1, 1.0, 1, 1, 1), (2, 0.0, 1, 1, 1), (2, 1.0, 0, 1, 1), (2, 1.0, 1, 0, 1), (2, 1.0, 1, 1, 0)]:
-        with pytest.raises(ValueError):
+    for args, message in [
+        ((1, 1.0, 1, 1, 1), "alphabet size must be >= 2"),
+        ((2, 0.0, 1, 1, 1), "delta must be positive and finite"),
+        ((2, 1.0, 0, 1, 1), "degree bound must be >= 1"),
+        ((2, 1.0, 1, 0, 1), "need at least one part"),
+        ((2, 1.0, 1, 1, 0), "dependency degree must be >= 1"),
+    ]:
+        with pytest.raises(ValueError, match=f"^{message}$"):
             explicit_k_log(*args)
     for delta in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError):
@@ -119,7 +125,11 @@ def test_explicit_k_rejects_bad_args():
     for k_log in (math.inf, -math.inf, math.nan):
         with pytest.raises(ValueError, match="k_log must be finite"):
             threshold_m(k_log, 1, 1, 1.0)
-    for args, message in [((0.0, 0, 1, 1.0), "need at least one part"), ((0.0, 1, 0, 1.0), "dependency degree must be >= 1")]:
+    for args, message in [
+        ((0.0, 0, 1, 1.0), "need at least one part"),
+        ((0.0, 1, 0, 1.0), "dependency degree must be >= 1"),
+        ((0.0, 1, 1, 0.0), "delta must be positive and finite"),
+    ]:
         with pytest.raises(ValueError, match=f"^{message}$"):
             threshold_m(*args)
     # m ~ k_log / (delta * (1 + ln Delta)) would pass 2^1024

@@ -1,7 +1,8 @@
 """Every name imported by a package module or a test file is used there.
 
 An AST scan, so the next stray import fails the suite.  Imports from
-`__future__` and import lines marked `# noqa: F401` are exempt.  Each public
+`__future__` and import lines marked `# noqa: F401` are exempt.  No package
+module imports a `_`-prefixed name from another.  Each public
 top-level name of a package module must have a reader on a program path (see
 `test_every_public_name_has_a_program_reader`), and the package itself loads
 no module until one is asked for.  The last tests load `perfbench/tracing.py`
@@ -87,6 +88,36 @@ def test_no_unused_imports():
         for line, name in unused_imports(path)
     ]
     assert found == [], "unused imports:\n" + "\n".join(found)
+
+
+def private_imports(path):
+    """(line, module, name) for each `_`-prefixed name that `path` imports from another module."""
+    out = []
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            out += [(node.lineno, node.module, alias.name) for alias in node.names if alias.name.startswith("_")]
+    return out
+
+
+def test_scan_finds_a_private_import(tmp_path):
+    sample = tmp_path / "sample.py"
+    sample.write_text(
+        "from __future__ import annotations\n"
+        "from resample_forge.graph_core import Digraph, _check_radius\n"
+        "from . import _helpers\n"
+        "import _thread\n"
+    )
+    assert private_imports(sample) == [(2, "resample_forge.graph_core", "_check_radius"), (3, None, "_helpers")]
+
+
+def test_no_package_module_imports_a_private_name():
+    """A `_` name is its module's own; a second reader should get a public name, or its own check."""
+    found = [
+        f"{path.relative_to(ROOT).as_posix()}:{line}: {module}.{name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for line, module, name in private_imports(path)
+    ]
+    assert found == [], "private names imported from another module:\n" + "\n".join(found)
 
 
 # public names with no program reader yet, each kept for a stated reason

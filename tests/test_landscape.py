@@ -521,6 +521,23 @@ def test_restriction_refuses_a_subset_member_that_is_not_a_vertex(restrict, vert
         restrict(p, singleton_partition(p.n), [0, vertex])
 
 
+@pytest.mark.parametrize("sides", [(6, 7), (7, 6)])
+@pytest.mark.parametrize(
+    "restrict",
+    [
+        restrict_problem,
+        lambda p, pi, subset: restrict_landscape(p, pi, FinalisedLandscape(GForest(set(), {}), {}, [0] * p.n), subset),
+    ],
+    ids=["problem", "landscape"],
+)
+def test_restriction_refuses_a_partition_of_another_instance(restrict, sides):
+    # a 7x7 partition once quotiented a 6x6 torus silently; a 6x6 one raised IndexError on a 7x7 torus
+    p, other = (gen_torus_nae(side, side, 2) for side in sides)
+    message = f"partition of {other.n} vertices does not fit a problem of {p.n} vertices"
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        restrict(p, sparse_partition(other.graph, 1), ball(p.graph, 0, 1))
+
+
 def test_restrict_landscape_boundary_fallback():
     p = path_problem()
     pi = singleton_partition(p.n)

@@ -107,6 +107,15 @@ class TestMicroRuns:
         with pytest.raises(ValueError):
             run(p, singleton_partition(2), RandomTape(0, 2), max_steps=0)
 
+    @pytest.mark.parametrize("sides", [(6, 7), (7, 6)])
+    def test_partition_of_another_instance_is_refused(self, sides):
+        # a 7x7 partition once coloured 49 cells of a 6x6 torus and reported success; a 6x6 one raised IndexError
+        p, other = (gen_torus_nae(side, side, 2) for side in sides)
+        pi = sparse_partition(other.graph, 1)
+        message = f"partition of {other.n} vertices does not fit a problem of {p.n} vertices"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            run(p, pi, RandomTape(1, 2))
+
 
 class TestSharedParts:
     def test_same_part_cells_start_equal(self):

@@ -13,6 +13,8 @@ from hypothesis import given, settings, strategies as st
 
 from resample_forge.graph_core import Digraph
 from resample_forge.instance_io import gen_grid_ksat, gen_torus_nae
+from resample_forge.mta_runner import run
+from resample_forge.partitioner import singleton_partition
 from resample_forge.rule_engine import (
     SMALL_TABLE_ROWS,
     ColouringProblem,
@@ -26,6 +28,7 @@ from resample_forge.rule_engine import (
     res,
     satisfies,
 )
+from resample_forge.tape import RandomTape
 from tests.helpers import random_looped_problem, witness_rules_problem
 from tests.reference_rule_engine import reference_bad_set, reference_lll_margin, reference_validate_problem
 from tests.test_graph_core import random_digraph
@@ -235,7 +238,8 @@ class TestValidation:
     @pytest.mark.parametrize("seed", range(4))
     def test_forbidden_lookup_matches_each_table(self, seed):
         shared = LocalRule.from_lists([[[0, 0]], [[1, 1]], [[0, 0]], [], [[1, 1]], [[0, 0]]] * 3)
-        g = random_digraph(18, 40, seed)
+        rng = random.Random(seed)
+        g = Digraph.from_scopes([sorted(rng.sample(range(18), 2)) for _ in range(18)])  # 2-ary rows need 2-cell scopes
         for p in (random_problem(12, 20, 2, 0.3, seed), ColouringProblem(g, 2, shared)):
             self.assert_lookup_answers_as_tables(p)
             # distinct table objects keep distinct containers
@@ -301,16 +305,34 @@ class TestValidation:
             reference_validate_problem(p)
 
     def test_unvalidated_list_row_is_refused_by_bad_set(self):
-        g = Digraph.from_edges(3, [(x, x) for x in range(3)])
-        p = ColouringProblem(g, 2, LocalRule([((0,),), ((1,),), ([0],)]))
-        with pytest.raises(MalformedProblemError, match=r"vertex 2: forbidden row \[0\] is not a tuple"):
-            bad_set(p, [1, 0, 0])
-        # one table shared by every vertex is refused the same way, at the first vertex
-        shared = ColouringProblem(g, 2, LocalRule([((1,), [0])] * 3))
-        with pytest.raises(MalformedProblemError, match=r"vertex 0: forbidden row \[0\] is not a tuple"):
-            bad_set(shared, [1, 0, 0])
-        with pytest.raises(MalformedProblemError, match=r"vertex 0: forbidden row \[0\] is not a tuple"):
-            is_violated(ColouringProblem(g, 2, LocalRule([((1,), [0])] * 3)), [0, 0, 0], 2)
+        # every malformed table is refused by validate's own check, at the first use of an unvalidated problem
+        loops = Digraph.from_edges(3, [(x, x) for x in range(3)])
+        cases = [
+            (loops, 2, [((0,),), ((1,),), ([0],)], "vertex 2: forbidden row [0] is not a tuple"),
+            # one table shared by every vertex is refused the same way, at the first vertex
+            (loops, 2, [((1,), [0])] * 3, "vertex 0: forbidden row [0] is not a tuple"),
+            (loops, 2, [((0, 0),), (), ()], "vertex 0: forbidden tuple (0, 0) has length 2, scope needs 1"),
+            (loops, 2, [(), ((2,),), ()], "vertex 1: colour 2 out of range 0..1"),
+            (loops, 2, [(), (), ((1,), (0,))], "vertex 2: forbidden tuples are not strictly increasing"),
+            (Digraph.from_scopes([[0], [1], []]), 2, [(), (), ((),)], "vertex 2 has empty scope but forbidden tuples"),
+            (loops, 1, [(), (), ()], "colour count must be >= 2"),
+        ]
+        for g, b, rows, message in cases:
+            with pytest.raises(MalformedProblemError) as checked:
+                ColouringProblem(g, b, LocalRule(rows)).validate()
+            assert str(checked.value) == message
+            p = ColouringProblem(g, b, LocalRule(rows))
+            for use in (
+                lambda: bad_set(p, [0] * p.n),
+                lambda: is_violated(p, [0] * p.n, 2),
+                lambda: run(p, singleton_partition(p.n), RandomTape(1, 2)),
+            ):
+                with pytest.raises(MalformedProblemError, match=f"^{re.escape(message)}$"):
+                    use()
+        # an empty problem is well-formed, and its lookup is empty
+        empty = ColouringProblem(Digraph.from_scopes([]), 2, LocalRule([]))
+        assert empty.forbidden_lookup() == [] and bad_set(empty, []) == []
+        assert run(empty, singleton_partition(0), RandomTape(1, 2)).succeeded
 
 
 class TestViolation:
