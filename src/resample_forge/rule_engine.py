@@ -152,8 +152,8 @@ class ColouringProblem:
         forbidden, scopes = self.rule.forbidden, self.graph.out_adj
         if len(forbidden) != self.n:
             raise MalformedProblemError("rule table size does not match vertex count")
-        tables = dict(zip(map(id, forbidden), forbidden))  # every table stays alive in self.rule
-        for rows, k in _table_pairs(tables, forbidden, scopes):
+        tables, pairs = _table_pairs(forbidden, scopes)
+        for rows, k in pairs:
             fault = _table_fault(rows, k, b)
             if fault:
                 x = next(x for x, (scope, t) in enumerate(zip(scopes, forbidden)) if t is rows and len(scope) == k)
@@ -167,20 +167,22 @@ class ColouringProblem:
             self._forbidden_lookup = list(map(sets.__getitem__, map(id, forbidden)))
 
 
-def _table_pairs(tables: dict, forbidden: list, scopes: list):
-    """The distinct (table, scope length) pairs of the vertices, in first-seen order.
+def _table_pairs(forbidden: list, scopes: list):
+    """The distinct table objects keyed by id, and the distinct (table, scope length) pairs, in first-seen order.
 
-    `tables` is `dict(zip(map(id, forbidden), forbidden))`, which the caller
-    builds: tables are keyed by identity, since a malformed row may be
-    unhashable.  The pairs come out of C-level `dict` builds, with no loop
-    over the vertices in Python.
+    Tables are keyed by identity, since a malformed row may be unhashable.
+    A C-level `is` scan finds one table object held by every vertex, as on a
+    torus, without an id per vertex; else C-level `dict` builds key them.
+    Neither loops over the vertices in Python.
     """
+    one = forbidden and all(map(operator.is_, forbidden, itertools.repeat(forbidden[0])))
+    tables = {id(forbidden[0]): forbidden[0]} if one else dict(zip(map(id, forbidden), forbidden))
     lengths = dict.fromkeys(map(len, scopes))
     if len(tables) > 1 and len(lengths) > 1:
         pairs = dict.fromkeys(zip(map(id, forbidden), map(len, scopes)))
     else:  # one half of every pair is the same, so the other half's first-seen order is the pairs'
         pairs = itertools.product(tables, lengths)
-    return ((tables[key], k) for key, k in pairs)
+    return tables, ((tables[key], k) for key, k in pairs)
 
 
 def _table_fault(rows, k: int, b: int) -> str:
@@ -227,8 +229,7 @@ def lll_margin(p: ColouringProblem) -> float:
     `_table_pairs` pair, the pairs `ColouringProblem.validate` checks: a
     torus has one.
     """
-    forbidden = p.rule.forbidden
-    pairs = _table_pairs(dict(zip(map(id, forbidden), forbidden)), forbidden, p.graph.out_adj)
+    _, pairs = _table_pairs(p.rule.forbidden, p.graph.out_adj)
     return max((len(rows) / p.b**k for rows, k in pairs if rows), default=0.0)
 
 

@@ -11,6 +11,7 @@ import tracemalloc
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from resample_forge import rule_engine
 from resample_forge.graph_core import Digraph
 from resample_forge.instance_io import gen_grid_ksat, gen_torus_nae
 from resample_forge.mta_runner import run
@@ -253,6 +254,17 @@ class TestValidation:
             assert type(sets[0]) is frozenset and sets[0] == frozenset(p.rule.forbidden[0])
         assert gen_torus_nae(7, 5, 2).forbidden_lookup()[0] == frozenset(rows)
 
+    def test_one_shared_table_is_checked_without_an_id_per_vertex(self, monkeypatch):
+        # validating a torus finds its one table by an identity scan, not by keying every vertex's table by id
+        calls = []
+        monkeypatch.setattr(rule_engine, "id", lambda obj: calls.append(obj) or id(obj), raising=False)
+        g = gen_torus_nae(60, 60, 2)
+        p = ColouringProblem(g.graph, 2, LocalRule(g.rule.forbidden))
+        lookup = p.forbidden_lookup()
+        assert len(calls) < 8
+        assert all(s is lookup[0] for s in lookup) and lookup[0] == frozenset(g.rule.forbidden[0])
+        assert lll_margin(p) == reference_lll_margin(p) and len(calls) < 16
+
     @pytest.mark.parametrize("seed", range(3))
     def test_mixed_tables_give_one_container_per_table(self, seed):
         # the first table shared by all but the last vertex, then one other table
@@ -282,16 +294,21 @@ class TestValidation:
 
     @pytest.mark.parametrize("seed", range(3))
     def test_forbidden_lookup_of_small_distinct_tables_allocates_nothing(self, seed):
-        # 256 distinct six-row tables: their frozensets would hold 256 x 472 B; the tables answer themselves
-        p = witness_rules_problem(16, seed)
+        # 256 distinct six-row tables: their frozensets would hold 256 x 472 B; the tables answer themselves.
+        # The problem is unvalidated, so the first lookup is validate's build, which may briefly hold
+        # its table dict (~20 KB) but keeps nothing
+        w = witness_rules_problem(16, seed)
+        p = ColouringProblem(w.graph, 2, LocalRule(w.rule.forbidden))
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
             lookup = p.forbidden_lookup()
-            size = tracemalloc.get_traced_memory()[0] - before
+            size, peak = (m - before for m in tracemalloc.get_traced_memory())
         finally:
             tracemalloc.stop()
-        assert size < 1024
+        assert size < 1024 and peak < 256 * 472 * 2 // 5
+        assert lookup is p.rule.forbidden
         self.assert_lookup_answers_as_tables(p)
         assert lookup is p.forbidden_lookup()
 
