@@ -34,10 +34,12 @@ class Digraph:
 
     `torus` is (w, h) on a graph that `instance_io.torus_graph` built, and
     None on every other graph, an equal one from scope lists included.
-    Two readers trust it: `save_problem` writes a graph by its sides only
-    when it is set, and `power_graph` then writes its rows down from the
-    torus's offsets with `torus_rows`, the writer that made the scopes,
-    instead of searching for them.  It takes no part in ==.
+    Three readers trust it: `save_problem` writes a graph by its sides only
+    when it is set; `partitioner.sparse_partition` colours such a graph
+    from its sides alone, by wrapped row and column distances; and
+    `power_graph` writes its rows down from the torus's offsets with
+    `torus_rows`, the writer that made the scopes, instead of searching for
+    them.  It takes no part in ==.
     """
 
     out_adj: list[list[int]]
@@ -283,9 +285,11 @@ def power_graph(g: Digraph, r: int) -> Digraph:
     with r clamped to the diameter w//2 + h//2, past which a ball is the
     whole torus, so a huge r builds no more offsets than that.  On every
     other graph they are the `balls`, each trimmed of its centre and sorted.
-    Its one program caller is `partitioner.sparse_partition` on a torus,
-    which reads the written-down rows; the partition walks `balls` itself
-    on every other graph, so only tests build those sorted rows.
+    No program code calls it: the partition colours a described torus row
+    by row and walks `balls` itself on every other graph.  Tests build it
+    as the reference the partition's memory is measured against, and
+    `partitioner` imports the name only so that the bench's tracer can
+    wrap it there.
     """
     _check_radius(r)
     if g.torus is not None:

@@ -65,7 +65,8 @@ def torus_graph(w: int, h: int) -> Digraph:
     checks and in-list table could only confirm it.
     `test_torus_graph_equals_the_checked_construction` pins the graph to the
     one the checked constructors build.  The graph's `torus` is (w, h), from
-    which `graph_core.power_graph` writes down its rows.
+    which `partitioner.sparse_partition` colours it row by row and
+    `graph_core.power_graph` writes down its rows.
     """
     require_ints(w=w, h=h)
     if w < 3 or h < 3:

@@ -31,9 +31,10 @@ The inputs are fixed files in `tests/golden/`, never regenerated here:
   3 only.  At the default r = 3 every radius-r ball wraps round its 6-row
   axis but no ball wraps round its 40-column one;
 - `torus6x40.json`: `gen torus --w 6 --h 40 --out torus6x40.json`, in schema
-  3 only, the transpose of `torus40x6.json`.  At r = 3 every column window
-  of half-width up to 2r wraps round its 6-column axis, and no row window
-  wraps round its 40-row one;
+  3 only, the transpose of `torus40x6.json`.  At the default r = 3 every
+  radius-r ball wraps round its 6-column axis but no ball wraps round its
+  40-row one, so each of the partition's column strips of half-width 3 or
+  more spans a whole row;
 - `malformed.json`: a problem file whose one rule row has the wrong arity;
 - `unsat_2x4.json` and `unsat_3x9.json`: the two unsatisfiable tape-search
   instances of the benchmark, `perfbench.workloads.unsat_cnf(2, 4, rng)` then
@@ -111,7 +112,7 @@ COMMANDS = {
     "solve_torus10_R2": (["solve", TORUS10, "--R", "2", "--seed", "7", "--quiet"], 0),
     # 6 <= 2r rows, so every ball wraps round the short axis, and none round the long one
     "solve_torus40x6": (["solve", TORUS40X6, "--seed", "3", "--quiet"], 0),
-    # the transpose: every column window wraps round the 6-column axis, and no row window wraps;
+    # the transpose: every ball wraps round the 6-column axis, and none round the 40-row one;
     # solved in 5 rounds, and the colouring written out pins each cell's part
     "solve_torus6x40": (["solve", TORUS6X40, "--seed", "2", "--out", "<out>", "--quiet"], 0),
     "solve_ksat6": (["solve", KSAT6, "--seed", "3", "--out", "<out>", "--quiet"], 0),

@@ -265,6 +265,7 @@ TRACER_PINS = {
     ("landscape_lab", "ball"),
     ("mta_runner", "res"),
     ("partitioner", "ball"),
+    ("partitioner", "power_graph"),
     ("rule_engine", "build_rel"),
 }
 

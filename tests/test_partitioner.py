@@ -211,19 +211,36 @@ def test_partition_off_the_torus_holds_no_radius_r_power_graph():
 
 
 class TestTorusRowsPartition:
-    """sparse_partition on a torus, whose power graph is written down, against the same torus read from scopes."""
+    """sparse_partition on a described torus, coloured row by row, against the same torus read from scopes."""
 
-    @pytest.mark.parametrize("r", range(1, 5))
-    def test_every_shape_up_to_2r_plus_3(self, r):
-        for w in range(3, 2 * r + 4):
-            for h in range(3, 2 * r + 4):
+    @pytest.mark.parametrize("r", range(1, 6))
+    def test_every_shape_up_to_4r_plus_3(self, r):
+        # sides up to 4r + 3 include every side on which a column window of half-width < 2r wraps onto itself
+        for w in range(3, 4 * r + 4):
+            for h in range(3, 4 * r + 4):
                 g = instance_io.torus_graph(w, h)
-                assert sparse_partition(g, r) == sparse_partition(scope_copy(g), r)
+                pi = sparse_partition(g, r)
+                assert pi == sparse_partition(scope_copy(g), r)
+                if g.n <= 64:
+                    assert pi == reference_sparse_partition(g, r)
 
-    @pytest.mark.parametrize("w, h", [(37, 53), (120, 120)])
-    def test_large_tori(self, w, h):
+    @pytest.mark.parametrize("w, h", [(37, 53), (61, 29), (29, 61), (120, 120)])
+    def test_large_and_oblong_tori(self, w, h):
         g = instance_io.torus_graph(w, h)
         assert sparse_partition(g, 3) == sparse_partition(scope_copy(g), 3)
+
+    def test_a_huge_radius_is_clamped_to_the_diameter(self):
+        # every cell lies within 2r of every other, so each takes its own part
+        g = instance_io.torus_graph(7, 12)
+        pi = sparse_partition(g, 10**6)
+        assert pi == sparse_partition(scope_copy(g), 10**6) == reference_sparse_partition(g, 10**6)
+        assert pi == singleton_partition(g.n)
+
+
+def test_torus_partition_holds_under_a_quarter_of_the_radius_r_power_graph():
+    # a machine-independent memory bound: the row scan keeps no ball, only at most 4r rows of colour bits
+    g = instance_io.torus_graph(200, 200)
+    assert traced_peak(sparse_partition, g, 3) < traced_peak(graph_core.power_graph, g, 3) / 4
 
 
 def test_ball_scans_do_not_call_ball(monkeypatch):
